@@ -14,9 +14,9 @@ from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
 from .weight import (WeightSpec, check_g1, check_g2, example_weight,
                      g2_left_side, sample_on_grid, table_weight, zero_weight)
 from .riesz_potential import (KernelMatrix, RieszConstants, RieszSolution,
-                              apply_potential, decay_constant, load_kernel,
-                              riesz_constants, riesz_solve, ring_kernel,
-                              ring_kernel_pairs, save_kernel, weak_lp_profile)
+                              apply_potential, decay_constant, riesz_constants,
+                              riesz_solve, ring_kernel, ring_kernel_pairs,
+                              weak_lp_profile)
 from .energy import (EnergyReport, GeometryConstants, big_g, energy_report,
                      estimate_a1, estimate_bg, fa_prime_values, gradient_map,
                      i_a, lower_bound_beta1, n_a, random_trial_fields,

@@ -18,7 +18,7 @@ import numpy as np
 from . import radial_core as rc
 from .energy import estimate_a1, estimate_bg, fa_prime_values, gradient_map, i_a
 from .nonlinearity import eval_fa
-from .riesz_potential import ring_kernel, riesz_constants
+from .riesz_potential import apply_potential, ring_kernel, riesz_constants
 from .weight import sample_on_grid
 
 
@@ -160,7 +160,8 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11):
     base = shifted.base
     if base.fprime is None:
         return None
-    kern = ring_kernel(grid, grid.dim - 4.0)
+    alpha = grid.dim - 4.0
+    kern = ring_kernel(grid, alpha)
     r4 = riesz_constants(grid.dim).r4
     g = sample_on_grid(weight, grid).values
     m = g * grid.r ** (grid.dim - 1) * grid.w
@@ -168,7 +169,7 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11):
     scale = max(1.0, float(np.max(np.abs(u))))
     res_prev = np.inf
     for it in range(max_iter):
-        t_u = r4 * kern.entries @ (m * eval_fa(shifted, u))
+        t_u = r4 * apply_potential(alpha, rc.RadialField(grid, g * eval_fa(shifted, u))).values
         phi = u - t_u
         res = float(np.max(np.abs(phi))) / scale
         if not np.isfinite(res):
@@ -310,8 +311,12 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None,
         "endpoint_drift": ep_drift,
         "geometry": geometry,
     }
-    if len(hist_norm) >= 10:
-        diag["cerami"] = cerami_diagnostics(list(zip(hist_norm, hist_res)))
+    # an accepted polish ends the iterate sequence at the polished point
+    cerami_hist = list(zip(hist_norm, hist_res))
+    if newton_used:
+        cerami_hist.append((rc.h2_norm(u_best), final_res))
+    if len(cerami_hist) >= 10:
+        diag["cerami"] = cerami_diagnostics(cerami_hist)
     return MPSolution(u=u_best, level=final_level, residual=final_res, a=shifted.a,
                       iterations=it, converged=bool(converged), diagnostics=diag)
 

@@ -47,12 +47,8 @@ class RadialField:
             )
 
 
-def same_grid(a, b):
-    return a.key() == b.key()
-
-
 def _require_same_grid(u, v):
-    if not same_grid(u.grid, v.grid):
+    if u.grid.key() != v.grid.key():
         raise ValueError("grid mismatch: %s vs %s" % (u.grid.key(), v.grid.key()))
 
 

@@ -5,10 +5,19 @@ same function is convolution with R2 |x|^{2-N}. For radial sources the
 convolution reduces to a one-dimensional integral against the spherical
 average
 
-    kappa_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^{-alpha} dsigma(w),
+    kappa_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^{-alpha} dsigma(w).
 
-which this module assembles as a dense matrix over the grid. Potentials are
-then plain matrix-vector products against the volume-weighted source.
+The two exponents the solver needs have closed forms, with R = max(r, s) and
+rho = min(r, s):
+
+    kappa_{N-2}(r, s) = omega_N R^{2-N}   (shell theorem)
+    kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2).
+
+Both are sums of at most two products f(rho) g(R), so `apply_potential`
+evaluates a potential in O(n) from prefix and suffix sums of the source;
+`ring_kernel` is the same kernel as a dense matrix. `ring_kernel_pairs`
+evaluates kappa_alpha at any alpha in (0, N) by Gauss-Legendre quadrature,
+for the (g2) checker and as a test oracle.
 """
 
 from dataclasses import dataclass
@@ -17,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import beta as _beta
 
-from .radial_core import RadialField, sphere_area, same_grid, integrate
+from .radial_core import RadialField, sphere_area, integrate
 
 # Gauss-Legendre node counts for the two angular pieces. 64/64 puts the
 # Newton-identity error at round-off for N up to 9 on 512-node grids.
@@ -125,81 +134,66 @@ def ring_kernel_pairs(dim, r, s, alpha):
     return out
 
 
-_KERNEL_CACHE = {}
-_CACHE_VERSION = 1
+def _kernel_coeffs(grid, alpha):
+    """Powers of r for kappa_alpha = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}).
 
-
-def ring_kernel(grid, alpha, cache=True):
-    """Dense kappa_alpha(r_i, s_j) matrix over the grid.
-
-    alpha must lie in (0, N): at the diagonal the volume-weighted integrand
-    s^{N-1} |r-s|^{...} stops being integrable at alpha = N. Pointwise
-    diagonal entries additionally need alpha < N - 1 (true for the production
-    exponents N-4 and N-2); the r = 0 diagonal entry is set to 0 since its
-    volume weight vanishes identically.
+    Returns (r^{-alpha}, r^{-alpha-2}, c) with both powers set to 0 at r = 0,
+    which gives K[0, 0] = 0 (its volume weight vanishes) and leaves
+    K[0, j] = omega_N s_j^{-alpha} exact.
     """
-    if not 0 < alpha < grid.dim:
-        raise ValueError("alpha=%g outside (0, N=%d)" % (alpha, grid.dim))
-    key = grid.key() + (round(float(alpha), 12),)
-    if cache and key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
-
+    alpha = float(alpha)
+    if alpha == grid.dim - 4.0:
+        c = (grid.dim - 4.0) / grid.dim
+    elif alpha == grid.dim - 2.0:
+        c = 0.0
+    else:
+        raise ValueError("alpha=%g: closed forms exist for N-4=%d and N-2=%d only"
+                         % (alpha, grid.dim - 4, grid.dim - 2))
     r = grid.r
-    n = grid.n
-    entries = np.empty((n, n))
-    # row/column 0 exactly
-    with np.errstate(divide="ignore"):
-        col = np.where(r > 0, grid.sphere_area * r ** (-float(alpha)), 0.0)
-    entries[0, :] = col
-    entries[:, 0] = col
-    entries[0, 0] = 0.0
-
-    rr = r[1:]
-    A = np.abs(rr[:, None] - rr[None, :])
-    B = 2.0 * np.sqrt(rr[:, None] * rr[None, :])
-    iu = np.triu_indices(n - 1, k=1)
-    vals = _ring_values(grid.dim, float(alpha), A[iu], B[iu])
-    block = np.zeros((n - 1, n - 1))
-    block[iu] = vals
-    block = block + block.T
-    dconst = 2.0 ** (grid.dim - 1.0) * sphere_area(grid.dim - 1) \
-        * 0.5 * _beta((grid.dim - 1.0 - alpha) / 2.0, (grid.dim - 1.0) / 2.0)
-    np.fill_diagonal(block, dconst * (2.0 * rr) ** (-float(alpha)))
-    entries[1:, 1:] = block
-
-    km = KernelMatrix(alpha=float(alpha), entries=entries, grid=grid)
-    if cache:
-        _KERNEL_CACHE[key] = km
-    return km
+    p0 = np.zeros(grid.n)
+    p2 = np.zeros(grid.n)
+    p0[1:] = r[1:] ** (-alpha)
+    p2[1:] = p0[1:] / (r[1:] * r[1:])
+    return p0, p2, c
 
 
-def save_kernel(km, path):
-    """Binary cache of one kernel matrix with a version header."""
-    np.savez(path, version=_CACHE_VERSION, alpha=km.alpha,
-             dim=km.grid.dim, n=km.grid.n, r_max=km.grid.r_max,
-             entries=km.entries)
+def ring_kernel(grid, alpha):
+    """Dense kappa_alpha(r_i, s_j) matrix over the grid, alpha in {N-4, N-2}.
+
+    Row i, column j >= i has R = s_j and rho = r_i; the lower triangle is its
+    mirror image.
+    """
+    p0, p2, c = _kernel_coeffs(grid, alpha)
+    om = grid.sphere_area
+    entries = np.multiply.outer(-c * om * grid.r * grid.r, p2)
+    entries += om * p0
+    lower = np.tri(grid.n, k=-1, dtype=bool)
+    entries[lower] = entries.T[lower]
+    return KernelMatrix(alpha=float(alpha), entries=entries, grid=grid)
 
 
-def load_kernel(path, grid):
-    with np.load(path) as z:
-        if int(z["version"]) != _CACHE_VERSION:
-            raise ValueError("kernel cache version %s unsupported" % z["version"])
-        if (int(z["dim"]), int(z["n"]), float(z["r_max"])) != grid.key():
-            raise ValueError("kernel cache grid mismatch")
-        return KernelMatrix(alpha=float(z["alpha"]), entries=z["entries"], grid=grid)
-
-
-def apply_potential(kernel, h):
-    """(I h)(r_i) = sum_j kappa(r_i, s_j) h(s_j) s_j^{N-1} w_j.
+def apply_potential(alpha, h):
+    """(I_alpha h)(r_i) = sum_j kappa_alpha(r_i, s_j) h(s_j) s_j^{N-1} w_j in O(n).
 
     kappa already integrates over the sphere, so the quadrature carries the
-    radial measure only.
+    radial measure only. The sum splits at s_j = r_i: R = r_i on the inner
+    part (s_j <= r_i), R = s_j on the outer part (s_j > r_i).
     """
-    if not same_grid(kernel.grid, h.grid):
-        raise ValueError("grid mismatch between kernel and field")
     g = h.grid
+    p0, p2, c = _kernel_coeffs(g, alpha)
+    r2 = g.r * g.r
     src = h.values * g.r ** (g.dim - 1) * g.w
-    return RadialField(g, kernel.entries @ src)
+
+    def outer(x):
+        # sum over j > i, accumulated from the far end
+        tail = np.zeros_like(x)
+        tail[:-1] = np.cumsum(x[:0:-1])[::-1]
+        return tail
+
+    out = p0 * np.cumsum(src) + outer(p0 * src)
+    if c:
+        out -= c * (p2 * np.cumsum(r2 * src) + r2 * outer(p2 * src))
+    return RadialField(g, g.sphere_area * out)
 
 
 class RieszSolution(NamedTuple):
@@ -213,11 +207,9 @@ def riesz_solve(h, constants=None):
     if not np.all(np.isfinite(h.values)):
         raise ValueError("source has non-finite values (divergent norms)")
     c = constants or riesz_constants(g.dim)
-    k4 = ring_kernel(g, g.dim - 4)
-    k2 = ring_kernel(g, g.dim - 2)
-    u = apply_potential(k4, h)
+    u = apply_potential(g.dim - 4, h)
     u.values *= c.r4
-    neg_lap = apply_potential(k2, h)
+    neg_lap = apply_potential(g.dim - 2, h)
     neg_lap.values *= c.r2
     return RieszSolution(u=u, neg_lap=neg_lap)
 

@@ -98,6 +98,8 @@ def table_weight(r_values, g_values, dim=5, name="custom_table"):
     g_values = np.asarray(g_values, dtype=float)
     if r_values.ndim != 1 or r_values.shape != g_values.shape or r_values.size < 2:
         raise ValueError("need matching 1-D r and g tables with >= 2 entries")
+    if not (np.all(np.isfinite(r_values)) and np.all(np.isfinite(g_values))):
+        raise ValueError("r and g tables must be finite")
     if np.any(np.diff(r_values) <= 0):
         raise ValueError("r table must be strictly increasing")
     if np.any(g_values < 0):

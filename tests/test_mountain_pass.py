@@ -97,6 +97,14 @@ def test_newton_polish_engages(positone128):
     assert positone128.residual <= 1e-8 * max(1.0, sp.h2_norm(positone128.u))
 
 
+def test_cerami_sees_polished_endpoint(positone128):
+    # the deformation stalls at its crest; the accepted polish is the last
+    # iterate, and there the weighted gradient (1 + ||Delta u||) res has decayed
+    cer = positone128.diagnostics["cerami"]
+    assert cer["weighted_gradient_decayed"]
+    assert cer["weighted_last_over_max"] < 1e-6
+
+
 def test_solution_positive_despite_shift(example_spec, example_w, grid128,
                                          geometry128, positone128):
     # small-a solve stays positive everywhere and lands near the positone

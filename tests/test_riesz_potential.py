@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import semipositone as sp
@@ -79,16 +79,55 @@ def test_kernel_scaling_law(c, r, s):
         assert abs(a - c ** (-alpha) * b) < 1e-8 * max(abs(b), 1.0)
 
 
-def test_kernel_cache_and_roundtrip(tmp_path, grid128):
-    km = sp.ring_kernel(grid128, 1.0)
-    assert sp.ring_kernel(grid128, 1.0) is km  # cached
-    path = tmp_path / "k.npz"
-    sp.save_kernel(km, path)
-    loaded = sp.load_kernel(path, grid128)
-    assert np.array_equal(loaded.entries, km.entries)
-    other = sp.make_grid(5, 96, 20.0)
-    with pytest.raises(ValueError):
-        sp.load_kernel(path, other)
+@pytest.mark.parametrize("dim", [5, 6, 7, 9])
+def test_closed_forms_against_quadrature(dim):
+    # ring_kernel is the closed form; ring_kernel_pairs integrates the same
+    # spherical average by Gauss-Legendre (Beta form on the diagonal, exact
+    # omega_N max^{-alpha} on the r = 0 row and column)
+    g = sp.make_grid(dim, 40, 6.0)
+    rr, ss = np.meshgrid(g.r, g.r, indexing="ij")
+    for alpha in (dim - 4, dim - 2):
+        km = sp.ring_kernel(g, alpha)
+        assert km.entries[0, 0] == 0.0
+        oracle = ring_kernel_pairs(dim, rr, ss, alpha)
+        off = ~np.eye(g.n, dtype=bool)
+        diag = np.arange(1, g.n)
+        np.testing.assert_allclose(km.entries[off], oracle[off], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(km.entries[diag, diag], oracle[diag, diag],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(km.entries[0, 1:], g.sphere_area * g.r[1:] ** (-alpha),
+                                   rtol=1e-12, atol=0)
+    for bad in (dim - 3, dim - 1):
+        with pytest.raises(ValueError, match="closed forms"):
+            sp.ring_kernel(g, bad)
+        with pytest.raises(ValueError, match="closed forms"):
+            sp.apply_potential(bad, RadialField(g, np.ones(g.n)))
+
+
+@given(dim=st.integers(min_value=5, max_value=9),
+       n=st.integers(min_value=16, max_value=300),
+       r_max=st.floats(min_value=1.0, max_value=40.0),
+       lo=st.floats(min_value=0.0, max_value=1.0),
+       hi=st.floats(min_value=0.0, max_value=1.0),
+       order=st.sampled_from([4, 2]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(dim=5, n=64, r_max=20.0, lo=0.0, hi=1.0, order=4, seed=0)
+@example(dim=9, n=17, r_max=3.0, lo=0.0, hi=0.1, order=2, seed=1)
+@example(dim=7, n=200, r_max=12.0, lo=0.9, hi=1.0, order=4, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_apply_potential_matches_dense(dim, n, r_max, lo, hi, order, seed):
+    # the O(n) prefix/suffix-sum apply against the dense closed-form product,
+    # for nonnegative sources on [r_lo, r_hi]; lo = 0 puts mass at r = 0 and
+    # hi = 1 carries the support out to r_max
+    g = sp.make_grid(dim, n, r_max)
+    i0, i1 = sorted((round(lo * (n - 1)), round(hi * (n - 1))))
+    vals = np.zeros(n)
+    vals[i0:i1 + 1] = np.random.default_rng(seed).uniform(0.1, 1.0, i1 + 1 - i0)
+    h = RadialField(g, vals)
+    alpha = dim - order
+    dense = sp.ring_kernel(g, alpha).entries @ (vals * g.r ** (dim - 1) * g.w)
+    fast = sp.apply_potential(alpha, h).values
+    np.testing.assert_allclose(fast, dense, rtol=1e-13, atol=0)
 
 
 def test_ring_kernel_rejects_bad_alpha(grid128):

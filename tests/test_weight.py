@@ -75,6 +75,16 @@ def test_table_weight_roundtrip():
         sp.table_weight(r, -vals)
 
 
+def test_table_weight_rejects_nonfinite():
+    ones = [1.0, 1.0, 1.0]
+    for r in ([0.5, np.nan, 1.0], [0.5, 0.75, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            sp.table_weight(r, ones)
+    for g in ([1.0, np.inf, np.nan], [np.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            sp.table_weight([0.5, 0.75, 1.0], g)
+
+
 def test_g2_exterior_paper_bound(example_w):
     # annulus with r_out < 1 so dist(A, B_1^c) > 0: the left side at every
     # exterior probe is bounded by dist^{(4-N)delta} * int_A g^delta
