@@ -102,7 +102,7 @@ def h2_inner(u, v):
     """int Delta u Delta v dx; h2_inner(u, u) = ||Delta u||_2^2."""
     _require_same_grid(u, v)
     lu = laplacian(u).values
-    lv = laplacian(v).values
+    lv = lu if v is u else laplacian(v).values
     return integrate(RadialField(u.grid, lu * lv))
 
 

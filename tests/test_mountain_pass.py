@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import semipositone as sp
+from semipositone import mountain_pass as mp
 from semipositone.radial_core import RadialField
+from semipositone.weight import sample_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,7 @@ def test_cerami_sees_polished_endpoint(positone128):
     cer = positone128.diagnostics["cerami"]
     assert cer["weighted_gradient_decayed"]
     assert cer["weighted_last_over_max"] < 1e-6
+    assert cer["norms_bounded"]
 
 
 def test_solution_positive_despite_shift(example_spec, example_w, grid128,
@@ -151,3 +157,105 @@ def test_cerami_diagnostics_paths():
     assert not d2["norms_bounded"]
     with pytest.raises(ValueError):
         sp.cerami_diagnostics(hist[:5])
+
+
+def test_cerami_boundedness_reads_growth():
+    # the solver's shape: a flat stalled crest, then one jump to the polish
+    flat_jump = [(4.21e6, 1.45e5)] * 25 + [(6.63e6, 1e-5)]
+    d = sp.cerami_diagnostics(flat_jump)
+    assert d["norms_bounded"]
+    assert d["norm_drift"] > 0.5
+    # steady growth that doubles the norm over the second half is no jump
+    flat = [(10.0, 1.0)] * 20
+    linear = [(10.0 + 10.0 * k / 19.0, 1.0) for k in range(20)]
+    geometric = [(10.0 * 2.0 ** (k / 19.0), 1.0) for k in range(20)]
+    for rise in (linear, geometric):
+        d = sp.cerami_diagnostics(flat + rise)
+        assert not d["norms_bounded"]
+        assert d["norm_growth"] > 0.5
+    with np.errstate(invalid="ignore"):
+        d = sp.cerami_diagnostics([(10.0, 1.0)] * 10 + [(np.inf, 1.0)])
+    assert not d["norms_bounded"]
+
+
+def test_newton_diagnostics(positone128):
+    d = positone128.diagnostics
+    krylov = d["krylov_iterations"]
+    res = d["newton_residual_history"]
+    assert d["newton_iterations"] == len(krylov) >= 1
+    assert len(res) == len(krylov) + 1
+    # I - R4 K D is the identity minus a compact operator: a handful of
+    # GMRES iterations per step, and Newton converges fast
+    assert np.all(krylov >= 1) and np.max(krylov) <= 10
+    assert res[-1] <= 1e-12 * res[0]
+    assert d["warnings"] == []
+
+
+def test_warnings_recorded_as_data(example_spec, example_w, grid128, geometry128):
+    sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
+    cfg = sp.MPConfig(max_iter=12, plateau_window=5, newton_max_iter=4)
+    with pytest.warns(UserWarning, match="geometry untrusted"):
+        sol = sp.mp_solve(sh, example_w, grid128, cfg, geometry128)
+    (msg,) = sol.diagnostics["warnings"]
+    assert "geometry untrusted" in msg
+
+
+@given(dim=st.integers(5, 9), n=st.integers(32, 400),
+       support=st.sampled_from(["annulus", "table"]),
+       top=st.floats(1.2, 4.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
+    # the matrix-free GMRES step against LU on the dense closed-form kernel
+    grid = sp.make_grid(dim, n, 20.0)
+    if support == "annulus":
+        weight = sp.example_weight(dim=dim)
+    else:
+        r_tab = np.linspace(0.0, 19.0, 40)
+        weight = sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)
+    rng = np.random.default_rng(seed)
+    d = sample_on_grid(weight, grid).values * rng.uniform(0.5, 1.5, n)
+    m = grid.r ** (dim - 1) * grid.w
+    kern = sp.riesz_constants(dim).r4 * sp.ring_kernel(grid, dim - 4).entries
+    # r4 K diag(m d) is similar to a symmetric matrix; scale d so its top
+    # eigenvalue is `top` and keep the spectrum of I - r4 K D off zero
+    sq = np.sqrt(m * d)
+    lam = np.linalg.eigvalsh(sq[:, None] * kern * sq[None, :])
+    d *= top / lam[-1]
+    assume(np.min(np.abs(1.0 - lam * top / lam[-1])) > 0.05)
+    phi = rng.standard_normal(n)
+    ref = np.linalg.solve(np.eye(n) - kern * (m * d)[None, :], -phi)
+    step = mp._newton_step(grid, d, phi)
+    assert step is not None
+    delta, its = step
+    assert its >= 1
+    assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, positone128):
+    grid = sp.make_grid(5, 2048, 20.0)
+    u0 = RadialField(grid, np.interp(grid.r, positone128.u.grid.r, positone128.u.values))
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    sample_on_grid(example_w, grid)  # fill the weight's grid cache first
+    trace = {}
+    tracemalloc.start()
+    try:
+        out = mp._newton_polish(u0, sh, example_w, grid, 3, trace=trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is not None and len(trace["krylov"]) >= 1
+    assert peak < 8 * grid.n ** 2  # one dense n x n float64 array
+
+
+def test_stalled_krylov_keeps_deformation_iterate(monkeypatch, example_spec, example_w,
+                                                  grid128, geometry128):
+    monkeypatch.setattr(mp, "_KRYLOV_RESTART", 1)
+    monkeypatch.setattr(mp, "_KRYLOV_MAXITER", 1)
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+    d = sol.diagnostics
+    assert not d["newton_used"]
+    assert d["newton_iterations"] == 0 and len(d["newton_residual_history"]) == 1
+    assert sol.level == d["deformation_level"]
+    assert not sol.converged
+    assert mp._newton_polish(sol.u, sh, example_w, grid128, 20) is None
