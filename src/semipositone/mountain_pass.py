@@ -1,22 +1,23 @@
 """Numerical mountain-pass solver.
 
-The scheme is the classical one: hold a discretized path from 0 to an
-endpoint vtilde with negative energy, locate the level maximizer along the
-path, push that node down the negative D^{2,2} gradient u - T(u) with an
-Armijo line search, drag its neighbors along, re-tension the path by
-arc-length, and repeat until the gradient-map residual is small. A
-semi-smooth Newton polish on u = T(u) finishes the job once the deformation
-has found the basin; if the polish misbehaves the deformation iterate is
-kept instead. The polish is matrix-free Newton-GMRES: the Jacobian
-I - R4 K diag(g f_a'(u)) is applied through the O(n) Riesz potential, and
-no n x n matrix is formed.
+Three steps find the mountain-pass point. Seed the straight path from 0 to an
+endpoint vtilde with negative energy (through the previous solution when
+warm-starting) and take its crest, the node of highest level. Polish the
+crest by semi-smooth Newton on u = T(u). The polish is matrix-free
+Newton-GMRES: the Jacobian I - R4 K diag(g f_a'(u)) is applied through the
+O(n) Riesz potential, and no n x n matrix is formed. Certify the polished
+point by its Morse index, the number of eigenvalues above 1 of
+R4 K diag(g f_a'(u)): a nondegenerate mountain-pass point has index 1
+(Hofer, Proc. AMS 90, 1984). A polish that fails, does not lower the
+residual, falls below the rim level beta or has another index is rejected,
+and the crest is returned, flagged non-converged.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator, eigs, gmres
 
 from . import radial_core as rc
 from .energy import estimate_a1, estimate_bg, fa_prime_values, gradient_map, i_a
@@ -29,25 +30,13 @@ from .weight import sample_on_grid
 class MPConfig:
     path_nodes: int = 17
     tol_res: float = 1e-4
-    max_iter: int = 400
     bump: str = "auto"
     bump_width: float = 1.5
-    armijo: float = 1e-4
-    step_frac: float = 0.5      # cap: fraction of the internode distance
-    nudge: float = 0.3
-    plateau_window: int = 50
     newton_max_iter: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.path_nodes < 8:
             raise ValueError("path needs at least 8 nodes, got %d" % self.path_nodes)
-
-
-@dataclass
-class MPPath:
-    nodes: list
-    levels: np.ndarray
 
 
 @dataclass
@@ -132,30 +121,6 @@ def _seed_path(vtilde, k_nodes, warm_start=None):
     return nodes
 
 
-def _retension(nodes):
-    """Redistribute interior nodes to uniform D^{2,2} arc-length by linear
-    interpolation along the polygonal path. Endpoints stay put exactly."""
-    k = len(nodes)
-    seg = np.empty(k - 1)
-    for i in range(k - 1):
-        seg[i] = rc.h2_norm(rc.RadialField(nodes[i].grid,
-                                           nodes[i + 1].values - nodes[i].values))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total == 0:
-        return nodes
-    targets = np.linspace(0.0, total, k)
-    out = [nodes[0]]
-    for t in targets[1:-1]:
-        j = int(np.searchsorted(cum, t, side="right") - 1)
-        j = min(j, k - 2)
-        frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
-        vals = (1.0 - frac) * nodes[j].values + frac * nodes[j + 1].values
-        out.append(rc.RadialField(nodes[0].grid, vals))
-    out.append(nodes[-1])
-    return out
-
-
 # GMRES on the Newton system. I - R4 K D is the identity minus a compact
 # operator, so GMRES converges superlinearly: 4-6 iterations per step on the
 # example and at most 15 on synthetic Jacobians over N = 5..9, whatever n.
@@ -165,28 +130,57 @@ _KRYLOV_RESTART = 40
 _KRYLOV_MAXITER = 5
 
 
-def _newton_step(grid, d, phi):
-    """Solve (I - R4 K diag(d)) delta = -phi matrix-free by GMRES.
+def _linearization(grid, d):
+    """x -> R4 K (d x), the derivative of T at u with d = g f_a'(u) on the grid.
 
     K is the order N-4 ring kernel with its radial quadrature, applied in
-    O(n) by `apply_potential`; d is g f_a'(u) on the grid. Returns
-    (delta, GMRES iterations), or None if GMRES does not converge.
+    O(n) by `apply_potential`.
     """
     alpha = grid.dim - 4.0
     r4 = riesz_constants(grid.dim).r4
 
-    def matvec(x):
-        x = np.ravel(x)
-        return x - r4 * apply_potential(alpha, rc.RadialField(grid, d * x)).values
+    def apply(x):
+        return r4 * apply_potential(alpha, rc.RadialField(grid, d * np.ravel(x))).values
 
+    return apply
+
+
+def _newton_step(grid, d, phi):
+    """Solve (I - R4 K diag(d)) delta = -phi matrix-free by GMRES.
+
+    Returns (delta, GMRES iterations), or None if GMRES does not converge.
+    """
+    apply = _linearization(grid, d)
     iters = []
-    jac = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
+    jac = LinearOperator((grid.n, grid.n), matvec=lambda x: np.ravel(x) - apply(x),
+                         dtype=float)
     delta, info = gmres(jac, -phi, rtol=_KRYLOV_RTOL, atol=0.0,
                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
                         callback=iters.append, callback_type="pr_norm")
     if info != 0:
         return None
     return delta, len(iters)
+
+
+def _morse_index(u, shifted, weight):
+    """Morse index of I_a at u, and the top two eigenvalues it is read from.
+
+    The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
+    so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
+    direction. Where g f_a'(u) >= 0 that operator is similar to a symmetric
+    one, so its spectrum is real; the real parts are read. ARPACK starts from
+    a fixed vector, so the result is deterministic. Returns (index, eigenvalues in decreasing order); the
+    index counts only the two computed eigenvalues, so 2 means "at least 2".
+    Without a registered f' there is no certificate: (None, empty).
+    """
+    if shifted.base.fprime is None:
+        return None, np.empty(0)
+    grid = u.grid
+    d = sample_on_grid(weight, grid).values * fa_prime_values(shifted, u.values)
+    op = LinearOperator((grid.n, grid.n), matvec=_linearization(grid, d), dtype=float)
+    top = eigs(op, k=2, which="LR", v0=np.ones(grid.n), return_eigenvectors=False)
+    top = np.sort(top.real)[::-1]
+    return int(np.sum(top > 1.0)), top
 
 
 def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
@@ -230,10 +224,24 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
     return rc.RadialField(grid, u), max_iter
 
 
+def _crest(vtilde, k_nodes, warm_start, level):
+    """Highest node of the seeded path, re-seeded once with the straight path
+    when the maximizer is pinned at an endpoint. Returns (node, its level)."""
+    starts = (None,) if warm_start is None else (warm_start, None)
+    for start in starts:
+        nodes = _seed_path(vtilde, k_nodes, start)
+        levels = np.array([level(u) for u in nodes])
+        k_star = int(np.argmax(levels))
+        if 0 < k_star < k_nodes - 1:
+            return nodes[k_star], levels[k_star]
+    raise RuntimeError("path maximizer pinned at an endpoint after re-seeding")
+
+
 def mp_solve(shifted, weight, grid, config=None, geometry=None,
              warm_start=None, vtilde=None):
-    """Run the deformation + polish scheme for one shift a. Returns the best
-    iterate flagged non-converged when the residual plateaus instead."""
+    """Crest of the seeded path, Newton polish, Morse-index certificate, for
+    one shift a. Converged means a relative residual within tol_res at a
+    point of Morse index 1; otherwise the crest comes back non-converged."""
     cfg = config or MPConfig()
     if geometry is None:
         geometry = estimate_a1(shifted.base, weight, grid)
@@ -245,85 +253,18 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None,
     if vtilde is None:
         bump = make_bump(grid, cfg.bump, weight, cfg.bump_width)
         vtilde = find_vtilde(shifted, weight, bump, geometry.rho)
-    k_nodes = cfg.path_nodes
-    nodes = _seed_path(vtilde, k_nodes, warm_start)
 
     def level(u):
         return i_a(u, shifted, weight)
 
-    def dnorm(vals):
-        return rc.h2_norm(rc.RadialField(grid, vals))
-
-    best = None  # (res_rel, field, iteration)
-    hist_norm, hist_res, hist_level = [], [], []
-    ep_drift = 0.0
-    reseeded = False
-    plateau_anchor, plateau_count = np.inf, 0
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        levels = np.array([level(u) for u in nodes])
-        k_star = int(np.argmax(levels))
-        if k_star in (0, k_nodes - 1):
-            # maximizer pinned at an endpoint: re-seed once, then give up
-            if reseeded:
-                raise RuntimeError("path maximizer pinned at an endpoint after re-seeding")
-            nodes = _seed_path(vtilde, k_nodes, None)
-            reseeded = True
-            continue
-        u_star = nodes[k_star]
-        t_u, res = gradient_map(u_star, shifted, weight)
-        nh2 = rc.h2_norm(u_star)
-        res_rel = res / max(1.0, nh2)
-        hist_norm.append(nh2)
-        hist_res.append(res)
-        hist_level.append(levels[k_star])
-        ep_drift = max(ep_drift,
-                       float(np.max(np.abs(nodes[0].values))),
-                       float(np.max(np.abs(nodes[-1].values - vtilde.values))))
-        if best is None or res_rel < best[0]:
-            best = (res_rel, u_star, it)
-
-        if res_rel <= cfg.tol_res:
-            break
-        # plateau detection on the best residual seen
-        if best[0] < 0.99 * plateau_anchor:
-            plateau_anchor, plateau_count = best[0], 0
-        else:
-            plateau_count += 1
-            if plateau_count >= cfg.plateau_window:
-                break
-
-        direction = t_u.values - u_star.values  # -grad in the D metric
-        gn = dnorm(direction)
-        if gn == 0:
-            break
-        gap_lo = dnorm(u_star.values - nodes[k_star - 1].values)
-        gap_hi = dnorm(nodes[k_star + 1].values - u_star.values)
-        step = min(1.0, cfg.step_frac * min(gap_lo, gap_hi) / gn)
-        lvl0 = levels[k_star]
-        accepted = False
-        for _ in range(30):
-            trial = u_star.values + step * direction
-            if level(rc.RadialField(grid, trial)) <= lvl0 - cfg.armijo * step * gn * gn:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            plateau_count += 1
-            continue
-        moved = step * direction
-        new_nodes = list(nodes)
-        new_nodes[k_star] = rc.RadialField(grid, u_star.values + moved)
-        for kn in (k_star - 1, k_star + 1):
-            if 0 < kn < k_nodes - 1:
-                new_nodes[kn] = rc.RadialField(grid, nodes[kn].values + cfg.nudge * moved)
-        nodes = _retension(new_nodes)
-
-    res_rel, u_best, best_it = best
-    deform_level = level(u_best)
+    u_crest, crest_level = _crest(vtilde, cfg.path_nodes, warm_start, level)
+    _, crest_res = gradient_map(u_crest, shifted, weight)
+    crest_norm = rc.h2_norm(u_crest)
+    res_rel = crest_res / max(1.0, crest_norm)
+    u_best, final_level, final_res, its = u_crest, crest_level, crest_res, 1
 
     newton = {}
-    polished = _newton_polish(u_best, shifted, weight, grid, cfg.newton_max_iter,
+    polished = _newton_polish(u_crest, shifted, weight, grid, cfg.newton_max_iter,
                               trace=newton)
     newton_used = False
     if polished is not None:
@@ -331,44 +272,38 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None,
         cand_level = level(u_cand)
         _, cand_res = gradient_map(u_cand, shifted, weight)
         cand_rel = cand_res / max(1.0, rc.h2_norm(u_cand))
-        # accept only a genuine descent: better residual, still above the rim,
-        # not above the crest it started from (inf-max levels only go down)
-        sane = (cand_rel < res_rel
-                and cand_level >= geometry.beta - 1e-6
-                and cand_level <= deform_level * (1.0 + 1e-9) + 1e-9)
-        if sane:
-            u_best, res_rel = u_cand, cand_rel
-            newton_used = True
-            it += newton_its
+        # accept a genuine improvement: a better residual, still above the rim,
+        # at a point of mountain-pass type
+        if cand_rel < res_rel and cand_level >= geometry.beta - 1e-6:
+            morse = _morse_index(u_cand, shifted, weight)
+            if morse[0] == 1:
+                u_best, final_level, final_res, res_rel = u_cand, cand_level, cand_res, cand_rel
+                newton_used = True
+                its += newton_its
+    if not newton_used:
+        morse = _morse_index(u_crest, shifted, weight)
+    morse_index, morse_top = morse
 
-    converged = res_rel <= cfg.tol_res
-    final_level = level(u_best)
-    _, final_res = gradient_map(u_best, shifted, weight)
     diag = {
         "rim_ok": bool(final_level >= geometry.beta - 1e-6),
         "newton_used": newton_used,
         "newton_iterations": len(newton["krylov"]),
         "newton_residual_history": np.asarray(newton["residual"]),
         "krylov_iterations": np.asarray(newton["krylov"], dtype=int),
+        "morse_index": morse_index,
+        "morse_top_eigenvalues": morse_top,
         "warnings": warned,
-        "deformation_level": deform_level,
+        "crest_level": crest_level,
         "vtilde_norm": rc.h2_norm(vtilde),
         "vtilde_level": level(vtilde),
-        "history_norm": np.asarray(hist_norm),
-        "history_residual": np.asarray(hist_res),
-        "history_level": np.asarray(hist_level),
-        "best_iteration": best_it,
-        "endpoint_drift": ep_drift,
+        "history_norm": np.array([crest_norm]),
+        "history_residual": np.array([crest_res]),
+        "history_level": np.array([crest_level]),
         "geometry": geometry,
     }
-    # an accepted polish ends the iterate sequence at the polished point
-    cerami_hist = list(zip(hist_norm, hist_res))
-    if newton_used:
-        cerami_hist.append((rc.h2_norm(u_best), final_res))
-    if len(cerami_hist) >= 10:
-        diag["cerami"] = cerami_diagnostics(cerami_hist)
+    converged = res_rel <= cfg.tol_res and morse_index == 1
     return MPSolution(u=u_best, level=final_level, residual=final_res, a=shifted.a,
-                      iterations=it, converged=bool(converged), diagnostics=diag)
+                      iterations=its, converged=bool(converged), diagnostics=diag)
 
 
 def cerami_diagnostics(history):

@@ -78,7 +78,7 @@ _SCHEMA = {
     "weight": {"family": str, "d": float, "r_in": float, "r_out": float,
                "table_path": str},
     "grid": {"n": int, "r_max": float},
-    "mp": {"path_nodes": int, "tol_res": float, "max_iter": int, "bump": str},
+    "mp": {"path_nodes": int, "tol_res": float, "bump": str},
     "sweep": {"count": int, "decades": float, "a_list": tuple,
               "warm_start": bool, "seed": int},
 }
@@ -248,6 +248,8 @@ def run_sweep(cfg, a_values=None):
         sols[a] = sol
 
     summary = _summarize(rows, profiles, grid, geometry)
+    summary["morse_index"] = [[a, sol.diagnostics["morse_index"]]
+                              for a, sol in sols.items()]
     echo = _config_echo(cfg)
     return SweepReport(rows=rows, summary=summary, config_echo=echo,
                        profiles=profiles, grid_r=grid.r.copy(), geometry=geometry)

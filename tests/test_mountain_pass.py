@@ -66,10 +66,6 @@ def test_positone_solution(positone128, example_spec, example_w, geometry128):
     assert sol.diagnostics["rim_ok"]
 
 
-def test_endpoints_never_move(positone128):
-    assert positone128.diagnostics["endpoint_drift"] == 0.0
-
-
 def test_crest_levels_descend(positone128):
     lv = positone128.diagnostics["history_level"]
     if len(lv) > 1:
@@ -102,13 +98,58 @@ def test_newton_polish_engages(positone128):
     assert positone128.residual <= 1e-8 * max(1.0, sp.h2_norm(positone128.u))
 
 
-def test_cerami_sees_polished_endpoint(positone128):
-    # the deformation stalls at its crest; the accepted polish is the last
-    # iterate, and there the weighted gradient (1 + ||Delta u||) res has decayed
-    cer = positone128.diagnostics["cerami"]
-    assert cer["weighted_gradient_decayed"]
-    assert cer["weighted_last_over_max"] < 1e-6
-    assert cer["norms_bounded"]
+def test_morse_certificate_on_example(positone128, example_spec, example_w, grid128):
+    # index 1, and the two ARPACK eigenvalues against the dense spectrum of
+    # r4 K diag(m g f_a'(u)) built on the closed-form ring kernel
+    d = positone128.diagnostics
+    assert d["morse_index"] == 1
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    m = grid128.r ** (grid128.dim - 1) * grid128.w
+    fp = sample_on_grid(example_w, grid128).values * sp.fa_prime_values(sh, positone128.u.values)
+    kern = sp.riesz_constants(grid128.dim).r4 * sp.ring_kernel(grid128, grid128.dim - 4).entries
+    dense = np.sort(np.linalg.eigvals(kern * (m * fp)[None, :]).real)[::-1]
+    np.testing.assert_allclose(d["morse_top_eigenvalues"], dense[:2], rtol=1e-8)
+
+
+def test_polish_above_crest_is_accepted(example_w, grid256):
+    # f(u) = u^3: the 17-node crest undershoots the maximum of the straight
+    # path, so Newton climbs to a level above it. At u = T(u), f'(u) u = 3 f(u)
+    # gives r4 K D u = 3 u: the top eigenvalue is exactly p
+    spec = sp.power_nonlinearity(3.0, gamma=3.5)
+    geo = sp.estimate_a1(spec, example_w, grid256)
+    sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid256, None, geo)
+    d = sol.diagnostics
+    assert sol.level > d["crest_level"]
+    assert sol.converged and d["newton_used"]
+    assert d["morse_index"] == 1
+    assert abs(d["morse_top_eigenvalues"][0] - 3.0) <= 1e-8
+
+
+def test_beta_floor_rejects_spurious_polish(example_spec, example_w):
+    # truncated at r_max = 12, Newton lands on a critical point of index 1 whose
+    # level is far below the rim: only the beta floor rejects it
+    grid = sp.make_grid(5, 128, 12.0)
+    geo = sp.estimate_a1(example_spec, example_w, grid)
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    sol = sp.mp_solve(sh, example_w, grid, None, geo)
+    assert not sol.converged and not sol.diagnostics["newton_used"]
+    assert sol.level == sol.diagnostics["crest_level"]
+    polished, _ = mp._newton_polish(sol.u, sh, example_w, grid, 20)
+    assert mp._morse_index(polished, sh, example_w)[0] == 1
+    assert sp.i_a(polished, sh, example_w) < geo.beta
+
+
+def test_polish_of_higher_index_is_rejected(monkeypatch, example_spec, example_w,
+                                            grid128, geometry128):
+    # a polished point that is not of mountain-pass type is no solution: the
+    # crest comes back, non-converged, with the index that was read
+    monkeypatch.setattr(mp, "_morse_index", lambda u, sh, w: (2, np.array([3.0, 1.5])))
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+    d = sol.diagnostics
+    assert not sol.converged and not d["newton_used"]
+    assert sol.level == d["crest_level"] and sol.iterations == 1
+    assert d["morse_index"] == 2
 
 
 def test_solution_positive_despite_shift(example_spec, example_w, grid128,
@@ -127,7 +168,7 @@ def test_solution_positive_despite_shift(example_spec, example_w, grid128,
 
 def test_warns_beyond_a1(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
-    cfg = sp.MPConfig(max_iter=12, plateau_window=5, newton_max_iter=4)
+    cfg = sp.MPConfig(newton_max_iter=4)
     with pytest.warns(UserWarning, match="geometry untrusted"):
         sp.mp_solve(sh, example_w, grid128, cfg, geometry128)
 
@@ -193,7 +234,7 @@ def test_newton_diagnostics(positone128):
 
 def test_warnings_recorded_as_data(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
-    cfg = sp.MPConfig(max_iter=12, plateau_window=5, newton_max_iter=4)
+    cfg = sp.MPConfig(newton_max_iter=4)
     with pytest.warns(UserWarning, match="geometry untrusted"):
         sol = sp.mp_solve(sh, example_w, grid128, cfg, geometry128)
     (msg,) = sol.diagnostics["warnings"]
@@ -256,6 +297,6 @@ def test_stalled_krylov_keeps_deformation_iterate(monkeypatch, example_spec, exa
     d = sol.diagnostics
     assert not d["newton_used"]
     assert d["newton_iterations"] == 0 and len(d["newton_residual_history"]) == 1
-    assert sol.level == d["deformation_level"]
+    assert sol.level == d["crest_level"]
     assert not sol.converged
     assert mp._newton_polish(sol.u, sh, example_w, grid128, 20) is None

@@ -52,6 +52,7 @@ def test_parse_a_list_and_bools(tmp_path):
     ("gamma = 12\n", "(2, 10)"),
     ("[sweep]\nwarm_start = maybe\n", "sweep.warm_start"),
     ("[mp]\narmijo = 0.1\n", "mp.armijo"),
+    ("[mp]\nmax_iter = 400\n", "mp.max_iter"),
     ("[grid]\nr_max = 0.8\n", "r_max"),
     ("[grid]\nn = 8\n", "16 nodes"),
     ("[sweep]\na_list = -1\n", ">= 0"),
@@ -146,6 +147,15 @@ def test_run_sweep_summary_sanity(small_report):
     assert s["beta1"] > 0
     dists = [d for _, d in s["limit_sup_distance"]]
     assert all(x > y for x, y in zip(dists, dists[1:]))
+
+
+def test_summary_reports_morse_index(tmp_path, small_report):
+    # one [a, index] pair per row, in row order, and every converged row certified
+    pairs = small_report.summary["morse_index"]
+    assert [a for a, _ in pairs] == [r.a for r in small_report.rows]
+    assert all(idx == 1 for (_, idx), r in zip(pairs, small_report.rows) if r.converged)
+    blob = json.load(open(emit(small_report, str(tmp_path / "out"))[1]))
+    assert blob["summary"]["morse_index"] == pairs
 
 
 def test_emit_roundtrip(tmp_path, small_report):
