@@ -1,12 +1,11 @@
 """Numerical mountain-pass solver.
 
-Three steps find the mountain-pass point. Seed the straight path from 0 to an
-endpoint vtilde with negative energy (through the previous solution when
-warm-starting) and take its crest, the node of highest level. Polish the
-crest by semi-smooth Newton on u = T(u). The polish is matrix-free
-Newton-GMRES: the Jacobian I - R4 K diag(g f_a'(u)) is applied through the
-O(n) Riesz potential, and no n x n matrix is formed. Certify the polished
-point by its Morse index, the number of eigenvalues above 1 of
+Three steps find the mountain-pass point. Take the crest, the node of highest
+level, of the straight path from 0 to an endpoint vtilde with negative
+energy. Polish the crest by semi-smooth Newton on u = T(u). The polish is
+matrix-free Newton-GMRES: the Jacobian I - R4 K diag(g f_a'(u)) is applied
+through the O(n) Riesz potential, and no n x n matrix is formed. Certify the
+polished point by its Morse index, the number of eigenvalues above 1 of
 R4 K diag(g f_a'(u)): a nondegenerate mountain-pass point has index 1
 (Hofer, Proc. AMS 90, 1984). A polish that fails, does not lower the
 residual, falls below the rim level beta or has another index is rejected,
@@ -102,23 +101,6 @@ def find_vtilde(shifted, weight, bump, rho):
         "no negative energy up to t = 2^%d rho along the bump ray; "
         "superlinearity (the f(t)/t -> infinity hypothesis) is suspect"
         % _T_CAP_DOUBLINGS)
-
-
-def _seed_path(vtilde, k_nodes, warm_start=None):
-    grid = vtilde.grid
-    nodes = []
-    if warm_start is None:
-        for t in np.linspace(0.0, 1.0, k_nodes):
-            nodes.append(rc.RadialField(grid, t * vtilde.values))
-    else:
-        # 0 -> warm solution -> vtilde, split evenly
-        k_half = k_nodes // 2
-        for t in np.linspace(0.0, 1.0, k_half, endpoint=False):
-            nodes.append(rc.RadialField(grid, t * warm_start.values))
-        for t in np.linspace(0.0, 1.0, k_nodes - k_half):
-            vals = (1.0 - t) * warm_start.values + t * vtilde.values
-            nodes.append(rc.RadialField(grid, vals))
-    return nodes
 
 
 # GMRES on the Newton system. I - R4 K D is the identity minus a compact
@@ -224,22 +206,21 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
     return rc.RadialField(grid, u), max_iter
 
 
-def _crest(vtilde, k_nodes, warm_start, level):
-    """Highest node of the seeded path, re-seeded once with the straight path
-    when the maximizer is pinned at an endpoint. Returns (node, its level)."""
-    starts = (None,) if warm_start is None else (warm_start, None)
-    for start in starts:
-        nodes = _seed_path(vtilde, k_nodes, start)
-        levels = np.array([level(u) for u in nodes])
-        k_star = int(np.argmax(levels))
-        if 0 < k_star < k_nodes - 1:
-            return nodes[k_star], levels[k_star]
-    raise RuntimeError("path maximizer pinned at an endpoint after re-seeding")
+def _crest(vtilde, k_nodes, level):
+    """Highest of k_nodes evenly spaced nodes on the straight path from 0 to
+    vtilde. Returns (node, its level); raises when the maximizer is pinned at
+    an endpoint."""
+    nodes = [rc.RadialField(vtilde.grid, t * vtilde.values)
+             for t in np.linspace(0.0, 1.0, k_nodes)]
+    levels = np.array([level(u) for u in nodes])
+    k_star = int(np.argmax(levels))
+    if not 0 < k_star < k_nodes - 1:
+        raise RuntimeError("path maximizer pinned at an endpoint")
+    return nodes[k_star], levels[k_star]
 
 
-def mp_solve(shifted, weight, grid, config=None, geometry=None,
-             warm_start=None, vtilde=None):
-    """Crest of the seeded path, Newton polish, Morse-index certificate, for
+def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
+    """Crest of the straight path, Newton polish, Morse-index certificate, for
     one shift a. Converged means a relative residual within tol_res at a
     point of Morse index 1; otherwise the crest comes back non-converged."""
     cfg = config or MPConfig()
@@ -257,7 +238,7 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None,
     def level(u):
         return i_a(u, shifted, weight)
 
-    u_crest, crest_level = _crest(vtilde, cfg.path_nodes, warm_start, level)
+    u_crest, crest_level = _crest(vtilde, cfg.path_nodes, level)
     _, crest_res = gradient_map(u_crest, shifted, weight)
     crest_norm = rc.h2_norm(u_crest)
     res_rel = crest_res / max(1.0, crest_norm)

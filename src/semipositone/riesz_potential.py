@@ -7,31 +7,28 @@ average
 
     kappa_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^{-alpha} dsigma(w).
 
-The two exponents the solver needs have closed forms, with R = max(r, s) and
-rho = min(r, s):
+With R = max(r, s) and rho = min(r, s) it is a hypergeometric series,
+
+    kappa_alpha(r, s) = omega_N R^{-alpha} 2F1(alpha/2, 1 + (alpha-N)/2; N/2; rho^2/R^2),
+
+which `ring_kernel_pairs` evaluates at any alpha, as the (g2) checker needs.
+At the two orders the solver needs it terminates:
 
     kappa_{N-2}(r, s) = omega_N R^{2-N}   (shell theorem)
     kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2).
 
 Both are sums of at most two products f(rho) g(R), so `apply_potential`
 evaluates a potential in O(n) from prefix and suffix sums of the source;
-`ring_kernel` is the same kernel as a dense matrix. `ring_kernel_pairs`
-evaluates kappa_alpha at any alpha in (0, N) by Gauss-Legendre quadrature,
-for the (g2) checker and as a test oracle.
+`ring_kernel` is the same kernel as a dense matrix, kept as a test oracle.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta as _beta
+from scipy.special import hyp2f1
 
 from .radial_core import RadialField, sphere_area, integrate
-
-# Gauss-Legendre node counts for the two angular pieces. 64/64 puts the
-# Newton-identity error at round-off for N up to 9 on 512-node grids.
-_GL_INNER = 64
-_GL_OUTER = 64
 
 
 @dataclass(frozen=True)
@@ -55,83 +52,17 @@ class KernelMatrix:
     grid: object
 
 
-def _gl(nodes):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
-
-
-def _ring_values(dim, alpha, A, B):
-    """kappa_alpha for arrays of A = |r-s|, B = 2 sqrt(rs), all A > 0, B > 0.
-
-    After x = sin(theta/2) the angular integral is
-        2^{N-1} |S^{N-2}| int_0^1 (A^2 + B^2 x^2)^{-alpha/2}
-                            x^{N-2} (1 - x^2)^{(N-3)/2} dx.
-    Piece 1 (x <= 1/sqrt 2) substitutes x = (A/B) sinh y, which absorbs the
-    near-diagonal singularity; piece 2 (x >= 1/sqrt 2) substitutes x = sin u,
-    which absorbs the endpoint branch of (1 - x^2)^{(N-3)/2}.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    N = dim
-    xs = 1.0 / np.sqrt(2.0)
-
-    y1, w1 = _gl(_GL_INNER)
-    Y = np.arcsinh(B * xs / A)
-    # map [-1,1] -> [0, Y]
-    yy = 0.5 * Y[..., None] * (y1 + 1.0)
-    jac1 = 0.5 * Y[..., None]
-    sh = np.sinh(yy)
-    ch = np.cosh(yy)
-    x = (A / B)[..., None] * sh
-    f1 = (A ** (N - 1.0 - alpha) * B ** (1.0 - N))[..., None] \
-        * ch ** (1.0 - alpha) * sh ** (N - 2.0) \
-        * (1.0 - x * x) ** ((N - 3.0) / 2.0)
-    p1 = np.sum(f1 * w1 * jac1, axis=-1)
-
-    u2, w2 = _gl(_GL_OUTER)
-    lo = np.pi / 4.0
-    hi = np.pi / 2.0
-    uu = 0.5 * (hi - lo) * (u2 + 1.0) + lo
-    jac2 = 0.5 * (hi - lo)
-    su = np.sin(uu)
-    cu = np.cos(uu)
-    f2 = (A[..., None] ** 2 + (B[..., None] * su) ** 2) ** (-alpha / 2.0) \
-        * su ** (N - 2.0) * cu ** (N - 2.0)
-    p2 = np.sum(f2 * w2 * jac2, axis=-1)
-
-    return 2.0 ** (N - 1.0) * sphere_area(N - 1) * (p1 + p2)
-
-
 def ring_kernel_pairs(dim, r, s, alpha):
-    """Pointwise kappa_alpha(r_i, s_i) for broadcast arrays of radii.
-
-    Handles r = 0 or s = 0 (exact omega_N max^{-alpha}) and r = s > 0
-    (closed Beta form, needs alpha < N - 1; +inf otherwise).
-    """
+    """kappa_alpha(r_i, s_i) for broadcast arrays of radii, by the 2F1 series
+    at z = rho^2 / R^2: Gauss's sum at r = s > 0 when alpha < N - 1, +inf
+    there otherwise and at r = s = 0."""
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-    out = np.empty(r.shape)
-    om = sphere_area(dim)
-
-    zero = (r == 0) | (s == 0)
-    diag = (r == s) & ~zero
-    rest = ~zero & ~diag
-
-    if np.any(zero):
-        m = np.maximum(r[zero], s[zero])
-        with np.errstate(divide="ignore"):
-            out[zero] = np.where(m > 0, om * m ** (-alpha), np.inf)
-    if np.any(diag):
-        if alpha < dim - 1:
-            const = 2.0 ** (dim - 1.0) * sphere_area(dim - 1) \
-                * 0.5 * _beta((dim - 1.0 - alpha) / 2.0, (dim - 1.0) / 2.0)
-            out[diag] = const * (2.0 * r[diag]) ** (-alpha)
-        else:
-            out[diag] = np.inf
-    if np.any(rest):
-        A = np.abs(r[rest] - s[rest])
-        B = 2.0 * np.sqrt(r[rest] * s[rest])
-        out[rest] = _ring_values(dim, alpha, A, B)
-    return out
+    big = np.maximum(r, s)
+    ratio = np.zeros(big.shape)  # rho / R, and 0 where r = s = 0
+    np.divide(np.minimum(r, s), big, out=ratio, where=big > 0)
+    with np.errstate(divide="ignore"):
+        scale = sphere_area(dim) * big ** (-float(alpha))
+    return scale * hyp2f1(0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, ratio * ratio)
 
 
 def _kernel_coeffs(grid, alpha):

@@ -59,7 +59,6 @@ class SweepConfig:
     count: int = 12
     decades: float = 2.0
     a_list: tuple = ()
-    warm_start: bool = True
     seed: int = 7
 
 
@@ -79,27 +78,22 @@ _SCHEMA = {
                "table_path": str},
     "grid": {"n": int, "r_max": float},
     "mp": {"path_nodes": int, "tol_res": float, "bump": str},
-    "sweep": {"count": int, "decades": float, "a_list": tuple,
-              "warm_start": bool, "seed": int},
+    "sweep": {"count": int, "decades": float, "a_list": tuple, "seed": int},
 }
-
-_BOOL_TOKENS = {"true": True, "yes": True, "on": True, "1": True,
-                "false": False, "no": False, "off": False, "0": False}
 
 
 def _coerce(path, raw, kind):
     try:
-        if kind is bool:
-            token = raw.strip().lower()
-            if token not in _BOOL_TOKENS:
-                raise ValueError("not a boolean")
-            return _BOOL_TOKENS[token]
         if kind is tuple:
             raw = raw.strip()
-            return tuple(float(x) for x in raw.split(",")) if raw else ()
-        return kind(raw)
+            value = tuple(float(x) for x in raw.split(",")) if raw else ()
+        else:
+            value = kind(raw)
     except ValueError:
         raise ValueError("%s: cannot parse %r as %s" % (path, raw, kind.__name__))
+    if kind in (float, tuple) and not np.all(np.isfinite(value)):
+        raise ValueError("%s: %r is not finite" % (path, raw))
+    return value
 
 
 def parse_config(path):
@@ -224,7 +218,7 @@ def _row_from_solution(sol, shifted, weight):
 
 def run_sweep(cfg, a_values=None):
     """Solve the shifted problem over a decreasing a-list plus the positone
-    limit, warm-starting each solve from the previous solution."""
+    limit, one independent solve per row."""
     spec, weight, grid = build_problem(cfg)
     geometry = estimate_a1(spec, weight, grid, seed=cfg.sweep.seed)
     if a_values is None:
@@ -235,14 +229,10 @@ def run_sweep(cfg, a_values=None):
 
     bump = make_bump(grid, cfg.mp.bump, weight, cfg.mp.bump_width)
     rows, profiles, sols = [], {}, {}
-    prev = None
     for a in a_desc:
         shifted = ShiftedNonlinearity(spec, a)
         vtilde = find_vtilde(shifted, weight, bump, geometry.rho)
-        sol = mp_solve(shifted, weight, grid, cfg.mp, geometry,
-                       warm_start=prev if cfg.sweep.warm_start else None,
-                       vtilde=vtilde)
-        prev = sol.u
+        sol = mp_solve(shifted, weight, grid, cfg.mp, geometry, vtilde=vtilde)
         rows.append(_row_from_solution(sol, shifted, weight))
         profiles[a] = sol.u.values.copy()
         sols[a] = sol
@@ -405,6 +395,11 @@ def main(argv=None):
     ap.add_argument("--check-hypotheses", action="store_true",
                     help="run the (f1)-(f4), (g1), (g2) sample checks")
     args = ap.parse_args(argv)
+    if args.single_a is not None \
+            and not (np.isfinite(args.single_a) and args.single_a >= 0):
+        print("--single-a must be a finite shift >= 0, got %r" % args.single_a,
+              file=sys.stderr)
+        return 2
 
     try:
         cfg = parse_config(args.config)

@@ -19,6 +19,9 @@ from .riesz_potential import ring_kernel_pairs
 
 _NORM_QUAD_TOL = 1e-12
 
+# Gauss-Legendre rule on [-1, 1] for the radial (g2) integral over the support
+_G2_NODES, _G2_WEIGHTS = np.polynomial.legendre.leggauss(160)
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -175,10 +178,10 @@ def check_g1(spec):
     return CheckReport("g1", finite, details)
 
 
-def g2_left_side(spec, delta, x, n_nodes=160):
+def g2_left_side(spec, delta, x):
     """|x|^alpha int g^delta |x-y|^{-alpha} dy at a single probe radius,
-    alpha = (N-4) delta, via the ring-reduced kernel and Gauss-Legendre in
-    the radial variable.
+    alpha = (N-4) delta, via the closed-form ring kernel and Gauss-Legendre
+    in the radial variable.
     """
     dim = spec.dim
     alpha = (dim - 4.0) * delta
@@ -191,9 +194,8 @@ def g2_left_side(spec, delta, x, n_nodes=160):
     if min(abs(x - spec.r_in), abs(x - spec.r_out)) < margin \
             or (spec.r_in < x < spec.r_out):
         return _g2_left_side_direct(spec, delta, x)
-    nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
-    s = 0.5 * (spec.r_out - spec.r_in) * nodes + 0.5 * (spec.r_out + spec.r_in)
-    jw = 0.5 * (spec.r_out - spec.r_in) * wts
+    s = 0.5 * (spec.r_out - spec.r_in) * _G2_NODES + 0.5 * (spec.r_out + spec.r_in)
+    jw = 0.5 * (spec.r_out - spec.r_in) * _G2_WEIGHTS
     kern = ring_kernel_pairs(dim, np.full_like(s, x), s, alpha)
     integrand = spec.profile(s) ** delta * s ** (dim - 1) * kern
     return float(x ** alpha * np.sum(jw * integrand))

@@ -48,16 +48,38 @@ def test_zero_radius_row_exact():
 
 
 def test_diagonal_against_direct_quadrature():
-    # independent 1-d oracle for the ring average at r = s
-    dim, alpha, r = 5, 1.0, 0.7
-    val = ring_kernel_pairs(dim, np.array([r]), np.array([r]), alpha)[0]
-    area = sp.sphere_area(dim - 1)
+    # independent 1-d oracle for the ring average: the diagonal r = s, and
+    # off-diagonal pairs at orders where the hypergeometric series does not
+    # terminate (2N is the (g2) order delta = 2**)
+    def oracle(dim, alpha, r, s):
+        def integrand(theta):
+            d2 = (r - s) ** 2 + 4.0 * r * s * np.sin(0.5 * theta) ** 2  # |r e1 - s w|^2
+            return np.sin(theta) ** (dim - 2) * d2 ** (-alpha / 2.0)
 
-    def integrand(theta):
-        return np.sin(theta) ** (dim - 2) * (2.0 * r * r * (1.0 - np.cos(theta))) ** (-alpha / 2.0)
+        return sp.sphere_area(dim - 1) * quad(integrand, 0.0, np.pi, epsabs=0,
+                                              epsrel=1e-13, limit=200)[0]
 
-    oracle = area * quad(integrand, 0.0, np.pi, epsabs=1e-13)[0]
-    assert abs(val - oracle) < 1e-9 * oracle
+    cases = [(5, 1.0, 0.7, 0.7)]
+    cases += [(dim, alpha, r, s) for dim in (5, 7, 9) for alpha in (2.3, 2.0 * dim)
+              for r, s in ((0.7, 0.3), (1.5, 3.0), (2.0, 1.8))]
+    for dim, alpha, r, s in cases:
+        val = ring_kernel_pairs(dim, np.array([r]), np.array([s]), alpha)[0]
+        expected = oracle(dim, alpha, r, s)
+        assert abs(val - expected) < 1e-12 * expected, (dim, alpha, r, s)
+
+
+def test_order_2n_is_algebraic():
+    # at alpha = 2N Euler's transformation (DLMF 15.8.1) closes the series:
+    # kappa_{2N} = omega_N R^{-2N} (1 + z) (1 - z)^{-N-1}, z = rho^2 / R^2
+    # rho / R from 0 to 0.999, packed towards the diagonal, over six decades of R
+    big = np.geomspace(0.01, 100.0, 200)
+    small = np.random.default_rng(0).permutation(1.0 - np.geomspace(1e-3, 1.0, 200)) * big
+    for dim in range(5, 10):
+        z = (small / big) ** 2
+        exact = sp.sphere_area(dim) * big ** (-2.0 * dim) * (1.0 + z) * (1.0 - z) ** (-dim - 1)
+        for r, s in ((big, small), (small, big)):
+            np.testing.assert_allclose(ring_kernel_pairs(dim, r, s, 2.0 * dim), exact,
+                                       rtol=1e-13, atol=0)
 
 
 def test_diagonal_infinite_when_alpha_large():
@@ -81,9 +103,10 @@ def test_kernel_scaling_law(c, r, s):
 
 @pytest.mark.parametrize("dim", [5, 6, 7, 9])
 def test_closed_forms_against_quadrature(dim):
-    # ring_kernel is the closed form; ring_kernel_pairs integrates the same
-    # spherical average by Gauss-Legendre (Beta form on the diagonal, exact
-    # omega_N max^{-alpha} on the r = 0 row and column)
+    # ring_kernel is the closed form built from powers of r; ring_kernel_pairs
+    # evaluates the same spherical average as a hypergeometric series (the
+    # Gauss sum on the diagonal, omega_N max^{-alpha} on the r = 0 row and
+    # column)
     g = sp.make_grid(dim, 40, 6.0)
     rr, ss = np.meshgrid(g.r, g.r, indexing="ij")
     for alpha in (dim - 4, dim - 2):

@@ -40,9 +40,8 @@ def test_parse_sectionless_is_problem(tmp_path):
 
 
 def test_parse_a_list_and_bools(tmp_path):
-    cfg = parse_config(write(tmp_path, "[sweep]\na_list = 0.5, 0.25\nwarm_start = off\n"))
+    cfg = parse_config(write(tmp_path, "[sweep]\na_list = 0.5, 0.25\n"))
     assert cfg.sweep.a_list == (0.5, 0.25)
-    assert cfg.sweep.warm_start is False
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -50,12 +49,14 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[nope]\nx = 1\n", "unknown section"),
     ("dim = 4\n", "N >= 5"),
     ("gamma = 12\n", "(2, 10)"),
-    ("[sweep]\nwarm_start = maybe\n", "sweep.warm_start"),
+    ("[sweep]\nwarm_start = true\n", "sweep.warm_start"),
     ("[mp]\narmijo = 0.1\n", "mp.armijo"),
     ("[mp]\nmax_iter = 400\n", "mp.max_iter"),
     ("[grid]\nr_max = 0.8\n", "r_max"),
     ("[grid]\nn = 8\n", "16 nodes"),
     ("[sweep]\na_list = -1\n", ">= 0"),
+    ("[sweep]\na_list = 0.5, nan\n", "sweep.a_list"),
+    ("[grid]\nr_max = inf\n", "grid.r_max"),
     ("[weight]\nfamily = custom_table\n", "table_path"),
     ("[problem]\nfamily = cubic\n", "family"),
 ])
@@ -192,6 +193,16 @@ def test_main_config_error(tmp_path, capsys):
 def test_main_missing_file(tmp_path, capsys):
     rc = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("shift", ["-5", "nan", "inf"])
+def test_main_rejects_bad_single_a(tmp_path, capsys, shift):
+    out = tmp_path / "out"
+    rc = main(["--config", write(tmp_path, SMALL), "--out", str(out),
+               "--single-a", shift])
+    assert rc == 2
+    assert "--single-a" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_single_a_zero(tmp_path, capsys):
