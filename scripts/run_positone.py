@@ -24,7 +24,6 @@ def main(argv=None):
     ap.add_argument("--n", type=int, default=512, help="radial nodes")
     ap.add_argument("--r-max", type=float, default=20.0, help="domain radius")
     ap.add_argument("--dim", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=7, help="trial-field seed for the geometry estimate")
     ap.add_argument("--profile", default=None, help="write the solution profile to this CSV")
     args = ap.parse_args(argv)
 
@@ -33,7 +32,7 @@ def main(argv=None):
     grid = sp.make_grid(args.dim, args.n, args.r_max)
 
     t0 = time.perf_counter()
-    geo = sp.estimate_a1(spec, weight, grid, seed=args.seed)
+    geo = sp.estimate_a1(spec, weight, grid)
     t_geo = time.perf_counter() - t0
     print("geometry  (%.1fs)" % t_geo)
     print("  b_g   = %.6g    eps  = %.6g" % (geo.b_g, geo.eps))

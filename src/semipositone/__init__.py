@@ -19,8 +19,7 @@ from .riesz_potential import (KernelMatrix, RieszConstants, RieszSolution,
                               weak_lp_profile)
 from .energy import (EnergyReport, GeometryConstants, big_g, energy_report,
                      estimate_a1, estimate_bg, fa_prime_values, gradient_map,
-                     i_a, lower_bound_beta1, n_a, random_trial_fields,
-                     rim_levels, weak_pairing)
+                     i_a, lower_bound_beta1, n_a, weak_pairing)
 from .mountain_pass import (MPConfig, MPSolution, cerami_diagnostics,
                             find_vtilde, make_bump, mp_solve)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,

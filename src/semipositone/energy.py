@@ -1,12 +1,13 @@
 """Variational layer: the functionals G, N_a, I_a over radial fields, the
 gradient realized through the Riesz fixed-point map T(u) = riesz_solve(g f_a(u)),
-and empirical estimation of the mountain-pass geometry constants.
+and the mountain-pass geometry constants from their variational problems.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2; h2_inner
-from radial_core realizes it with the finite-difference Laplacian. Inside the
-power iteration for B_g the inner products are taken through the kernel route
-instead (the map u -> riesz_solve(g u).u is exactly self-adjoint there, which
-keeps the Rayleigh quotients monotone).
+from radial_core realizes it with the finite-difference Laplacian. The
+geometry constants take it through the kernel route instead: for u = T(h),
+||Delta u||^2 = int h u exactly, the map h -> T(h) is self-adjoint there,
+and the fields involved are Riesz potentials, so the constants see the
+norm on R^N rather than on the ball of radius r_max.
 """
 
 from dataclasses import dataclass, asdict
@@ -21,7 +22,6 @@ from .riesz_potential import riesz_solve
 
 _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
-_SAFETY = 1.5
 
 
 def _g_values(weight, grid):
@@ -104,98 +104,50 @@ class GeometryConstants:
         return asdict(self)
 
 
-def estimate_bg(weight, grid, tol=_BG_TOL, max_iter=_BG_MAX_ITER,
-                return_field=False):
-    """Largest eigenvalue of int g u^2 relative to ||Delta u||^2 by power
-    iteration on M(u) = riesz_solve(g u).u.
+def _ratio_sup(weight, grid, p):
+    """sup_u int g|u|^p / ||Delta u||^p and its maximiser, p >= 2.
 
-    M is self-adjoint and positive in the D^{2,2} inner product, and both
-    <u, Mu>_D = int g u^2 and ||Mu||_D^2 = int g u Mu reduce to plain
-    weighted quadratures, so the iteration never differentiates anything.
+    Normalised nonlinear power iteration v <- T(h) / ||Delta T(h)||,
+    h = g|v|^{p-2} v, with T = riesz_solve(.).u (Boyd, Linear Algebra Appl.
+    9, 1974; Hein & Buhler, NIPS 2010). By the representation
+    ||Delta T(h)||^2 = int h T(h), so no step differentiates anything, and
+    convexity of int g|u|^p makes the ratio rise monotonically. The start
+    is the constant field, which has mass wherever g lives.
     """
     g = _g_values(weight, grid)
     mass = g * grid.r ** (grid.dim - 1) * grid.w * grid.sphere_area
-
-    def m_apply(vals):
-        return riesz_solve(rc.RadialField(grid, g * vals)).u.values
-
-    def wdot(x, y):
-        return float(np.sum(mass * x * y))
-
-    v = np.exp(-((grid.r - 0.75) ** 2))  # anything with mass on the support
-    if wdot(v, v) == 0.0:
-        return (0.0, rc.zeros(grid)) if return_field else 0.0
+    v = np.ones(grid.n)
     lam_prev = np.inf
-    for _ in range(max_iter):
-        mv = m_apply(v)
-        # <Mv, Mv>_D = int g v (Mv) by the representation, for any v
-        norm_d = np.sqrt(wdot(v, mv))
+    for _ in range(_BG_MAX_ITER):
+        dual = np.abs(v) ** (p - 2.0) * v  # h = g * dual
+        t = riesz_solve(rc.RadialField(grid, g * dual)).u.values
+        norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
         if norm_d == 0.0:
-            return (0.0, rc.zeros(grid)) if return_field else 0.0
-        v = mv / norm_d  # D-normalized from here on
-        lam = wdot(v, v)  # Rayleigh quotient <v, Mv>_D = int g v^2
-        if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
-            return (lam, rc.RadialField(grid, v)) if return_field else lam
+            return 0.0, rc.zeros(grid)
+        v = t / norm_d
+        lam = float(np.sum(mass * np.abs(v) ** p))
+        if abs(lam - lam_prev) <= _BG_TOL * lam:
+            return lam, rc.RadialField(grid, v)
         lam_prev = lam
-    raise RuntimeError("power iteration for B_g did not converge in %d steps"
-                       % max_iter)
+    raise RuntimeError("power iteration for p=%g did not converge in %d steps"
+                       % (p, _BG_MAX_ITER))
 
 
-def random_trial_fields(grid, count, rng, n_lobes=4, r_span=None):
-    """Smooth random fields: sums of gaussian lobes with random centers,
-    widths and signed amplitudes. Not normalized."""
-    if r_span is None:
-        r_span = 0.5 * grid.r_max
-    fields = []
-    for _ in range(count):
-        vals = np.zeros(grid.n)
-        for _ in range(n_lobes):
-            c = rng.uniform(0.0, r_span)
-            w = rng.uniform(0.3, 1.5)
-            amp = rng.normal()
-            vals += amp * np.exp(-((grid.r - c) ** 2) / (2.0 * w * w))
-        fields.append(rc.RadialField(grid, vals))
-    return fields
+def estimate_bg(weight, grid, return_field=False):
+    """B_g = sup int g u^2 / ||Delta u||^2, the p = 2 case of `_ratio_sup`,
+    with its principal field when return_field is set."""
+    lam, phi = _ratio_sup(weight, grid, 2.0)
+    return (lam, phi) if return_field else lam
 
 
-def _focused_trial_fields(weight, grid):
-    """Deterministic shapes concentrated where g lives; these dominate the
-    weighted-vs-D ratios and keep the empirical constants honest (pure random
-    lobes rarely sit on a thin annulus)."""
-    mid = 0.5 * (weight.r_in + weight.r_out)
-    fields = []
-    for width in (0.15, 0.3, 0.6, 1.0, 2.0):
-        fields.append(rc.RadialField(
-            grid, np.exp(-((grid.r - mid) ** 2) / (2.0 * width * width))))
-    for R in (1.5, 2.0, 3.0, 5.0):
-        x = np.clip(grid.r / R, 0.0, 1.0)
-        fields.append(rc.RadialField(grid, (1.0 - x * x) ** 4))
-    try:
-        _, phi = estimate_bg(weight, grid, return_field=True)
-        fields.append(phi)
-    except RuntimeError:
-        pass
-    return fields
-
-
-def _empirical_ratio(fields, g, power):
-    """max over fields of int g |u|^power / ||Delta u||^power."""
-    best = 0.0
-    for u in fields:
-        nh2 = rc.h2_norm(u)
-        if nh2 == 0:
-            continue
-        num = rc.integrate(rc.RadialField(u.grid, g * np.abs(u.values) ** power))
-        best = max(best, num / nh2 ** power)
-    return best
-
-
-def estimate_a1(spec, weight, grid, eps=None, n_fields=100, seed=7,
-                safety=_SAFETY):
+def estimate_a1(spec, weight, grid, eps=None):
     """Mountain-pass geometry constants for the shifted family built on spec.
 
-    Chain: with q = 1/2 - (eps/2) B_g and c_gamma the (safety-inflated)
-    empirical constant of int g|u|^gamma <= c_gamma ||Delta u||^gamma,
+    Both embedding constants are variational problems solved exactly on
+    the grid: c_lin = sup int g|u| / ||Delta u|| = (int g T(g))^{1/2} by
+    the representation (T(g) > 0 is the maximiser), and
+    c_gamma = c_env / gamma * sup int g|u|^gamma / ||Delta u||^gamma by the
+    power iteration of `_ratio_sup`. With q = 1/2 - (eps/2) B_g,
 
         I_a(u) >= A(rho) - a c_lin rho on ||Delta u|| = rho,
         A(rho) = q rho^2 - c_gamma rho^gamma,
@@ -219,40 +171,25 @@ def estimate_a1(spec, weight, grid, eps=None, n_fields=100, seed=7,
     if q <= 0:
         raise ValueError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
 
-    rng = np.random.default_rng(seed)
-    fields = random_trial_fields(grid, n_fields, rng) + _focused_trial_fields(weight, grid)
-    g = _g_values(weight, grid)
+    g = rc.RadialField(grid, _g_values(weight, grid))
+    t_g = riesz_solve(g).u
+    c_lin = float(np.sqrt(rc.integrate(rc.RadialField(grid, g.values * t_g.values))))
     c_env = growth_envelope(spec, eps)
-    e_gamma = _empirical_ratio(fields, g, gamma) * safety
-    c_lin = _empirical_ratio(fields, g, 1.0) * safety
-    c_gamma = c_env / gamma * e_gamma
-    if c_gamma <= 0 or c_lin <= 0:
-        raise ValueError("degenerate constants: c_gamma=%g, c_lin=%g (A has no "
-                         "positive zero to work under)" % (c_gamma, c_lin))
+    c_gamma = c_env / gamma * _ratio_sup(weight, grid, gamma)[0]
 
-    rho1 = (q / c_gamma) ** (1.0 / (gamma - 2.0))
-    rho_star = (2.0 * q / (gamma * c_gamma)) ** (1.0 / (gamma - 2.0))
-    a_rho = q * rho_star ** 2 * (gamma - 2.0) / gamma
-    a1 = a_rho / (2.0 * c_lin * rho_star)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rho1 = np.power(q / c_gamma, 1.0 / (gamma - 2.0))
+        rho_star = np.power(2.0 * q / (gamma * c_gamma), 1.0 / (gamma - 2.0))
+        a_rho = q * rho_star ** 2 * (gamma - 2.0) / gamma
+        a1 = a_rho / (2.0 * c_lin * rho_star)
     beta = 0.5 * a_rho
+    if not all(np.isfinite(x) and x > 0 for x in (rho_star, beta, a1)):
+        raise ValueError("degenerate constants: c_gamma=%g, c_lin=%g give rho=%g, "
+                         "beta=%g, a1=%g (A has no finite positive maximum)"
+                         % (c_gamma, c_lin, rho_star, beta, a1))
     return GeometryConstants(b_g=b_g, eps=eps, c_gamma=c_gamma, rho=rho_star,
                              beta=beta, a1=a1, c_lin=c_lin, rho1=rho1,
                              c_env=c_env, gamma=gamma)
-
-
-def rim_levels(shifted, weight, geometry, grid, n_fields=100, seed=11):
-    """I_a over n_fields random fields scaled to the rim ||Delta u|| = rho*;
-    the geometry promises min >= beta for a < a1."""
-    rng = np.random.default_rng(seed)
-    fields = random_trial_fields(grid, n_fields, rng)
-    levels = []
-    for u in fields:
-        nh2 = rc.h2_norm(u)
-        if nh2 == 0:
-            continue
-        scaled = rc.RadialField(grid, u.values * (geometry.rho / nh2))
-        levels.append(i_a(scaled, shifted, weight))
-    return np.asarray(levels)
 
 
 def lower_bound_beta1(solutions):

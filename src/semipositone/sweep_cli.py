@@ -59,7 +59,7 @@ class SweepConfig:
     count: int = 12
     decades: float = 2.0
     a_list: tuple = ()
-    seed: int = 7
+    seed: int = 7               # not read: nothing is sampled; kept for old configs
 
 
 @dataclass
@@ -108,16 +108,18 @@ def parse_config(path):
         cp.read_string("[problem]\n" + text)
 
     cfg = Config()
-    sections = {"problem": cfg.problem, "weight": cfg.weight, "grid": cfg.grid,
-                "mp": cfg.mp, "sweep": cfg.sweep}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ValueError("unknown section [%s]" % section)
+        values = {}
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ValueError("%s.%s: unknown key" % (section, key))
-            setattr(sections[section], key, _coerce("%s.%s" % (section, key),
-                                                    raw, _SCHEMA[section][key]))
+            values[key] = _coerce("%s.%s" % (section, key), raw, _SCHEMA[section][key])
+        try:  # replace() reruns the section's own __post_init__ checks
+            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **values))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (section, exc))
     _validate(cfg)
     return cfg
 
@@ -220,7 +222,7 @@ def run_sweep(cfg, a_values=None):
     """Solve the shifted problem over a decreasing a-list plus the positone
     limit, one independent solve per row."""
     spec, weight, grid = build_problem(cfg)
-    geometry = estimate_a1(spec, weight, grid, seed=cfg.sweep.seed)
+    geometry = estimate_a1(spec, weight, grid)
     if a_values is None:
         a_values = list(cfg.sweep.a_list) if cfg.sweep.a_list \
             else _default_a_values(geometry, cfg.sweep.count, cfg.sweep.decades)
@@ -403,6 +405,7 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        build_problem(cfg)  # weight and grid constructors check their own inputs
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,9 +1,43 @@
 """Shared fixtures. The expensive objects (n=512 kernel, geometry constants,
-positone solve) are session-scoped so the whole suite pays for them once."""
+positone solve) are session-scoped so the whole suite pays for them once.
+`random_trial_fields` and `rim_levels` are plain helpers, imported by the
+tests that probe with random directions."""
 
+import numpy as np
 import pytest
 
 import semipositone as sp
+
+
+def random_trial_fields(grid, count, rng, n_lobes=4, r_span=None):
+    """Smooth random fields: sums of gaussian lobes with random centers,
+    widths and signed amplitudes. Not normalized."""
+    if r_span is None:
+        r_span = 0.5 * grid.r_max
+    fields = []
+    for _ in range(count):
+        vals = np.zeros(grid.n)
+        for _ in range(n_lobes):
+            c = rng.uniform(0.0, r_span)
+            w = rng.uniform(0.3, 1.5)
+            amp = rng.normal()
+            vals += amp * np.exp(-((grid.r - c) ** 2) / (2.0 * w * w))
+        fields.append(sp.RadialField(grid, vals))
+    return fields
+
+
+def rim_levels(shifted, weight, geometry, grid, n_fields=100, seed=11):
+    """I_a over n_fields random fields scaled to the rim ||Delta u|| = rho*;
+    the geometry promises min >= beta for a < a1."""
+    rng = np.random.default_rng(seed)
+    levels = []
+    for u in random_trial_fields(grid, n_fields, rng):
+        nh2 = sp.h2_norm(u)
+        if nh2 == 0:
+            continue
+        scaled = sp.RadialField(grid, u.values * (geometry.rho / nh2))
+        levels.append(sp.i_a(scaled, shifted, weight))
+    return np.asarray(levels)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from semipositone import sweep_cli
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
+from conftest import random_trial_fields
+
 # first verified run, n = 512, r_max = 20, seed 7
 FROZEN_LEVEL = 83935614090.5
 FROZEN_NORM = 6892218.02115
@@ -162,7 +164,7 @@ def test_criterion_7_semipositone_sweep(sweep512):
 def test_criterion_8_directional_derivative(example_spec, example_w, grid256):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5)
     rng = np.random.default_rng(11)
-    fields = sp.random_trial_fields(grid256, 100, rng, n_lobes=3)
+    fields = random_trial_fields(grid256, 100, rng, n_lobes=3)
     worst = 0.0
     for k in range(50):
         u, v = fields[2 * k], fields[2 * k + 1]

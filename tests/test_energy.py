@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 import semipositone as sp
+from semipositone.energy import _ratio_sup
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
+
+from conftest import rim_levels
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -121,12 +125,91 @@ def test_estimate_a1_internal_relations(geometry128):
 
 
 def test_geometry_frozen_regression(geometry512):
-    # first verified n = 512, seed 7 run; guards the whole constant chain
-    # (B_g eigenvalue, envelope, empirical ratios) against silent drift
+    # n = 512, r_max = 20; guards the whole constant chain (B_g eigenvalue,
+    # envelope, the c_lin and c_gamma variational problems) against silent
+    # drift
     assert geometry512.b_g == pytest.approx(0.0378143416472, rel=1e-6)
-    assert geometry512.rho == pytest.approx(5586.78495396, rel=1e-6)
-    assert geometry512.beta == pytest.approx(1385982.87569, rel=1e-6)
-    assert geometry512.a1 == pytest.approx(337.551581035, rel=1e-6)
+    assert geometry512.rho == pytest.approx(13719.6829327, rel=1e-6)
+    assert geometry512.beta == pytest.approx(8358379.85625, rel=1e-6)
+    assert geometry512.a1 == pytest.approx(1265.28543628, rel=1e-6)
+
+
+def test_c_lin_dense_oracle(example_w, grid128, geometry128):
+    # c_lin^2 = int g T(g) with T = r4 K on the closed-form dense kernel
+    g = grid128
+    mg = sp.sample_on_grid(example_w, g).values * g.r ** (g.dim - 1) * g.w
+    k4 = ring_kernel(g, g.dim - 4).entries
+    c2 = g.sphere_area * sp.riesz_constants(g.dim).r4 * (mg @ k4 @ mg)
+    assert geometry128.c_lin == pytest.approx(np.sqrt(c2), rel=1e-12)
+
+
+@given(dim=st.integers(5, 9), n=st.integers(48, 400), frac=st.floats(0.02, 0.98),
+       low=st.floats(-1.0, 0.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_ratio_sup_dominates_random_sources(dim, n, frac, low, seed):
+    # the iterated sup of int g|u|^p / ||Delta u||^p bounds the ratio at
+    # u = T(h) for signed sources h, ||Delta u||^2 = int h u, with no safety
+    # factor: rough sources on supp g and smooth lobes around it
+    grid = sp.make_grid(dim, n, 20.0)
+    weight = sp.example_weight(dim=dim)
+    p = 2.0 + frac * (sp.critical_exponent(dim) - 2.0)
+    top, _ = _ratio_sup(weight, grid, p)
+    gv = sp.sample_on_grid(weight, grid).values
+    rng = np.random.default_rng(seed)
+    for k in range(100):
+        if k % 2:
+            h = (gv > 0) * rng.uniform(low, 1.0, n)
+        else:
+            h = np.zeros(n)
+            for _ in range(3):
+                width = rng.uniform(0.05, 1.0)
+                h += rng.normal() * np.exp(-((grid.r - rng.uniform(0.0, 2.0)) ** 2)
+                                           / (2.0 * width * width))
+        src = RadialField(grid, h)
+        u = sp.riesz_solve(src).u.values
+        den = sp.integrate(RadialField(grid, h * u))
+        if den <= 0.0:
+            continue
+        num = sp.integrate(RadialField(grid, gv * np.abs(u) ** p))
+        assert num / den ** (p / 2.0) <= top * (1.0 + 1e-12)
+
+
+def test_geometry_independent_of_r_max(example_spec, example_w):
+    # every field in the constants is a Riesz potential of a source on
+    # supp g, so at fixed spacing the domain radius drops out
+    ref = sp.estimate_a1(example_spec, example_w, sp.make_grid(5, 501, 20.0))
+    for r_max in (2.0, 4.0, 12.0, 40.0):
+        grid = sp.make_grid(5, int(round(r_max / 0.04)) + 1, r_max)
+        geo = sp.estimate_a1(example_spec, example_w, grid)
+        for name in ("c_lin", "c_gamma", "beta", "a1"):
+            assert getattr(geo, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+
+
+def test_weight_supported_far_out(example_spec):
+    # the constant start has mass on any support; a fixed bump near the
+    # origin underflowed there and gave B_g = 0
+    w = sp.table_weight([27.0, 28.0, 30.0], [1.0, 2.0, 1.0])
+    g = sp.make_grid(5, 256, 40.0)
+    lam = sp.estimate_bg(w, g)
+    m = sp.sample_on_grid(w, g).values * g.r ** (g.dim - 1) * g.w
+    root = np.sqrt(m)
+    k4 = ring_kernel(g, g.dim - 4).entries
+    s_mat = sp.riesz_constants(g.dim).r4 * root[:, None] * k4 * root[None, :]
+    assert lam == pytest.approx(eigh(s_mat, eigvals_only=True)[-1], rel=1e-10)
+    geo = sp.estimate_a1(example_spec, w, g)
+    assert geo.b_g == lam and geo.a1 > 0 and np.isfinite(geo.beta)
+    bump = sp.make_bump(g, "auto", w)
+    assert sp.h2_norm(bump) == pytest.approx(1.0, rel=1e-10)
+    assert np.min(bump.values) >= 0.0
+
+
+def test_estimate_a1_degenerate_raises():
+    # dim 7, example data: eps = cap/2 leaves the growth envelope at its
+    # floor, c_gamma ~ 1e-304, and rho overflows
+    spec = sp.example_nonlinearity(dim=7)
+    w = sp.example_weight(dim=7)
+    with pytest.raises(ValueError, match="^degenerate constants"):
+        sp.estimate_a1(spec, w, sp.make_grid(7, 128, 20.0))
 
 
 def test_estimate_a1_eps_cap(example_spec, example_w, grid128):
@@ -148,16 +231,9 @@ def test_estimate_a1_collapse(example_spec, grid128):
         sp.estimate_a1(example_spec, tiny, grid128, eps=0.9 * cap)
 
 
-def test_safety_margin_shrinks_geometry(example_spec, example_w, grid128, geometry128):
-    wide = sp.estimate_a1(example_spec, example_w, grid128, safety=3.0)
-    assert wide.rho1 < geometry128.rho1
-    assert wide.a1 < geometry128.a1
-    assert wide.beta < geometry128.beta
-
-
 def test_rim_levels_dominate_beta(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5 * geometry128.a1)
-    levels = sp.rim_levels(sh, example_w, geometry128, grid128)
+    levels = rim_levels(sh, example_w, geometry128, grid128)
     assert levels.size > 0
     assert np.min(levels) >= geometry128.beta - 1e-6
 

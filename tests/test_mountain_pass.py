@@ -9,6 +9,8 @@ from semipositone import mountain_pass as mp
 from semipositone.radial_core import RadialField
 from semipositone.weight import sample_on_grid
 
+from conftest import random_trial_fields
+
 
 @pytest.fixture(scope="module")
 def positone128(example_spec, example_w, grid128, geometry128):
@@ -77,7 +79,7 @@ def test_critical_point_certificate(positone128, example_spec, example_w, grid12
     diff = sp.RadialField(grid128, positone128.u.values - t_u.values)
     nu = sp.h2_norm(positone128.u)
     rng = np.random.default_rng(5)
-    for f in sp.random_trial_fields(grid128, 20, rng):
+    for f in random_trial_fields(grid128, 20, rng):
         nv = sp.h2_norm(f)
         if nv == 0:
             continue

@@ -59,6 +59,7 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[grid]\nr_max = inf\n", "grid.r_max"),
     ("[weight]\nfamily = custom_table\n", "table_path"),
     ("[problem]\nfamily = cubic\n", "family"),
+    ("[mp]\npath_nodes = 3\n", "mp: path needs at least 8 nodes"),
 ])
 def test_parse_rejections(tmp_path, text, fragment):
     with pytest.raises(ValueError, match=None) as err:
@@ -188,6 +189,19 @@ def test_main_config_error(tmp_path, capsys):
     rc = main(["--config", write(tmp_path, "dim = 4\n"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("[weight]\nd = -1\n", "d must be positive"),
+    ("[weight]\nr_in = 0.2\n", "annulus radii"),
+])
+def test_main_weight_error_is_config_error(tmp_path, capsys, text, fragment):
+    out = tmp_path / "out"
+    rc = main(["--config", write(tmp_path, text), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+    assert not out.exists()
 
 
 def test_main_missing_file(tmp_path, capsys):
