@@ -17,11 +17,11 @@ from .riesz_potential import (KernelMatrix, RieszConstants, RieszSolution,
                               apply_potential, decay_constant, riesz_constants,
                               riesz_solve, ring_kernel, ring_kernel_pairs,
                               weak_lp_profile)
-from .energy import (EnergyReport, GeometryConstants, big_g, energy_report,
-                     estimate_a1, estimate_bg, fa_prime_values, gradient_map,
-                     i_a, lower_bound_beta1, n_a, weak_pairing)
-from .mountain_pass import (MPConfig, MPSolution, cerami_diagnostics,
-                            find_vtilde, make_bump, mp_solve)
+from .energy import (EnergyReport, GeometryConstants, GeometryError,
+                     energy_report, estimate_a1, estimate_bg, fa_prime_values,
+                     gradient_map, i_a, lower_bound_beta1, n_a, weak_pairing)
+from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,
+                            mp_solve)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,
                         parse_config, run_sweep)
 

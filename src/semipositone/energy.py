@@ -1,6 +1,7 @@
-"""Variational layer: the functionals G, N_a, I_a over radial fields, the
+"""Variational layer: the functionals N_a, I_a over radial fields, the
 gradient realized through the Riesz fixed-point map T(u) = riesz_solve(g f_a(u)),
-and the mountain-pass geometry constants from their variational problems.
+and the mountain-pass geometry constants from their variational problems,
+returned with the B_g maximiser phi, the direction of the straight path.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2; h2_inner
 from radial_core realizes it with the finite-difference Laplacian. The
@@ -10,13 +11,12 @@ and the fields involved are Riesz potentials, so the constants see the
 norm on R^N rather than on the ball of radius r_max.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import radial_core as rc
-from .nonlinearity import (eval_Fa, eval_fa, eval_f0prime, growth_envelope,
-                           c_r_constant)
+from .nonlinearity import eval_Fa, eval_fa, eval_f0prime, growth_envelope
 from .weight import sample_on_grid
 from .riesz_potential import riesz_solve
 
@@ -24,21 +24,9 @@ _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
 
 
-def _g_values(weight, grid):
-    if isinstance(weight, rc.RadialField):
-        return weight.values
-    return sample_on_grid(weight, grid).values
-
-
-def big_g(u, weight):
-    """G(u) = int g u^2."""
-    g = _g_values(weight, u.grid)
-    return rc.integrate(rc.RadialField(u.grid, g * u.values ** 2))
-
-
 def n_a(u, shifted, weight):
     """N_a(u) = int g F_a(u)."""
-    g = _g_values(weight, u.grid)
+    g = sample_on_grid(weight, u.grid).values
     return rc.integrate(rc.RadialField(u.grid, g * eval_Fa(shifted, u.values)))
 
 
@@ -49,7 +37,7 @@ def i_a(u, shifted, weight):
 
 def weak_pairing(u, v, shifted, weight):
     """<I_a'(u), v> = int Delta u Delta v - int g f_a(u) v."""
-    g = _g_values(weight, u.grid)
+    g = sample_on_grid(weight, u.grid).values
     nonlin = rc.integrate(rc.RadialField(u.grid, g * eval_fa(shifted, u.values) * v.values))
     return rc.h2_inner(u, v) - nonlin
 
@@ -58,7 +46,7 @@ def gradient_map(u, shifted, weight):
     """The fixed-point map T(u) = riesz_solve(g f_a(u)).u and the gradient
     residual ||Delta(u - T(u))||_2; residual 0 characterizes discrete weak
     solutions."""
-    g = _g_values(weight, u.grid)
+    g = sample_on_grid(weight, u.grid).values
     with np.errstate(over="ignore", invalid="ignore"):
         src = g * eval_fa(shifted, u.values)
     if not np.all(np.isfinite(src)):
@@ -75,9 +63,6 @@ class EnergyReport:
     nonlinear_term: float
     grad_residual: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def energy_report(u, shifted, weight):
     nh2 = rc.h2_norm(u)
@@ -85,6 +70,10 @@ def energy_report(u, shifted, weight):
     _, res = gradient_map(u, shifted, weight)
     return EnergyReport(value=0.5 * nh2 ** 2 - nl, norm_h2=nh2,
                         nonlinear_term=nl, grad_residual=res)
+
+
+class GeometryError(ValueError):
+    """The data leave the bound of `estimate_a1` without a positive rim."""
 
 
 @dataclass
@@ -99,9 +88,7 @@ class GeometryConstants:
     rho1: float
     c_env: float
     gamma: float
-
-    def to_dict(self):
-        return asdict(self)
+    phi: rc.RadialField = field(repr=False, compare=False)  # B_g maximiser
 
 
 def _ratio_sup(weight, grid, p):
@@ -114,7 +101,7 @@ def _ratio_sup(weight, grid, p):
     convexity of int g|u|^p makes the ratio rise monotonically. The start
     is the constant field, which has mass wherever g lives.
     """
-    g = _g_values(weight, grid)
+    g = sample_on_grid(weight, grid).values
     mass = g * grid.r ** (grid.dim - 1) * grid.w * grid.sphere_area
     v = np.ones(grid.n)
     lam_prev = np.inf
@@ -133,11 +120,9 @@ def _ratio_sup(weight, grid, p):
                        % (p, _BG_MAX_ITER))
 
 
-def estimate_bg(weight, grid, return_field=False):
-    """B_g = sup int g u^2 / ||Delta u||^2, the p = 2 case of `_ratio_sup`,
-    with its principal field when return_field is set."""
-    lam, phi = _ratio_sup(weight, grid, 2.0)
-    return (lam, phi) if return_field else lam
+def estimate_bg(weight, grid):
+    """B_g = sup int g u^2 / ||Delta u||^2, the p = 2 case of `_ratio_sup`."""
+    return _ratio_sup(weight, grid, 2.0)[0]
 
 
 def estimate_a1(spec, weight, grid, eps=None):
@@ -157,21 +142,25 @@ def estimate_a1(spec, weight, grid, eps=None):
     A(rho*) in half between rim level and shift budget gives
 
         a1 = A(rho*) / (2 c_lin rho*),   beta = A(rho*) / 2.
+
+    The maximiser phi of the B_g iteration comes back too: the straight
+    path runs along it (`mountain_pass.make_bump`). Raises GeometryError
+    when eps, q or A(rho*) leave no positive rim.
     """
     gamma = spec.gamma
-    b_g = estimate_bg(weight, grid)
+    b_g, phi = _ratio_sup(weight, grid, 2.0)
     gn4 = weight.norm(grid.dim / 4.0)
     cap = 1.0 / (b_g * gn4) if b_g * gn4 > 0 else np.inf
     if eps is None:
         eps = 0.5 * cap
     if not eps < cap:
-        raise ValueError("eps=%g must stay below 1/(B_g ||g||_{N/4}) = %g"
-                         % (eps, cap))
+        raise GeometryError("eps=%g must stay below 1/(B_g ||g||_{N/4}) = %g"
+                            % (eps, cap))
     q = 0.5 - 0.5 * eps * b_g
     if q <= 0:
-        raise ValueError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
+        raise GeometryError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
 
-    g = rc.RadialField(grid, _g_values(weight, grid))
+    g = sample_on_grid(weight, grid)
     t_g = riesz_solve(g).u
     c_lin = float(np.sqrt(rc.integrate(rc.RadialField(grid, g.values * t_g.values))))
     c_env = growth_envelope(spec, eps)
@@ -184,12 +173,12 @@ def estimate_a1(spec, weight, grid, eps=None):
         a1 = a_rho / (2.0 * c_lin * rho_star)
     beta = 0.5 * a_rho
     if not all(np.isfinite(x) and x > 0 for x in (rho_star, beta, a1)):
-        raise ValueError("degenerate constants: c_gamma=%g, c_lin=%g give rho=%g, "
-                         "beta=%g, a1=%g (A has no finite positive maximum)"
-                         % (c_gamma, c_lin, rho_star, beta, a1))
+        raise GeometryError("degenerate constants: c_gamma=%g, c_lin=%g give rho=%g, "
+                            "beta=%g, a1=%g (A has no finite positive maximum)"
+                            % (c_gamma, c_lin, rho_star, beta, a1))
     return GeometryConstants(b_g=b_g, eps=eps, c_gamma=c_gamma, rho=rho_star,
                              beta=beta, a1=a1, c_lin=c_lin, rho1=rho1,
-                             c_env=c_env, gamma=gamma)
+                             c_env=c_env, gamma=gamma, phi=phi)
 
 
 def lower_bound_beta1(solutions):
@@ -204,11 +193,6 @@ def lower_bound_beta1(solutions):
     if not sups:
         raise ValueError("empty sweep: no solutions to bound")
     return min(sups)
-
-
-def prop33_constant(spec, eps=0.5):
-    """C_R of the two-sided comparison used in the compactness argument."""
-    return c_r_constant(spec, eps)
 
 
 def fa_prime_values(shifted, values):

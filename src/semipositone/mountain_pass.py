@@ -2,14 +2,16 @@
 
 Three steps find the mountain-pass point. Take the crest, the node of highest
 level, of the straight path from 0 to an endpoint vtilde with negative
-energy. Polish the crest by semi-smooth Newton on u = T(u). The polish is
-matrix-free Newton-GMRES: the Jacobian I - R4 K diag(g f_a'(u)) is applied
-through the O(n) Riesz potential, and no n x n matrix is formed. Certify the
-polished point by its Morse index, the number of eigenvalues above 1 of
-R4 K diag(g f_a'(u)): a nondegenerate mountain-pass point has index 1
-(Hofer, Proc. AMS 90, 1984). A polish that fails, does not lower the
-residual, falls below the rim level beta or has another index is rejected,
-and the crest is returned, flagged non-converged.
+energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
+returns, scaled by `make_bump` to ||Delta phi|| = 1. Polish the crest by
+semi-smooth Newton on u = T(u). The polish is matrix-free Newton-GMRES: the
+Jacobian I - R4 K diag(g f_a'(u)) is applied through the O(n) Riesz
+potential, and no n x n matrix is formed. Certify the polished point by its
+Morse index, the number of eigenvalues above 1 of R4 K diag(g f_a'(u)): a
+nondegenerate mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
+A polish that fails, does not lower the residual, falls below the rim level
+beta or has another index is rejected, and the crest is returned, flagged
+non-converged.
 """
 
 import warnings
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigs, gmres
 
 from . import radial_core as rc
-from .energy import estimate_a1, estimate_bg, fa_prime_values, gradient_map, i_a
+from .energy import estimate_a1, fa_prime_values, gradient_map, i_a
 from .nonlinearity import eval_fa
 from .riesz_potential import apply_potential, riesz_constants
 from .weight import sample_on_grid
@@ -29,9 +31,6 @@ from .weight import sample_on_grid
 class MPConfig:
     path_nodes: int = 17
     tol_res: float = 1e-4
-    bump: str = "auto"
-    bump_width: float = 1.5
-    newton_max_iter: int = 20
 
     def __post_init__(self):
         if self.path_nodes < 8:
@@ -49,34 +48,17 @@ class MPSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def make_bump(grid, kind="auto", weight=None, width=1.5):
-    """Nonnegative C^2 bump with ||Delta phi||_2 = 1.
-
-    "auto" uses the principal field of the B_g iteration (concentrates where
-    g lives, which keeps the endpoint search cheap); "gaussian" and
-    "polynomial_bump" are the fixed analytic profiles.
-    """
-    if kind == "auto":
-        if weight is None:
-            raise ValueError("auto bump needs the weight")
-        _, phi = estimate_bg(weight, grid, return_field=True)
-        vals = phi.values
-    elif kind == "gaussian":
-        vals = np.exp(-grid.r ** 2 / (2.0 * width * width))
-    elif kind == "polynomial_bump":
-        R = 2.0 * width
-        x = np.clip(grid.r / R, 0.0, 1.0)
-        vals = (1.0 - x * x) ** 4
-    else:
-        raise ValueError("unknown bump kind %r" % kind)
+def make_bump(phi):
+    """phi clipped at 0 and scaled to ||Delta phi||_2 = 1, the direction of
+    the straight path. phi must be nonnegative up to rounding."""
+    vals = phi.values
     if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ValueError("bump must be nonnegative")
     vals = np.maximum(vals, 0.0)
-    phi = rc.RadialField(grid, vals)
-    nh2 = rc.h2_norm(phi)
+    nh2 = rc.h2_norm(rc.RadialField(phi.grid, vals))
     if nh2 == 0:
         raise ValueError("bump has zero D^{2,2} norm")
-    return rc.RadialField(grid, vals / nh2)
+    return rc.RadialField(phi.grid, vals / nh2)
 
 
 _T_CAP_DOUBLINGS = 30
@@ -107,9 +89,11 @@ def find_vtilde(shifted, weight, bump, rho):
 # operator, so GMRES converges superlinearly: 4-6 iterations per step on the
 # example and at most 15 on synthetic Jacobians over N = 5..9, whatever n.
 # The bounds only stop a solve that stalls; a stalled solve abandons the polish.
+# Newton itself takes 5 steps on the example; its bound likewise only stops a stall.
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_RESTART = 40
 _KRYLOV_MAXITER = 5
+_NEWTON_MAX_ITER = 20
 
 
 def _linearization(grid, d):
@@ -232,8 +216,7 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
                       % (shifted.a, geometry.a1))
         warnings.warn(warned[-1])
     if vtilde is None:
-        bump = make_bump(grid, cfg.bump, weight, cfg.bump_width)
-        vtilde = find_vtilde(shifted, weight, bump, geometry.rho)
+        vtilde = find_vtilde(shifted, weight, make_bump(geometry.phi), geometry.rho)
 
     def level(u):
         return i_a(u, shifted, weight)
@@ -245,7 +228,7 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     u_best, final_level, final_res, its = u_crest, crest_level, crest_res, 1
 
     newton = {}
-    polished = _newton_polish(u_crest, shifted, weight, grid, cfg.newton_max_iter,
+    polished = _newton_polish(u_crest, shifted, weight, grid, _NEWTON_MAX_ITER,
                               trace=newton)
     newton_used = False
     if polished is not None:
@@ -285,31 +268,3 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     converged = res_rel <= cfg.tol_res and morse_index == 1
     return MPSolution(u=u_best, level=final_level, residual=final_res, a=shifted.a,
                       iterations=its, converged=bool(converged), diagnostics=diag)
-
-
-def cerami_diagnostics(history):
-    """Observational shadow of the compactness condition along iterates:
-    did ||Delta u_k|| stay bounded while (1 + ||Delta u_k||) res_k decayed?
-
-    history: iterable of (norm_h2, residual) pairs, >= 10 of them.
-    """
-    hist = list(history)
-    if len(hist) < 10:
-        raise ValueError("need at least 10 iterates, got %d" % len(hist))
-    norms = np.array([h[0] for h in hist])
-    res = np.array([h[1] for h in hist])
-    half = norms[len(norms) // 2:]
-    drift = (np.max(half) - np.min(half)) / max(np.mean(half), 1e-300)
-    # growth over the second half net of its largest single step: one finite
-    # jump (a polished point after a stalled crest) stays bounded, a steady or
-    # geometric rise does not
-    growth = np.inf
-    if np.all(np.isfinite(half)):
-        logs = np.log(np.maximum(half, 1e-300))
-        growth = np.expm1(logs[-1] - logs[0] - max(np.max(np.diff(logs)), 0.0))
-    bounded = bool(growth < 0.10)
-    weighted = (1.0 + norms) * res
-    decayed = bool(weighted[-1] <= 0.5 * np.max(weighted) or weighted[-1] < 1e-8)
-    return {"norms_bounded": bounded, "weighted_gradient_decayed": decayed,
-            "norm_drift": float(drift), "norm_growth": float(growth),
-            "weighted_last_over_max": float(weighted[-1] / max(np.max(weighted), 1e-300))}

@@ -48,6 +48,9 @@ class NonlinearitySpec:
             raise ValueError(
                 "gamma=%g must lie in (2, 2**) = (2, %g) for N=%d"
                 % (self.gamma, two_ss, self.dim))
+        for name in ("c_f", "r_mono"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s=%r must be finite" % (name, getattr(self, name)))
         f0 = float(self.f(0.0))
         if abs(f0) > 0.0:
             raise ValueError("f(0)=%g but the hypotheses need f(0)=0 exactly" % f0)

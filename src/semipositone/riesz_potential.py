@@ -132,12 +132,12 @@ class RieszSolution(NamedTuple):
     neg_lap: RadialField
 
 
-def riesz_solve(h, constants=None):
+def riesz_solve(h):
     """u with Delta^2 u = h, via u = R4 I_{N-4} h, and -Delta u = R2 I_{N-2} h."""
     g = h.grid
     if not np.all(np.isfinite(h.values)):
         raise ValueError("source has non-finite values (divergent norms)")
-    c = constants or riesz_constants(g.dim)
+    c = riesz_constants(g.dim)
     u = apply_potential(g.dim - 4, h)
     u.values *= c.r4
     neg_lap = apply_potential(g.dim - 2, h)
@@ -168,7 +168,7 @@ def weak_lp_profile(dim, alpha):
     return float(vals.max())
 
 
-def decay_constant(u, source, constants=None):
+def decay_constant(u, source):
     """Far-field law r^{N-4} u(r) -> R4 int source.
 
     fitted: median of r^{N-4} u(r) over the outer half of the grid;
@@ -176,8 +176,7 @@ def decay_constant(u, source, constants=None):
     non-positive prediction is flagged in the result.
     """
     g = u.grid
-    c = constants or riesz_constants(g.dim)
     outer = g.r >= 0.5 * g.r_max
     fitted = float(np.median(g.r[outer] ** (g.dim - 4) * u.values[outer]))
-    predicted = float(c.r4 * integrate(source))
+    predicted = float(riesz_constants(g.dim).r4 * integrate(source))
     return fitted, predicted

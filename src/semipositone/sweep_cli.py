@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import estimate_a1, lower_bound_beta1
+from .energy import GeometryError, estimate_a1, lower_bound_beta1
 from .mountain_pass import MPConfig, find_vtilde, make_bump, mp_solve
 from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
@@ -71,15 +71,9 @@ class Config:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
 
-# keys admitted from files, per section; mp exposes only its public knobs
-_SCHEMA = {
-    "problem": {"dim": int, "family": str, "gamma": float, "power": float},
-    "weight": {"family": str, "d": float, "r_in": float, "r_out": float,
-               "table_path": str},
-    "grid": {"n": int, "r_max": float},
-    "mp": {"path_nodes": int, "tol_res": float, "bump": str},
-    "sweep": {"count": int, "decades": float, "a_list": tuple, "seed": int},
-}
+# keys admitted from files: every field of every section, with its type
+_SCHEMA = {sec.name: {f.name: f.type for f in dataclasses.fields(sec.type)}
+           for sec in dataclasses.fields(Config)}
 
 
 def _coerce(path, raw, kind):
@@ -229,7 +223,7 @@ def run_sweep(cfg, a_values=None):
     a_desc = sorted({float(a) for a in a_values if a > 0}, reverse=True)
     a_desc.append(0.0)  # positone row always present, always last
 
-    bump = make_bump(grid, cfg.mp.bump, weight, cfg.mp.bump_width)
+    bump = make_bump(geometry.phi)
     rows, profiles, sols = [], {}, {}
     for a in a_desc:
         shifted = ShiftedNonlinearity(spec, a)
@@ -431,7 +425,11 @@ def main(argv=None):
             return status
 
     a_values = [args.single_a] if args.single_a is not None else None
-    report = run_sweep(cfg, a_values)
+    try:
+        report = run_sweep(cfg, a_values)
+    except GeometryError as exc:
+        print("geometry error: %s" % exc, file=sys.stderr)
+        return 2
     paths = emit(report, out_dir)
     s = report.summary
     print("rows=%d converged=%d a1=%.6g beta=%.6g beta1=%s a2=%s a3=%s"

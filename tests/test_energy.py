@@ -198,7 +198,7 @@ def test_weight_supported_far_out(example_spec):
     assert lam == pytest.approx(eigh(s_mat, eigvals_only=True)[-1], rel=1e-10)
     geo = sp.estimate_a1(example_spec, w, g)
     assert geo.b_g == lam and geo.a1 > 0 and np.isfinite(geo.beta)
-    bump = sp.make_bump(g, "auto", w)
+    bump = sp.make_bump(geo.phi)
     assert sp.h2_norm(bump) == pytest.approx(1.0, rel=1e-10)
     assert np.min(bump.values) >= 0.0
 
@@ -208,7 +208,7 @@ def test_estimate_a1_degenerate_raises():
     # floor, c_gamma ~ 1e-304, and rho overflows
     spec = sp.example_nonlinearity(dim=7)
     w = sp.example_weight(dim=7)
-    with pytest.raises(ValueError, match="^degenerate constants"):
+    with pytest.raises(sp.GeometryError, match="^degenerate constants"):
         sp.estimate_a1(spec, w, sp.make_grid(7, 128, 20.0))
 
 

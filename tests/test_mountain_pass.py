@@ -23,20 +23,26 @@ def test_mpconfig_rejects_short_path():
         sp.MPConfig(path_nodes=5)
 
 
-def test_make_bump_kinds(example_w, grid128):
-    for kind in ("auto", "gaussian", "polynomial_bump"):
-        phi = sp.make_bump(grid128, kind, example_w)
-        assert np.min(phi.values) >= 0.0
-        assert sp.h2_norm(phi) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError, match="unknown bump"):
-        sp.make_bump(grid128, "hat", example_w)
-    with pytest.raises(ValueError, match="weight"):
-        sp.make_bump(grid128, "auto")
+def gaussian(grid, width=1.5):
+    return RadialField(grid, np.exp(-grid.r ** 2 / (2.0 * width * width)))
+
+
+def test_make_bump_scales_bg_maximiser(grid128, geometry128):
+    # the path direction is the B_g maximiser, nonnegative, at unit norm
+    phi = geometry128.phi
+    bump = sp.make_bump(phi)
+    assert np.min(bump.values) >= 0.0
+    assert sp.h2_norm(bump) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(bump.values * sp.h2_norm(phi), phi.values, rtol=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sp.make_bump(RadialField(grid128, -phi.values))
+    with pytest.raises(ValueError, match="zero"):
+        sp.make_bump(sp.zeros(grid128))
 
 
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
-    bump = sp.make_bump(grid128, "auto", example_w)
+    bump = sp.make_bump(geometry128.phi)
     v = sp.find_vtilde(sh, example_w, bump, geometry128.rho)
     assert sp.i_a(v, sh, example_w) < 0.0
     assert sp.h2_norm(v) > geometry128.rho
@@ -44,7 +50,7 @@ def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry12
 
 def test_find_vtilde_rejects_unnormalized(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    bad = RadialField(grid128, 2.0 * sp.make_bump(grid128, "gaussian").values)
+    bad = RadialField(grid128, 2.0 * sp.make_bump(gaussian(grid128)).values)
     with pytest.raises(ValueError, match="normalized"):
         sp.find_vtilde(sh, example_w, bad, 1.0)
 
@@ -53,7 +59,7 @@ def test_find_vtilde_no_superlinearity(example_w, grid128):
     # pure shift (f = 0): I_a(t phi) = t^2/2 + a t int g phi > 0 for t > 0,
     # so the doubling search must hit its cap and raise
     sh = sp.ShiftedNonlinearity(sp.zero_nonlinearity(), 1.0)
-    bump = sp.make_bump(grid128, "gaussian")
+    bump = sp.make_bump(gaussian(grid128))
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(sh, example_w, bump, 1.0)
 
@@ -160,11 +166,11 @@ def test_solution_positive_despite_shift(example_spec, example_w, grid128,
     assert gap < 0.05 * np.max(np.abs(positone128.u.values[ext]))
 
 
-def test_warns_beyond_a1(example_spec, example_w, grid128, geometry128):
+def test_warns_beyond_a1(monkeypatch, example_spec, example_w, grid128, geometry128):
+    monkeypatch.setattr(mp, "_NEWTON_MAX_ITER", 4)
     sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
-    cfg = sp.MPConfig(newton_max_iter=4)
     with pytest.warns(UserWarning, match="geometry untrusted"):
-        sp.mp_solve(sh, example_w, grid128, cfg, geometry128)
+        sp.mp_solve(sh, example_w, grid128, None, geometry128)
 
 
 @pytest.mark.xfail(strict=False, reason=(
@@ -182,37 +188,6 @@ def test_large_shift_dips_negative(example_spec, example_w, grid128, geometry128
     assert sol.converged and np.min(sol.u.values) < 0.0
 
 
-def test_cerami_diagnostics_paths():
-    hist = [(10.0 + 0.01 * k, 1.0 / (k + 1.0)) for k in range(40)]
-    d = sp.cerami_diagnostics(hist)
-    assert d["norms_bounded"]
-    assert d["weighted_gradient_decayed"]
-    runaway = [(10.0 * 2.0**k, 1.0) for k in range(12)]
-    d2 = sp.cerami_diagnostics(runaway)
-    assert not d2["norms_bounded"]
-    with pytest.raises(ValueError):
-        sp.cerami_diagnostics(hist[:5])
-
-
-def test_cerami_boundedness_reads_growth():
-    # the solver's shape: a flat stalled crest, then one jump to the polish
-    flat_jump = [(4.21e6, 1.45e5)] * 25 + [(6.63e6, 1e-5)]
-    d = sp.cerami_diagnostics(flat_jump)
-    assert d["norms_bounded"]
-    assert d["norm_drift"] > 0.5
-    # steady growth that doubles the norm over the second half is no jump
-    flat = [(10.0, 1.0)] * 20
-    linear = [(10.0 + 10.0 * k / 19.0, 1.0) for k in range(20)]
-    geometric = [(10.0 * 2.0 ** (k / 19.0), 1.0) for k in range(20)]
-    for rise in (linear, geometric):
-        d = sp.cerami_diagnostics(flat + rise)
-        assert not d["norms_bounded"]
-        assert d["norm_growth"] > 0.5
-    with np.errstate(invalid="ignore"):
-        d = sp.cerami_diagnostics([(10.0, 1.0)] * 10 + [(np.inf, 1.0)])
-    assert not d["norms_bounded"]
-
-
 def test_newton_diagnostics(positone128):
     d = positone128.diagnostics
     krylov = d["krylov_iterations"]
@@ -226,11 +201,12 @@ def test_newton_diagnostics(positone128):
     assert d["warnings"] == []
 
 
-def test_warnings_recorded_as_data(example_spec, example_w, grid128, geometry128):
+def test_warnings_recorded_as_data(monkeypatch, example_spec, example_w, grid128,
+                                   geometry128):
+    monkeypatch.setattr(mp, "_NEWTON_MAX_ITER", 4)
     sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
-    cfg = sp.MPConfig(newton_max_iter=4)
     with pytest.warns(UserWarning, match="geometry untrusted"):
-        sol = sp.mp_solve(sh, example_w, grid128, cfg, geometry128)
+        sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
     (msg,) = sol.diagnostics["warnings"]
     assert "geometry untrusted" in msg
 

@@ -24,6 +24,17 @@ def test_spec_validation():
                             r_mono=1.0, lipschitz=True, dim=5)
 
 
+@pytest.mark.parametrize("name", ["c_f", "r_mono"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spec_rejects_nonfinite_constants(name, value):
+    # a nan r_mono used to surface in check_f3 as an empty-array reduction,
+    # and a nan c_f made check_f1 fail without saying why
+    kw = dict(f=lambda t: t**2, gamma=2.5, c_f=1.0, r_mono=1.0, lipschitz=True, dim=5)
+    kw[name] = value
+    with pytest.raises(ValueError, match="^%s=.* must be finite" % name):
+        sp.NonlinearitySpec(**kw)
+
+
 def test_shift_rejects_negative_a(example_spec):
     with pytest.raises(ValueError):
         sp.ShiftedNonlinearity(example_spec, -0.1)

@@ -1,10 +1,13 @@
+import importlib.util
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 import semipositone as sp
-from semipositone import sweep_cli
+from semipositone import energy, sweep_cli
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
                                     _default_a_values, _summarize, emit,
                                     main, parse_config)
@@ -17,6 +20,7 @@ def write(tmp_path, text, name="cfg.ini"):
 
 
 SMALL = "[grid]\nn = 128\nr_max = 20\n[sweep]\ncount = 2\ndecades = 1\n"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_header_is_pinned():
@@ -65,6 +69,39 @@ def test_parse_rejections(tmp_path, text, fragment):
     with pytest.raises(ValueError, match=None) as err:
         parse_config(write(tmp_path, text))
     assert fragment in str(err.value)
+
+
+def test_example_ini_shows_every_key_with_its_default():
+    # its header says so; commented-out keys count as shown
+    shown, section = {}, None
+    with open(os.path.join(ROOT, "scripts", "configs", "example.ini")) as fh:
+        for line in fh:
+            head = re.match(r"\[(\w+)\]", line)
+            if head:
+                section = head.group(1)
+                continue
+            key = re.match(r"#?\s*(\w+)\s*=\s*([^#]*)", line)
+            if key:
+                shown[(section, key.group(1))] = key.group(2).strip()
+    schema = sweep_cli._SCHEMA
+    assert set(shown) == {(sec, k) for sec, keys in schema.items() for k in keys}
+    defaults = sweep_cli.Config()
+    for (sec, k), raw in shown.items():
+        value = sweep_cli._coerce("%s.%s" % (sec, k), raw, schema[sec][k])
+        assert value == getattr(getattr(defaults, sec), k), (sec, k)
+
+
+def test_perfbench_traced_functions_exist():
+    # the benchmark tracer records a deleted function as absent and runs on
+    tracer_path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = [(mod, name) for mod, name in tracer.TARGETS
+               if not callable(getattr(importlib.import_module("semipositone." + mod),
+                                       name, None))]
+    assert missing == []
 
 
 def test_build_problem_families(tmp_path):
@@ -202,6 +239,32 @@ def test_main_weight_error_is_config_error(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
     assert not out.exists()
+
+
+def test_main_degenerate_geometry_exits_2(tmp_path, capsys):
+    # dim 7, example data: eps = cap/2 leaves the growth envelope at its floor
+    # and estimate_a1 finds no positive rim
+    out = tmp_path / "out"
+    rc = main(["--config", write(tmp_path, "[problem]\ndim = 7\n[grid]\nn = 128\n"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("geometry error: degenerate constants")
+    assert not out.exists()
+
+
+def test_bg_iteration_runs_once(tmp_path, monkeypatch):
+    # the B_g maximiser that estimate_a1 computes is the path direction:
+    # the p = 2 power iteration runs once per sweep, not again for the bump
+    orig, powers = energy._ratio_sup, []
+
+    def counting(weight, grid, p):
+        powers.append(p)
+        return orig(weight, grid, p)
+    monkeypatch.setattr(energy, "_ratio_sup", counting)
+    cfg = parse_config(write(tmp_path, "[grid]\nn = 1024\n"))
+    report = sweep_cli.run_sweep(cfg, [0.0])
+    assert powers.count(2.0) == 1
+    assert report.rows[0].converged
 
 
 def test_main_missing_file(tmp_path, capsys):
