@@ -17,9 +17,9 @@ from .riesz_potential import (KernelMatrix, RieszConstants, RieszSolution,
                               apply_potential, decay_constant, riesz_constants,
                               riesz_solve, ring_kernel, ring_kernel_pairs,
                               weak_lp_profile)
-from .energy import (EnergyReport, GeometryConstants, GeometryError,
-                     energy_report, estimate_a1, estimate_bg, fa_prime_values,
-                     gradient_map, i_a, lower_bound_beta1, n_a, weak_pairing)
+from .energy import (GeometryConstants, GeometryError, estimate_a1,
+                     estimate_bg, fa_prime_values, gradient_map, i_a,
+                     lower_bound_beta1, n_a)
 from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,
                             mp_solve)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,

@@ -35,13 +35,6 @@ def i_a(u, shifted, weight):
     return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, weight)
 
 
-def weak_pairing(u, v, shifted, weight):
-    """<I_a'(u), v> = int Delta u Delta v - int g f_a(u) v."""
-    g = sample_on_grid(weight, u.grid).values
-    nonlin = rc.integrate(rc.RadialField(u.grid, g * eval_fa(shifted, u.values) * v.values))
-    return rc.h2_inner(u, v) - nonlin
-
-
 def gradient_map(u, shifted, weight):
     """The fixed-point map T(u) = riesz_solve(g f_a(u)).u and the gradient
     residual ||Delta(u - T(u))||_2; residual 0 characterizes discrete weak
@@ -54,22 +47,6 @@ def gradient_map(u, shifted, weight):
     t_u = riesz_solve(rc.RadialField(u.grid, src)).u
     diff = rc.RadialField(u.grid, u.values - t_u.values)
     return t_u, rc.h2_norm(diff)
-
-
-@dataclass
-class EnergyReport:
-    value: float
-    norm_h2: float
-    nonlinear_term: float
-    grad_residual: float
-
-
-def energy_report(u, shifted, weight):
-    nh2 = rc.h2_norm(u)
-    nl = n_a(u, shifted, weight)
-    _, res = gradient_map(u, shifted, weight)
-    return EnergyReport(value=0.5 * nh2 ** 2 - nl, norm_h2=nh2,
-                        nonlinear_term=nl, grad_residual=res)
 
 
 class GeometryError(ValueError):
@@ -181,18 +158,11 @@ def estimate_a1(spec, weight, grid, eps=None):
                              c_env=c_env, gamma=gamma, phi=phi)
 
 
-def lower_bound_beta1(solutions):
-    """Empirical beta_1: the smallest sup norm among computed solutions.
-    Accepts RadialFields or plain sup-norm floats."""
-    sups = []
-    for s in solutions:
-        if isinstance(s, rc.RadialField):
-            sups.append(float(np.max(np.abs(s.values))))
-        else:
-            sups.append(float(s))
-    if not sups:
+def lower_bound_beta1(sups):
+    """Empirical beta_1: the smallest of the computed solutions' sup norms."""
+    if len(sups) == 0:
         raise ValueError("empty sweep: no solutions to bound")
-    return min(sups)
+    return min(float(s) for s in sups)
 
 
 def fa_prime_values(shifted, values):

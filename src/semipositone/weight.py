@@ -8,19 +8,13 @@ for delta = 1 and delta = 2** on exterior probe points.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .nonlinearity import CheckReport, critical_exponent
-from .radial_core import RadialField, sphere_area
+from .radial_core import RadialField, gauss_legendre, sphere_area
 from .riesz_potential import ring_kernel_pairs
-
-_NORM_QUAD_TOL = 1e-12
-
-# Gauss-Legendre rule on [-1, 1] for the radial (g2) integral over the support
-_G2_NODES, _G2_WEIGHTS = np.polynomial.legendre.leggauss(160)
 
 
 @dataclass(frozen=True)
@@ -28,8 +22,9 @@ class WeightSpec:
     """A nonnegative radial weight supported on [r_in, r_out].
 
     For the example family profile(r) = r^{-d} on the annulus; for table
-    weights (r_in, r_out) just bound the support. norms and c_g are caches
-    filled on demand, keyed by p and by delta respectively.
+    weights (r_in, r_out) just bound the support and g is smooth between the
+    knots. norms and c_g are caches filled on demand, keyed by p and by
+    delta respectively.
     """
     profile: Callable
     dim: int
@@ -37,6 +32,7 @@ class WeightSpec:
     r_out: float
     d: float = 0.0
     name: str = "custom"
+    knots: tuple = ()
     norms: dict = field(default_factory=dict)
     c_g: dict = field(default_factory=dict)
     grid_cache: dict = field(default_factory=dict, repr=False)
@@ -60,13 +56,29 @@ def _annulus_lp(dim, d, r_in, r_out, p):
     return (sphere_area(dim) * block) ** (1.0 / p)
 
 
+def _radial_integral(spec, edges, p=1.0):
+    """int g^p r^{N-1} dr over each [edges[k], edges[k+1]] (ascending), split
+    at the knots: g is smooth on every piece, so the Gauss rule is exact for
+    tables and at machine precision for the annulus."""
+    knots = np.asarray(spec.knots, dtype=float)
+    pts = np.union1d(edges, knots[(knots > edges[0]) & (knots < edges[-1])])
+    x, w = gauss_legendre(pts[:-1], pts[1:])
+    piece = np.sum(w * spec.profile(x) ** p * x ** (spec.dim - 1), axis=1)
+    owner = np.searchsorted(edges, pts[:-1], side="right") - 1
+    return np.bincount(owner, weights=piece, minlength=edges.size - 1)
+
+
+def support_mass_delta(spec, delta):
+    """int g^delta dy, the large-|x| limit of the (g2) left side."""
+    edges = np.array([spec.r_in, spec.r_out])
+    return float(sphere_area(spec.dim) * _radial_integral(spec, edges, delta)[0])
+
+
 def _quad_norm(spec, p):
     if np.isinf(p):
         r = np.linspace(spec.r_in, spec.r_out, 20001)
         return float(np.max(spec.profile(r)))
-    val, _ = quad(lambda r: spec.profile(r) ** p * r ** (spec.dim - 1),
-                  spec.r_in, spec.r_out, epsabs=_NORM_QUAD_TOL, limit=400)
-    return float((sphere_area(spec.dim) * val) ** (1.0 / p))
+    return support_mass_delta(spec, p) ** (1.0 / p)
 
 
 def example_weight(d=1.0, r_in=0.5, r_out=1.0, dim=5):
@@ -113,7 +125,8 @@ def table_weight(r_values, g_values, dim=5, name="custom_table"):
         return np.interp(r, r_values, g_values, left=0.0, right=0.0)
 
     return WeightSpec(profile=profile, dim=dim, r_in=float(r_values[0]),
-                      r_out=float(r_values[-1]), name=name)
+                      r_out=float(r_values[-1]), name=name,
+                      knots=tuple(r_values[1:-1].tolist()))
 
 
 def zero_weight(dim=5):
@@ -131,9 +144,10 @@ def sample_on_grid(spec, grid):
 
     Plain nodal sampling of a characteristic-function weight loses O(h) mass
     wherever r_in or r_out falls between nodes; here each node instead gets
-    the exact mass of g over its trapezoid cell divided by the node's
-    quadrature measure, so integrate(g_grid) reproduces ||g||_1 to roundoff
-    and weighted quadratures keep their O(h^2) accuracy.
+    the mass of g over its trapezoid cell divided by the node's quadrature
+    measure, so integrate(g_grid) reproduces ||g||_1 to roundoff and
+    weighted quadratures keep their O(h^2) accuracy. The masses come from
+    one Gauss-Legendre sum over the touched cells, split at the knots.
     """
     if grid.dim != spec.dim:
         raise ValueError("grid dim %d != weight dim %d" % (grid.dim, spec.dim))
@@ -147,14 +161,13 @@ def sample_on_grid(spec, grid):
     lo = np.clip(grid.r - 0.5 * h, 0.0, None)
     hi = np.minimum(grid.r + 0.5 * h, grid.r_max)
     vals = np.zeros(grid.n)
-    a = np.maximum(lo, spec.r_in)
-    b = np.minimum(hi, spec.r_out)
-    touched = b > a
-    for i in np.nonzero(touched)[0]:
-        mass, _ = quad(lambda r: spec.profile(r) * r ** (grid.dim - 1),
-                       a[i], b[i], epsabs=1e-14, limit=100)
-        measure = grid.r[i] ** (grid.dim - 1) * grid.w[i]
-        vals[i] = mass / measure if measure > 0 else 0.0
+    # the touched cells are contiguous; neighbours share the edge lo[i + 1]
+    touched = np.nonzero(np.minimum(hi, spec.r_out) > np.maximum(lo, spec.r_in))[0]
+    if touched.size:
+        edges = np.clip(np.append(lo[touched], hi[touched[-1]]), spec.r_in, spec.r_out)
+        mass = _radial_integral(spec, edges)
+        measure = grid.r[touched] ** (grid.dim - 1) * grid.w[touched]
+        vals[touched] = np.divide(mass, measure, out=np.zeros_like(mass), where=measure > 0)
     out = RadialField(grid=grid, values=vals)
     spec.grid_cache[key] = out
     return out
@@ -162,8 +175,8 @@ def sample_on_grid(spec, grid):
 
 def check_g1(spec):
     """Integrability report: L^1, L^{N/4}, L^{(2**)'} and L^inf norms by
-    adaptive quadrature over the support, cross-checked against any cached
-    closed forms."""
+    Gauss-Legendre over the knot-split support (L^inf by dense sampling),
+    cross-checked against any cached closed forms."""
     ps = (1.0, float(spec.dim) / 4.0, _conjugate(critical_exponent(spec.dim)), np.inf)
     quad_norms = {p: _quad_norm(spec, p) for p in ps}
     mismatch = 0.0
@@ -194,8 +207,7 @@ def g2_left_side(spec, delta, x):
     if min(abs(x - spec.r_in), abs(x - spec.r_out)) < margin \
             or (spec.r_in < x < spec.r_out):
         return _g2_left_side_direct(spec, delta, x)
-    s = 0.5 * (spec.r_out - spec.r_in) * _G2_NODES + 0.5 * (spec.r_out + spec.r_in)
-    jw = 0.5 * (spec.r_out - spec.r_in) * _G2_WEIGHTS
+    s, jw = gauss_legendre(spec.r_in, spec.r_out)
     kern = ring_kernel_pairs(dim, np.full_like(s, x), s, alpha)
     integrand = spec.profile(s) ** delta * s ** (dim - 1) * kern
     return float(x ** alpha * np.sum(jw * integrand))
@@ -203,7 +215,10 @@ def g2_left_side(spec, delta, x):
 
 def _g2_left_side_direct(spec, delta, x):
     """Nested adaptive quadrature in (s, polar angle); slow but safe when the
-    probe sits close to or inside the support."""
+    probe sits close to or inside the support. No solve or default probe
+    comes here: the one import of scipy.integrate."""
+    from scipy.integrate import quad
+
     dim = spec.dim
     alpha = (dim - 4.0) * delta
     ring = sphere_area(dim - 1)
@@ -217,16 +232,6 @@ def _g2_left_side_direct(spec, delta, x):
 
     val, _ = quad(inner, spec.r_in, spec.r_out, epsabs=1e-11, limit=400)
     return float(x ** alpha * val)
-
-
-def support_mass_delta(spec, delta):
-    """int g^delta dy, the large-|x| limit of the (g2) left side."""
-    if spec.name == "paper_example":
-        p = _annulus_lp(spec.dim, spec.d, spec.r_in, spec.r_out, delta)
-        return float(p ** delta)
-    val, _ = quad(lambda r: spec.profile(r) ** delta * r ** (spec.dim - 1),
-                  spec.r_in, spec.r_out, epsabs=_NORM_QUAD_TOL, limit=400)
-    return float(sphere_area(spec.dim) * val)
 
 
 def check_g2(spec, delta, x_samples=None, variant="exterior"):

@@ -1,7 +1,10 @@
 """Shared fixtures. The expensive objects (n=512 kernel, geometry constants,
 positone solve) are session-scoped so the whole suite pays for them once.
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
-tests that probe with random directions."""
+tests that probe with random directions; `weak_pairing` and `energy_report`
+are stencil-side oracles for the energy layer, imported the same way."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -38,6 +41,29 @@ def rim_levels(shifted, weight, geometry, grid, n_fields=100, seed=11):
         scaled = sp.RadialField(grid, u.values * (geometry.rho / nh2))
         levels.append(sp.i_a(scaled, shifted, weight))
     return np.asarray(levels)
+
+
+def weak_pairing(u, v, shifted, weight):
+    """<I_a'(u), v> = int Delta u Delta v - int g f_a(u) v."""
+    g = sp.sample_on_grid(weight, u.grid).values
+    nonlin = sp.integrate(sp.RadialField(u.grid, g * sp.eval_fa(shifted, u.values) * v.values))
+    return sp.h2_inner(u, v) - nonlin
+
+
+@dataclass
+class EnergyReport:
+    value: float
+    norm_h2: float
+    nonlinear_term: float
+    grad_residual: float
+
+
+def energy_report(u, shifted, weight):
+    nh2 = sp.h2_norm(u)
+    nl = sp.n_a(u, shifted, weight)
+    _, res = sp.gradient_map(u, shifted, weight)
+    return EnergyReport(value=0.5 * nh2 ** 2 - nl, norm_h2=nh2,
+                        nonlinear_term=nl, grad_residual=res)
 
 
 @pytest.fixture(scope="session")

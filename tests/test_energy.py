@@ -8,7 +8,7 @@ from semipositone.energy import _ratio_sup
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
-from conftest import rim_levels
+from conftest import energy_report, rim_levels, weak_pairing
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -24,7 +24,7 @@ def smooth_field(grid, seed, n_lobes=3):
 def test_energy_report_internal_identity(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.3)
     u = smooth_field(grid128, 1)
-    rep = sp.energy_report(u, sh, example_w)
+    rep = energy_report(u, sh, example_w)
     assert rep.value == pytest.approx(0.5 * rep.norm_h2**2 - rep.nonlinear_term,
                                       rel=1e-12, abs=1e-12)
     assert rep.value == pytest.approx(sp.i_a(u, sh, example_w), rel=1e-12)
@@ -82,7 +82,7 @@ def test_directional_derivative_richardson(example_spec, example_w, grid128):
             return (sp.i_a(up, sh, example_w) - sp.i_a(dn, sh, example_w)) / (2.0 * step)
 
         extrap = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-        exact = sp.weak_pairing(u, v, sh, example_w)
+        exact = weak_pairing(u, v, sh, example_w)
         assert abs(extrap - exact) < 1e-5 * max(1.0, abs(exact))
 
 
@@ -238,9 +238,9 @@ def test_rim_levels_dominate_beta(example_spec, example_w, grid128, geometry128)
     assert np.min(levels) >= geometry128.beta - 1e-6
 
 
-def test_lower_bound_beta1_mixed_inputs(grid128):
-    u = RadialField(grid128, np.full(grid128.n, -3.0))
-    assert sp.lower_bound_beta1([u, 5.0, 4.2]) == 3.0
+def test_lower_bound_beta1_mixed_inputs():
+    assert sp.lower_bound_beta1([3.0, 5.0, 4.2]) == 3.0
+    assert sp.lower_bound_beta1([np.float64(4.2), 5]) == 4.2
     with pytest.raises(ValueError):
         sp.lower_bound_beta1([])
 

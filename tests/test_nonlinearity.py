@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipositone as sp
-from semipositone.nonlinearity import (c_r_constant, growth_envelope,
+from semipositone.nonlinearity import (T_BIG, c_r_constant, growth_envelope,
                                        prop33_negative_excess)
 
 
@@ -51,6 +51,32 @@ def test_example_closed_antiderivative(example_spec):
         closed = sp.eval_F(example_spec, t)
         quadded = sp.eval_F(bare, t)
         assert abs(closed - quadded) < 1e-8 * max(1.0, abs(closed))
+
+
+def test_eval_F_fallback_cumulative(example_spec):
+    # one cumulative sum serves unsorted samples with repeats and t = 0
+    bare = sp.NonlinearitySpec(f=example_spec.f, gamma=example_spec.gamma,
+                               c_f=example_spec.c_f, r_mono=example_spec.r_mono,
+                               lipschitz=True, dim=5)
+    t = np.array([7.5, 0.0, T_BIG, 1e-3, 0.3, 40.0, 1.0, 1e-3])
+    got = sp.eval_F(bare, t)
+    closed = sp.eval_F(example_spec, t)
+    assert got.shape == t.shape and got[1] == 0.0
+    # F_closed cancels terms of size t near 0 (1.2e-10 relative at 1e-3),
+    # so its own rounding sets the scale there
+    assert np.all(np.abs(got - closed) <= 1e-10 * np.maximum(np.abs(closed), t))
+    # the Taylor series F = sum_k (-1)^k 2 t^{k+3} / ((k+1)(k+3)) at 1e-3
+    series = sum((-1) ** k * 2.0 * 1e-3 ** (k + 3) / ((k + 1) * (k + 3)) for k in range(8))
+    assert got[3] == pytest.approx(series, rel=1e-14)
+    scalar = sp.eval_F(bare, 7.5)
+    assert isinstance(scalar, float) and scalar == pytest.approx(closed[0], rel=1e-12)
+    assert isinstance(sp.eval_Fa(sp.ShiftedNonlinearity(bare, 0.5), 2.0), float)
+    # f = t^1.5 is not smooth at 0; the octaves below 1e-3 grade it out
+    power = sp.power_nonlinearity(1.5)
+    bare = sp.NonlinearitySpec(f=power.f, gamma=power.gamma, c_f=1.0, r_mono=1.0,
+                               lipschitz=True, dim=5)
+    t = np.array([1e-3, T_BIG])
+    assert np.all(np.abs(sp.eval_F(bare, t) / power.F_closed(t) - 1.0) <= 1e-13)
 
 
 def test_example_registered_derivative(example_spec):

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +267,29 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
     report = sweep_cli.run_sweep(cfg, [0.0])
     assert powers.count(2.0) == 1
     assert report.rows[0].converged
+
+
+def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
+    # a sweep and the default checks run on fixed Gauss rules and closed
+    # forms, so a process that only solves never imports scipy.integrate,
+    # nor the scipy.optimize that it pulls in
+    small = write(tmp_path, SMALL)
+    dim7 = write(tmp_path, "[problem]\ndim = 7\n" + SMALL, "dim7.ini")
+    code = "\n".join([
+        "import sys",
+        "import semipositone as sp",
+        "sp.run_sweep(sp.parse_config(%r))" % small,
+        "for path in (%r, %r):" % (small, dim7),
+        "    reports = sp.sweep_cli.run_hypothesis_checks(sp.parse_config(path))",
+        "    assert all(r.passed for r in reports)",
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in",
+        "             (['scipy', 'integrate'], ['scipy', 'optimize'])))"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_main_missing_file(tmp_path, capsys):

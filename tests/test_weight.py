@@ -75,6 +75,43 @@ def test_table_weight_roundtrip():
         sp.table_weight(r, -vals)
 
 
+def test_table_weight_masses_exact():
+    # g = 2r on [0.5, 0.7], 1.4 on [0.7, r_7], (1.4/r_7) r on [r_7, 1.3]:
+    # each piece is c r^k, so every integral of g^p r^{N-1} has a closed
+    # form. r_7 is a grid node; 0.5, 0.7 and 1.3 sit strictly inside cells.
+    # Split at the knots, the cell masses are exact; one rule across a knot
+    # is off by ~5e-7 here.
+    g = sp.make_grid(5, 128, 20.0)
+    r7 = float(g.r[7])
+    knots = [0.5, 0.7, r7, 1.3]
+    coef = [(2.0, 1), (1.4, 0), (1.4 / r7, 1)]
+    w = sp.table_weight(knots, [2.0 * 0.5, 1.4, 1.4, 1.4 / r7 * 1.3])
+    for k in (0.5, 0.7, 1.3):
+        assert not np.any(np.isclose(k, g.r, rtol=0.0, atol=1e-3 * g.h))
+        assert not np.any(np.isclose(k, g.r + 0.5 * g.h, rtol=0.0, atol=1e-3 * g.h))
+
+    def exact(a, b, p):
+        total = 0.0
+        for (lo, hi), (c, k) in zip(zip(knots[:-1], knots[1:]), coef):
+            lo, hi = max(lo, a), min(hi, b)
+            if hi > lo:
+                e = k * p + g.dim
+                total += c ** p * (hi ** e - lo ** e) / e
+        return total
+
+    gf = sp.sample_on_grid(w, g)
+    masses = gf.values * g.r ** (g.dim - 1) * g.w
+    lo = np.clip(g.r - 0.5 * g.h, 0.0, None)
+    hi = np.minimum(g.r + 0.5 * g.h, g.r_max)
+    want = np.array([exact(a, b, 1.0) for a, b in zip(lo, hi)])
+    assert np.count_nonzero(want) == 6
+    np.testing.assert_allclose(masses, want, rtol=1e-13, atol=0.0)
+    assert sp.integrate(gf) == pytest.approx(w.norm(1.0), rel=1e-13)
+    p = g.dim / 4.0
+    closed = (g.sphere_area * exact(0.5, 1.3, p)) ** (1.0 / p)
+    assert w.norm(p) == pytest.approx(closed, rel=1e-13)
+
+
 def test_table_weight_rejects_nonfinite():
     ones = [1.0, 1.0, 1.0]
     for r in ([0.5, np.nan, 1.0], [0.5, 0.75, np.inf]):
