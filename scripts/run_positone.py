@@ -51,8 +51,8 @@ def main(argv=None):
     fit, pred = sp.decay_constant(u, src)
     diag = sol.diagnostics
 
-    print("solve     (%.1fs, %d iterations, newton=%s)"
-          % (t_solve, sol.iterations, diag["newton_used"]))
+    print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
+          % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))
     print("  converged    = %s" % sol.converged)
     print("  level        = %.12g   (rim floor beta = %.6g)" % (sol.level, geo.beta))
     print("  ||Delta u||  = %.12g" % norm)

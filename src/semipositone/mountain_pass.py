@@ -4,26 +4,29 @@ Three steps find the mountain-pass point. Take the crest, the node of highest
 level, of the straight path from 0 to an endpoint vtilde with negative
 energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
 returns, scaled by `make_bump` to ||Delta phi|| = 1. Polish the crest by
-semi-smooth Newton on u = T(u). The polish is matrix-free Newton-GMRES: the
-Jacobian I - R4 K diag(g f_a'(u)) is applied through the O(n) Riesz
-potential, and no n x n matrix is formed. Certify the polished point by its
-Morse index, the number of eigenvalues above 1 of R4 K diag(g f_a'(u)): a
-nondegenerate mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
-A polish that fails, does not lower the residual, falls below the rim level
-beta or has another index is rejected, and the crest is returned, flagged
-non-converged.
+semi-smooth Newton on u = T(u). T reads u only on supp g, so its
+linearisation R4 K diag(g f_a'(u)) has rank at most m, the number of grid
+nodes where g f_a'(u) != 0: each Newton step is one exact dense solve of
+the m x m support block (`riesz_potential.support_block`), extended to the
+grid by one O(n) potential apply. Certify the polished point by its Morse
+index, the number of eigenvalues above 1 of that operator, read from the
+eigenvalues of the same block: a nondegenerate mountain-pass point has
+index 1 (Hofer, Proc. AMS 90, 1984). The cost is O(n + m^3); m^3 is small
+while g lives on a thin shell (m = 14 at n = 512 for the example) and
+grows when g fills the grid. A polish that fails, does not lower the
+residual, falls below the rim level beta or has another index is rejected,
+and the crest is returned, flagged non-converged.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigs, gmres
 
 from . import radial_core as rc
 from .energy import estimate_a1, fa_prime_values, gradient_map, i_a
 from .nonlinearity import eval_fa
-from .riesz_potential import apply_potential, riesz_constants
+from .riesz_potential import apply_potential, riesz_constants, support_block
 from .weight import sample_on_grid
 
 
@@ -85,47 +88,28 @@ def find_vtilde(shifted, weight, bump, rho):
         % _T_CAP_DOUBLINGS)
 
 
-# GMRES on the Newton system. I - R4 K D is the identity minus a compact
-# operator, so GMRES converges superlinearly: 4-6 iterations per step on the
-# example and at most 15 on synthetic Jacobians over N = 5..9, whatever n.
-# The bounds only stop a solve that stalls; a stalled solve abandons the polish.
-# Newton itself takes 5 steps on the example; its bound likewise only stops a stall.
-_KRYLOV_RTOL = 1e-13
-_KRYLOV_RESTART = 40
-_KRYLOV_MAXITER = 5
+# Newton takes 5 steps on the example; the bound only stops a stall.
 _NEWTON_MAX_ITER = 20
 
 
-def _linearization(grid, d):
-    """x -> R4 K (d x), the derivative of T at u with d = g f_a'(u) on the grid.
-
-    K is the order N-4 ring kernel with its radial quadrature, applied in
-    O(n) by `apply_potential`.
-    """
-    alpha = grid.dim - 4.0
-    r4 = riesz_constants(grid.dim).r4
-
-    def apply(x):
-        return r4 * apply_potential(alpha, rc.RadialField(grid, d * np.ravel(x))).values
-
-    return apply
-
-
 def _newton_step(grid, d, phi):
-    """Solve (I - R4 K diag(d)) delta = -phi matrix-free by GMRES.
+    """Solve (I - R4 K diag(d)) delta = -phi exactly, d = g f_a'(u) on the
+    grid and K the order N-4 ring kernel with its radial quadrature.
 
-    Returns (delta, GMRES iterations), or None if GMRES does not converge.
+    delta = -phi + R4 K (d delta) and the last term reads delta on S = supp d
+    only, so delta_S solves (I - B) delta_S = -phi_S with B the support
+    block, and one O(n) potential apply extends it to the grid. Returns
+    delta, or None if the block system is singular.
     """
-    apply = _linearization(grid, d)
-    iters = []
-    jac = LinearOperator((grid.n, grid.n), matvec=lambda x: np.ravel(x) - apply(x),
-                         dtype=float)
-    delta, info = gmres(jac, -phi, rtol=_KRYLOV_RTOL, atol=0.0,
-                        restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
-                        callback=iters.append, callback_type="pr_norm")
-    if info != 0:
+    nodes, block = support_block(grid, d)
+    try:
+        delta_s = np.linalg.solve(np.eye(nodes.size) - block, -phi[nodes])
+    except np.linalg.LinAlgError:
         return None
-    return delta, len(iters)
+    src = np.zeros(grid.n)
+    src[nodes] = d[nodes] * delta_s
+    r4 = riesz_constants(grid.dim).r4
+    return r4 * apply_potential(grid.dim - 4.0, rc.RadialField(grid, src)).values - phi
 
 
 def _morse_index(u, shifted, weight):
@@ -133,33 +117,36 @@ def _morse_index(u, shifted, weight):
 
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
-    direction. Where g f_a'(u) >= 0 that operator is similar to a symmetric
-    one, so its spectrum is real; the real parts are read. ARPACK starts from
-    a fixed vector, so the result is deterministic. Returns (index, eigenvalues in decreasing order); the
-    index counts only the two computed eigenvalues, so 2 means "at least 2".
-    Without a registered f' there is no certificate: (None, empty).
+    direction. That operator's spectrum is the eigenvalues of its support
+    block plus n - m zeros. Where g f_a'(u) >= 0 it is similar to a
+    symmetric one, so its spectrum is real; the real parts are read.
+    Returns (index, eigenvalues in decreasing order); the index counts only
+    the two eigenvalues returned, so 2 means "at least 2". Without a
+    registered f' there is no certificate: (None, empty).
     """
     if shifted.base.fprime is None:
         return None, np.empty(0)
     grid = u.grid
     d = sample_on_grid(weight, grid).values * fa_prime_values(shifted, u.values)
-    op = LinearOperator((grid.n, grid.n), matvec=_linearization(grid, d), dtype=float)
-    top = eigs(op, k=2, which="LR", v0=np.ones(grid.n), return_eigenvectors=False)
-    top = np.sort(top.real)[::-1]
+    nodes, block = support_block(grid, d)
+    spectrum = np.concatenate((np.linalg.eigvals(block).real,
+                               np.zeros(min(2, grid.n - nodes.size))))
+    top = np.sort(spectrum)[::-1][:2]
     return int(np.sum(top > 1.0)), top
 
 
 def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
-    """Semi-smooth Newton on Phi(u) = u - T(u), each step solved by GMRES.
+    """Semi-smooth Newton on Phi(u) = u - T(u), each step solved exactly on
+    the support by `_newton_step`.
 
-    The Jacobian action is I - R4 K diag(g f_a'(u)), with the derivative of
-    f_a taken 0 on u <= 0; no n x n matrix is formed. trace, if given, is a
-    dict that receives "residual" (max |Phi| at each iterate) and "krylov"
-    (GMRES iterations per step), also when the polish fails.
+    The Jacobian is I - R4 K diag(g f_a'(u)), with the derivative of f_a
+    taken 0 on u <= 0. trace, if given, is a dict that receives "residual"
+    (max |Phi| at each iterate) and "support" (m, the block size, per
+    step), also when the polish fails.
     """
-    residuals, krylov = [], []
+    residuals, support = [], []
     if trace is not None:
-        trace.update(residual=residuals, krylov=krylov)
+        trace.update(residual=residuals, support=support)
     if shifted.base.fprime is None:
         return None
     alpha = grid.dim - 4.0
@@ -181,11 +168,11 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
         if res > 10.0 * res_prev and it > 2:
             return None
         res_prev = min(res_prev, res)
-        step = _newton_step(grid, g * fa_prime_values(shifted, u), phi)
-        if step is None:
+        d = g * fa_prime_values(shifted, u)
+        delta = _newton_step(grid, d, phi)
+        if delta is None:
             return None
-        delta, its = step
-        krylov.append(its)
+        support.append(int(np.count_nonzero(d)))
         u = u + delta
     return rc.RadialField(grid, u), max_iter
 
@@ -251,9 +238,9 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     diag = {
         "rim_ok": bool(final_level >= geometry.beta - 1e-6),
         "newton_used": newton_used,
-        "newton_iterations": len(newton["krylov"]),
+        "newton_iterations": len(newton["support"]),
         "newton_residual_history": np.asarray(newton["residual"]),
-        "krylov_iterations": np.asarray(newton["krylov"], dtype=int),
+        "support_nodes": newton["support"][-1] if newton["support"] else None,
         "morse_index": morse_index,
         "morse_top_eigenvalues": morse_top,
         "warnings": warned,

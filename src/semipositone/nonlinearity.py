@@ -68,6 +68,15 @@ class ShiftedNonlinearity:
             raise ValueError("shift a must be nonnegative")
 
 
+# Below _F_SERIES_T the example's closed-form primitive cancels terms of
+# size t against a result of size t^3 (relative error ~1e-13 at t = 0.1 and
+# ~1e-10 at 1e-3); its Taylor series sum_k (-1)^k 2 t^{k+3} / ((k+1)(k+3))
+# is used there instead. 40 terms leave a tail below 0.25^40 ~ 1e-24.
+# Above 0.25 the closed form is within 6e-15 relative.
+_F_SERIES_T = 0.25
+_F_SERIES_COEF = np.array([2.0 * (-1) ** k / ((k + 1) * (k + 3)) for k in range(40)])
+
+
 def example_nonlinearity(dim=5, gamma=2.5):
     """The built-in log-type example f(t) = 2 t ln(1 + t) with closed forms."""
     def f(t):
@@ -76,7 +85,12 @@ def example_nonlinearity(dim=5, gamma=2.5):
 
     def F(t):
         t = np.asarray(t, dtype=float)
-        return (t * t - 1.0) * np.log1p(t) - 0.5 * t * t + t
+        out = np.asarray((t * t - 1.0) * np.log1p(t) - 0.5 * t * t + t)
+        small = np.abs(t) < _F_SERIES_T
+        if np.count_nonzero(small):  # cheaper than np.any on the common miss
+            ts = t[small]
+            out[small] = ts ** 3 * np.polynomial.polynomial.polyval(ts, _F_SERIES_COEF)
+        return out[()]
 
     def fprime(t):
         t = np.asarray(t, dtype=float)

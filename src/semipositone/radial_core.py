@@ -9,10 +9,10 @@ at desk scale and the canonical weight is radial. Nothing here asserts that
 the continuum problem has radial solutions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 # The package's one fixed quadrature rule on [-1, 1]; see gauss_legendre
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
@@ -20,7 +20,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
 
 def sphere_area(dim):
     """omega_N = N pi^{N/2} / Gamma(1 + N/2), the measure of the unit sphere."""
-    return dim * np.pi ** (dim / 2.0) / _gamma(1.0 + dim / 2.0)
+    return dim * math.pi ** (dim / 2.0) / math.gamma(1.0 + dim / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,22 +11,23 @@ With R = max(r, s) and rho = min(r, s) it is a hypergeometric series,
 
     kappa_alpha(r, s) = omega_N R^{-alpha} 2F1(alpha/2, 1 + (alpha-N)/2; N/2; rho^2/R^2),
 
-which `ring_kernel_pairs` evaluates at any alpha, as the (g2) checker needs.
-At the two orders the solver needs it terminates:
+which `ring_kernel_pairs` evaluates at any alpha. At the two orders the
+solver needs it terminates:
 
     kappa_{N-2}(r, s) = omega_N R^{2-N}   (shell theorem)
     kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2).
 
 Both are sums of at most two products f(rho) g(R), so `apply_potential`
-evaluates a potential in O(n) from prefix and suffix sums of the source;
-`ring_kernel` is the same kernel as a dense matrix, kept as a test oracle.
+evaluates a potential in O(n) from prefix and suffix sums of the source,
+and `support_block` gathers the same closed form on the nodes where a
+source can live; `ring_kernel` is the kernel as a dense matrix, kept as a
+test oracle.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .radial_core import RadialField, sphere_area, integrate
 
@@ -52,17 +53,56 @@ class KernelMatrix:
     grid: object
 
 
+def _nonpositive_integer(x, slack):
+    """k >= 0 with |x + k| <= slack, else None."""
+    k = round(-x)
+    return k if k >= 0 and abs(x + k) <= slack else None
+
+
+def _hyp2f1_polynomial(a, b, c, z, k):
+    """sum_{j <= k} (a)_j (b)_j / ((c)_j j!) z^j by Horner: 2F1(a, b; c; z)
+    when b = -k."""
+    out = np.ones_like(z)
+    for j in range(k, 0, -1):
+        out = 1.0 + out * z * ((a + j - 1) * (b + j - 1) / ((c + j - 1) * j))
+    return out
+
+
 def ring_kernel_pairs(dim, r, s, alpha):
     """kappa_alpha(r_i, s_i) for broadcast arrays of radii, by the 2F1 series
-    at z = rho^2 / R^2: Gauss's sum at r = s > 0 when alpha < N - 1, +inf
-    there otherwise and at r = s = 0."""
+    at z = rho^2 / R^2.
+
+    With a = alpha/2, b = 1 + (alpha - N)/2 and c = N/2 the series is a
+    polynomial when b = -k (alpha = N - 2 - 2k: the orders N - 2 and N - 4),
+    and after Euler's transformation (DLMF 15.8.1)
+
+        2F1(a, b; c; z) = (1 - z)^{c-a-b} 2F1(c - a, c - b; c; z)
+
+    when c - b = -k (alpha = 2N - 2 + 2k: the (g2) order 2N at delta = 2**).
+    alpha is matched to those orders within 1e-12 relative, the slack
+    `check_g2` grants delta. Any other alpha takes scipy's hyp2f1. On the
+    diagonal r = s > 0 this is Gauss's sum when alpha < N - 1 and +inf
+    otherwise; at r = s = 0 it is +inf.
+    """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     big = np.maximum(r, s)
     ratio = np.zeros(big.shape)  # rho / R, and 0 where r = s = 0
     np.divide(np.minimum(r, s), big, out=ratio, where=big > 0)
+    z = ratio * ratio
+    alpha = float(alpha)
+    a, b, c = 0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim
+    slack = 0.5e-12 * abs(alpha)
     with np.errstate(divide="ignore"):
-        scale = sphere_area(dim) * big ** (-float(alpha))
-    return scale * hyp2f1(0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, ratio * ratio)
+        scale = sphere_area(dim) * big ** (-alpha)
+        k = _nonpositive_integer(b, slack)
+        if k is not None:
+            return scale * _hyp2f1_polynomial(a, b, c, z, k)
+        k = _nonpositive_integer(c - b, slack)
+        if k is not None:
+            return scale * (1.0 - z) ** (c - a - b) * _hyp2f1_polynomial(c - a, c - b, c, z, k)
+    from scipy.special import hyp2f1
+
+    return scale * hyp2f1(a, b, c, z)
 
 
 def _kernel_coeffs(grid, alpha):
@@ -101,6 +141,25 @@ def ring_kernel(grid, alpha):
     lower = np.tri(grid.n, k=-1, dtype=bool)
     entries[lower] = entries.T[lower]
     return KernelMatrix(alpha=float(alpha), entries=entries, grid=grid)
+
+
+def support_block(grid, d):
+    """Nodes S where d != 0, and the m x m block B = R4 K[S, S] diag(r^{N-1} w d)[S]
+    of the map x -> R4 I_{N-4}(d x), K the order N-4 kernel of `ring_kernel`.
+
+    The map reads x on S only, so its nonzero spectrum is that of B, and
+    (I - map) x = y reduces to (I - B) x_S = y_S (Atkinson, The Numerical
+    Solution of Integral Equations of the Second Kind, 1997, ch. 4). B is
+    gathered from the closed-form powers at R = max and rho = min index.
+    """
+    nodes = np.flatnonzero(d)
+    p0, p2, c = _kernel_coeffs(grid, grid.dim - 4.0)
+    big = np.maximum.outer(nodes, nodes)
+    small = grid.r[np.minimum.outer(nodes, nodes)]
+    kern = p0[big] - c * small * small * p2[big]
+    col = (riesz_constants(grid.dim).r4 * grid.sphere_area
+           * grid.r[nodes] ** (grid.dim - 1) * grid.w[nodes] * d[nodes])
+    return nodes, kern * col
 
 
 def apply_potential(alpha, h):

@@ -192,25 +192,35 @@ def check_g1(spec):
 
 
 def g2_left_side(spec, delta, x):
-    """|x|^alpha int g^delta |x-y|^{-alpha} dy at a single probe radius,
-    alpha = (N-4) delta, via the closed-form ring kernel and Gauss-Legendre
-    in the radial variable.
+    """|x|^alpha int g^delta |x-y|^{-alpha} dy at probe radii x (a scalar or
+    an array), alpha = (N-4) delta.
+
+    Probes clear of the support take the closed-form ring kernel and
+    Gauss-Legendre in the radial variable, all in one `ring_kernel_pairs`
+    call. Probes inside the support or within 2% of its width of an edge go
+    one at a time to `_g2_left_side_direct`, except that the value is +inf
+    when alpha >= N and the probe meets the support (the diagonal is not
+    integrable).
     """
     dim = spec.dim
     alpha = (dim - 4.0) * delta
-    x = float(x)
-    if x <= 0:
+    shape = np.shape(x)
+    x = np.ravel(np.asarray(x, dtype=float))
+    if np.any(x <= 0):
         raise ValueError("probe radius must be positive")
-    if alpha >= dim and spec.r_in <= x <= spec.r_out:
-        return np.inf  # diagonal non-integrable once the probe meets the support
     margin = 0.02 * (spec.r_out - spec.r_in)
-    if min(abs(x - spec.r_in), abs(x - spec.r_out)) < margin \
-            or (spec.r_in < x < spec.r_out):
-        return _g2_left_side_direct(spec, delta, x)
+    meets = (spec.r_in <= x) & (x <= spec.r_out)
+    near = meets | (np.minimum(np.abs(x - spec.r_in), np.abs(x - spec.r_out)) < margin)
+    out = np.empty(x.size)
     s, jw = gauss_legendre(spec.r_in, spec.r_out)
-    kern = ring_kernel_pairs(dim, np.full_like(s, x), s, alpha)
+    far = x[~near]
+    kern = ring_kernel_pairs(dim, far[:, None], s, alpha)
     integrand = spec.profile(s) ** delta * s ** (dim - 1) * kern
-    return float(x ** alpha * np.sum(jw * integrand))
+    out[~near] = far ** alpha * np.sum(jw * integrand, axis=1)
+    for i in np.flatnonzero(near):
+        out[i] = np.inf if alpha >= dim and meets[i] \
+            else _g2_left_side_direct(spec, delta, x[i])
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _g2_left_side_direct(spec, delta, x):
@@ -258,7 +268,7 @@ def check_g2(spec, delta, x_samples=None, variant="exterior"):
     if np.any(x_samples <= 0):
         raise ValueError("probe radii must be positive")
 
-    values = np.array([g2_left_side(spec, delta, x) for x in x_samples])
+    values = g2_left_side(spec, delta, x_samples)
     finite = np.isfinite(values)
     c_g = float(np.max(values[finite])) if np.any(finite) else np.inf
     limit_mass = support_mass_delta(spec, delta)

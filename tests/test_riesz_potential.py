@@ -82,6 +82,36 @@ def test_order_2n_is_algebraic():
                                        rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("dim", range(5, 10))
+def test_terminating_orders_match_hyp2f1(monkeypatch, dim):
+    # both terminating families, alpha = N - 2 - 2k (b = -k) and
+    # alpha = 2N - 2 + 2k (c - b = -k, after Euler's transformation), against
+    # scipy's hyp2f1 for rho / R from 0 to 0.999 and on the diagonal; the
+    # finite sums answer without calling hyp2f1
+    import scipy.special
+
+    big = np.geomspace(0.01, 100.0, 200)
+    ratio = np.concatenate((1.0 - np.geomspace(1e-3, 1.0, 199), [1.0]))
+    small = ratio * big
+    z = (small / big) ** 2
+    orders = [dim - 2 - 2 * k for k in range(4) if dim - 2 - 2 * k > 0]
+    orders += [2 * dim - 2 + 2 * k for k in range(4)]
+    wants = [sp.sphere_area(dim) * big ** (-float(alpha)) * scipy.special.hyp2f1(
+        0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, z) for alpha in orders]
+
+    def unused(*args):
+        raise AssertionError("terminating order reached hyp2f1")
+    monkeypatch.setattr(scipy.special, "hyp2f1", unused)
+    for alpha, want in zip(orders, wants):
+        for r, s in ((big, small), (small, big)):
+            got = ring_kernel_pairs(dim, r, s, alpha)
+            np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-13, atol=0)
+            if alpha < dim - 1:  # Gauss's sum on the diagonal
+                assert got[-1] == pytest.approx(want[-1], rel=1e-13)
+            else:
+                assert got[-1] == want[-1] == np.inf
+
+
 def test_diagonal_infinite_when_alpha_large():
     # the ring self-interaction diverges once alpha >= N - 1
     v = ring_kernel_pairs(5, np.array([0.8]), np.array([0.8]), 4.5)[0]

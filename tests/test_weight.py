@@ -179,3 +179,19 @@ def test_g2_interior_probe_divergent(example_w):
     # on the support, alpha = (N-4) * 2** = 10 >= N: self-interaction diverges
     v = g2_left_side(example_w, sp.critical_exponent(5), 0.75)
     assert np.isinf(v)
+
+
+def test_g2_left_side_array_matches_scalar_calls(example_w):
+    # one call over an array of probes (any shape) gives what one call per
+    # probe gives, near-support probes and the +inf rule included
+    x = np.array([[1.05, 3.0, 1e3], [0.75, 1.005, 1.5]])
+    for delta in (1.0, sp.critical_exponent(5)):
+        got = g2_left_side(example_w, delta, x)
+        want = np.array([[g2_left_side(example_w, delta, v) for v in row] for row in x])
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, want)
+        assert all(isinstance(v, float) for v in want.ravel().tolist())
+    # alpha = 10 >= N: +inf exactly where the probe meets the support
+    got = g2_left_side(example_w, sp.critical_exponent(5), np.array([0.5, 0.75, 1.0, 1.005]))
+    assert np.array_equal(np.isinf(got), [True, True, True, False])
+    assert np.isfinite(g2_left_side(example_w, 1.0, np.array([0.5, 0.75, 1.0]))).all()
