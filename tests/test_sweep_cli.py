@@ -269,10 +269,11 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
     assert report.rows[0].converged
 
 
-def test_sweep_and_checks_import_no_scipy(tmp_path):
+def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
     # a sweep and the default checks run on fixed Gauss rules, closed forms,
     # terminating series and dense numpy solves on the support, so a process
-    # that only solves and checks never imports any scipy module
+    # that only solves and checks never imports any scipy module, let alone
+    # scipy.integrate or scipy.optimize
     small = write(tmp_path, SMALL)
     dim7 = write(tmp_path, "[problem]\ndim = 7\n" + SMALL, "dim7.ini")
     code = "\n".join([
