@@ -19,7 +19,7 @@ from .riesz_potential import (KernelMatrix, RieszConstants, RieszSolution,
                               weak_lp_profile)
 from .energy import (GeometryConstants, GeometryError, estimate_a1,
                      estimate_bg, fa_prime_values, gradient_map, i_a,
-                     lower_bound_beta1, n_a)
+                     lower_bound_beta1, n_a, ray_levels)
 from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,
                             mp_solve)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,

@@ -3,6 +3,12 @@ gradient realized through the Riesz fixed-point map T(u) = riesz_solve(g f_a(u))
 and the mountain-pass geometry constants from their variational problems,
 returned with the B_g maximiser phi, the direction of the straight path.
 
+g vanishes off its support, so N_a is a sum over the m nodes S where the
+sampled g is nonzero (m = 14 of n = 512 for the example), and F_a is
+evaluated there only. On a ray the norm is quadratic, so `ray_levels`
+gives I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one
+norm and one F_a call on a (len(t), m) array.
+
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2; h2_inner
 from radial_core realizes it with the finite-difference Laplacian. The
 geometry constants take it through the kernel route instead: for u = T(h),
@@ -24,15 +30,36 @@ _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
 
 
+def _support_mass(weight, grid):
+    """Nodes S where g != 0 and the quadrature mass omega_N r^{N-1} w g on S:
+    every integral against g is a sum over S."""
+    g = sample_on_grid(weight, grid).values
+    nodes = np.flatnonzero(g)
+    return nodes, grid.sphere_area * grid.r_pow[nodes] * grid.w[nodes] * g[nodes]
+
+
 def n_a(u, shifted, weight):
-    """N_a(u) = int g F_a(u)."""
-    g = sample_on_grid(weight, u.grid).values
-    return rc.integrate(rc.RadialField(u.grid, g * eval_Fa(shifted, u.values)))
+    """N_a(u) = int g F_a(u), summed over the nodes of supp g."""
+    nodes, mass = _support_mass(weight, u.grid)
+    return float(np.sum(mass * eval_Fa(shifted, u.values[nodes])))
 
 
 def i_a(u, shifted, weight):
     """I_a(u) = ||Delta u||^2 / 2 - N_a(u)."""
     return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, weight)
+
+
+def ray_levels(v, shifted, weight, t):
+    """I_a(t_k v) for every scale t_k of the array t.
+
+    The norm is quadratic and g vanishes off supp g, so
+    I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): one norm for the
+    whole ray, and F_a on the (len(t), m) array of scaled support values.
+    """
+    nodes, mass = _support_mass(weight, v.grid)
+    t = np.asarray(t, dtype=float)
+    f_a = eval_Fa(shifted, np.multiply.outer(t, v.values[nodes]))
+    return 0.5 * t * t * rc.h2_inner(v, v) - np.sum(mass * f_a, axis=-1)
 
 
 def gradient_map(u, shifted, weight):
@@ -79,7 +106,7 @@ def _ratio_sup(weight, grid, p):
     is the constant field, which has mass wherever g lives.
     """
     g = sample_on_grid(weight, grid).values
-    mass = g * grid.r ** (grid.dim - 1) * grid.w * grid.sphere_area
+    mass = g * grid.r_pow * grid.w * grid.sphere_area
     v = np.ones(grid.n)
     lam_prev = np.inf
     for _ in range(_BG_MAX_ITER):

@@ -3,7 +3,10 @@
 Three steps find the mountain-pass point. Take the crest, the node of highest
 level, of the straight path from 0 to an endpoint vtilde with negative
 energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
-returns, scaled by `make_bump` to ||Delta phi|| = 1. Polish the crest by
+returns, scaled by `make_bump` to ||Delta phi|| = 1. Every level on that
+ray, the doubling ladder of `find_vtilde` and the path nodes of `_crest`,
+comes from `energy.ray_levels`: t^2 ||Delta v||^2 / 2 from one norm per
+ray, less int g F_a(t v) on the m nodes of supp g. Polish the crest by
 semi-smooth Newton on u = T(u). T reads u only on supp g, so its
 linearisation R4 K diag(g f_a'(u)) has rank at most m, the number of grid
 nodes where g f_a'(u) != 0: each Newton step is one exact dense solve of
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import estimate_a1, fa_prime_values, gradient_map, i_a
+from .energy import estimate_a1, fa_prime_values, gradient_map, i_a, ray_levels
 from .nonlinearity import eval_fa
 from .riesz_potential import apply_potential, riesz_constants, support_block
 from .weight import sample_on_grid
@@ -69,19 +72,19 @@ _T_CAP_DOUBLINGS = 30
 
 def find_vtilde(shifted, weight, bump, rho):
     """First point t*bump with negative energy along the ray, t doubling
-    from 2*rho. A cap at 2^30 rho turns persistent positivity into an error
-    (superlinearity of f is suspect at that point)."""
+    from 2*rho; the whole ladder is one `ray_levels` call. A cap at 2^30 rho
+    turns persistent positivity into an error (superlinearity of f is
+    suspect at that point)."""
     nh2 = rc.h2_norm(bump)
     if abs(nh2 - 1.0) > 1e-10:
         raise ValueError("bump must be normalized to ||Delta phi||_2 = 1, got %.3e" % nh2)
     if np.min(bump.values) < 0:
         raise ValueError("bump must be nonnegative")
-    t = 2.0 * rho
-    for _ in range(_T_CAP_DOUBLINGS + 1):
-        cand = rc.RadialField(bump.grid, t * bump.values)
-        if i_a(cand, shifted, weight) < 0.0:
-            return cand
-        t *= 2.0
+    t = 2.0 * rho * 2.0 ** np.arange(_T_CAP_DOUBLINGS + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        negative = np.flatnonzero(ray_levels(bump, shifted, weight, t) < 0.0)
+    if negative.size:
+        return rc.RadialField(bump.grid, t[negative[0]] * bump.values)
     raise RuntimeError(
         "no negative energy up to t = 2^%d rho along the bump ray; "
         "superlinearity (the f(t)/t -> infinity hypothesis) is suspect"
@@ -177,17 +180,16 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
     return rc.RadialField(grid, u), max_iter
 
 
-def _crest(vtilde, k_nodes, level):
+def _crest(vtilde, k_nodes, shifted, weight):
     """Highest of k_nodes evenly spaced nodes on the straight path from 0 to
-    vtilde. Returns (node, its level); raises when the maximizer is pinned at
-    an endpoint."""
-    nodes = [rc.RadialField(vtilde.grid, t * vtilde.values)
-             for t in np.linspace(0.0, 1.0, k_nodes)]
-    levels = np.array([level(u) for u in nodes])
+    vtilde, all levels from one `ray_levels` call. Returns (node, its level);
+    raises when the maximizer is pinned at an endpoint."""
+    t = np.linspace(0.0, 1.0, k_nodes)
+    levels = ray_levels(vtilde, shifted, weight, t)
     k_star = int(np.argmax(levels))
     if not 0 < k_star < k_nodes - 1:
         raise RuntimeError("path maximizer pinned at an endpoint")
-    return nodes[k_star], levels[k_star]
+    return rc.RadialField(vtilde.grid, t[k_star] * vtilde.values), levels[k_star]
 
 
 def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
@@ -205,10 +207,7 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     if vtilde is None:
         vtilde = find_vtilde(shifted, weight, make_bump(geometry.phi), geometry.rho)
 
-    def level(u):
-        return i_a(u, shifted, weight)
-
-    u_crest, crest_level = _crest(vtilde, cfg.path_nodes, level)
+    u_crest, crest_level = _crest(vtilde, cfg.path_nodes, shifted, weight)
     _, crest_res = gradient_map(u_crest, shifted, weight)
     crest_norm = rc.h2_norm(u_crest)
     res_rel = crest_res / max(1.0, crest_norm)
@@ -220,7 +219,7 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     newton_used = False
     if polished is not None:
         u_cand, newton_its = polished
-        cand_level = level(u_cand)
+        cand_level = i_a(u_cand, shifted, weight)
         _, cand_res = gradient_map(u_cand, shifted, weight)
         cand_rel = cand_res / max(1.0, rc.h2_norm(u_cand))
         # accept a genuine improvement: a better residual, still above the rim,
@@ -246,7 +245,7 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
         "warnings": warned,
         "crest_level": crest_level,
         "vtilde_norm": rc.h2_norm(vtilde),
-        "vtilde_level": level(vtilde),
+        "vtilde_level": i_a(vtilde, shifted, weight),
         "history_norm": np.array([crest_norm]),
         "history_residual": np.array([crest_res]),
         "history_level": np.array([crest_level]),

@@ -32,6 +32,7 @@ class RadialGrid:
     h: float               # node spacing r_max / (n - 1)
     w: np.ndarray          # trapezoid weights, sum(w) = r_max
     sphere_area: float     # omega_N
+    r_pow: np.ndarray      # r^{N-1}, the power in the radial measure, computed once
 
     def key(self):
         return (self.dim, self.n, float(self.r_max))
@@ -68,7 +69,8 @@ def make_grid(dim, n, r_max):
     w = np.full(int(n), h)
     w[0] = w[-1] = 0.5 * h
     return RadialGrid(dim=int(dim), n=int(n), r_max=float(r_max), r=r, h=h,
-                      w=w, sphere_area=float(sphere_area(dim)))
+                      w=w, sphere_area=float(sphere_area(dim)),
+                      r_pow=r ** (int(dim) - 1))
 
 
 def zeros(grid):
@@ -98,7 +100,7 @@ def laplacian(u):
 def integrate(u):
     """int_{R^N} u dx = omega_N int_0^{r_max} u(r) r^{N-1} dr (trapezoid)."""
     g = u.grid
-    return float(g.sphere_area * np.sum(u.values * g.r ** (g.dim - 1) * g.w))
+    return float(g.sphere_area * np.sum(u.values * g.r_pow * g.w))
 
 
 def h2_inner(u, v):

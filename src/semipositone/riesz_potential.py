@@ -158,7 +158,7 @@ def support_block(grid, d):
     small = grid.r[np.minimum.outer(nodes, nodes)]
     kern = p0[big] - c * small * small * p2[big]
     col = (riesz_constants(grid.dim).r4 * grid.sphere_area
-           * grid.r[nodes] ** (grid.dim - 1) * grid.w[nodes] * d[nodes])
+           * grid.r_pow[nodes] * grid.w[nodes] * d[nodes])
     return nodes, kern * col
 
 
@@ -172,7 +172,7 @@ def apply_potential(alpha, h):
     g = h.grid
     p0, p2, c = _kernel_coeffs(g, alpha)
     r2 = g.r * g.r
-    src = h.values * g.r ** (g.dim - 1) * g.w
+    src = h.values * g.r_pow * g.w
 
     def outer(x):
         # sum over j > i, accumulated from the far end

@@ -343,12 +343,14 @@ def emit(report, out_dir, fmt="csv+json"):
         fh.write("\n")
     paths.append(json_path)
 
+    # every profile shares the r column: format its cells once
+    r_cells = [repr(r) + "," for r in np.asarray(report.grid_r, dtype=float).tolist()]
     for i, (a, vals) in enumerate(sorted(report.profiles.items(), reverse=True)):
         prof_path = os.path.join(out_dir, "profile_%02d_a%s.csv" % (i, ("%.6g" % a)))
         with open(prof_path, "w") as fh:
             fh.write("r,u\n")
-            for rr, uu in zip(report.grid_r, vals):
-                fh.write("%s,%s\n" % (repr(float(rr)), repr(float(uu))))
+            fh.writelines(rr + repr(uu) + "\n" for rr, uu in
+                          zip(r_cells, np.asarray(vals, dtype=float).tolist()))
         paths.append(prof_path)
     return paths
 

@@ -24,7 +24,8 @@ class WeightSpec:
     For the example family profile(r) = r^{-d} on the annulus; for table
     weights (r_in, r_out) just bound the support and g is smooth between the
     knots. norms and c_g are caches filled on demand, keyed by p and by
-    delta respectively.
+    delta respectively; grid_cache holds the samples of the last few grids
+    (`sample_on_grid`).
     """
     profile: Callable
     dim: int
@@ -139,6 +140,10 @@ def _conjugate(p):
     return p / (p - 1.0)
 
 
+# grids whose samples one weight keeps; a solve or sweep uses one grid
+_GRID_CACHE_SIZE = 8
+
+
 def sample_on_grid(spec, grid):
     """Grid representation of g preserving cell masses at the support edges.
 
@@ -166,10 +171,12 @@ def sample_on_grid(spec, grid):
     if touched.size:
         edges = np.clip(np.append(lo[touched], hi[touched[-1]]), spec.r_in, spec.r_out)
         mass = _radial_integral(spec, edges)
-        measure = grid.r[touched] ** (grid.dim - 1) * grid.w[touched]
+        measure = grid.r_pow[touched] * grid.w[touched]
         vals[touched] = np.divide(mass, measure, out=np.zeros_like(mass), where=measure > 0)
     out = RadialField(grid=grid, values=vals)
     spec.grid_cache[key] = out
+    if len(spec.grid_cache) > _GRID_CACHE_SIZE:  # evict the oldest: dicts keep insertion order
+        del spec.grid_cache[next(iter(spec.grid_cache))]
     return out
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures. The expensive objects (n=512 kernel, geometry constants,
 positone solve) are session-scoped so the whole suite pays for them once.
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
-tests that probe with random directions; `weak_pairing` and `energy_report`
-are stencil-side oracles for the energy layer, imported the same way."""
+tests that probe with random directions; `weak_pairing`, `energy_report`
+and `full_grid_n_a` are oracles for the energy layer, imported the same
+way."""
 
 from dataclasses import dataclass
 
@@ -41,6 +42,12 @@ def rim_levels(shifted, weight, geometry, grid, n_fields=100, seed=11):
         scaled = sp.RadialField(grid, u.values * (geometry.rho / nh2))
         levels.append(sp.i_a(scaled, shifted, weight))
     return np.asarray(levels)
+
+
+def full_grid_n_a(u, shifted, weight):
+    """N_a(u) = int g F_a(u) with F_a on every grid node, g = 0 included."""
+    g = sp.sample_on_grid(weight, u.grid).values
+    return sp.integrate(sp.RadialField(u.grid, g * sp.eval_Fa(shifted, u.values)))
 
 
 def weak_pairing(u, v, shifted, weight):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from semipositone.energy import _ratio_sup
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
-from conftest import energy_report, rim_levels, weak_pairing
+from conftest import (energy_report, full_grid_n_a, random_trial_fields,
+                      rim_levels, weak_pairing)
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -40,6 +43,65 @@ def test_nonlinear_term_split_oracle(example_spec, example_w, grid128):
     f_part = sp.integrate(RadialField(grid128, gv * sp.eval_F(example_spec, u.values)))
     lin_part = sp.integrate(RadialField(grid128, gv * u.values))
     assert sp.n_a(u, sh, example_w) == pytest.approx(f_part - a * lin_part, rel=1e-12)
+
+
+def _family(name, dim):
+    if name == "example":
+        return sp.example_nonlinearity(dim=dim)
+    if name == "power":
+        return sp.power_nonlinearity(3.0, dim=dim, gamma=2.5)
+    # the example f with no registered primitive: F by the eval_F fallback
+    return dataclasses.replace(sp.example_nonlinearity(dim=dim), F_closed=None)
+
+
+@given(dim=st.integers(5, 9), family=st.sampled_from(["example", "power", "fallback"]),
+       shift=st.sampled_from([0.0, 0.3, 40.0]), signed=st.booleans(),
+       top=st.floats(1e-3, 1e6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_ray_levels_match_i_a(dim, family, shift, signed, top, seed):
+    # I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) on a whole ray at once,
+    # against one i_a per scale; a signed v puts support values on the
+    # F_a = -a t branch
+    grid = sp.make_grid(dim, 128, 20.0)
+    weight = sp.example_weight(dim=dim)
+    sh = sp.ShiftedNonlinearity(_family(family, dim), shift)
+    rng = np.random.default_rng(seed)
+    vals = random_trial_fields(grid, 1, rng, r_span=2.0)[0].values
+    if not signed:
+        vals = np.abs(vals)
+    v = RadialField(grid, vals / sp.h2_norm(RadialField(grid, vals)))
+    on_support = np.max(np.abs(v.values[sp.sample_on_grid(weight, grid).values > 0]))
+    t = np.linspace(0.0, top / on_support, 9)
+    levels = sp.ray_levels(v, sh, weight, t)
+    assert levels.shape == t.shape
+    for t_k, level in zip(t, levels):
+        ref = sp.i_a(RadialField(grid, t_k * v.values), sh, weight)
+        assert abs(level - ref) <= 1e-12 * 0.5 * t_k ** 2
+
+
+@given(dim=st.integers(5, 9), n=st.integers(32, 400),
+       support=st.sampled_from(["annulus", "gapped table"]),
+       family=st.sampled_from(["example", "power"]), shift=st.floats(0.0, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_n_a_on_support_matches_full_grid(dim, n, support, family, shift, seed):
+    # the sum over the nodes where g != 0 leaves out only zero terms; the
+    # gapped table has g = 0 on whole cells inside its support
+    grid = sp.make_grid(dim, n, 20.0)
+    if support == "annulus":
+        weight = sp.example_weight(dim=dim)
+    else:
+        weight = sp.table_weight([0.5, 1.0, 4.0, 5.0, 6.0, 9.0, 10.0],
+                                 [1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5], dim=dim)
+    gv = sp.sample_on_grid(weight, grid).values
+    sh = sp.ShiftedNonlinearity(_family(family, dim), shift)
+    rng = np.random.default_rng(seed)
+    u = RadialField(grid, rng.uniform(-1.0, 3.0, n))
+    scale = sp.integrate(RadialField(grid, np.abs(gv * sp.eval_Fa(sh, u.values))))
+    assert abs(sp.n_a(u, sh, weight) - full_grid_n_a(u, sh, weight)) <= 1e-13 * scale
+    if support != "annulus":
+        inner = gv[(grid.r > weight.r_in) & (grid.r < weight.r_out)]
+        assert np.any(inner == 0.0) and np.any(inner > 0.0)
 
 
 def test_energy_zero_field(example_spec, example_w, grid128):

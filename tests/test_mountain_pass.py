@@ -64,6 +64,36 @@ def test_find_vtilde_no_superlinearity(example_w, grid128):
         sp.find_vtilde(sh, example_w, bump, 1.0)
 
 
+def _find_vtilde_loop(shifted, weight, bump, rho):
+    # reference: one i_a per doubling, stopping at the first negative level
+    t = 2.0 * rho
+    for _ in range(mp._T_CAP_DOUBLINGS + 1):
+        cand = RadialField(bump.grid, t * bump.values)
+        if sp.i_a(cand, shifted, weight) < 0.0:
+            return cand
+        t *= 2.0
+    return None
+
+
+def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, geometry128):
+    # every row of the default n = 128 sweep: the ray evaluation returns the
+    # doubling loop's vtilde bit for bit, and the crest is the node that a
+    # list of i_a levels picks
+    bump = sp.make_bump(geometry128.phi)
+    a_values = sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0]
+    for a in a_values:
+        sh = sp.ShiftedNonlinearity(example_spec, a)
+        vtilde = sp.find_vtilde(sh, example_w, bump, geometry128.rho)
+        ref = _find_vtilde_loop(sh, example_w, bump, geometry128.rho)
+        assert np.array_equal(vtilde.values, ref.values)
+        nodes = [RadialField(grid128, t * vtilde.values) for t in np.linspace(0.0, 1.0, 17)]
+        levels = [sp.i_a(u, sh, example_w) for u in nodes]
+        k_star = int(np.argmax(levels))
+        crest, level = mp._crest(vtilde, 17, sh, example_w)
+        assert np.array_equal(crest.values, nodes[k_star].values)
+        assert level == pytest.approx(levels[k_star], rel=1e-12)
+
+
 def test_positone_solution(positone128, example_spec, example_w, geometry128):
     sol = positone128
     assert sol.converged

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import semipositone as sp
-from semipositone import energy, sweep_cli
+from semipositone import energy, radial_core, sweep_cli
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
                                     _default_a_values, _summarize, emit,
                                     main, parse_config)
@@ -267,6 +267,47 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
     report = sweep_cli.run_sweep(cfg, [0.0])
     assert powers.count(2.0) == 1
     assert report.rows[0].converged
+
+
+def test_straight_path_stays_on_support(tmp_path, monkeypatch):
+    # each ray takes one norm and evaluates F_a on the m nodes of supp g: a
+    # row pays a bounded number of stencil norms, and no F_a argument is
+    # longer than the 31 rungs of the vtilde ladder times m
+    h2_calls, fa_sizes = [], []
+    h2_inner, eval_fa_prim = radial_core.h2_inner, energy.eval_Fa
+
+    def counting_h2(u, v):
+        h2_calls.append(u.grid.n)
+        return h2_inner(u, v)
+
+    def sizing_fa(shifted, t):
+        fa_sizes.append(np.size(t))
+        return eval_fa_prim(shifted, t)
+    monkeypatch.setattr(radial_core, "h2_inner", counting_h2)
+    monkeypatch.setattr(energy, "eval_Fa", sizing_fa)
+    cfg = parse_config(write(tmp_path, SMALL))
+    report = sweep_cli.run_sweep(cfg)
+    _, weight, grid = sweep_cli.build_problem(cfg)
+    m = np.count_nonzero(sp.sample_on_grid(weight, grid).values)
+    assert all(r.converged for r in report.rows)
+    assert len(h2_calls) <= 12 * len(report.rows)
+    assert fa_sizes and max(fa_sizes) <= 31 * m < grid.n
+
+
+def test_profile_csv_cells_round_trip(tmp_path, small_report):
+    # the shared r column, formatted once, writes the same bytes as one
+    # "%r,%r" line per node, and every cell reads back exactly
+    paths = emit(small_report, str(tmp_path / "out"))
+    profiles = sorted(small_report.profiles.items(), reverse=True)
+    assert len(paths[2:]) == len(profiles)
+    for path, (_, vals) in zip(paths[2:], profiles):
+        with open(path) as fh:
+            text = fh.read()
+        assert text == "r,u\n" + "".join("%r,%r\n" % (float(r), float(u))
+                                         for r, u in zip(small_report.grid_r, vals))
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        assert [float(r) for r, _ in cells] == small_report.grid_r.tolist()
+        assert [float(u) for _, u in cells] == vals.tolist()
 
 
 def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
