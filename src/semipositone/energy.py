@@ -7,7 +7,8 @@ g vanishes off its support, so N_a is a sum over the m nodes S where the
 sampled g is nonzero (m = 14 of n = 512 for the example), and F_a is
 evaluated there only. On a ray the norm is quadratic, so `ray_levels`
 gives I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one
-norm and one F_a call on a (len(t), m) array.
+norm and one F_a call on a (len(t), m) array. T(g x) reads x on S only,
+where it is B x, B = `support_block(grid, g)`: the constants take m values.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2; h2_inner
 from radial_core realizes it with the finite-difference Laplacian. The
@@ -24,7 +25,7 @@ import numpy as np
 from . import radial_core as rc
 from .nonlinearity import eval_Fa, eval_fa, eval_f0prime, growth_envelope
 from .weight import sample_on_grid
-from .riesz_potential import riesz_solve
+from .riesz_potential import riesz_solve, support_block
 
 _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
@@ -99,26 +100,30 @@ def _ratio_sup(weight, grid, p):
     """sup_u int g|u|^p / ||Delta u||^p and its maximiser, p >= 2.
 
     Normalised nonlinear power iteration v <- T(h) / ||Delta T(h)||,
-    h = g|v|^{p-2} v, with T = riesz_solve(.).u (Boyd, Linear Algebra Appl.
-    9, 1974; Hein & Buhler, NIPS 2010). By the representation
-    ||Delta T(h)||^2 = int h T(h), so no step differentiates anything, and
-    convexity of int g|u|^p makes the ratio rise monotonically. The start
-    is the constant field, which has mass wherever g lives.
+    h = g|v|^{p-2} v (Boyd, Linear Algebra Appl. 9, 1974; Hein & Buhler,
+    NIPS 2010), on the values at S, where T(g x) = B x. By the
+    representation ||Delta T(h)||^2 = int h T(h), so no step differentiates
+    anything, and convexity of int g|u|^p makes the ratio rise
+    monotonically. The start is the constant field, which has mass wherever
+    g lives; the maximiser becomes a grid field once, by `riesz_solve`.
     """
     g = sample_on_grid(weight, grid).values
-    mass = g * grid.r_pow * grid.w * grid.sphere_area
-    v = np.ones(grid.n)
+    nodes, block = support_block(grid, g)
+    _, mass = _support_mass(weight, grid)
+    v = np.ones(nodes.size)
     lam_prev = np.inf
     for _ in range(_BG_MAX_ITER):
         dual = np.abs(v) ** (p - 2.0) * v  # h = g * dual
-        t = riesz_solve(rc.RadialField(grid, g * dual)).u.values
+        t = block @ dual  # T(h) on S
         norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
         if norm_d == 0.0:
             return 0.0, rc.zeros(grid)
         v = t / norm_d
         lam = float(np.sum(mass * np.abs(v) ** p))
         if abs(lam - lam_prev) <= _BG_TOL * lam:
-            return lam, rc.RadialField(grid, v)
+            src = np.zeros(grid.n)
+            src[nodes] = g[nodes] * dual / norm_d
+            return lam, riesz_solve(rc.RadialField(grid, src)).u
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge in %d steps"
                        % (p, _BG_MAX_ITER))
@@ -164,9 +169,9 @@ def estimate_a1(spec, weight, grid, eps=None):
     if q <= 0:
         raise GeometryError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
 
-    g = sample_on_grid(weight, grid)
-    t_g = riesz_solve(g).u
-    c_lin = float(np.sqrt(rc.integrate(rc.RadialField(grid, g.values * t_g.values))))
+    _, mass = _support_mass(weight, grid)
+    _, block = support_block(grid, sample_on_grid(weight, grid).values)
+    c_lin = float(np.sqrt(np.sum(mass * block.sum(axis=1))))  # int g T(g), B 1 = T(g) on S
     c_env = growth_envelope(spec, eps)
     c_gamma = c_env / gamma * _ratio_sup(weight, grid, gamma)[0]
 

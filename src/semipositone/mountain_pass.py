@@ -7,18 +7,18 @@ returns, scaled by `make_bump` to ||Delta phi|| = 1. Every level on that
 ray, the doubling ladder of `find_vtilde` and the path nodes of `_crest`,
 comes from `energy.ray_levels`: t^2 ||Delta v||^2 / 2 from one norm per
 ray, less int g F_a(t v) on the m nodes of supp g. Polish the crest by
-semi-smooth Newton on u = T(u). T reads u only on supp g, so its
-linearisation R4 K diag(g f_a'(u)) has rank at most m, the number of grid
-nodes where g f_a'(u) != 0: each Newton step is one exact dense solve of
-the m x m support block (`riesz_potential.support_block`), extended to the
-grid by one O(n) potential apply. Certify the polished point by its Morse
-index, the number of eigenvalues above 1 of that operator, read from the
-eigenvalues of the same block: a nondegenerate mountain-pass point has
-index 1 (Hofer, Proc. AMS 90, 1984). The cost is O(n + m^3); m^3 is small
-while g lives on a thin shell (m = 14 at n = 512 for the example) and
-grows when g fills the grid. A polish that fails, does not lower the
-residual, falls below the rim level beta or has another index is rejected,
-and the crest is returned, flagged non-converged.
+semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
+m nodes S of supp g, where it is B f_a(u[S]) with B the m x m support block
+(`riesz_potential.support_block(grid, g)`): Newton runs on the m values,
+each step one exact dense solve of I - B diag(f_a'), and the polished
+point becomes a grid field once, by one O(n) potential apply. Certify it by
+its Morse index, the number of eigenvalues above 1 of R4 K diag(g f_a'(u)),
+read from the eigenvalues of B diag(f_a'(u[S])): a nondegenerate
+mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984). The cost is
+O(n + m^3); m^3 is small while g lives on a thin shell (m = 14 at n = 512
+for the example) and grows when g fills the grid. A polish that fails, does
+not lower the residual, falls below the rim level beta or has another index
+is rejected, and the crest is returned, flagged non-converged.
 """
 
 import warnings
@@ -95,34 +95,15 @@ def find_vtilde(shifted, weight, bump, rho):
 _NEWTON_MAX_ITER = 20
 
 
-def _newton_step(grid, d, phi):
-    """Solve (I - R4 K diag(d)) delta = -phi exactly, d = g f_a'(u) on the
-    grid and K the order N-4 ring kernel with its radial quadrature.
-
-    delta = -phi + R4 K (d delta) and the last term reads delta on S = supp d
-    only, so delta_S solves (I - B) delta_S = -phi_S with B the support
-    block, and one O(n) potential apply extends it to the grid. Returns
-    delta, or None if the block system is singular.
-    """
-    nodes, block = support_block(grid, d)
-    try:
-        delta_s = np.linalg.solve(np.eye(nodes.size) - block, -phi[nodes])
-    except np.linalg.LinAlgError:
-        return None
-    src = np.zeros(grid.n)
-    src[nodes] = d[nodes] * delta_s
-    r4 = riesz_constants(grid.dim).r4
-    return r4 * apply_potential(grid.dim - 4.0, rc.RadialField(grid, src)).values - phi
-
-
 def _morse_index(u, shifted, weight):
     """Morse index of I_a at u, and the top two eigenvalues it is read from.
 
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
-    direction. That operator's spectrum is the eigenvalues of its support
-    block plus n - m zeros. Where g f_a'(u) >= 0 it is similar to a
-    symmetric one, so its spectrum is real; the real parts are read.
+    direction. That operator's spectrum is the eigenvalues of
+    B diag(f_a'(u[S])), B the support block of g, plus n - m zeros. Where
+    g f_a'(u) >= 0 it is similar to a symmetric one, so its spectrum is
+    real; the real parts are read.
     Returns (index, eigenvalues in decreasing order); the index counts only
     the two eigenvalues returned, so 2 means "at least 2". Without a
     registered f' there is no certificate: (None, empty).
@@ -130,66 +111,70 @@ def _morse_index(u, shifted, weight):
     if shifted.base.fprime is None:
         return None, np.empty(0)
     grid = u.grid
-    d = sample_on_grid(weight, grid).values * fa_prime_values(shifted, u.values)
-    nodes, block = support_block(grid, d)
-    spectrum = np.concatenate((np.linalg.eigvals(block).real,
+    nodes, block = support_block(grid, sample_on_grid(weight, grid).values)
+    fp = fa_prime_values(shifted, u.values[nodes])
+    spectrum = np.concatenate((np.linalg.eigvals(block * fp).real,
                                np.zeros(min(2, grid.n - nodes.size))))
     top = np.sort(spectrum)[::-1][:2]
     return int(np.sum(top > 1.0)), top
 
 
 def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
-    """Semi-smooth Newton on Phi(u) = u - T(u), each step solved exactly on
-    the support by `_newton_step`.
+    """Semi-smooth Newton on Phi(u) = u - T(u) over the values x = u[S],
+    where T(u) = B f_a(x), with Jacobian I - B diag(f_a'(x)) (f_a' taken 0
+    on x <= 0). Returns the grid field T(x), from one potential apply.
 
-    The Jacobian is I - R4 K diag(g f_a'(u)), with the derivative of f_a
-    taken 0 on u <= 0. trace, if given, is a dict that receives "residual"
-    (max |Phi| at each iterate) and "support" (m, the block size, per
-    step), also when the polish fails.
+    trace, if given, is a dict that receives "residual" (max |Phi| on S at
+    each iterate) and "support" (the nodes where g f_a'(x) != 0, per step),
+    also when the polish fails.
     """
     residuals, support = [], []
     if trace is not None:
         trace.update(residual=residuals, support=support)
     if shifted.base.fprime is None:
         return None
-    alpha = grid.dim - 4.0
-    r4 = riesz_constants(grid.dim).r4
     g = sample_on_grid(weight, grid).values
-    u = u0.values.copy()
-    scale = max(1.0, float(np.max(np.abs(u))))
+    nodes, block = support_block(grid, g)
+    x = u0.values[nodes]
+    scale = max(1.0, float(np.max(np.abs(u0.values))))
     res_prev = np.inf
     for it in range(max_iter):
-        t_u = r4 * apply_potential(alpha, rc.RadialField(grid, g * eval_fa(shifted, u))).values
-        phi = u - t_u
+        phi = x - block @ eval_fa(shifted, x)
         res = float(np.max(np.abs(phi)))
         residuals.append(res)
         res /= scale
         if not np.isfinite(res):
             return None
         if res < tol:
-            return rc.RadialField(grid, u), it
+            break
         if res > 10.0 * res_prev and it > 2:
             return None
         res_prev = min(res_prev, res)
-        d = g * fa_prime_values(shifted, u)
-        delta = _newton_step(grid, d, phi)
-        if delta is None:
+        fp = fa_prime_values(shifted, x)
+        try:
+            x = x - np.linalg.solve(np.eye(nodes.size) - block * fp, phi)
+        except np.linalg.LinAlgError:
             return None
-        support.append(int(np.count_nonzero(d)))
-        u = u + delta
-    return rc.RadialField(grid, u), max_iter
+        support.append(int(np.count_nonzero(fp)))
+    else:
+        it = max_iter
+    src = np.zeros(grid.n)
+    src[nodes] = g[nodes] * eval_fa(shifted, x)
+    t_x = apply_potential(grid.dim - 4.0, rc.RadialField(grid, src))
+    t_x.values *= riesz_constants(grid.dim).r4
+    return t_x, it
 
 
 def _crest(vtilde, k_nodes, shifted, weight):
     """Highest of k_nodes evenly spaced nodes on the straight path from 0 to
-    vtilde, all levels from one `ray_levels` call. Returns (node, its level);
-    raises when the maximizer is pinned at an endpoint."""
+    vtilde, all levels from one `ray_levels` call. Returns (node, its level,
+    the level of vtilde); raises when the maximizer is pinned at an endpoint."""
     t = np.linspace(0.0, 1.0, k_nodes)
     levels = ray_levels(vtilde, shifted, weight, t)
     k_star = int(np.argmax(levels))
     if not 0 < k_star < k_nodes - 1:
         raise RuntimeError("path maximizer pinned at an endpoint")
-    return rc.RadialField(vtilde.grid, t[k_star] * vtilde.values), levels[k_star]
+    return rc.RadialField(vtilde.grid, t[k_star] * vtilde.values), levels[k_star], levels[-1]
 
 
 def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
@@ -207,11 +192,12 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     if vtilde is None:
         vtilde = find_vtilde(shifted, weight, make_bump(geometry.phi), geometry.rho)
 
-    u_crest, crest_level = _crest(vtilde, cfg.path_nodes, shifted, weight)
+    u_crest, crest_level, vtilde_level = _crest(vtilde, cfg.path_nodes, shifted, weight)
     _, crest_res = gradient_map(u_crest, shifted, weight)
     crest_norm = rc.h2_norm(u_crest)
     res_rel = crest_res / max(1.0, crest_norm)
     u_best, final_level, final_res, its = u_crest, crest_level, crest_res, 1
+    final_norm = crest_norm
 
     newton = {}
     polished = _newton_polish(u_crest, shifted, weight, grid, _NEWTON_MAX_ITER,
@@ -221,13 +207,15 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
         u_cand, newton_its = polished
         cand_level = i_a(u_cand, shifted, weight)
         _, cand_res = gradient_map(u_cand, shifted, weight)
-        cand_rel = cand_res / max(1.0, rc.h2_norm(u_cand))
+        cand_norm = rc.h2_norm(u_cand)
+        cand_rel = cand_res / max(1.0, cand_norm)
         # accept a genuine improvement: a better residual, still above the rim,
         # at a point of mountain-pass type
         if cand_rel < res_rel and cand_level >= geometry.beta - 1e-6:
             morse = _morse_index(u_cand, shifted, weight)
             if morse[0] == 1:
                 u_best, final_level, final_res, res_rel = u_cand, cand_level, cand_res, cand_rel
+                final_norm = cand_norm
                 newton_used = True
                 its += newton_its
     if not newton_used:
@@ -245,7 +233,8 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
         "warnings": warned,
         "crest_level": crest_level,
         "vtilde_norm": rc.h2_norm(vtilde),
-        "vtilde_level": i_a(vtilde, shifted, weight),
+        "vtilde_level": vtilde_level,
+        "norm_h2": final_norm,
         "history_norm": np.array([crest_norm]),
         "history_residual": np.array([crest_res]),
         "history_level": np.array([crest_level]),

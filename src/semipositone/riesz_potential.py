@@ -20,8 +20,8 @@ solver needs it terminates:
 Both are sums of at most two products f(rho) g(R), so `apply_potential`
 evaluates a potential in O(n) from prefix and suffix sums of the source,
 and `support_block` gathers the same closed form on the nodes where a
-source can live; `ring_kernel` is the kernel as a dense matrix, kept as a
-test oracle.
+source can live, the one operator every iterative stage of the solver
+uses; `ring_kernel` is the kernel as a dense matrix, a test oracle.
 """
 
 from dataclasses import dataclass
@@ -149,8 +149,9 @@ def support_block(grid, d):
 
     The map reads x on S only, so its nonzero spectrum is that of B, and
     (I - map) x = y reduces to (I - B) x_S = y_S (Atkinson, The Numerical
-    Solution of Integral Equations of the Second Kind, 1997, ch. 4). B is
-    gathered from the closed-form powers at R = max and rho = min index.
+    Solution of Integral Equations of the Second Kind, 1997, ch. 4). With
+    d = g, B x is T(g x) on S. B is gathered from the closed-form powers at
+    R = max and rho = min index.
     """
     nodes = np.flatnonzero(d)
     p0, p2, c = _kernel_coeffs(grid, grid.dim - 4.0)

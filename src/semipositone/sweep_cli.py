@@ -160,6 +160,9 @@ def build_problem(cfg):
     else:
         tab = np.loadtxt(w.table_path, delimiter=",")
         weight = table_weight(tab[:, 0], tab[:, 1], dim=p.dim)
+    if weight.r_out >= cfg.grid.r_max:  # a table sets its own support
+        raise ValueError("grid.r_max=%g must exceed the weight support r_out=%g"
+                         % (cfg.grid.r_max, weight.r_out))
     grid = rc.make_grid(p.dim, cfg.grid.n, cfg.grid.r_max)
     return spec, weight, grid
 
@@ -206,7 +209,7 @@ def _row_from_solution(sol, shifted, weight):
     g = sample_on_grid(weight, grid).values
     src = rc.RadialField(grid, g * eval_fa(shifted, u.values))
     fit, pred = decay_constant(u, src)
-    return SweepRow(a=sol.a, level=sol.level, norm_h2=rc.h2_norm(u),
+    return SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
                     sup_ext=sup_ext, min_value=float(np.min(u.values)),
                     neg_mass=neg_mass, decay_fit=fit, decay_pred=pred,
                     residual=sol.residual, converged=sol.converged)
@@ -321,7 +324,7 @@ def _fmt(x):
     return repr(float(x))
 
 
-def emit(report, out_dir, fmt="csv+json"):
+def emit(report, out_dir):
     """Write rows CSV, summary JSON, and per-a profile CSVs; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []

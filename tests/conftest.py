@@ -1,9 +1,9 @@
 """Shared fixtures. The expensive objects (n=512 kernel, geometry constants,
 positone solve) are session-scoped so the whole suite pays for them once.
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
-tests that probe with random directions; `weak_pairing`, `energy_report`
-and `full_grid_n_a` are oracles for the energy layer, imported the same
-way."""
+tests that probe with random directions; `weak_pairing`, `energy_report`,
+`full_grid_n_a` and `full_grid_ratio_sup` are oracles for the energy layer,
+imported the same way."""
 
 from dataclasses import dataclass
 
@@ -48,6 +48,28 @@ def full_grid_n_a(u, shifted, weight):
     """N_a(u) = int g F_a(u) with F_a on every grid node, g = 0 included."""
     g = sp.sample_on_grid(weight, u.grid).values
     return sp.integrate(sp.RadialField(u.grid, g * sp.eval_Fa(shifted, u.values)))
+
+
+def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
+    """sup int g|u|^p / ||Delta u||^p and its maximiser by the power iteration
+    v <- T(h) / (int h T(h))^{1/2}, h = g|v|^{p-2} v, with T = riesz_solve(.).u
+    applied on the whole grid at every step."""
+    g = sp.sample_on_grid(weight, grid).values
+    mass = g * grid.r_pow * grid.w * grid.sphere_area
+    v = np.ones(grid.n)
+    lam_prev = np.inf
+    for _ in range(max_iter):
+        dual = np.abs(v) ** (p - 2.0) * v
+        t = sp.riesz_solve(sp.RadialField(grid, g * dual)).u.values
+        norm_d = np.sqrt(np.sum(mass * dual * t))
+        if norm_d == 0.0:
+            return 0.0, sp.zeros(grid)
+        v = t / norm_d
+        lam = float(np.sum(mass * np.abs(v) ** p))
+        if abs(lam - lam_prev) <= tol * lam:
+            return lam, sp.RadialField(grid, v)
+        lam_prev = lam
+    raise RuntimeError("power iteration for p=%g did not converge" % p)
 
 
 def weak_pairing(u, v, shifted, weight):

@@ -10,8 +10,8 @@ from semipositone.energy import _ratio_sup
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
-from conftest import (energy_report, full_grid_n_a, random_trial_fields,
-                      rim_levels, weak_pairing)
+from conftest import (energy_report, full_grid_n_a, full_grid_ratio_sup,
+                      random_trial_fields, rim_levels, weak_pairing)
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -197,12 +197,22 @@ def test_geometry_frozen_regression(geometry512):
 
 
 def test_c_lin_dense_oracle(example_w, grid128, geometry128):
-    # c_lin^2 = int g T(g) with T = r4 K on the closed-form dense kernel
-    g = grid128
-    mg = sp.sample_on_grid(example_w, g).values * g.r ** (g.dim - 1) * g.w
-    k4 = ring_kernel(g, g.dim - 4).entries
-    c2 = g.sphere_area * sp.riesz_constants(g.dim).r4 * (mg @ k4 @ mg)
-    assert geometry128.c_lin == pytest.approx(np.sqrt(c2), rel=1e-12)
+    # c_lin^2 = int g T(g) with T = r4 K on the closed-form dense kernel, for
+    # the example and, in dims 5-9, for the annulus and a table weight
+    def dense_c_lin(weight, g):
+        mg = sp.sample_on_grid(weight, g).values * g.r ** (g.dim - 1) * g.w
+        k4 = ring_kernel(g, g.dim - 4).entries
+        return np.sqrt(g.sphere_area * sp.riesz_constants(g.dim).r4 * (mg @ k4 @ mg))
+
+    assert geometry128.c_lin == pytest.approx(dense_c_lin(example_w, grid128), rel=1e-12)
+    r_tab = np.linspace(0.0, 19.0, 40)
+    for dim in range(5, 10):
+        g = sp.make_grid(dim, 128, 20.0)
+        spec = sp.power_nonlinearity(2.0, dim=dim)
+        for weight in (sp.example_weight(dim=dim),
+                       sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)):
+            geo = sp.estimate_a1(spec, weight, g)
+            assert geo.c_lin == pytest.approx(dense_c_lin(weight, g), rel=1e-12)
 
 
 @given(dim=st.integers(5, 9), n=st.integers(48, 400), frac=st.floats(0.02, 0.98),
@@ -234,6 +244,26 @@ def test_ratio_sup_dominates_random_sources(dim, n, frac, low, seed):
             continue
         num = sp.integrate(RadialField(grid, gv * np.abs(u) ** p))
         assert num / den ** (p / 2.0) <= top * (1.0 + 1e-12)
+
+
+@given(dim=st.integers(5, 9), n=st.integers(48, 400), frac=st.floats(0.0, 0.98),
+       support=st.sampled_from(["annulus", "table"]))
+@settings(max_examples=25, deadline=None)
+def test_ratio_sup_block_matches_full_grid(dim, n, frac, support):
+    # the iteration on the m values of supp g is the full-grid one: the
+    # same sup and the same maximiser, extended to the grid once
+    grid = sp.make_grid(dim, n, 20.0)
+    if support == "annulus":
+        weight = sp.example_weight(dim=dim)
+    else:
+        r_tab = np.linspace(0.0, 19.0, 40)
+        weight = sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)
+    p = 2.0 + frac * (sp.critical_exponent(dim) - 2.0)
+    lam, phi = _ratio_sup(weight, grid, p)
+    lam_ref, phi_ref = full_grid_ratio_sup(weight, grid, p)
+    assert lam == pytest.approx(lam_ref, rel=1e-12)
+    scale = np.max(np.abs(phi_ref.values))
+    assert np.max(np.abs(phi.values - phi_ref.values)) <= 1e-12 * scale
 
 
 def test_geometry_independent_of_r_max(example_spec, example_w):

@@ -77,8 +77,8 @@ def _find_vtilde_loop(shifted, weight, bump, rho):
 
 def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, geometry128):
     # every row of the default n = 128 sweep: the ray evaluation returns the
-    # doubling loop's vtilde bit for bit, and the crest is the node that a
-    # list of i_a levels picks
+    # doubling loop's vtilde bit for bit, the crest is the node that a list
+    # of i_a levels picks, and the path's last level is i_a(vtilde) bit for bit
     bump = sp.make_bump(geometry128.phi)
     a_values = sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0]
     for a in a_values:
@@ -89,9 +89,10 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
         nodes = [RadialField(grid128, t * vtilde.values) for t in np.linspace(0.0, 1.0, 17)]
         levels = [sp.i_a(u, sh, example_w) for u in nodes]
         k_star = int(np.argmax(levels))
-        crest, level = mp._crest(vtilde, 17, sh, example_w)
+        crest, level, end = mp._crest(vtilde, 17, sh, example_w)
         assert np.array_equal(crest.values, nodes[k_star].values)
         assert level == pytest.approx(levels[k_star], rel=1e-12)
+        assert end == levels[-1]
 
 
 def test_positone_solution(positone128, example_spec, example_w, geometry128):
@@ -229,6 +230,7 @@ def test_newton_diagnostics(example_spec, example_w, positone128):
     dg = sample_on_grid(example_w, u.grid).values * sp.fa_prime_values(
         sp.ShiftedNonlinearity(example_spec, 0.0), u.values)
     assert d["support_nodes"] == np.count_nonzero(dg) >= 1
+    assert d["norm_h2"] == sp.h2_norm(u)
     assert res[-1] <= 1e-12 * res[0]
     assert d["warnings"] == []
 
@@ -248,28 +250,33 @@ def test_warnings_recorded_as_data(monkeypatch, example_spec, example_w, grid128
        top=st.floats(1.2, 4.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
-    # the support-block step against LU on the dense closed-form kernel
+    # one Newton step on the support block against LU on the dense
+    # closed-form kernel: with f(t) = t^2 on t > 0, the polish stopped after
+    # one step returns T(u0 + delta), where
+    # (I - r4 K diag(m g f'(u0))) delta = -(u0 - T(u0))
     grid = sp.make_grid(dim, n, 20.0)
     if support == "annulus":
         weight = sp.example_weight(dim=dim)
     else:
         r_tab = np.linspace(0.0, 19.0, 40)
         weight = sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)
+    sh = sp.ShiftedNonlinearity(sp.power_nonlinearity(2.0, dim=dim), 0.0)
     rng = np.random.default_rng(seed)
-    d = sample_on_grid(weight, grid).values * rng.uniform(0.5, 1.5, n)
-    m = grid.r ** (dim - 1) * grid.w
+    u0 = rng.uniform(0.5, 1.5, n)
+    mg = grid.r ** (dim - 1) * grid.w * sample_on_grid(weight, grid).values
     kern = sp.riesz_constants(dim).r4 * sp.ring_kernel(grid, dim - 4).entries
-    # r4 K diag(m d) is similar to a symmetric matrix; scale d so its top
-    # eigenvalue is `top` and keep the spectrum of I - r4 K D off zero
-    sq = np.sqrt(m * d)
+    # r4 K diag(m g f'(u0)) is similar to a symmetric matrix; scale u0 so its
+    # top eigenvalue is `top` and keep the spectrum of I - r4 K D off zero
+    sq = np.sqrt(mg * 2.0 * u0)
     lam = np.linalg.eigvalsh(sq[:, None] * kern * sq[None, :])
-    d *= top / lam[-1]
+    u0 *= top / lam[-1]
     assume(np.min(np.abs(1.0 - lam * top / lam[-1])) > 0.05)
-    phi = rng.standard_normal(n)
-    ref = np.linalg.solve(np.eye(n) - kern * (m * d)[None, :], -phi)
-    delta = mp._newton_step(grid, d, phi)
-    assert delta is not None
-    assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+    phi = u0 - kern @ (mg * u0 ** 2)
+    delta = np.linalg.solve(np.eye(n) - kern * (mg * 2.0 * u0)[None, :], -phi)
+    ref = kern @ (mg * sp.eval_fa(sh, u0 + delta))  # f(t) = 0 on t <= 0
+    out = mp._newton_polish(RadialField(grid, u0), sh, weight, grid, 1)
+    assert out is not None and out[1] == 1
+    assert np.max(np.abs(out[0].values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @given(dim=st.integers(5, 9), n=st.integers(32, 300),
@@ -313,7 +320,9 @@ def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, posito
 
 def test_failed_newton_step_keeps_crest(monkeypatch, example_spec, example_w,
                                         grid128, geometry128):
-    monkeypatch.setattr(mp, "_newton_step", lambda grid, d, phi: None)
+    def singular(a, b):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
     d = sol.diagnostics

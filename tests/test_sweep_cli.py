@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import semipositone as sp
-from semipositone import energy, radial_core, sweep_cli
+from semipositone import energy, mountain_pass, radial_core, riesz_potential, sweep_cli
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
                                     _default_a_values, _summarize, emit,
                                     main, parse_config)
@@ -243,6 +243,21 @@ def test_main_weight_error_is_config_error(tmp_path, capsys, text, fragment):
     assert not out.exists()
 
 
+def test_main_table_past_r_max_is_config_error(tmp_path, capsys):
+    # a table sets its own support, whatever [weight] r_out says: rows out to
+    # r = 25 on a grid of radius 20 are a config error, not a traceback
+    r = np.linspace(0.0, 25.0, 26)
+    table = tmp_path / "g.csv"
+    np.savetxt(table, np.c_[r, 1.0 / (1.0 + r**2)], delimiter=",")
+    text = "[weight]\nfamily = custom_table\ntable_path = %s\n[grid]\nn = 128\n" % table
+    out = tmp_path / "out"
+    rc = main(["--config", write(tmp_path, text), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "r_out=25" in err
+    assert not out.exists()
+
+
 def test_main_degenerate_geometry_exits_2(tmp_path, capsys):
     # dim 7, example data: eps = cap/2 leaves the growth envelope at its floor
     # and estimate_a1 finds no positive rim
@@ -271,8 +286,8 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
 
 def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     # each ray takes one norm and evaluates F_a on the m nodes of supp g: a
-    # row pays a bounded number of stencil norms, and no F_a argument is
-    # longer than the 31 rungs of the vtilde ladder times m
+    # row pays at most 9 stencil norms (the sweep one more, for the bump), and
+    # no F_a argument is longer than the 31 rungs of the vtilde ladder times m
     h2_calls, fa_sizes = [], []
     h2_inner, eval_fa_prim = radial_core.h2_inner, energy.eval_Fa
 
@@ -290,8 +305,36 @@ def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     _, weight, grid = sweep_cli.build_problem(cfg)
     m = np.count_nonzero(sp.sample_on_grid(weight, grid).values)
     assert all(r.converged for r in report.rows)
-    assert len(h2_calls) <= 12 * len(report.rows)
+    assert len(h2_calls) <= 9 * len(report.rows) + 1
     assert fa_sizes and max(fa_sizes) <= 31 * m < grid.n
+
+
+def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
+    # Newton and the Morse certificate iterate on the m values of supp g: a
+    # row builds the support block once for each and applies a potential only
+    # where a stage ends (the polished point, and the two gradient maps)
+    counts = {"apply_potential": 0, "support_block": 0}
+    for name in counts:
+        orig = getattr(riesz_potential, name)
+
+        def counting(*args, _orig=orig, _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        for mod in (riesz_potential, energy, mountain_pass):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counting)
+    starts, find_vtilde = [], sweep_cli.find_vtilde
+
+    def row_start(*args):
+        starts.append(dict(counts))
+        return find_vtilde(*args)
+    monkeypatch.setattr(sweep_cli, "find_vtilde", row_start)
+    report = sweep_cli.run_sweep(parse_config(write(tmp_path, "[grid]\nn = 128\n")))
+    assert len(starts) == len(report.rows) == 13
+    assert all(r.converged for r in report.rows)
+    for begin, end in zip(starts, starts[1:] + [counts]):
+        assert end["apply_potential"] - begin["apply_potential"] <= 5
+        assert end["support_block"] - begin["support_block"] <= 2
 
 
 def test_profile_csv_cells_round_trip(tmp_path, small_report):
