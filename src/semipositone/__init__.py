@@ -3,7 +3,7 @@ radial mountain-pass solves through Riesz potentials, hypothesis checkers,
 and a-sweeps against the positone limit."""
 
 from .radial_core import (RadialField, RadialGrid, h2_inner, h2_norm,
-                          integrate, laplacian, lp_norm, make_grid,
+                          integrate, laplacian, make_grid, scale,
                           sphere_area, zeros)
 from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
                            check_f1, check_f2, check_f3, check_f4,
@@ -13,13 +13,12 @@ from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
                            power_nonlinearity, zero_nonlinearity)
 from .weight import (WeightSpec, check_g1, check_g2, example_weight,
                      g2_left_side, sample_on_grid, table_weight, zero_weight)
-from .riesz_potential import (KernelMatrix, RieszConstants, RieszSolution,
-                              apply_potential, decay_constant, riesz_constants,
-                              riesz_solve, ring_kernel, ring_kernel_pairs,
-                              weak_lp_profile)
+from .riesz_potential import (RieszConstants, apply_potential, decay_constant,
+                              riesz_constants, riesz_solve, ring_kernel,
+                              ring_kernel_pairs, weak_lp_profile)
 from .energy import (GeometryConstants, GeometryError, estimate_a1,
                      estimate_bg, fa_prime_values, gradient_map, i_a,
-                     lower_bound_beta1, n_a, ray_levels)
+                     n_a, ray_levels)
 from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,
                             mp_solve)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,

@@ -10,12 +10,12 @@ gives I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one
 norm and one F_a call on a (len(t), m) array. T(g x) reads x on S only,
 where it is B x, B = `support_block(grid, g)`: the constants take m values.
 
-Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2; h2_inner
-from radial_core realizes it with the finite-difference Laplacian. The
-geometry constants take it through the kernel route instead: for u = T(h),
-||Delta u||^2 = int h u exactly, the map h -> T(h) is self-adjoint there,
-and the fields involved are Riesz potentials, so the constants see the
-norm on R^N rather than on the ball of radius r_max.
+Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2. Every
+field the solver forms is a Riesz potential u = T(h) that carries its
+source h, so ||Delta u||^2 = int h u exactly on R^N (`radial_core.h2_inner`)
+and the map h -> T(h) is self-adjoint there: the geometry constants, the
+path levels, the level and the gradient residual all see the norm on R^N,
+not on the ball of radius r_max, and read u on supp g only.
 """
 
 from dataclasses import dataclass, field
@@ -64,16 +64,18 @@ def ray_levels(v, shifted, weight, t):
 
 
 def gradient_map(u, shifted, weight):
-    """The fixed-point map T(u) = riesz_solve(g f_a(u)).u and the gradient
+    """The fixed-point map T(u) = riesz_solve(g f_a(u)) and the gradient
     residual ||Delta(u - T(u))||_2; residual 0 characterizes discrete weak
-    solutions."""
+    solutions. When u has a source, u - T(u) is the potential of
+    source - g f_a(u) and the residual is exact on R^N."""
     g = sample_on_grid(weight, u.grid).values
     with np.errstate(over="ignore", invalid="ignore"):
         src = g * eval_fa(shifted, u.values)
     if not np.all(np.isfinite(src)):
         raise ValueError("divergent source norm: g f_a(u) is not finite at all nodes")
-    t_u = riesz_solve(rc.RadialField(u.grid, src)).u
-    diff = rc.RadialField(u.grid, u.values - t_u.values)
+    t_u = riesz_solve(rc.RadialField(u.grid, src))
+    diff = rc.RadialField(u.grid, u.values - t_u.values,
+                          None if u.source is None else u.source - src)
     return t_u, rc.h2_norm(diff)
 
 
@@ -123,7 +125,7 @@ def _ratio_sup(weight, grid, p):
         if abs(lam - lam_prev) <= _BG_TOL * lam:
             src = np.zeros(grid.n)
             src[nodes] = g[nodes] * dual / norm_d
-            return lam, riesz_solve(rc.RadialField(grid, src)).u
+            return lam, riesz_solve(rc.RadialField(grid, src))
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge in %d steps"
                        % (p, _BG_MAX_ITER))
@@ -188,13 +190,6 @@ def estimate_a1(spec, weight, grid, eps=None):
     return GeometryConstants(b_g=b_g, eps=eps, c_gamma=c_gamma, rho=rho_star,
                              beta=beta, a1=a1, c_lin=c_lin, rho1=rho1,
                              c_env=c_env, gamma=gamma, phi=phi)
-
-
-def lower_bound_beta1(sups):
-    """Empirical beta_1: the smallest of the computed solutions' sup norms."""
-    if len(sups) == 0:
-        raise ValueError("empty sweep: no solutions to bound")
-    return min(float(s) for s in sups)
 
 
 def fa_prime_values(shifted, values):

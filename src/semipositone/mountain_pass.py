@@ -6,12 +6,14 @@ energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
 returns, scaled by `make_bump` to ||Delta phi|| = 1. Every level on that
 ray, the doubling ladder of `find_vtilde` and the path nodes of `_crest`,
 comes from `energy.ray_levels`: t^2 ||Delta v||^2 / 2 from one norm per
-ray, less int g F_a(t v) on the m nodes of supp g. Polish the crest by
+ray, less int g F_a(t v) on the m nodes of supp g. Every field here is a
+Riesz potential scaled by `radial_core.scale`, so it keeps its source and
+each norm, level and residual is int h v, exact on R^N. Polish the crest by
 semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
 m nodes S of supp g, where it is B f_a(u[S]) with B the m x m support block
 (`riesz_potential.support_block(grid, g)`): Newton runs on the m values,
 each step one exact dense solve of I - B diag(f_a'), and the polished
-point becomes a grid field once, by one O(n) potential apply. Certify it by
+point becomes a grid field once, by one `riesz_solve`. Certify it by
 its Morse index, the number of eigenvalues above 1 of R4 K diag(g f_a'(u)),
 read from the eigenvalues of B diag(f_a'(u[S])): a nondegenerate
 mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984). The cost is
@@ -29,7 +31,7 @@ import numpy as np
 from . import radial_core as rc
 from .energy import estimate_a1, fa_prime_values, gradient_map, i_a, ray_levels
 from .nonlinearity import eval_fa
-from .riesz_potential import apply_potential, riesz_constants, support_block
+from .riesz_potential import riesz_solve, support_block
 from .weight import sample_on_grid
 
 
@@ -56,15 +58,16 @@ class MPSolution:
 
 def make_bump(phi):
     """phi clipped at 0 and scaled to ||Delta phi||_2 = 1, the direction of
-    the straight path. phi must be nonnegative up to rounding."""
+    the straight path. phi must be nonnegative up to rounding; the clip
+    keeps its source."""
     vals = phi.values
     if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ValueError("bump must be nonnegative")
-    vals = np.maximum(vals, 0.0)
-    nh2 = rc.h2_norm(rc.RadialField(phi.grid, vals))
+    clipped = rc.RadialField(phi.grid, np.maximum(vals, 0.0), phi.source)
+    nh2 = rc.h2_norm(clipped)
     if nh2 == 0:
         raise ValueError("bump has zero D^{2,2} norm")
-    return rc.RadialField(phi.grid, vals / nh2)
+    return rc.scale(clipped, 1.0 / nh2)
 
 
 _T_CAP_DOUBLINGS = 30
@@ -84,14 +87,14 @@ def find_vtilde(shifted, weight, bump, rho):
     with np.errstate(over="ignore", invalid="ignore"):
         negative = np.flatnonzero(ray_levels(bump, shifted, weight, t) < 0.0)
     if negative.size:
-        return rc.RadialField(bump.grid, t[negative[0]] * bump.values)
+        return rc.scale(bump, t[negative[0]])
     raise RuntimeError(
         "no negative energy up to t = 2^%d rho along the bump ray; "
         "superlinearity (the f(t)/t -> infinity hypothesis) is suspect"
         % _T_CAP_DOUBLINGS)
 
 
-# Newton takes 5 steps on the example; the bound only stops a stall.
+# Newton takes 2 steps on the example; the bound only stops a stall.
 _NEWTON_MAX_ITER = 20
 
 
@@ -122,7 +125,7 @@ def _morse_index(u, shifted, weight):
 def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
     """Semi-smooth Newton on Phi(u) = u - T(u) over the values x = u[S],
     where T(u) = B f_a(x), with Jacobian I - B diag(f_a'(x)) (f_a' taken 0
-    on x <= 0). Returns the grid field T(x), from one potential apply.
+    on x <= 0). Returns the grid field T(x), from one `riesz_solve`.
 
     trace, if given, is a dict that receives "residual" (max |Phi| on S at
     each iterate) and "support" (the nodes where g f_a'(x) != 0, per step),
@@ -160,9 +163,7 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
         it = max_iter
     src = np.zeros(grid.n)
     src[nodes] = g[nodes] * eval_fa(shifted, x)
-    t_x = apply_potential(grid.dim - 4.0, rc.RadialField(grid, src))
-    t_x.values *= riesz_constants(grid.dim).r4
-    return t_x, it
+    return riesz_solve(rc.RadialField(grid, src)), it
 
 
 def _crest(vtilde, k_nodes, shifted, weight):
@@ -174,7 +175,7 @@ def _crest(vtilde, k_nodes, shifted, weight):
     k_star = int(np.argmax(levels))
     if not 0 < k_star < k_nodes - 1:
         raise RuntimeError("path maximizer pinned at an endpoint")
-    return rc.RadialField(vtilde.grid, t[k_star] * vtilde.values), levels[k_star], levels[-1]
+    return rc.scale(vtilde, t[k_star]), levels[k_star], levels[-1]
 
 
 def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):

@@ -2,7 +2,10 @@
 
 Everything downstream works on radial profiles u(r) sampled on a uniform grid
 over [0, r_max]. Integrals carry the full N-dimensional measure
-omega_N r^{N-1} dr, so all L^p and D^{2,2} quantities are genuine R^N numbers.
+omega_N r^{N-1} dr. A field formed as a Riesz potential, u = T(h), carries
+its source h = Delta^2 u, and its D^{2,2} products are int h v, exact on R^N
+and read only where h lives; the finite-difference Laplacian, cut off at
+r_max, serves only fields without a source.
 
 The search space is deliberately radial: full grids in N >= 5 are infeasible
 at desk scale and the canonical weight is radial. Nothing here asserts that
@@ -42,13 +45,24 @@ class RadialGrid:
 class RadialField:
     grid: RadialGrid
     values: np.ndarray
+    source: np.ndarray = None  # Delta^2 u on R^N when u is a Riesz potential
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                "field has %s values for an n=%d grid" % (self.values.shape, self.grid.n)
-            )
+        for name in ("values", "source"):
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != (self.grid.n,):
+                raise ValueError("field has %s %s for an n=%d grid"
+                                 % (arr.shape, name, self.grid.n))
+            setattr(self, name, arr)
+
+
+def scale(u, t):
+    """t u, with the source t Delta^2 u when u has one."""
+    src = None if u.source is None else t * u.source
+    return RadialField(u.grid, t * u.values, src)
 
 
 def _require_same_grid(u, v):
@@ -104,8 +118,16 @@ def integrate(u):
 
 
 def h2_inner(u, v):
-    """int Delta u Delta v dx; h2_inner(u, u) = ||Delta u||_2^2."""
+    """int Delta u Delta v dx; h2_inner(u, u) = ||Delta u||_2^2.
+
+    When either field has a source h = Delta^2 u, this is int h v on R^N,
+    exact and read on supp h only; otherwise the stencil, on [0, r_max].
+    """
     _require_same_grid(u, v)
+    if u.source is None:
+        u, v = v, u
+    if u.source is not None:
+        return integrate(RadialField(u.grid, u.source * v.values))
     lu = laplacian(u).values
     lv = lu if v is u else laplacian(v).values
     return integrate(RadialField(u.grid, lu * lv))
@@ -125,15 +147,3 @@ def gauss_legendre(a, b):
     half = 0.5 * (b - a)
     return half * _GL_NODES + 0.5 * (b + a), half * _GL_WEIGHTS
 
-
-def lp_norm(u, p, weight=None):
-    """(int w |u|^p)^{1/p}; w = 1 or a weight profile. p = inf -> max |u|."""
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(u.values)))
-    p = float(p)
-    if p < 1:
-        raise ValueError("p=%g rejected: L^p norms need p >= 1" % p)
-    absu = np.abs(u.values) ** p
-    if weight is not None:
-        absu = absu * weight.profile(u.grid.r)
-    return float(integrate(RadialField(u.grid, absu)) ** (1.0 / p))

@@ -22,10 +22,11 @@ evaluates a potential in O(n) from prefix and suffix sums of the source,
 and `support_block` gathers the same closed form on the nodes where a
 source can live, the one operator every iterative stage of the solver
 uses; `ring_kernel` is the kernel as a dense matrix, a test oracle.
+`riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
+is all the D^{2,2} products of `radial_core.h2_inner` need.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +45,6 @@ def riesz_constants(dim):
     return RieszConstants(dim=dim,
                           r4=1.0 / (2.0 * (dim - 2) * (dim - 4) * om),
                           r2=1.0 / ((dim - 2) * om))
-
-
-@dataclass(eq=False)
-class KernelMatrix:
-    alpha: float
-    entries: np.ndarray
-    grid: object
 
 
 def _nonpositive_integer(x, slack):
@@ -140,7 +134,7 @@ def ring_kernel(grid, alpha):
     entries += om * p0
     lower = np.tri(grid.n, k=-1, dtype=bool)
     entries[lower] = entries.T[lower]
-    return KernelMatrix(alpha=float(alpha), entries=entries, grid=grid)
+    return entries
 
 
 def support_block(grid, d):
@@ -187,22 +181,13 @@ def apply_potential(alpha, h):
     return RadialField(g, g.sphere_area * out)
 
 
-class RieszSolution(NamedTuple):
-    u: RadialField
-    neg_lap: RadialField
-
-
 def riesz_solve(h):
-    """u with Delta^2 u = h, via u = R4 I_{N-4} h, and -Delta u = R2 I_{N-2} h."""
+    """u with Delta^2 u = h on R^N, u = R4 I_{N-4} h, carrying h as its source."""
     g = h.grid
     if not np.all(np.isfinite(h.values)):
         raise ValueError("source has non-finite values (divergent norms)")
-    c = riesz_constants(g.dim)
     u = apply_potential(g.dim - 4, h)
-    u.values *= c.r4
-    neg_lap = apply_potential(g.dim - 2, h)
-    neg_lap.values *= c.r2
-    return RieszSolution(u=u, neg_lap=neg_lap)
+    return RadialField(g, riesz_constants(g.dim).r4 * u.values, h.values)
 
 
 def weak_lp_profile(dim, alpha):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import GeometryError, estimate_a1, lower_bound_beta1
+from .energy import GeometryError, estimate_a1
 from .mountain_pass import MPConfig, find_vtilde, make_bump, mp_solve
 from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
@@ -290,7 +290,8 @@ def _summarize(rows, profiles, grid, geometry):
             threshold_index = k
             break
 
-    beta1 = lower_bound_beta1([sup_global[r.a] for r in pos_rows]) if pos_rows else None
+    # empirical beta_1: the smallest sup norm over the shifted rows
+    beta1 = min(sup_global[r.a] for r in pos_rows) if pos_rows else None
 
     return {
         "a1_estimate": float(geometry.a1),

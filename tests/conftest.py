@@ -52,7 +52,7 @@ def full_grid_n_a(u, shifted, weight):
 
 def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
     """sup int g|u|^p / ||Delta u||^p and its maximiser by the power iteration
-    v <- T(h) / (int h T(h))^{1/2}, h = g|v|^{p-2} v, with T = riesz_solve(.).u
+    v <- T(h) / (int h T(h))^{1/2}, h = g|v|^{p-2} v, with T = riesz_solve
     applied on the whole grid at every step."""
     g = sp.sample_on_grid(weight, grid).values
     mass = g * grid.r_pow * grid.w * grid.sphere_area
@@ -60,7 +60,7 @@ def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
     lam_prev = np.inf
     for _ in range(max_iter):
         dual = np.abs(v) ** (p - 2.0) * v
-        t = sp.riesz_solve(sp.RadialField(grid, g * dual)).u.values
+        t = sp.riesz_solve(sp.RadialField(grid, g * dual)).values
         norm_d = np.sqrt(np.sum(mass * dual * t))
         if norm_d == 0.0:
             return 0.0, sp.zeros(grid)

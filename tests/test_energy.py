@@ -157,7 +157,7 @@ def test_estimate_bg_dense_oracle(example_w, grid128):
     gv = sp.sample_on_grid(example_w, g).values
     m = gv * g.r ** (g.dim - 1) * g.w
     root = np.sqrt(m)
-    k4 = ring_kernel(g, g.dim - 4).entries
+    k4 = ring_kernel(g, g.dim - 4)
     c = sp.riesz_constants(g.dim)
     s_mat = c.r4 * root[:, None] * k4 * root[None, :]
     top = eigh(s_mat, eigvals_only=True)[-1]
@@ -201,7 +201,7 @@ def test_c_lin_dense_oracle(example_w, grid128, geometry128):
     # the example and, in dims 5-9, for the annulus and a table weight
     def dense_c_lin(weight, g):
         mg = sp.sample_on_grid(weight, g).values * g.r ** (g.dim - 1) * g.w
-        k4 = ring_kernel(g, g.dim - 4).entries
+        k4 = ring_kernel(g, g.dim - 4)
         return np.sqrt(g.sphere_area * sp.riesz_constants(g.dim).r4 * (mg @ k4 @ mg))
 
     assert geometry128.c_lin == pytest.approx(dense_c_lin(example_w, grid128), rel=1e-12)
@@ -238,7 +238,7 @@ def test_ratio_sup_dominates_random_sources(dim, n, frac, low, seed):
                 h += rng.normal() * np.exp(-((grid.r - rng.uniform(0.0, 2.0)) ** 2)
                                            / (2.0 * width * width))
         src = RadialField(grid, h)
-        u = sp.riesz_solve(src).u.values
+        u = sp.riesz_solve(src).values
         den = sp.integrate(RadialField(grid, h * u))
         if den <= 0.0:
             continue
@@ -285,7 +285,7 @@ def test_weight_supported_far_out(example_spec):
     lam = sp.estimate_bg(w, g)
     m = sp.sample_on_grid(w, g).values * g.r ** (g.dim - 1) * g.w
     root = np.sqrt(m)
-    k4 = ring_kernel(g, g.dim - 4).entries
+    k4 = ring_kernel(g, g.dim - 4)
     s_mat = sp.riesz_constants(g.dim).r4 * root[:, None] * k4 * root[None, :]
     assert lam == pytest.approx(eigh(s_mat, eigvals_only=True)[-1], rel=1e-10)
     geo = sp.estimate_a1(example_spec, w, g)
@@ -328,13 +328,6 @@ def test_rim_levels_dominate_beta(example_spec, example_w, grid128, geometry128)
     levels = rim_levels(sh, example_w, geometry128, grid128)
     assert levels.size > 0
     assert np.min(levels) >= geometry128.beta - 1e-6
-
-
-def test_lower_bound_beta1_mixed_inputs():
-    assert sp.lower_bound_beta1([3.0, 5.0, 4.2]) == 3.0
-    assert sp.lower_bound_beta1([np.float64(4.2), 5]) == 4.2
-    with pytest.raises(ValueError):
-        sp.lower_bound_beta1([])
 
 
 def test_fa_prime_vanishes_on_nonpositive(example_spec):

@@ -286,7 +286,7 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
 
 def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     # each ray takes one norm and evaluates F_a on the m nodes of supp g: a
-    # row pays at most 9 stencil norms (the sweep one more, for the bump), and
+    # row pays at most 9 norms (the sweep one more, for the bump), and
     # no F_a argument is longer than the 31 rungs of the vtilde ladder times m
     h2_calls, fa_sizes = [], []
     h2_inner, eval_fa_prim = radial_core.h2_inner, energy.eval_Fa
@@ -333,8 +333,39 @@ def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     assert len(starts) == len(report.rows) == 13
     assert all(r.converged for r in report.rows)
     for begin, end in zip(starts, starts[1:] + [counts]):
-        assert end["apply_potential"] - begin["apply_potential"] <= 5
+        assert end["apply_potential"] - begin["apply_potential"] <= 3
         assert end["support_block"] - begin["support_block"] <= 2
+
+
+def test_sweep_takes_no_stencil(tmp_path, monkeypatch):
+    # every norm, level and residual of a solve is int h v over the source:
+    # the finite-difference Laplacian is never called
+    calls = []
+    laplacian = radial_core.laplacian
+
+    def counting(u):
+        calls.append(u.grid.n)
+        return laplacian(u)
+    monkeypatch.setattr(radial_core, "laplacian", counting)
+    report = sweep_cli.run_sweep(parse_config(write(tmp_path, "[grid]\nn = 128\n")))
+    assert len(report.rows) == 13 and all(r.converged for r in report.rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize("table", [
+    [[0.5, 1.0], [1.0, 1.0]],                                   # g = 1 on [0.5, 1]
+    np.c_[np.linspace(0.0, 19.0, 40), 1.0 / (1.0 + np.linspace(0.0, 19.0, 40) ** 2)],
+])
+def test_table_weights_converge_at_index_one(tmp_path, table):
+    # with the norm on R^N, the flat table's polished point clears the rim and
+    # the [0, 19] table's straight path has a crest of mountain-pass type
+    tab = tmp_path / "g.csv"
+    np.savetxt(tab, np.asarray(table), delimiter=",")
+    cfg = parse_config(write(tmp_path, "[weight]\nfamily = custom_table\n"
+                             "table_path = %s\n[grid]\nn = 256\n[sweep]\ncount = 3\n" % tab))
+    report = sweep_cli.run_sweep(cfg)
+    assert len(report.rows) == 4 and all(r.converged for r in report.rows)
+    assert [idx for _, idx in report.summary["morse_index"]] == [1] * 4
 
 
 def test_profile_csv_cells_round_trip(tmp_path, small_report):
@@ -374,6 +405,19 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_run_positone_script_small_ball():
+    # r_max = 8 is enough once the norm is int h u on R^N: the script exits 0
+    # (converged) and its two readings of the level agree
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "run_positone.py"),
+                          "--n", "128", "--r-max", "8"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    gap = re.search(r"weak level .*\(relative gap (\S+)\)", out.stdout)
+    assert gap and float(gap.group(1)) <= 1e-8
 
 
 def test_main_missing_file(tmp_path, capsys):
