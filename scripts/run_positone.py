@@ -50,18 +50,15 @@ def main(argv=None):
     u = sol.u
     diag = sol.diagnostics
     norm = diag["norm_h2"]
-    g = sp.sample_on_grid(weight, grid).values
-    src = sp.RadialField(grid, g * sp.eval_fa(shifted, u.values))
+    src = sp.RadialField(grid, geo.support.g * sp.eval_fa(shifted, u.values))
     fit, pred = sp.decay_constant(u, src)
-    weak = 0.5 * sp.integrate(sp.RadialField(grid, src.values * u.values)) \
-        - sp.integrate(sp.RadialField(grid, g * sp.eval_Fa(shifted, u.values)))
 
     print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
           % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))
     print("  converged    = %s" % sol.converged)
     print("  level        = %.12g   (rim floor beta = %.6g)" % (sol.level, geo.beta))
     print("  weak level   = %.12g   (relative gap %.3e)"
-          % (weak, abs(sol.level - weak) / abs(weak)))
+          % (diag["weak_level"], diag["level_gap"]))
     print("  ||Delta u||  = %.12g" % norm)
     print("  sup u        = %.6g    min u = %.6g" % (np.max(u.values), np.min(u.values)))
     print("  residual     = %.3e   (relative %.3e)" % (sol.residual, sol.residual / max(1.0, norm)))

@@ -1,14 +1,16 @@
 """Variational layer: the functionals N_a, I_a over radial fields, the
-gradient realized through the Riesz fixed-point map T(u) = riesz_solve(g f_a(u)),
+gradient residual of the Riesz fixed-point map T(u) = riesz_solve(g f_a(u)),
 and the mountain-pass geometry constants from their variational problems,
-returned with the B_g maximiser phi, the direction of the straight path.
+returned with the B_g maximiser phi, the direction of the straight path,
+and the support of g that every later stage reads.
 
-g vanishes off its support, so N_a is a sum over the m nodes S where the
-sampled g is nonzero (m = 14 of n = 512 for the example), and F_a is
-evaluated there only. On a ray the norm is quadratic, so `ray_levels`
-gives I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one
-norm and one F_a call on a (len(t), m) array. T(g x) reads x on S only,
-where it is B x, B = `support_block(grid, g)`: the constants take m values.
+`estimate_a1` samples g once and builds its `riesz_potential.Support`: the
+m nodes S where g is nonzero (m = 14 of n = 512 for the example), the
+masses on S and the block B with T(g x) = B x on S. The layer functions
+take that support: N_a and the residual are sums over S, F_a is evaluated
+there only, and on a ray the norm is quadratic, so `ray_levels` gives
+I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one norm
+and one F_a call on a (len(t), m) array.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2. Every
 field the solver forms is a Riesz potential u = T(h) that carries its
@@ -25,58 +27,52 @@ import numpy as np
 from . import radial_core as rc
 from .nonlinearity import eval_Fa, eval_fa, eval_f0prime, growth_envelope
 from .weight import sample_on_grid
-from .riesz_potential import riesz_solve, support_block
+from .riesz_potential import Support, riesz_solve, support
 
 _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
 
 
-def _support_mass(weight, grid):
-    """Nodes S where g != 0 and the quadrature mass omega_N r^{N-1} w g on S:
-    every integral against g is a sum over S."""
-    g = sample_on_grid(weight, grid).values
-    nodes = np.flatnonzero(g)
-    return nodes, grid.sphere_area * grid.r_pow[nodes] * grid.w[nodes] * g[nodes]
-
-
-def n_a(u, shifted, weight):
+def n_a(u, shifted, sup):
     """N_a(u) = int g F_a(u), summed over the nodes of supp g."""
-    nodes, mass = _support_mass(weight, u.grid)
-    return float(np.sum(mass * eval_Fa(shifted, u.values[nodes])))
+    return float(np.sum(sup.mass * eval_Fa(shifted, u.values[sup.nodes])))
 
 
-def i_a(u, shifted, weight):
+def i_a(u, shifted, sup):
     """I_a(u) = ||Delta u||^2 / 2 - N_a(u)."""
-    return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, weight)
+    return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, sup)
 
 
-def ray_levels(v, shifted, weight, t):
+def ray_levels(v, shifted, sup, t):
     """I_a(t_k v) for every scale t_k of the array t.
 
     The norm is quadratic and g vanishes off supp g, so
     I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): one norm for the
     whole ray, and F_a on the (len(t), m) array of scaled support values.
     """
-    nodes, mass = _support_mass(weight, v.grid)
     t = np.asarray(t, dtype=float)
-    f_a = eval_Fa(shifted, np.multiply.outer(t, v.values[nodes]))
-    return 0.5 * t * t * rc.h2_inner(v, v) - np.sum(mass * f_a, axis=-1)
+    f_a = eval_Fa(shifted, np.multiply.outer(t, v.values[sup.nodes]))
+    return 0.5 * t * t * rc.h2_inner(v, v) - np.sum(sup.mass * f_a, axis=-1)
 
 
-def gradient_map(u, shifted, weight):
-    """The fixed-point map T(u) = riesz_solve(g f_a(u)) and the gradient
-    residual ||Delta(u - T(u))||_2; residual 0 characterizes discrete weak
-    solutions. When u has a source, u - T(u) is the potential of
-    source - g f_a(u) and the residual is exact on R^N."""
-    g = sample_on_grid(weight, u.grid).values
+def gradient_map(u, shifted, sup):
+    """The gradient residual ||Delta(u - T(u))||_2, T(u) = riesz_solve(g f_a(u)),
+    0 at discrete weak solutions. u must be a potential with its source on S,
+    as every field the solver forms is: then u - T(u) is the potential of
+    h = source - g f_a(u), on S, and T(u) = B f_a(x) there, x = u[S], so the
+    residual (int h (u - T(u)))^{1/2} is a sum over S, exact on R^N."""
+    src = u.source
+    nodes = sup.nodes
+    if src is None or np.count_nonzero(src) != np.count_nonzero(src[nodes]):
+        raise ValueError("gradient_map needs a potential whose source lives on supp g")
+    x = u.values[nodes]
     with np.errstate(over="ignore", invalid="ignore"):
-        src = g * eval_fa(shifted, u.values)
-    if not np.all(np.isfinite(src)):
-        raise ValueError("divergent source norm: g f_a(u) is not finite at all nodes")
-    t_u = riesz_solve(rc.RadialField(u.grid, src))
-    diff = rc.RadialField(u.grid, u.values - t_u.values,
-                          None if u.source is None else u.source - src)
-    return t_u, rc.h2_norm(diff)
+        f_x = eval_fa(shifted, x)
+        h = src[nodes] - sup.g[nodes] * f_x
+    if not np.all(np.isfinite(h)):
+        raise ValueError("divergent source norm: g f_a(u) is not finite on supp g")
+    measure = sup.grid.sphere_area * sup.grid.r_pow[nodes] * sup.grid.w[nodes]
+    return float(np.sqrt(max(np.sum(measure * h * (x - sup.block @ f_x)), 0.0)))
 
 
 class GeometryError(ValueError):
@@ -96,9 +92,10 @@ class GeometryConstants:
     c_env: float
     gamma: float
     phi: rc.RadialField = field(repr=False, compare=False)  # B_g maximiser
+    support: Support = field(repr=False, compare=False)  # supp g, read by every stage
 
 
-def _ratio_sup(weight, grid, p):
+def _ratio_sup(sup, p):
     """sup_u int g|u|^p / ||Delta u||^p and its maximiser, p >= 2.
 
     Normalised nonlinear power iteration v <- T(h) / ||Delta T(h)||,
@@ -109,14 +106,12 @@ def _ratio_sup(weight, grid, p):
     monotonically. The start is the constant field, which has mass wherever
     g lives; the maximiser becomes a grid field once, by `riesz_solve`.
     """
-    g = sample_on_grid(weight, grid).values
-    nodes, block = support_block(grid, g)
-    _, mass = _support_mass(weight, grid)
+    grid, g, nodes, mass = sup.grid, sup.g, sup.nodes, sup.mass
     v = np.ones(nodes.size)
     lam_prev = np.inf
     for _ in range(_BG_MAX_ITER):
         dual = np.abs(v) ** (p - 2.0) * v  # h = g * dual
-        t = block @ dual  # T(h) on S
+        t = sup.block @ dual  # T(h) on S
         norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
         if norm_d == 0.0:
             return 0.0, rc.zeros(grid)
@@ -133,7 +128,7 @@ def _ratio_sup(weight, grid, p):
 
 def estimate_bg(weight, grid):
     """B_g = sup int g u^2 / ||Delta u||^2, the p = 2 case of `_ratio_sup`."""
-    return _ratio_sup(weight, grid, 2.0)[0]
+    return _ratio_sup(support(sample_on_grid(weight, grid)), 2.0)[0]
 
 
 def estimate_a1(spec, weight, grid, eps=None):
@@ -154,12 +149,14 @@ def estimate_a1(spec, weight, grid, eps=None):
 
         a1 = A(rho*) / (2 c_lin rho*),   beta = A(rho*) / 2.
 
-    The maximiser phi of the B_g iteration comes back too: the straight
-    path runs along it (`mountain_pass.make_bump`). Raises GeometryError
-    when eps, q or A(rho*) leave no positive rim.
+    The maximiser phi of the B_g iteration comes back too, the direction of
+    the straight path (`mountain_pass.make_bump`), and so does the support
+    the constants were computed on, which every later stage reads. Raises
+    GeometryError when eps, q or A(rho*) leave no positive rim.
     """
     gamma = spec.gamma
-    b_g, phi = _ratio_sup(weight, grid, 2.0)
+    sup = support(sample_on_grid(weight, grid))
+    b_g, phi = _ratio_sup(sup, 2.0)
     gn4 = weight.norm(grid.dim / 4.0)
     cap = 1.0 / (b_g * gn4) if b_g * gn4 > 0 else np.inf
     if eps is None:
@@ -171,11 +168,9 @@ def estimate_a1(spec, weight, grid, eps=None):
     if q <= 0:
         raise GeometryError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
 
-    _, mass = _support_mass(weight, grid)
-    _, block = support_block(grid, sample_on_grid(weight, grid).values)
-    c_lin = float(np.sqrt(np.sum(mass * block.sum(axis=1))))  # int g T(g), B 1 = T(g) on S
+    c_lin = float(np.sqrt(np.sum(sup.mass * sup.block.sum(axis=1))))  # int g T(g), B 1 = T(g) on S
     c_env = growth_envelope(spec, eps)
-    c_gamma = c_env / gamma * _ratio_sup(weight, grid, gamma)[0]
+    c_gamma = c_env / gamma * _ratio_sup(sup, gamma)[0]
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rho1 = np.power(q / c_gamma, 1.0 / (gamma - 2.0))
@@ -189,7 +184,7 @@ def estimate_a1(spec, weight, grid, eps=None):
                             % (c_gamma, c_lin, rho_star, beta, a1))
     return GeometryConstants(b_g=b_g, eps=eps, c_gamma=c_gamma, rho=rho_star,
                              beta=beta, a1=a1, c_lin=c_lin, rho1=rho1,
-                             c_env=c_env, gamma=gamma, phi=phi)
+                             c_env=c_env, gamma=gamma, phi=phi, support=sup)
 
 
 def fa_prime_values(shifted, values):

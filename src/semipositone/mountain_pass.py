@@ -10,9 +10,9 @@ ray, less int g F_a(t v) on the m nodes of supp g. Every field here is a
 Riesz potential scaled by `radial_core.scale`, so it keeps its source and
 each norm, level and residual is int h v, exact on R^N. Polish the crest by
 semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
-m nodes S of supp g, where it is B f_a(u[S]) with B the m x m support block
-(`riesz_potential.support_block(grid, g)`): Newton runs on the m values,
-each step one exact dense solve of I - B diag(f_a'), and the polished
+m nodes S of supp g, where it is B f_a(u[S]), B the m x m block of the
+`riesz_potential.Support` that `estimate_a1` built: Newton runs on the m
+values, each step one exact dense solve of I - B diag(f_a'), and the polished
 point becomes a grid field once, by one `riesz_solve`. Certify it by
 its Morse index, the number of eigenvalues above 1 of R4 K diag(g f_a'(u)),
 read from the eigenvalues of B diag(f_a'(u[S])): a nondegenerate
@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import estimate_a1, fa_prime_values, gradient_map, i_a, ray_levels
+from .energy import estimate_a1, fa_prime_values, gradient_map, i_a, n_a, ray_levels
 from .nonlinearity import eval_fa
-from .riesz_potential import riesz_solve, support_block
-from .weight import sample_on_grid
+from .riesz_potential import riesz_solve
 
 
 @dataclass
@@ -73,7 +72,7 @@ def make_bump(phi):
 _T_CAP_DOUBLINGS = 30
 
 
-def find_vtilde(shifted, weight, bump, rho):
+def find_vtilde(shifted, sup, bump, rho):
     """First point t*bump with negative energy along the ray, t doubling
     from 2*rho; the whole ladder is one `ray_levels` call. A cap at 2^30 rho
     turns persistent positivity into an error (superlinearity of f is
@@ -85,7 +84,7 @@ def find_vtilde(shifted, weight, bump, rho):
         raise ValueError("bump must be nonnegative")
     t = 2.0 * rho * 2.0 ** np.arange(_T_CAP_DOUBLINGS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        negative = np.flatnonzero(ray_levels(bump, shifted, weight, t) < 0.0)
+        negative = np.flatnonzero(ray_levels(bump, shifted, sup, t) < 0.0)
     if negative.size:
         return rc.scale(bump, t[negative[0]])
     raise RuntimeError(
@@ -98,7 +97,7 @@ def find_vtilde(shifted, weight, bump, rho):
 _NEWTON_MAX_ITER = 20
 
 
-def _morse_index(u, shifted, weight):
+def _morse_index(u, shifted, sup):
     """Morse index of I_a at u, and the top two eigenvalues it is read from.
 
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
@@ -113,16 +112,14 @@ def _morse_index(u, shifted, weight):
     """
     if shifted.base.fprime is None:
         return None, np.empty(0)
-    grid = u.grid
-    nodes, block = support_block(grid, sample_on_grid(weight, grid).values)
-    fp = fa_prime_values(shifted, u.values[nodes])
-    spectrum = np.concatenate((np.linalg.eigvals(block * fp).real,
-                               np.zeros(min(2, grid.n - nodes.size))))
+    fp = fa_prime_values(shifted, u.values[sup.nodes])
+    spectrum = np.concatenate((np.linalg.eigvals(sup.block * fp).real,
+                               np.zeros(min(2, sup.grid.n - sup.nodes.size))))
     top = np.sort(spectrum)[::-1][:2]
     return int(np.sum(top > 1.0)), top
 
 
-def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
+def _newton_polish(u0, shifted, sup, max_iter, tol=1e-11, trace=None):
     """Semi-smooth Newton on Phi(u) = u - T(u) over the values x = u[S],
     where T(u) = B f_a(x), with Jacobian I - B diag(f_a'(x)) (f_a' taken 0
     on x <= 0). Returns the grid field T(x), from one `riesz_solve`.
@@ -136,8 +133,7 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
         trace.update(residual=residuals, support=support)
     if shifted.base.fprime is None:
         return None
-    g = sample_on_grid(weight, grid).values
-    nodes, block = support_block(grid, g)
+    grid, g, nodes, block = sup.grid, sup.g, sup.nodes, sup.block
     x = u0.values[nodes]
     scale = max(1.0, float(np.max(np.abs(u0.values))))
     res_prev = np.inf
@@ -166,12 +162,12 @@ def _newton_polish(u0, shifted, weight, grid, max_iter, tol=1e-11, trace=None):
     return riesz_solve(rc.RadialField(grid, src)), it
 
 
-def _crest(vtilde, k_nodes, shifted, weight):
+def _crest(vtilde, k_nodes, shifted, sup):
     """Highest of k_nodes evenly spaced nodes on the straight path from 0 to
     vtilde, all levels from one `ray_levels` call. Returns (node, its level,
     the level of vtilde); raises when the maximizer is pinned at an endpoint."""
     t = np.linspace(0.0, 1.0, k_nodes)
-    levels = ray_levels(vtilde, shifted, weight, t)
+    levels = ray_levels(vtilde, shifted, sup, t)
     k_star = int(np.argmax(levels))
     if not 0 < k_star < k_nodes - 1:
         raise RuntimeError("path maximizer pinned at an endpoint")
@@ -180,48 +176,53 @@ def _crest(vtilde, k_nodes, shifted, weight):
 
 def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
     """Crest of the straight path, Newton polish, Morse-index certificate, for
-    one shift a. Converged means a relative residual within tol_res at a
-    point of Morse index 1; otherwise the crest comes back non-converged."""
+    one shift a, on geometry.support, which must lie on grid. Converged means
+    a relative residual within tol_res at a point of Morse index 1; otherwise
+    the crest comes back non-converged."""
     cfg = config or MPConfig()
     if geometry is None:
         geometry = estimate_a1(shifted.base, weight, grid)
+    sup = geometry.support
+    if sup.grid is not grid:
+        raise ValueError("geometry was estimated on another grid than the one solved on")
     warned = []
     if shifted.a >= geometry.a1:
         warned.append("a=%g >= a1 estimate %g: geometry untrusted, solving anyway"
                       % (shifted.a, geometry.a1))
         warnings.warn(warned[-1])
     if vtilde is None:
-        vtilde = find_vtilde(shifted, weight, make_bump(geometry.phi), geometry.rho)
+        vtilde = find_vtilde(shifted, sup, make_bump(geometry.phi), geometry.rho)
 
-    u_crest, crest_level, vtilde_level = _crest(vtilde, cfg.path_nodes, shifted, weight)
-    _, crest_res = gradient_map(u_crest, shifted, weight)
+    u_crest, crest_level, vtilde_level = _crest(vtilde, cfg.path_nodes, shifted, sup)
+    crest_res = gradient_map(u_crest, shifted, sup)
     crest_norm = rc.h2_norm(u_crest)
     res_rel = crest_res / max(1.0, crest_norm)
     u_best, final_level, final_res, its = u_crest, crest_level, crest_res, 1
     final_norm = crest_norm
 
     newton = {}
-    polished = _newton_polish(u_crest, shifted, weight, grid, _NEWTON_MAX_ITER,
-                              trace=newton)
+    polished = _newton_polish(u_crest, shifted, sup, _NEWTON_MAX_ITER, trace=newton)
     newton_used = False
     if polished is not None:
         u_cand, newton_its = polished
-        cand_level = i_a(u_cand, shifted, weight)
-        _, cand_res = gradient_map(u_cand, shifted, weight)
+        cand_level = i_a(u_cand, shifted, sup)
+        cand_res = gradient_map(u_cand, shifted, sup)
         cand_norm = rc.h2_norm(u_cand)
         cand_rel = cand_res / max(1.0, cand_norm)
         # accept a genuine improvement: a better residual, still above the rim,
         # at a point of mountain-pass type
         if cand_rel < res_rel and cand_level >= geometry.beta - 1e-6:
-            morse = _morse_index(u_cand, shifted, weight)
+            morse = _morse_index(u_cand, shifted, sup)
             if morse[0] == 1:
                 u_best, final_level, final_res, res_rel = u_cand, cand_level, cand_res, cand_rel
                 final_norm = cand_norm
                 newton_used = True
                 its += newton_its
     if not newton_used:
-        morse = _morse_index(u_crest, shifted, weight)
+        morse = _morse_index(u_crest, shifted, sup)
     morse_index, morse_top = morse
+    x = u_best.values[sup.nodes]  # the weak-form level (1/2) int g f_a(u) u - int g F_a(u)
+    weak_level = 0.5 * np.sum(sup.mass * eval_fa(shifted, x) * x) - n_a(u_best, shifted, sup)
 
     diag = {
         "rim_ok": bool(final_level >= geometry.beta - 1e-6),
@@ -236,6 +237,8 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
         "vtilde_norm": rc.h2_norm(vtilde),
         "vtilde_level": vtilde_level,
         "norm_h2": final_norm,
+        "weak_level": float(weak_level),
+        "level_gap": float(abs(final_level - weak_level) / abs(final_level)),
         "history_norm": np.array([crest_norm]),
         "history_residual": np.array([crest_res]),
         "history_level": np.array([crest_level]),

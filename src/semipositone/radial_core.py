@@ -88,7 +88,7 @@ def make_grid(dim, n, r_max):
 
 
 def zeros(grid):
-    return RadialField(grid, np.zeros(grid.n))
+    return RadialField(grid, np.zeros(grid.n), np.zeros(grid.n))  # T(0), with its source
 
 
 def laplacian(u):

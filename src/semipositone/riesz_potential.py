@@ -19,9 +19,10 @@ solver needs it terminates:
 
 Both are sums of at most two products f(rho) g(R), so `apply_potential`
 evaluates a potential in O(n) from prefix and suffix sums of the source,
-and `support_block` gathers the same closed form on the nodes where a
-source can live, the one operator every iterative stage of the solver
-uses; `ring_kernel` is the kernel as a dense matrix, a test oracle.
+and `support` gathers the same closed form on the nodes S of supp g into
+the m x m block B, built once per problem and read by every iterative
+stage of the solver; `ring_kernel` is the kernel as a dense matrix, a test
+oracle.
 `riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
 is all the D^{2,2} products of `radial_core.h2_inner` need.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial_core import RadialField, sphere_area, integrate
+from .radial_core import RadialField, RadialGrid, sphere_area, integrate
 
 
 @dataclass(frozen=True)
@@ -137,24 +138,34 @@ def ring_kernel(grid, alpha):
     return entries
 
 
-def support_block(grid, d):
-    """Nodes S where d != 0, and the m x m block B = R4 K[S, S] diag(r^{N-1} w d)[S]
-    of the map x -> R4 I_{N-4}(d x), K the order N-4 kernel of `ring_kernel`.
+@dataclass(frozen=True, eq=False)
+class Support:
+    """supp g discretised once per problem, by `support`. Every integral
+    against g is a sum over the nodes S = flatnonzero(g) with weights
+    mass = omega_N r^{N-1} w g, and T(g x) = B x on S, with the m x m block
+    B = R4 K[S, S] diag(r^{N-1} w g)[S], K the order N-4 kernel. T reads x
+    on S only, so its nonzero spectrum is that of B, and (I - T) x = y
+    reduces to (I - B) x_S = y_S (Atkinson, The Numerical Solution of
+    Integral Equations of the Second Kind, 1997, ch. 4)."""
+    grid: RadialGrid
+    g: np.ndarray  # the sampled grid values of g
+    nodes: np.ndarray
+    mass: np.ndarray
+    block: np.ndarray
 
-    The map reads x on S only, so its nonzero spectrum is that of B, and
-    (I - map) x = y reduces to (I - B) x_S = y_S (Atkinson, The Numerical
-    Solution of Integral Equations of the Second Kind, 1997, ch. 4). With
-    d = g, B x is T(g x) on S. B is gathered from the closed-form powers at
-    R = max and rho = min index.
-    """
-    nodes = np.flatnonzero(d)
+
+def support(g_field):
+    """The `Support` of the sampled weight g_field, B from the closed form."""
+    grid, g = g_field.grid, g_field.values
+    nodes = np.flatnonzero(g)
     p0, p2, c = _kernel_coeffs(grid, grid.dim - 4.0)
     big = np.maximum.outer(nodes, nodes)
     small = grid.r[np.minimum.outer(nodes, nodes)]
     kern = p0[big] - c * small * small * p2[big]
     col = (riesz_constants(grid.dim).r4 * grid.sphere_area
-           * grid.r_pow[nodes] * grid.w[nodes] * d[nodes])
-    return nodes, kern * col
+           * grid.r_pow[nodes] * grid.w[nodes] * g[nodes])
+    mass = grid.sphere_area * grid.r_pow[nodes] * grid.w[nodes] * g[nodes]
+    return Support(grid=grid, g=g, nodes=nodes, mass=mass, block=kern * col)
 
 
 def apply_potential(alpha, h):
@@ -216,12 +227,17 @@ def weak_lp_profile(dim, alpha):
 def decay_constant(u, source):
     """Far-field law r^{N-4} u(r) -> R4 int source.
 
-    fitted: median of r^{N-4} u(r) over the outer half of the grid;
-    predicted: R4 times the integral of the source. Both are returned; a
-    non-positive prediction is flagged in the result.
+    Beyond the last node where the source is nonzero, R = r and rho = s in
+    the order N-4 kernel, so the potential is exactly r^{4-N} (A + B r^{-2})
+    there. fitted: A from a least-squares fit of r^{N-4} u to A + B r^{-2}
+    on those nodes, NaN when they do not determine both terms; predicted:
+    R4 times the integral of the source.
     """
     g = u.grid
-    outer = g.r >= 0.5 * g.r_max
-    fitted = float(np.median(g.r[outer] ** (g.dim - 4) * u.values[outer]))
+    far = slice(np.flatnonzero(source.values).max(initial=0) + 1, None)
+    r = g.r[far]  # columns r^{-2} and 1 of the design, coefficients (B, A)
+    coef, _, rank, _ = np.linalg.lstsq(np.vander(r ** -2.0, 2), r ** (g.dim - 4) * u.values[far],
+                                       rcond=None)
+    fitted = float(coef[1]) if rank == 2 else np.nan
     predicted = float(riesz_constants(g.dim).r4 * integrate(source))
     return fitted, predicted

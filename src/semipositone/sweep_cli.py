@@ -25,8 +25,7 @@ from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            example_nonlinearity, linear_nonlinearity,
                            power_nonlinearity)
 from .riesz_potential import decay_constant
-from .weight import (check_g1, check_g2, example_weight, sample_on_grid,
-                     table_weight)
+from .weight import check_g1, check_g2, example_weight, table_weight
 
 CSV_HEADER = "a,level,norm_h2,sup_ext,min_value,neg_mass,decay_fit,decay_pred,residual,converged"
 
@@ -199,15 +198,14 @@ def _default_a_values(geometry, count, decades):
     return list(a_max * 10.0 ** (-decades * k / (count - 1)))
 
 
-def _row_from_solution(sol, shifted, weight):
+def _row_from_solution(sol, shifted, sup):
     u = sol.u
     grid = u.grid
     ext = grid.r >= 1.0
     sup_ext = float(np.max(np.abs(u.values[ext])))
     neg_part = np.maximum(-u.values, 0.0)
     neg_mass = rc.integrate(rc.RadialField(grid, neg_part))
-    g = sample_on_grid(weight, grid).values
-    src = rc.RadialField(grid, g * eval_fa(shifted, u.values))
+    src = rc.RadialField(grid, sup.g * eval_fa(shifted, u.values))
     fit, pred = decay_constant(u, src)
     return SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
                     sup_ext=sup_ext, min_value=float(np.min(u.values)),
@@ -230,15 +228,15 @@ def run_sweep(cfg, a_values=None):
     rows, profiles, sols = [], {}, {}
     for a in a_desc:
         shifted = ShiftedNonlinearity(spec, a)
-        vtilde = find_vtilde(shifted, weight, bump, geometry.rho)
+        vtilde = find_vtilde(shifted, geometry.support, bump, geometry.rho)
         sol = mp_solve(shifted, weight, grid, cfg.mp, geometry, vtilde=vtilde)
-        rows.append(_row_from_solution(sol, shifted, weight))
+        rows.append(_row_from_solution(sol, shifted, geometry.support))
         profiles[a] = sol.u.values.copy()
         sols[a] = sol
 
     summary = _summarize(rows, profiles, grid, geometry)
-    summary["morse_index"] = [[a, sol.diagnostics["morse_index"]]
-                              for a, sol in sols.items()]
+    for key in ("morse_index", "level_gap"):
+        summary[key] = [[a, sol.diagnostics[key]] for a, sol in sols.items()]
     echo = _config_echo(cfg)
     return SweepReport(rows=rows, summary=summary, config_echo=echo,
                        profiles=profiles, grid_r=grid.r.copy(), geometry=geometry)

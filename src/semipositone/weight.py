@@ -24,8 +24,7 @@ class WeightSpec:
     For the example family profile(r) = r^{-d} on the annulus; for table
     weights (r_in, r_out) just bound the support and g is smooth between the
     knots. norms and c_g are caches filled on demand, keyed by p and by
-    delta respectively; grid_cache holds the samples of the last few grids
-    (`sample_on_grid`).
+    delta respectively.
     """
     profile: Callable
     dim: int
@@ -36,7 +35,6 @@ class WeightSpec:
     knots: tuple = ()
     norms: dict = field(default_factory=dict)
     c_g: dict = field(default_factory=dict)
-    grid_cache: dict = field(default_factory=dict, repr=False)
 
     def norm(self, p):
         p = float(p)
@@ -140,10 +138,6 @@ def _conjugate(p):
     return p / (p - 1.0)
 
 
-# grids whose samples one weight keeps; a solve or sweep uses one grid
-_GRID_CACHE_SIZE = 8
-
-
 def sample_on_grid(spec, grid):
     """Grid representation of g preserving cell masses at the support edges.
 
@@ -159,9 +153,6 @@ def sample_on_grid(spec, grid):
     if spec.r_out >= grid.r_max:
         raise ValueError("grid r_max=%g does not cover the support [%g, %g]"
                          % (grid.r_max, spec.r_in, spec.r_out))
-    key = grid.key()
-    if key in spec.grid_cache:
-        return spec.grid_cache[key]
     h = grid.h
     lo = np.clip(grid.r - 0.5 * h, 0.0, None)
     hi = np.minimum(grid.r + 0.5 * h, grid.r_max)
@@ -173,11 +164,7 @@ def sample_on_grid(spec, grid):
         mass = _radial_integral(spec, edges)
         measure = grid.r_pow[touched] * grid.w[touched]
         vals[touched] = np.divide(mass, measure, out=np.zeros_like(mass), where=measure > 0)
-    out = RadialField(grid=grid, values=vals)
-    spec.grid_cache[key] = out
-    if len(spec.grid_cache) > _GRID_CACHE_SIZE:  # evict the oldest: dicts keep insertion order
-        del spec.grid_cache[next(iter(spec.grid_cache))]
-    return out
+    return RadialField(grid=grid, values=vals)
 
 
 def check_g1(spec):

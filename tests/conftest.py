@@ -2,8 +2,9 @@
 positone solve) are session-scoped so the whole suite pays for them once.
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
 tests that probe with random directions; `weak_pairing`, `energy_report`,
-`full_grid_n_a` and `full_grid_ratio_sup` are oracles for the energy layer,
-imported the same way."""
+`full_grid_n_a`, `full_grid_ratio_sup` and `fixed_point_map` are oracles
+for the energy layer, and `support_of` builds the support the layer
+functions read, all imported the same way."""
 
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ def random_trial_fields(grid, count, rng, n_lobes=4, r_span=None):
     return fields
 
 
-def rim_levels(shifted, weight, geometry, grid, n_fields=100, seed=11):
+def rim_levels(shifted, geometry, grid, n_fields=100, seed=11):
     """I_a over n_fields random fields scaled to the rim ||Delta u|| = rho*;
     the geometry promises min >= beta for a < a1."""
     rng = np.random.default_rng(seed)
@@ -40,7 +41,7 @@ def rim_levels(shifted, weight, geometry, grid, n_fields=100, seed=11):
         if nh2 == 0:
             continue
         scaled = sp.RadialField(grid, u.values * (geometry.rho / nh2))
-        levels.append(sp.i_a(scaled, shifted, weight))
+        levels.append(sp.i_a(scaled, shifted, geometry.support))
     return np.asarray(levels)
 
 
@@ -87,10 +88,20 @@ class EnergyReport:
     grad_residual: float
 
 
-def energy_report(u, shifted, weight):
+def support_of(weight, grid):
+    """The support of weight sampled on grid, as `estimate_a1` builds it."""
+    return sp.riesz_potential.support(sp.sample_on_grid(weight, grid))
+
+
+def fixed_point_map(u, shifted, sup):
+    """T(u) = riesz_solve(g f_a(u)) on the whole grid, by its definition."""
+    return sp.riesz_solve(sp.RadialField(u.grid, sup.g * sp.eval_fa(shifted, u.values)))
+
+
+def energy_report(u, shifted, sup):
     nh2 = sp.h2_norm(u)
-    nl = sp.n_a(u, shifted, weight)
-    _, res = sp.gradient_map(u, shifted, weight)
+    nl = sp.n_a(u, shifted, sup)
+    res = sp.gradient_map(u, shifted, sup)
     return EnergyReport(value=0.5 * nh2 ** 2 - nl, norm_h2=nh2,
                         nonlinear_term=nl, grad_residual=res)
 

@@ -15,7 +15,7 @@ from semipositone import sweep_cli
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import random_trial_fields, weak_pairing
+from conftest import random_trial_fields, support_of, weak_pairing
 
 # n = 512, r_max = 20: the level and norm on R^N, ||Delta u||^2 = int h u
 FROZEN_LEVEL = 930135288621.4
@@ -165,6 +165,7 @@ def test_criterion_7_semipositone_sweep(sweep512):
 
 def test_criterion_8_directional_derivative(example_spec, example_w, grid256):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5)
+    sup = support_of(example_w, grid256)
     rng = np.random.default_rng(11)
     fields = random_trial_fields(grid256, 100, rng, n_lobes=3)
     worst = 0.0
@@ -178,7 +179,7 @@ def test_criterion_8_directional_derivative(example_spec, example_w, grid256):
         def diff(step):
             up = RadialField(grid256, u.values + step * v.values)
             dn = RadialField(grid256, u.values - step * v.values)
-            return (sp.i_a(up, sh, example_w) - sp.i_a(dn, sh, example_w)) / (2.0 * step)
+            return (sp.i_a(up, sh, sup) - sp.i_a(dn, sh, sup)) / (2.0 * step)
 
         extrap = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
         exact = weak_pairing(u, v, sh, example_w)

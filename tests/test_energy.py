@@ -10,8 +10,8 @@ from semipositone.energy import _ratio_sup
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
-from conftest import (energy_report, full_grid_n_a, full_grid_ratio_sup,
-                      random_trial_fields, rim_levels, weak_pairing)
+from conftest import (energy_report, fixed_point_map, full_grid_n_a, full_grid_ratio_sup,
+                      random_trial_fields, rim_levels, support_of, weak_pairing)
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -26,11 +26,12 @@ def smooth_field(grid, seed, n_lobes=3):
 
 def test_energy_report_internal_identity(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.3)
-    u = smooth_field(grid128, 1)
-    rep = energy_report(u, sh, example_w)
+    sup = support_of(example_w, grid128)
+    u = sp.riesz_solve(RadialField(grid128, sup.g * smooth_field(grid128, 1).values))
+    rep = energy_report(u, sh, sup)
     assert rep.value == pytest.approx(0.5 * rep.norm_h2**2 - rep.nonlinear_term,
                                       rel=1e-12, abs=1e-12)
-    assert rep.value == pytest.approx(sp.i_a(u, sh, example_w), rel=1e-12)
+    assert rep.value == pytest.approx(sp.i_a(u, sh, sup), rel=1e-12)
 
 
 def test_nonlinear_term_split_oracle(example_spec, example_w, grid128):
@@ -42,7 +43,8 @@ def test_nonlinear_term_split_oracle(example_spec, example_w, grid128):
     gv = sp.sample_on_grid(example_w, grid128).values
     f_part = sp.integrate(RadialField(grid128, gv * sp.eval_F(example_spec, u.values)))
     lin_part = sp.integrate(RadialField(grid128, gv * u.values))
-    assert sp.n_a(u, sh, example_w) == pytest.approx(f_part - a * lin_part, rel=1e-12)
+    assert sp.n_a(u, sh, support_of(example_w, grid128)) == pytest.approx(
+        f_part - a * lin_part, rel=1e-12)
 
 
 def _family(name, dim):
@@ -70,12 +72,13 @@ def test_ray_levels_match_i_a(dim, family, shift, signed, top, seed):
     if not signed:
         vals = np.abs(vals)
     v = RadialField(grid, vals / sp.h2_norm(RadialField(grid, vals)))
-    on_support = np.max(np.abs(v.values[sp.sample_on_grid(weight, grid).values > 0]))
+    sup = support_of(weight, grid)
+    on_support = np.max(np.abs(v.values[sup.g > 0]))
     t = np.linspace(0.0, top / on_support, 9)
-    levels = sp.ray_levels(v, sh, weight, t)
+    levels = sp.ray_levels(v, sh, sup, t)
     assert levels.shape == t.shape
     for t_k, level in zip(t, levels):
-        ref = sp.i_a(RadialField(grid, t_k * v.values), sh, weight)
+        ref = sp.i_a(RadialField(grid, t_k * v.values), sh, sup)
         assert abs(level - ref) <= 1e-12 * 0.5 * t_k ** 2
 
 
@@ -98,7 +101,8 @@ def test_n_a_on_support_matches_full_grid(dim, n, support, family, shift, seed):
     rng = np.random.default_rng(seed)
     u = RadialField(grid, rng.uniform(-1.0, 3.0, n))
     scale = sp.integrate(RadialField(grid, np.abs(gv * sp.eval_Fa(sh, u.values))))
-    assert abs(sp.n_a(u, sh, weight) - full_grid_n_a(u, sh, weight)) <= 1e-13 * scale
+    assert abs(sp.n_a(u, sh, support_of(weight, grid))
+               - full_grid_n_a(u, sh, weight)) <= 1e-13 * scale
     if support != "annulus":
         inner = gv[(grid.r > weight.r_in) & (grid.r < weight.r_out)]
         assert np.any(inner == 0.0) and np.any(inner > 0.0)
@@ -106,9 +110,10 @@ def test_n_a_on_support_matches_full_grid(dim, n, support, family, shift, seed):
 
 def test_energy_zero_field(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5)
+    sup = support_of(example_w, grid128)
     z = sp.zeros(grid128)
-    assert sp.i_a(z, sh, example_w) == 0.0
-    t0, res = sp.gradient_map(z, sh, example_w)
+    assert sp.i_a(z, sh, sup) == 0.0
+    t0, res = fixed_point_map(z, sh, sup), sp.gradient_map(z, sh, sup)
     # T(0) = -a R4 K4 g is strictly negative: the shift alone pushes down
     assert np.all(t0.values < 0.0)
     assert res > 0.0
@@ -116,22 +121,39 @@ def test_energy_zero_field(example_spec, example_w, grid128):
 
 def test_gradient_map_positone_zero_is_critical(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    t0, res = sp.gradient_map(sp.zeros(grid128), sh, example_w)
+    sup = support_of(example_w, grid128)
+    z = sp.zeros(grid128)
+    t0, res = fixed_point_map(z, sh, sup), sp.gradient_map(z, sh, sup)
     assert res == 0.0
     assert np.all(t0.values == 0.0)
 
 
 def test_gradient_map_rejects_divergent_source(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    huge = RadialField(grid128, np.full(grid128.n, 1e308))  # f overflows to inf
+    sup = support_of(example_w, grid128)
+    # a potential of ~2e306 on supp g, where f overflows to inf
+    huge = sp.scale(sp.riesz_solve(RadialField(grid128, sup.g)), 5e307)
     with pytest.raises(ValueError, match="divergent"):
-        sp.gradient_map(huge, sh, example_w)
+        sp.gradient_map(huge, sh, sup)
+
+
+def test_gradient_map_rejects_fields_it_cannot_read_on_support(example_spec, example_w,
+                                                               grid128):
+    # the residual is a sum over supp g: a field without a source, or with
+    # source off supp g, has no residual there and is refused
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    sup = support_of(example_w, grid128)
+    smooth = smooth_field(grid128, 3)
+    for u in (smooth, sp.riesz_solve(smooth)):
+        with pytest.raises(ValueError, match="source lives on supp g"):
+            sp.gradient_map(u, sh, sup)
 
 
 def test_directional_derivative_richardson(example_spec, example_w, grid128):
     # central differences of I_a along v, Richardson-extrapolated, against
     # the weak-form pairing
     sh = sp.ShiftedNonlinearity(example_spec, 0.2)
+    sup = support_of(example_w, grid128)
     for seed in range(5):
         u = smooth_field(grid128, 10 + seed)
         v = smooth_field(grid128, 100 + seed)
@@ -141,7 +163,7 @@ def test_directional_derivative_richardson(example_spec, example_w, grid128):
         def diff(step):
             up = RadialField(grid128, u.values + step * v.values)
             dn = RadialField(grid128, u.values - step * v.values)
-            return (sp.i_a(up, sh, example_w) - sp.i_a(dn, sh, example_w)) / (2.0 * step)
+            return (sp.i_a(up, sh, sup) - sp.i_a(dn, sh, sup)) / (2.0 * step)
 
         extrap = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
         exact = weak_pairing(u, v, sh, example_w)
@@ -225,7 +247,7 @@ def test_ratio_sup_dominates_random_sources(dim, n, frac, low, seed):
     grid = sp.make_grid(dim, n, 20.0)
     weight = sp.example_weight(dim=dim)
     p = 2.0 + frac * (sp.critical_exponent(dim) - 2.0)
-    top, _ = _ratio_sup(weight, grid, p)
+    top, _ = _ratio_sup(support_of(weight, grid), p)
     gv = sp.sample_on_grid(weight, grid).values
     rng = np.random.default_rng(seed)
     for k in range(100):
@@ -259,7 +281,7 @@ def test_ratio_sup_block_matches_full_grid(dim, n, frac, support):
         r_tab = np.linspace(0.0, 19.0, 40)
         weight = sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)
     p = 2.0 + frac * (sp.critical_exponent(dim) - 2.0)
-    lam, phi = _ratio_sup(weight, grid, p)
+    lam, phi = _ratio_sup(support_of(weight, grid), p)
     lam_ref, phi_ref = full_grid_ratio_sup(weight, grid, p)
     assert lam == pytest.approx(lam_ref, rel=1e-12)
     scale = np.max(np.abs(phi_ref.values))
@@ -325,7 +347,7 @@ def test_estimate_a1_collapse(example_spec, grid128):
 
 def test_rim_levels_dominate_beta(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5 * geometry128.a1)
-    levels = rim_levels(sh, example_w, geometry128, grid128)
+    levels = rim_levels(sh, geometry128, grid128)
     assert levels.size > 0
     assert np.min(levels) >= geometry128.beta - 1e-6
 

@@ -10,7 +10,7 @@ from semipositone import mountain_pass as mp
 from semipositone.radial_core import RadialField
 from semipositone.weight import sample_on_grid
 
-from conftest import random_trial_fields, weak_pairing
+from conftest import fixed_point_map, random_trial_fields, support_of, weak_pairing
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +44,8 @@ def test_make_bump_scales_bg_maximiser(grid128, geometry128):
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
     bump = sp.make_bump(geometry128.phi)
-    v = sp.find_vtilde(sh, example_w, bump, geometry128.rho)
-    assert sp.i_a(v, sh, example_w) < 0.0
+    v = sp.find_vtilde(sh, geometry128.support, bump, geometry128.rho)
+    assert sp.i_a(v, sh, geometry128.support) < 0.0
     assert sp.h2_norm(v) > geometry128.rho
 
 
@@ -53,7 +53,7 @@ def test_find_vtilde_rejects_unnormalized(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     bad = RadialField(grid128, 2.0 * sp.make_bump(gaussian(grid128)).values)
     with pytest.raises(ValueError, match="normalized"):
-        sp.find_vtilde(sh, example_w, bad, 1.0)
+        sp.find_vtilde(sh, support_of(example_w, grid128), bad, 1.0)
 
 
 def test_find_vtilde_no_superlinearity(example_w, grid128):
@@ -62,15 +62,15 @@ def test_find_vtilde_no_superlinearity(example_w, grid128):
     sh = sp.ShiftedNonlinearity(sp.zero_nonlinearity(), 1.0)
     bump = sp.make_bump(gaussian(grid128))
     with pytest.raises(RuntimeError, match="superlinearity"):
-        sp.find_vtilde(sh, example_w, bump, 1.0)
+        sp.find_vtilde(sh, support_of(example_w, grid128), bump, 1.0)
 
 
-def _find_vtilde_loop(shifted, weight, bump, rho):
+def _find_vtilde_loop(shifted, sup, bump, rho):
     # reference: one i_a per doubling, stopping at the first negative level
     t = 2.0 * rho
     for _ in range(mp._T_CAP_DOUBLINGS + 1):
         cand = sp.scale(bump, t)
-        if sp.i_a(cand, shifted, weight) < 0.0:
+        if sp.i_a(cand, shifted, sup) < 0.0:
             return cand
         t *= 2.0
     return None
@@ -81,16 +81,17 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
     # doubling loop's vtilde bit for bit, the crest is the node that a list
     # of i_a levels picks, and the path's last level is i_a(vtilde) bit for bit
     bump = sp.make_bump(geometry128.phi)
+    sup = geometry128.support
     a_values = sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0]
     for a in a_values:
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        vtilde = sp.find_vtilde(sh, example_w, bump, geometry128.rho)
-        ref = _find_vtilde_loop(sh, example_w, bump, geometry128.rho)
+        vtilde = sp.find_vtilde(sh, sup, bump, geometry128.rho)
+        ref = _find_vtilde_loop(sh, sup, bump, geometry128.rho)
         assert np.array_equal(vtilde.values, ref.values)
         nodes = [sp.scale(vtilde, t) for t in np.linspace(0.0, 1.0, 17)]
-        levels = [sp.i_a(u, sh, example_w) for u in nodes]
+        levels = [sp.i_a(u, sh, sup) for u in nodes]
         k_star = int(np.argmax(levels))
-        crest, level, end = mp._crest(vtilde, 17, sh, example_w)
+        crest, level, end = mp._crest(vtilde, 17, sh, sup)
         assert np.array_equal(crest.values, nodes[k_star].values)
         assert level == pytest.approx(levels[k_star], rel=1e-12)
         assert end == levels[-1]
@@ -114,7 +115,7 @@ def test_critical_point_certificate(positone128, example_spec, example_w, grid12
     # fixed point it is of the order of the residual (measured 2.1e-17 relative
     # at n = 128).
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    t_u, _ = sp.gradient_map(positone128.u, sh, example_w)
+    t_u = fixed_point_map(positone128.u, sh, support_of(example_w, grid128))
     diff = sp.RadialField(grid128, positone128.u.values - t_u.values)
     nu = sp.h2_norm(positone128.u)
     rng = np.random.default_rng(5)
@@ -132,7 +133,8 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
     # every field is the potential of a source on supp g, so at spacing
     # h = 1/32 the domain radius drops out of the solve: each r_max converges
     # at index 1 to the same level and norm, equal to the weak-form level
-    # (1/2) int g f_a(u) u - int g F_a(u)
+    # (1/2) int g f_a(u) u - int g F_a(u), which the solve reports, and the
+    # far-field fit r^{4-N} (A + B r^{-2}) finds A = R4 int g f_a(u) at every r_max
     sh = sp.ShiftedNonlinearity(example_spec, a)
     levels, norms = [], []
     for r_max in (4, 8, 12, 20, 40):
@@ -144,10 +146,23 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
         weak = (0.5 * sp.integrate(RadialField(grid, gv * sp.eval_fa(sh, u) * u))
                 - sp.integrate(RadialField(grid, gv * sp.eval_Fa(sh, u))))
         assert abs(sol.level - weak) <= 1e-8 * sol.level
+        assert sol.diagnostics["weak_level"] == pytest.approx(weak, rel=1e-12)
+        assert sol.diagnostics["level_gap"] <= 1e-8
+        fit, pred = sp.decay_constant(sol.u, RadialField(grid, gv * sp.eval_fa(sh, u)))
+        assert abs(fit / pred - 1.0) <= 1e-10
         levels.append(sol.level)
         norms.append(sol.diagnostics["norm_h2"])
     np.testing.assert_allclose(levels, levels[-1], rtol=1e-12, atol=0)
     np.testing.assert_allclose(norms, norms[-1], rtol=1e-12, atol=0)
+
+
+def test_mp_solve_rejects_geometry_of_another_grid(example_spec, example_w, geometry128):
+    # the geometry carries the support it was estimated on; a solve on any
+    # other grid, even one of the same size, would index it wrongly
+    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
+    for grid in (sp.make_grid(5, 128, 12.0), sp.make_grid(5, 128, 20.0)):
+        with pytest.raises(ValueError, match="another grid"):
+            sp.mp_solve(sh, example_w, grid, None, geometry128)
 
 
 def test_newton_polish_engages(positone128):
@@ -194,9 +209,9 @@ def test_beta_floor_rejects_spurious_polish(example_spec, example_w):
     sol = sp.mp_solve(sh, example_w, grid, None, high)
     assert not sol.converged and not sol.diagnostics["newton_used"]
     assert sol.level == sol.diagnostics["crest_level"]
-    polished, _ = mp._newton_polish(sol.u, sh, example_w, grid, 20)
-    assert mp._morse_index(polished, sh, example_w)[0] == 1
-    assert sp.i_a(polished, sh, example_w) < high.beta
+    polished, _ = mp._newton_polish(sol.u, sh, geo.support, 20)
+    assert mp._morse_index(polished, sh, geo.support)[0] == 1
+    assert sp.i_a(polished, sh, geo.support) < high.beta
 
 
 def test_polish_of_higher_index_is_rejected(monkeypatch, example_spec, example_w,
@@ -302,7 +317,7 @@ def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
     phi = u0 - kern @ (mg * u0 ** 2)
     delta = np.linalg.solve(np.eye(n) - kern * (mg * 2.0 * u0)[None, :], -phi)
     ref = kern @ (mg * sp.eval_fa(sh, u0 + delta))  # f(t) = 0 on t <= 0
-    out = mp._newton_polish(RadialField(grid, u0), sh, weight, grid, 1)
+    out = mp._newton_polish(RadialField(grid, u0), sh, support_of(weight, grid), 1)
     assert out is not None and out[1] == 1
     assert np.max(np.abs(out[0].values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -325,7 +340,7 @@ def test_morse_eigenvalues_match_dense(dim, n, support, seed):
     m = grid.r ** (dim - 1) * grid.w
     kern = sp.riesz_constants(dim).r4 * sp.ring_kernel(grid, dim - 4)
     dense = np.sort(np.linalg.eigvals(kern * (m * d)[None, :]).real)[::-1][:2]
-    index, top = mp._morse_index(u, sh, weight)
+    index, top = mp._morse_index(u, sh, support_of(weight, grid))
     np.testing.assert_allclose(top, dense, rtol=1e-10, atol=0)
     assert index == np.sum(dense > 1.0)
 
@@ -334,11 +349,11 @@ def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, posito
     grid = sp.make_grid(5, 2048, 20.0)
     u0 = RadialField(grid, np.interp(grid.r, positone128.u.grid.r, positone128.u.values))
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    sample_on_grid(example_w, grid)  # fill the weight's grid cache first
+    sup = support_of(example_w, grid)  # built once per problem, before the solve
     trace = {}
     tracemalloc.start()
     try:
-        out = mp._newton_polish(u0, sh, example_w, grid, 3, trace=trace)
+        out = mp._newton_polish(u0, sh, sup, 3, trace=trace)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -358,4 +373,4 @@ def test_failed_newton_step_keeps_crest(monkeypatch, example_spec, example_w,
     assert d["newton_iterations"] == 0 and len(d["newton_residual_history"]) == 1
     assert sol.level == d["crest_level"]
     assert not sol.converged
-    assert mp._newton_polish(sol.u, sh, example_w, grid128, 20) is None
+    assert mp._newton_polish(sol.u, sh, geometry128.support, 20) is None

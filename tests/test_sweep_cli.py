@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import semipositone as sp
-from semipositone import energy, mountain_pass, radial_core, riesz_potential, sweep_cli
+from semipositone import (energy, mountain_pass, radial_core, riesz_potential, sweep_cli,
+                          weight)
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
                                     _default_a_values, _summarize, emit,
                                     main, parse_config)
@@ -199,6 +200,16 @@ def test_summary_reports_morse_index(tmp_path, small_report):
     assert blob["summary"]["morse_index"] == pairs
 
 
+def test_summary_reports_level_gap(tmp_path, small_report):
+    # one [a, gap] pair per row: the relative gap between the level and its
+    # weak form, of the order of the residual at a critical point
+    pairs = small_report.summary["level_gap"]
+    assert [a for a, _ in pairs] == [r.a for r in small_report.rows]
+    assert all(0.0 <= gap <= 1e-8 for _, gap in pairs)
+    blob = json.load(open(emit(small_report, str(tmp_path / "out"))[1]))
+    assert blob["summary"]["level_gap"] == pairs
+
+
 def test_emit_roundtrip(tmp_path, small_report):
     paths = emit(small_report, str(tmp_path / "out"))
     lines = open(paths[0]).read().splitlines()
@@ -274,9 +285,9 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
     # the p = 2 power iteration runs once per sweep, not again for the bump
     orig, powers = energy._ratio_sup, []
 
-    def counting(weight, grid, p):
+    def counting(sup, p):
         powers.append(p)
-        return orig(weight, grid, p)
+        return orig(sup, p)
     monkeypatch.setattr(energy, "_ratio_sup", counting)
     cfg = parse_config(write(tmp_path, "[grid]\nn = 1024\n"))
     report = sweep_cli.run_sweep(cfg, [0.0])
@@ -310,17 +321,18 @@ def test_straight_path_stays_on_support(tmp_path, monkeypatch):
 
 
 def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
-    # Newton and the Morse certificate iterate on the m values of supp g: a
-    # row builds the support block once for each and applies a potential only
-    # where a stage ends (the polished point, and the two gradient maps)
-    counts = {"apply_potential": 0, "support_block": 0}
+    # supp g is sampled and discretised once per sweep, and every stage reads
+    # that support: a row applies a potential only where its solve ends, to
+    # extend the polished point to the grid; the residuals are sums over S
+    counts = {"apply_potential": 0, "support": 0, "sample_on_grid": 0}
     for name in counts:
-        orig = getattr(riesz_potential, name)
+        home = weight if name == "sample_on_grid" else riesz_potential
+        orig = getattr(home, name)
 
         def counting(*args, _orig=orig, _name=name):
             counts[_name] += 1
             return _orig(*args)
-        for mod in (riesz_potential, energy, mountain_pass):
+        for mod in (weight, riesz_potential, energy, mountain_pass, sweep_cli):
             if getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, counting)
     starts, find_vtilde = [], sweep_cli.find_vtilde
@@ -332,9 +344,9 @@ def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     report = sweep_cli.run_sweep(parse_config(write(tmp_path, "[grid]\nn = 128\n")))
     assert len(starts) == len(report.rows) == 13
     assert all(r.converged for r in report.rows)
+    assert counts["support"] == counts["sample_on_grid"] == 1
     for begin, end in zip(starts, starts[1:] + [counts]):
-        assert end["apply_potential"] - begin["apply_potential"] <= 3
-        assert end["support_block"] - begin["support_block"] <= 2
+        assert end["apply_potential"] - begin["apply_potential"] <= 1
 
 
 def test_sweep_takes_no_stencil(tmp_path, monkeypatch):

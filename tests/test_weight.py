@@ -3,7 +3,7 @@ import pytest
 
 import semipositone as sp
 from semipositone.radial_core import RadialField
-from semipositone.weight import _GRID_CACHE_SIZE, g2_left_side, support_mass_delta
+from semipositone.weight import g2_left_side, support_mass_delta
 
 
 def test_example_norms_closed_forms(example_w):
@@ -46,24 +46,6 @@ def test_sample_on_grid_mass_identity(example_w):
         g = sp.make_grid(5, n, 20.0)
         gf = sp.sample_on_grid(example_w, g)
         assert sp.integrate(gf) == pytest.approx(example_w.norm(1.0), rel=1e-13)
-
-
-def test_sample_on_grid_cached(example_w, grid128):
-    a = sp.sample_on_grid(example_w, grid128)
-    assert sp.sample_on_grid(example_w, grid128) is a
-
-
-def test_grid_cache_bounded():
-    # the oldest grid is evicted past a fixed count; a hit is the cached object
-    w = sp.example_weight()
-    grids = [sp.make_grid(5, 32 + k, 20.0) for k in range(20)]
-    for g in grids:
-        sp.sample_on_grid(w, g)
-    assert len(w.grid_cache) <= _GRID_CACHE_SIZE
-    assert grids[0].key() not in w.grid_cache
-    hit = sp.sample_on_grid(w, grids[-1])
-    assert hit is w.grid_cache[grids[-1].key()]
-    assert sp.sample_on_grid(w, grids[-1]) is hit
 
 
 def test_weighted_moment_accuracy(example_w, grid512):
