@@ -50,8 +50,10 @@ def main(argv=None):
     u = sol.u
     diag = sol.diagnostics
     norm = diag["norm_h2"]
-    src = sp.RadialField(grid, geo.support.g * sp.eval_fa(shifted, u.values))
-    fit, pred = sp.decay_constant(u, src)
+    nodes = geo.support.nodes  # the source g f_a(u) lives on supp g: form it there only
+    src = np.zeros(grid.n)
+    src[nodes] = geo.support.g[nodes] * sp.eval_fa(shifted, u.values[nodes])
+    fit, pred = sp.decay_constant(u, sp.RadialField(grid, src))
 
     print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
           % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))

@@ -7,7 +7,7 @@ from .radial_core import (RadialField, RadialGrid, h2_inner, h2_norm,
                           sphere_area, zeros)
 from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
                            check_f1, check_f2, check_f3, check_f4,
-                           check_prop33, critical_exponent, eval_F, eval_Fa,
+                           critical_exponent, eval_F, eval_Fa,
                            eval_f, eval_f0, eval_fa, example_nonlinearity,
                            growth_envelope, linear_nonlinearity,
                            power_nonlinearity, zero_nonlinearity)
@@ -15,12 +15,12 @@ from .weight import (WeightSpec, check_g1, check_g2, example_weight,
                      g2_left_side, sample_on_grid, table_weight, zero_weight)
 from .riesz_potential import (RieszConstants, apply_potential, decay_constant,
                               riesz_constants, riesz_solve, ring_kernel,
-                              ring_kernel_pairs, weak_lp_profile)
+                              ring_kernel_pairs)
 from .energy import (GeometryConstants, GeometryError, estimate_a1,
                      estimate_bg, fa_prime_values, gradient_map, i_a,
                      n_a, ray_levels)
 from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,
-                            mp_solve)
+                            mp_solve, solve_shifts)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,
                         parse_config, run_sweep)
 

@@ -10,7 +10,10 @@ masses on S and the block B with T(g x) = B x on S. The layer functions
 take that support: N_a and the residual are sums over S, F_a is evaluated
 there only, and on a ray the norm is quadratic, so `ray_levels` gives
 I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one norm
-and one F_a call on a (len(t), m) array.
+and one F_a call on a (len(t), m) array. `n_values`, `path_levels` and
+`residuals` take support values with any leading axes, and a `Shifts` in
+place of the one shift of `ShiftedNonlinearity`, so the solver evaluates
+every row of a sweep in one call.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2. Every
 field the solver forms is a Riesz potential u = T(h) that carries its
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .nonlinearity import eval_Fa, eval_fa, eval_f0prime, growth_envelope
+from .nonlinearity import NonlinearitySpec, eval_Fa, eval_fa, eval_f0prime, growth_envelope
 from .weight import sample_on_grid
 from .riesz_potential import Support, riesz_solve, support
 
@@ -33,9 +36,28 @@ _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
 
 
+@dataclass(frozen=True, eq=False)
+class Shifts:
+    """k shifts a of one f, the batch form of `ShiftedNonlinearity`: a is an
+    array shaped to broadcast against the support values it meets, a[:, None]
+    for (k, m) points and a[:, None, None] for (k, P, m) paths, so
+    f_a = f_0 - a and F_a = F_0(t+) - a t act row by row."""
+    base: NonlinearitySpec
+    a: np.ndarray
+
+    def __post_init__(self):
+        if (self.a < 0).any():
+            raise ValueError("shift a must be nonnegative")
+
+
+def n_values(x, shifted, sup):
+    """N_a = int g F_a(u) for support values x = u[S] (..., m), summed over S."""
+    return np.sum(sup.mass * eval_Fa(shifted, x), axis=-1)
+
+
 def n_a(u, shifted, sup):
     """N_a(u) = int g F_a(u), summed over the nodes of supp g."""
-    return float(np.sum(sup.mass * eval_Fa(shifted, u.values[sup.nodes])))
+    return float(n_values(u.values[sup.nodes], shifted, sup))
 
 
 def i_a(u, shifted, sup):
@@ -43,36 +65,49 @@ def i_a(u, shifted, sup):
     return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, sup)
 
 
-def ray_levels(v, shifted, sup, t):
-    """I_a(t_k v) for every scale t_k of the array t.
+def path_levels(x, nsq, shifted, sup, t):
+    """I_a(t_j v) at every scale t_j of the array t, for the rays v with
+    support values x (..., m) and squared norms nsq (...); returns (..., len(t)).
 
     The norm is quadratic and g vanishes off supp g, so
-    I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): one norm for the
-    whole ray, and F_a on the (len(t), m) array of scaled support values.
+    I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): F_a on the
+    (..., len(t), m) array of scaled support values, which a `Shifts`
+    broadcasts over its rows.
     """
     t = np.asarray(t, dtype=float)
-    f_a = eval_Fa(shifted, np.multiply.outer(t, v.values[sup.nodes]))
-    return 0.5 * t * t * rc.h2_inner(v, v) - np.sum(sup.mass * f_a, axis=-1)
+    f_a = eval_Fa(shifted, t[:, None] * np.asarray(x)[..., None, :])
+    return 0.5 * t * t * np.asarray(nsq)[..., None] - np.sum(sup.mass * f_a, axis=-1)
+
+
+def ray_levels(v, shifted, sup, t):
+    """I_a(t_k v) for every scale t_k of the array t: one norm for the whole
+    ray, and F_a on the (len(t), m) array of scaled support values."""
+    return path_levels(v.values[sup.nodes], rc.h2_inner(v, v), shifted, sup, t)
+
+
+def residuals(x, h, shifted, sup):
+    """The gradient residual ||Delta(u - T(u))||_2 of potentials u with
+    support values x (..., m) and sources h (..., m) on S: u - T(u) is the
+    potential of h - g f_a(x), and T(u) = B f_a(x) on S, so the residual
+    is a sum over S, exact on R^N."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_x = eval_fa(shifted, x)
+        d = h - sup.g[sup.nodes] * f_x
+    if not np.all(np.isfinite(d)):
+        raise ValueError("divergent source norm: g f_a(u) is not finite on supp g")
+    sq = rc.integrate_values(sup.grid, d * (x - sup.apply(f_x)), sup.nodes)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def gradient_map(u, shifted, sup):
     """The gradient residual ||Delta(u - T(u))||_2, T(u) = riesz_solve(g f_a(u)),
-    0 at discrete weak solutions. u must be a potential with its source on S,
-    as every field the solver forms is: then u - T(u) is the potential of
-    h = source - g f_a(u), on S, and T(u) = B f_a(x) there, x = u[S], so the
-    residual (int h (u - T(u)))^{1/2} is a sum over S, exact on R^N."""
+    0 at discrete weak solutions; `residuals` of one potential u, which must
+    have its source on S, as every field the solver forms has."""
     src = u.source
     nodes = sup.nodes
     if src is None or np.count_nonzero(src) != np.count_nonzero(src[nodes]):
         raise ValueError("gradient_map needs a potential whose source lives on supp g")
-    x = u.values[nodes]
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_x = eval_fa(shifted, x)
-        h = src[nodes] - sup.g[nodes] * f_x
-    if not np.all(np.isfinite(h)):
-        raise ValueError("divergent source norm: g f_a(u) is not finite on supp g")
-    measure = sup.grid.sphere_area * sup.grid.r_pow[nodes] * sup.grid.w[nodes]
-    return float(np.sqrt(max(np.sum(measure * h * (x - sup.block @ f_x)), 0.0)))
+    return float(residuals(u.values[nodes], src[nodes], shifted, sup))
 
 
 class GeometryError(ValueError):
@@ -96,7 +131,8 @@ class GeometryConstants:
 
 
 def _ratio_sup(sup, p):
-    """sup_u int g|u|^p / ||Delta u||^p and its maximiser, p >= 2.
+    """sup_u int g|u|^p / ||Delta u||^p and the source on S of its maximiser
+    u = T(h), p >= 2.
 
     Normalised nonlinear power iteration v <- T(h) / ||Delta T(h)||,
     h = g|v|^{p-2} v (Boyd, Linear Algebra Appl. 9, 1974; Hein & Buhler,
@@ -104,9 +140,9 @@ def _ratio_sup(sup, p):
     representation ||Delta T(h)||^2 = int h T(h), so no step differentiates
     anything, and convexity of int g|u|^p makes the ratio rise
     monotonically. The start is the constant field, which has mass wherever
-    g lives; the maximiser becomes a grid field once, by `riesz_solve`.
+    g lives.
     """
-    grid, g, nodes, mass = sup.grid, sup.g, sup.nodes, sup.mass
+    g, nodes, mass = sup.g, sup.nodes, sup.mass
     v = np.ones(nodes.size)
     lam_prev = np.inf
     for _ in range(_BG_MAX_ITER):
@@ -114,13 +150,11 @@ def _ratio_sup(sup, p):
         t = sup.block @ dual  # T(h) on S
         norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
         if norm_d == 0.0:
-            return 0.0, rc.zeros(grid)
+            return 0.0, np.zeros(nodes.size)
         v = t / norm_d
         lam = float(np.sum(mass * np.abs(v) ** p))
         if abs(lam - lam_prev) <= _BG_TOL * lam:
-            src = np.zeros(grid.n)
-            src[nodes] = g[nodes] * dual / norm_d
-            return lam, riesz_solve(rc.RadialField(grid, src))
+            return lam, g[nodes] * dual / norm_d
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge in %d steps"
                        % (p, _BG_MAX_ITER))
@@ -156,7 +190,10 @@ def estimate_a1(spec, weight, grid, eps=None):
     """
     gamma = spec.gamma
     sup = support(sample_on_grid(weight, grid))
-    b_g, phi = _ratio_sup(sup, 2.0)
+    b_g, h = _ratio_sup(sup, 2.0)
+    src = np.zeros(grid.n)
+    src[sup.nodes] = h
+    phi = riesz_solve(rc.RadialField(grid, src))  # the maximiser on the grid, once
     gn4 = weight.norm(grid.dim / 4.0)
     cap = 1.0 / (b_g * gn4) if b_g * gn4 > 0 else np.inf
     if eps is None:

@@ -1,26 +1,39 @@
-"""Numerical mountain-pass solver.
+"""Numerical mountain-pass solver, for a whole batch of shifts at once.
 
 Three steps find the mountain-pass point. Take the crest, the node of highest
 level, of the straight path from 0 to an endpoint vtilde with negative
 energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
 returns, scaled by `make_bump` to ||Delta phi|| = 1. Every level on that
 ray, the doubling ladder of `find_vtilde` and the path nodes of `_crest`,
-comes from `energy.ray_levels`: t^2 ||Delta v||^2 / 2 from one norm per
-ray, less int g F_a(t v) on the m nodes of supp g. Every field here is a
-Riesz potential scaled by `radial_core.scale`, so it keeps its source and
-each norm, level and residual is int h v, exact on R^N. Polish the crest by
-semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
-m nodes S of supp g, where it is B f_a(u[S]), B the m x m block of the
+comes from `energy.path_levels`: t^2 ||Delta v||^2 / 2 from one norm per ray, less
+int g F_a(t v) on the m nodes of supp g. Every field here is a Riesz
+potential scaled from the bump, so it keeps its source and each norm, level
+and residual is int h v, exact on R^N. Polish the crest by semi-smooth
+Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the m nodes S of
+supp g, where it is B f_a(u[S]), B the m x m block of the
 `riesz_potential.Support` that `estimate_a1` built: Newton runs on the m
-values, each step one exact dense solve of I - B diag(f_a'), and the polished
-point becomes a grid field once, by one `riesz_solve`. Certify it by
-its Morse index, the number of eigenvalues above 1 of R4 K diag(g f_a'(u)),
-read from the eigenvalues of B diag(f_a'(u[S])): a nondegenerate
-mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984). The cost is
-O(n + m^3); m^3 is small while g lives on a thin shell (m = 14 at n = 512
-for the example) and grows when g fills the grid. A polish that fails, does
-not lower the residual, falls below the rim level beta or has another index
-is rejected, and the crest is returned, flagged non-converged.
+values, each step one exact dense solve of I - B diag(f_a'). Certify the
+polished point by its Morse index, the number of eigenvalues above 1 of
+R4 K diag(g f_a'(u)), read from the eigenvalues of B diag(f_a'(u[S])): a
+nondegenerate mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
+A polish that fails, does not lower the residual, falls below the rim level
+beta or has another index is rejected, and the crest is returned, flagged
+non-converged.
+
+The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
+F_a = F_0(t+) - a t, and share S, B, the bump and rho. So `solve_shifts`
+takes each shift's vtilde from `find_vtilde` and carries the k shifts from
+there on as a leading row axis, with a entering as the column a[:, None]
+(`energy.Shifts`): the crest is one (k, 17, m) evaluation, Newton one
+stacked solve per step over the rows still active (a row leaves where a
+one-row solve would stop), the certificate one `eigvals` of a (k, m, m)
+stack, and the polished points become grid fields by one O(n) potential
+over (k, n). The (k, m, m) stacks go through `_chunks` of at most
+_STACK_BYTES, so they hold no more memory than one row at a time once a
+row fills that budget. `mp_solve` is the batch of one. The cost is
+O(k n + k m^3) time and O(k n + min(k m^2, max(m^2, _STACK_BYTES))) memory;
+m^3 is small while g lives on a thin shell (m = 14 at n = 512 for the
+example) and grows when g fills the grid.
 """
 
 import warnings
@@ -29,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import estimate_a1, fa_prime_values, gradient_map, i_a, n_a, ray_levels
-from .nonlinearity import eval_fa
-from .riesz_potential import riesz_solve
+from .energy import Shifts, estimate_a1, n_values, path_levels, ray_levels, residuals
+from .nonlinearity import eval_f0prime, eval_fa
+from .riesz_potential import riesz_values
 
 
 @dataclass
@@ -96,154 +109,245 @@ def find_vtilde(shifted, sup, bump, rho):
 # Newton takes 2 steps on the example; the bound only stops a stall.
 _NEWTON_MAX_ITER = 20
 
+# The (rows, m, m) stacks of Newton and of the certificate are built at most
+# this many bytes at a time, and always at least one row, so a wide support
+# holds no more than a row-by-row solve would.
+_STACK_BYTES = 8 * 2 ** 20
 
-def _morse_index(u, shifted, sup):
-    """Morse index of I_a at u, and the top two eigenvalues it is read from.
+
+def _chunks(k, m):
+    """Slices of the k rows whose (rows, m, m) stacks fit in _STACK_BYTES."""
+    step = max(1, _STACK_BYTES // (8 * m * m))
+    return [slice(i, i + step) for i in range(0, k, step)]
+
+
+def _morse_index(x, spec, sup):
+    """Morse index of I_a at each row of the support values x (k, m), and the
+    top two eigenvalues it is read from; f_a' = f_0' on t > 0 whatever a
+    is, so the index needs only the spec.
 
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
     direction. That operator's spectrum is the eigenvalues of
-    B diag(f_a'(u[S])), B the support block of g, plus n - m zeros. Where
-    g f_a'(u) >= 0 it is similar to a symmetric one, so its spectrum is
-    real; the real parts are read.
-    Returns (index, eigenvalues in decreasing order); the index counts only
-    the two eigenvalues returned, so 2 means "at least 2". Without a
-    registered f' there is no certificate: (None, empty).
+    B diag(f_a'(u[S])), B the support block of g, plus n - m zeros: `eigvals`
+    of the (k, m, m) stack, chunk by chunk. Where g f_a'(u) >= 0 it is similar
+    to a symmetric one, so its spectrum is real; the real parts are read.
+    Returns (indices (k,), eigenvalues (k, 2) in decreasing order); an index
+    counts only the two eigenvalues returned, so 2 means "at least 2".
+    Without a registered f' there is no certificate: (None, (k, 0) empty).
     """
-    if shifted.base.fprime is None:
-        return None, np.empty(0)
-    fp = fa_prime_values(shifted, u.values[sup.nodes])
-    spectrum = np.concatenate((np.linalg.eigvals(sup.block * fp).real,
-                               np.zeros(min(2, sup.grid.n - sup.nodes.size))))
-    top = np.sort(spectrum)[::-1][:2]
-    return int(np.sum(top > 1.0)), top
+    if spec.fprime is None:
+        return None, np.empty((len(x), 0))
+    k, m = x.shape
+    fp = eval_f0prime(spec, x)
+    spectrum = np.zeros((k, m + min(2, sup.grid.n - m)))
+    for c in _chunks(k, m):
+        spectrum[c, :m] = np.linalg.eigvals(sup.block * fp[c, None, :]).real
+    top = -np.sort(-spectrum, axis=1)[:, :2]
+    return np.sum(top > 1.0, axis=1), top
 
 
-def _newton_polish(u0, shifted, sup, max_iter, tol=1e-11, trace=None):
-    """Semi-smooth Newton on Phi(u) = u - T(u) over the values x = u[S],
-    where T(u) = B f_a(x), with Jacobian I - B diag(f_a'(x)) (f_a' taken 0
-    on x <= 0). Returns the grid field T(x), from one `riesz_solve`.
-
-    trace, if given, is a dict that receives "residual" (max |Phi| on S at
-    each iterate) and "support" (the nodes where g f_a'(x) != 0, per step),
-    also when the polish fails.
-    """
-    residuals, support = [], []
-    if trace is not None:
-        trace.update(residual=residuals, support=support)
-    if shifted.base.fprime is None:
-        return None
-    grid, g, nodes, block = sup.grid, sup.g, sup.nodes, sup.block
-    x = u0.values[nodes]
-    scale = max(1.0, float(np.max(np.abs(u0.values))))
-    res_prev = np.inf
-    for it in range(max_iter):
-        phi = x - block @ eval_fa(shifted, x)
-        res = float(np.max(np.abs(phi)))
-        residuals.append(res)
-        res /= scale
-        if not np.isfinite(res):
-            return None
-        if res < tol:
-            break
-        if res > 10.0 * res_prev and it > 2:
-            return None
-        res_prev = min(res_prev, res)
-        fp = fa_prime_values(shifted, x)
+def _newton_steps(fp, phi, sup):
+    """Steps dx with (I - B diag(fp)) dx = phi for each row of phi (k, m),
+    one stacked solve per chunk of rows, and the list of rows whose system
+    is singular: such a row fails alone."""
+    k, m = phi.shape
+    dx, singular = np.empty_like(phi), []
+    for c in _chunks(k, m):
+        jac = sup.block * -fp[c, None, :]
+        jac.reshape(len(jac), -1)[:, ::m + 1] += 1.0
         try:
-            x = x - np.linalg.solve(np.eye(nodes.size) - block * fp, phi)
+            dx[c] = np.linalg.solve(jac, phi[c, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            return None
-        support.append(int(np.count_nonzero(fp)))
-    else:
-        it = max_iter
-    src = np.zeros(grid.n)
-    src[nodes] = g[nodes] * eval_fa(shifted, x)
-    return riesz_solve(rc.RadialField(grid, src)), it
+            for j, i in enumerate(range(k)[c]):
+                try:
+                    dx[i] = np.linalg.solve(jac[j], phi[i])
+                except np.linalg.LinAlgError:
+                    singular.append(i)
+    return dx, singular
 
 
-def _crest(vtilde, k_nodes, shifted, sup):
+def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
+    """Semi-smooth Newton on Phi(x) = x - B f_a(x) for every row of the
+    support values x0 (k, m), with Jacobian I - B diag(f_a'(x)) (f_a' taken
+    0 on x <= 0), over the rows still active. A row stops at
+    max|Phi| / scale < tol, and fails on a non-finite residual, a tenfold
+    rise after step 3, or a singular Jacobian.
+
+    Returns (x, ok, residual, support): the final values, the mask of rows
+    that did not fail, and per row the list of max|Phi| at each iterate and
+    the list of support sizes (nodes where g f_a'(x) != 0), one per step.
+    """
+    k = len(x0)
+    x = x0.copy()
+    residual, support = [[] for _ in range(k)], [[] for _ in range(k)]
+    if shifted.base.fprime is None:
+        return x, np.zeros(k, dtype=bool), residual, support
+    failed = np.zeros(k, dtype=bool)
+    # the rows still iterating, with their values, shifts, scales and best residuals
+    rows, xr, sh, sc, res_prev = np.arange(k), x.copy(), shifted, scale, np.full(k, np.inf)
+    for it in range(max_iter):
+        phi = xr - sup.apply(eval_fa(sh, xr))
+        res_abs = np.max(np.abs(phi), axis=1)
+        for i, r in zip(rows.tolist(), res_abs.tolist()):
+            residual[i].append(r)
+        res = res_abs / sc
+        step = np.isfinite(res) & (res >= tol)
+        if it > 2:
+            step &= res <= 10.0 * res_prev
+        if not step.all():  # rows below tol are done, the others failed
+            failed[rows[~step & ~(res < tol)]] = True
+            x[rows] = xr
+            rows, xr, sc, res_prev, phi, res = (rows[step], xr[step], sc[step], res_prev[step],
+                                                phi[step], res[step])
+            if not rows.size:
+                break
+            sh = Shifts(shifted.base, shifted.a[rows])
+        res_prev = np.minimum(res_prev, res)
+        fp = eval_f0prime(shifted.base, xr)
+        dx, singular = _newton_steps(fp, phi, sup)
+        if singular:
+            failed[rows[singular]] = True
+            keep = np.ones(len(rows), dtype=bool)
+            keep[singular] = False
+            rows, xr, sc, res_prev, dx, fp = (rows[keep], xr[keep], sc[keep], res_prev[keep],
+                                              dx[keep], fp[keep])
+            if not rows.size:
+                break
+            sh = Shifts(shifted.base, shifted.a[rows])
+        xr = xr - dx
+        for i, c in zip(rows.tolist(), np.count_nonzero(fp, axis=1).tolist()):
+            support[i].append(c)
+    x[rows] = xr
+    return x, ~failed, residual, support
+
+
+def _crest(vals, src, shifted, sup, k_nodes):
     """Highest of k_nodes evenly spaced nodes on the straight path from 0 to
-    vtilde, all levels from one `ray_levels` call. Returns (node, its level,
-    the level of vtilde); raises when the maximizer is pinned at an endpoint."""
-    t = np.linspace(0.0, 1.0, k_nodes)
-    levels = ray_levels(vtilde, shifted, sup, t)
-    k_star = int(np.argmax(levels))
-    if not 0 < k_star < k_nodes - 1:
+    each vtilde, the rows of values vals and sources src (k, n), all levels
+    from one `path_levels` call on (k, k_nodes, m). Returns the crest values
+    and sources (k, n), the crest levels, the levels and norms of vtilde;
+    raises when a maximizer is pinned at an endpoint."""
+    nsq = rc.integrate_values(sup.grid, src * vals)
+    s = np.linspace(0.0, 1.0, k_nodes)
+    levels = path_levels(sup.restrict(vals), nsq, Shifts(shifted.base, shifted.a[..., None]),
+                         sup, s)
+    k_star = np.argmax(levels, axis=1)
+    crest_at = k_star.tolist()
+    if min(crest_at) == 0 or max(crest_at) == k_nodes - 1:
         raise RuntimeError("path maximizer pinned at an endpoint")
-    return rc.scale(vtilde, t[k_star]), levels[k_star], levels[-1]
+    s_star = s[k_star, None]
+    return (s_star * vals, s_star * src, levels[np.arange(len(vals)), k_star], levels[:, -1],
+            np.sqrt(np.maximum(nsq, 0.0)))
 
 
-def mp_solve(shifted, weight, grid, config=None, geometry=None, vtilde=None):
-    """Crest of the straight path, Newton polish, Morse-index certificate, for
-    one shift a, on geometry.support, which must lie on grid. Converged means
-    a relative residual within tol_res at a point of Morse index 1; otherwise
-    the crest comes back non-converged."""
+def solve_shifts(spec, a_values, vtildes, geometry, config=None):
+    """`mp_solve` for every shift a of a_values at once, from its endpoint of
+    the same position in vtildes (`find_vtilde` of that shift), on
+    geometry.support: the rows differ only by the constant a in
+    f_a = f_0 - a, so each stage runs once on arrays with a leading row
+    axis. Returns one MPSolution per shift, in order."""
     cfg = config or MPConfig()
+    sup = geometry.support
+    grid, nodes = sup.grid, sup.nodes
+    shifted = Shifts(spec, np.asarray(a_values, dtype=float).reshape(-1, 1))
+    a = shifted.a[:, 0]
+    k = a.size
+    if len(vtildes) != k:
+        raise ValueError("%d endpoints for %d shifts" % (len(vtildes), k))
+    warned = []
+    for a_row in a.tolist():
+        warned.append([])
+        if a_row >= geometry.a1:
+            warned[-1].append("a=%g >= a1 estimate %g: geometry untrusted, solving anyway"
+                              % (a_row, geometry.a1))
+            warnings.warn(warned[-1][-1])
+
+    crest_vals, crest_src, crest_level, vtilde_level, vtilde_norm = _crest(
+        np.array([v.values for v in vtildes]), np.array([v.source for v in vtildes]),
+        shifted, sup, cfg.path_nodes)
+    crest_res = residuals(sup.restrict(crest_vals), sup.restrict(crest_src), shifted, sup)
+    crest_norm = np.sqrt(np.maximum(rc.integrate_values(grid, crest_src * crest_vals), 0.0))
+    res_rel = crest_res / np.maximum(1.0, crest_norm)
+
+    # Newton polish: every row becomes a grid field by one stacked potential
+    # (a failed polish stands in as its crest and is never accepted)
+    x0 = sup.restrict(crest_vals)
+    scale = np.maximum(1.0, np.max(np.abs(crest_vals), axis=1))
+    x, ok, newton_res, newton_support = _newton_polish(x0, scale, shifted, sup,
+                                                       _NEWTON_MAX_ITER)
+    cand_src = np.zeros_like(crest_src)
+    cand_src[:, nodes] = sup.g[nodes] * eval_fa(shifted, np.where(ok[:, None], x, x0))
+    cand_vals = riesz_values(grid, cand_src)
+    cand_nsq = rc.integrate_values(grid, cand_src * cand_vals)
+    xc = sup.restrict(cand_vals)
+    cand_n = n_values(xc, shifted, sup)
+    cand_level = 0.5 * cand_nsq - cand_n
+    cand_res = residuals(xc, sup.restrict(cand_src), shifted, sup)
+    cand_norm = np.sqrt(np.maximum(cand_nsq, 0.0))
+    cand_rel = cand_res / np.maximum(1.0, cand_norm)
+    # accept a genuine improvement: a better residual, still above the rim,
+    # at a point of mountain-pass type; the other rows are certified at the crest
+    cand = ok & (cand_rel < res_rel) & (cand_level >= geometry.beta - 1e-6)
+    index, top = _morse_index(np.where(cand[:, None], xc, x0), spec, sup)
+    certified = np.zeros(k, dtype=bool) if index is None else index == 1
+    used = cand & certified
+    if index is not None and not np.array_equal(used, cand):
+        redo = cand & ~used  # a rejected polish is certified at its crest
+        index[redo], top[redo] = _morse_index(x0[redo], spec, sup)
+        certified = index == 1
+    morse = [None] * k if index is None else index.tolist()
+    vals = np.where(used[:, None], cand_vals, crest_vals)
+    src = np.where(used[:, None], cand_src, crest_src)
+    final_level, final_res, final_norm, res_rel = np.where(
+        used, (cand_level, cand_res, cand_norm, cand_rel), (crest_level, crest_res, crest_norm,
+                                                             res_rel))
+    converged = (res_rel <= cfg.tol_res) & certified
+    # the weak-form level (1/2) int g f_a(u) u - int g F_a(u)
+    xb = np.where(used[:, None], xc, x0)
+    n_b = cand_n if used.all() else np.where(used, cand_n, n_values(xb, shifted, sup))
+    weak_level = 0.5 * np.sum(sup.mass * eval_fa(shifted, xb) * xb, axis=-1) - n_b
+
+    sols = []
+    for i in range(k):
+        steps = len(newton_support[i])
+        diag = {
+            "rim_ok": bool(final_level[i] >= geometry.beta - 1e-6),
+            "newton_used": bool(used[i]),
+            "newton_iterations": steps,
+            "newton_residual_history": np.asarray(newton_res[i]),
+            "support_nodes": newton_support[i][-1] if steps else None,
+            "morse_index": morse[i],
+            "morse_top_eigenvalues": top[i],
+            "warnings": warned[i],
+            "crest_level": float(crest_level[i]),
+            "vtilde_norm": float(vtilde_norm[i]),
+            "vtilde_level": float(vtilde_level[i]),
+            "norm_h2": float(final_norm[i]),
+            "weak_level": float(weak_level[i]),
+            "level_gap": float(abs(final_level[i] - weak_level[i]) / abs(final_level[i])),
+            "history_norm": crest_norm[i:i + 1],
+            "history_residual": crest_res[i:i + 1],
+            "history_level": crest_level[i:i + 1],
+            "geometry": geometry,
+        }
+        sols.append(MPSolution(u=rc.RadialField(grid, vals[i], src[i]),
+                               level=float(final_level[i]), residual=float(final_res[i]),
+                               a=float(a[i]), iterations=1 + steps if used[i] else 1,
+                               converged=bool(converged[i]), diagnostics=diag))
+    return sols
+
+
+def mp_solve(shifted, weight, grid, config=None, geometry=None):
+    """Crest of the straight path, Newton polish, Morse-index certificate, for
+    one shift a, on geometry.support, which must lie on grid: `find_vtilde`,
+    then `solve_shifts` with one row. Converged means a relative residual
+    within tol_res at a point of Morse index 1; otherwise the crest comes
+    back non-converged."""
     if geometry is None:
         geometry = estimate_a1(shifted.base, weight, grid)
     sup = geometry.support
     if sup.grid is not grid:
         raise ValueError("geometry was estimated on another grid than the one solved on")
-    warned = []
-    if shifted.a >= geometry.a1:
-        warned.append("a=%g >= a1 estimate %g: geometry untrusted, solving anyway"
-                      % (shifted.a, geometry.a1))
-        warnings.warn(warned[-1])
-    if vtilde is None:
-        vtilde = find_vtilde(shifted, sup, make_bump(geometry.phi), geometry.rho)
-
-    u_crest, crest_level, vtilde_level = _crest(vtilde, cfg.path_nodes, shifted, sup)
-    crest_res = gradient_map(u_crest, shifted, sup)
-    crest_norm = rc.h2_norm(u_crest)
-    res_rel = crest_res / max(1.0, crest_norm)
-    u_best, final_level, final_res, its = u_crest, crest_level, crest_res, 1
-    final_norm = crest_norm
-
-    newton = {}
-    polished = _newton_polish(u_crest, shifted, sup, _NEWTON_MAX_ITER, trace=newton)
-    newton_used = False
-    if polished is not None:
-        u_cand, newton_its = polished
-        cand_level = i_a(u_cand, shifted, sup)
-        cand_res = gradient_map(u_cand, shifted, sup)
-        cand_norm = rc.h2_norm(u_cand)
-        cand_rel = cand_res / max(1.0, cand_norm)
-        # accept a genuine improvement: a better residual, still above the rim,
-        # at a point of mountain-pass type
-        if cand_rel < res_rel and cand_level >= geometry.beta - 1e-6:
-            morse = _morse_index(u_cand, shifted, sup)
-            if morse[0] == 1:
-                u_best, final_level, final_res, res_rel = u_cand, cand_level, cand_res, cand_rel
-                final_norm = cand_norm
-                newton_used = True
-                its += newton_its
-    if not newton_used:
-        morse = _morse_index(u_crest, shifted, sup)
-    morse_index, morse_top = morse
-    x = u_best.values[sup.nodes]  # the weak-form level (1/2) int g f_a(u) u - int g F_a(u)
-    weak_level = 0.5 * np.sum(sup.mass * eval_fa(shifted, x) * x) - n_a(u_best, shifted, sup)
-
-    diag = {
-        "rim_ok": bool(final_level >= geometry.beta - 1e-6),
-        "newton_used": newton_used,
-        "newton_iterations": len(newton["support"]),
-        "newton_residual_history": np.asarray(newton["residual"]),
-        "support_nodes": newton["support"][-1] if newton["support"] else None,
-        "morse_index": morse_index,
-        "morse_top_eigenvalues": morse_top,
-        "warnings": warned,
-        "crest_level": crest_level,
-        "vtilde_norm": rc.h2_norm(vtilde),
-        "vtilde_level": vtilde_level,
-        "norm_h2": final_norm,
-        "weak_level": float(weak_level),
-        "level_gap": float(abs(final_level - weak_level) / abs(final_level)),
-        "history_norm": np.array([crest_norm]),
-        "history_residual": np.array([crest_res]),
-        "history_level": np.array([crest_level]),
-        "geometry": geometry,
-    }
-    converged = res_rel <= cfg.tol_res and morse_index == 1
-    return MPSolution(u=u_best, level=final_level, residual=final_res, a=shifted.a,
-                      iterations=its, converged=bool(converged), diagnostics=diag)
+    vtilde = find_vtilde(shifted, sup, make_bump(geometry.phi), geometry.rho)
+    return solve_shifts(shifted.base, [shifted.a], [vtilde], geometry, config)[0]

@@ -235,14 +235,6 @@ def growth_envelope(spec, eps):
     return float(max(c, 0.0) * (1.0 + 1e-9) + 1e-300)
 
 
-def c_r_constant(spec, eps):
-    """C_R = (eps/2) R^2 + (C/gamma) R^gamma with R = r_mono and the
-    registered envelope pair (eps, C)."""
-    C = growth_envelope(spec, eps)
-    R = spec.r_mono
-    return 0.5 * eps * R * R + C / spec.gamma * R ** spec.gamma
-
-
 @dataclass
 class CheckReport:
     name: str
@@ -313,25 +305,3 @@ def check_f4(spec, t_samples=None, compact=100.0):
     growth = max(maxq[i + 1] / maxq[i] for i in range(len(maxq) - 1)) if maxq[0] > 0 else 1.0
     ok = growth <= 2.0
     return CheckReport("f4", ok, {"max_quotients": maxq, "scale_growth": growth})
-
-
-def check_prop33(shifted, s, t, eps=0.5):
-    """Residual of F_a(s) - F_a(t) <= (s^2 - t^2)/(2s) f_a(s) + C_R on the
-    admissible orderings 0 < t <= s or s <= t < 0. Negative residual = holds."""
-    if not ((0 < t <= s) or (s <= t < 0)):
-        raise ValueError("(s, t)=(%g, %g) outside the admissible orderings" % (s, t))
-    lhs = eval_Fa(shifted, s) - eval_Fa(shifted, t)
-    rhs = (s * s - t * t) / (2.0 * s) * eval_fa(shifted, s)
-    return float(lhs - rhs - c_r_constant(shifted.base, eps))
-
-
-def prop33_negative_excess(shifted, s, t):
-    """Exact excess of the negative branch: for s <= t < 0,
-
-        [F_a(s) - F_a(t)] - (s^2 - t^2)/(2s) f_a(s) = a (t - s)^2 / (2|s|) >= 0,
-
-    so the chain claimed for that branch runs the other way; the factor-2
-    relaxation lhs <= 2 * rhs holds exactly instead. Returns the excess."""
-    if not (s <= t < 0):
-        raise ValueError("negative branch needs s <= t < 0")
-    return shifted.a * (t - s) ** 2 / (2.0 * abs(s))

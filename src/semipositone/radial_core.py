@@ -111,10 +111,16 @@ def laplacian(u):
     return RadialField(g, out)
 
 
+def integrate_values(grid, values, nodes=slice(None)):
+    """`integrate` of each row of the grid values (..., n), or of values
+    (..., len(nodes)) given at the nodes only and zero elsewhere: the
+    trapezoid sum along the last axis."""
+    return grid.sphere_area * np.sum(values * grid.r_pow[nodes] * grid.w[nodes], axis=-1)
+
+
 def integrate(u):
     """int_{R^N} u dx = omega_N int_0^{r_max} u(r) r^{N-1} dr (trapezoid)."""
-    g = u.grid
-    return float(g.sphere_area * np.sum(u.values * g.r_pow * g.w))
+    return float(integrate_values(u.grid, u.values))
 
 
 def h2_inner(u, v):

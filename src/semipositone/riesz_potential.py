@@ -24,14 +24,15 @@ the m x m block B, built once per problem and read by every iterative
 stage of the solver; `ring_kernel` is the kernel as a dense matrix, a test
 oracle.
 `riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
-is all the D^{2,2} products of `radial_core.h2_inner` need.
+is all the D^{2,2} products of `radial_core.h2_inner` need; `riesz_values`
+is the same potential for every row of a (k, n) stack of sources.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .radial_core import RadialField, RadialGrid, sphere_area, integrate
+from .radial_core import RadialField, RadialGrid, integrate_values, sphere_area
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,16 @@ class Support:
     mass: np.ndarray
     block: np.ndarray
 
+    def restrict(self, values):
+        """The values on S of each row of the grid values (..., n), each row
+        contiguous, so a sum over S adds up a batch row as it adds up one field."""
+        return np.take(values, self.nodes, axis=-1)
+
+    def apply(self, x):
+        """B x for each row of the support values x (..., m): one matrix-vector
+        product per row, so a row of a batch is its one-row product bit for bit."""
+        return np.matmul(self.block, x[..., None])[..., 0]
+
 
 def support(g_field):
     """The `Support` of the sampled weight g_field, B from the closed form."""
@@ -168,6 +179,25 @@ def support(g_field):
     return Support(grid=grid, g=g, nodes=nodes, mass=mass, block=kern * col)
 
 
+def _potential(grid, alpha, src):
+    """kappa_alpha potentials of the rows of src (..., n) in O(n) each, from
+    prefix and suffix sums along the last axis."""
+    p0, p2, c = _kernel_coeffs(grid, alpha)
+    r2 = grid.r * grid.r
+    src = src * grid.r_pow * grid.w
+
+    def outer(x):
+        # sum over j > i, accumulated from the far end
+        tail = np.zeros_like(x)
+        tail[..., :-1] = np.cumsum(x[..., :0:-1], axis=-1)[..., ::-1]
+        return tail
+
+    out = p0 * np.cumsum(src, axis=-1) + outer(p0 * src)
+    if c:
+        out -= c * (p2 * np.cumsum(r2 * src, axis=-1) + r2 * outer(p2 * src))
+    return grid.sphere_area * out
+
+
 def apply_potential(alpha, h):
     """(I_alpha h)(r_i) = sum_j kappa_alpha(r_i, s_j) h(s_j) s_j^{N-1} w_j in O(n).
 
@@ -175,69 +205,42 @@ def apply_potential(alpha, h):
     radial measure only. The sum splits at s_j = r_i: R = r_i on the inner
     part (s_j <= r_i), R = s_j on the outer part (s_j > r_i).
     """
-    g = h.grid
-    p0, p2, c = _kernel_coeffs(g, alpha)
-    r2 = g.r * g.r
-    src = h.values * g.r_pow * g.w
+    return RadialField(h.grid, _potential(h.grid, alpha, h.values))
 
-    def outer(x):
-        # sum over j > i, accumulated from the far end
-        tail = np.zeros_like(x)
-        tail[:-1] = np.cumsum(x[:0:-1])[::-1]
-        return tail
 
-    out = p0 * np.cumsum(src) + outer(p0 * src)
-    if c:
-        out -= c * (p2 * np.cumsum(r2 * src) + r2 * outer(p2 * src))
-    return RadialField(g, g.sphere_area * out)
+def riesz_values(grid, sources):
+    """Values of u = R4 I_{N-4} h on grid for each row h of the (..., n)
+    stack sources, in one O(n) pass per row."""
+    if not np.all(np.isfinite(sources)):
+        raise ValueError("source has non-finite values (divergent norms)")
+    return riesz_constants(grid.dim).r4 * _potential(grid, grid.dim - 4, sources)
 
 
 def riesz_solve(h):
     """u with Delta^2 u = h on R^N, u = R4 I_{N-4} h, carrying h as its source."""
-    g = h.grid
-    if not np.all(np.isfinite(h.values)):
-        raise ValueError("source has non-finite values (divergent norms)")
-    u = apply_potential(g.dim - 4, h)
-    return RadialField(g, riesz_constants(g.dim).r4 * u.values, h.values)
+    return RadialField(h.grid, riesz_values(h.grid, h.values), h.values)
 
 
-def weak_lp_profile(dim, alpha):
-    """sup_s s^{N/(N-4)} |{ |x|^{4-N} > s }|, which must equal omega_N / N.
+def decay_constants(grid, values, sources):
+    """Far-field law r^{N-4} u(r) -> R4 int source, for each row of the
+    (k, n) stack of potentials values and of their sources.
 
-    The level set is the ball of radius rho(s) solving rho^{4-N} = s; rho is
-    recovered numerically (bracketed root) and the measure analytically.
+    Beyond the last node where a source is nonzero, R = r and rho = s in
+    the order N-4 kernel, so each potential is exactly r^{4-N} (A + B r^{-2})
+    there. fitted: A from one least-squares fit of r^{N-4} u to A + B r^{-2}
+    on those nodes, with k right-hand sides, NaN when they do not determine
+    both terms; predicted: R4 times the integral of the source.
     """
-    from scipy.optimize import brentq
-
-    if alpha != dim - 4:
-        raise ValueError("profile is defined for the biharmonic exponent alpha = N - 4")
-    om = sphere_area(dim)
-    p = dim / (dim - 4.0)
-    vals = []
-    for s in np.geomspace(1e-3, 1e3, 25):
-        rho = brentq(lambda t: t ** (4.0 - dim) - s, 1e-12, 1e12, xtol=1e-15, rtol=1e-15)
-        measure = om / dim * rho ** dim
-        vals.append(s ** p * measure)
-    vals = np.asarray(vals)
-    if np.ptp(vals) > 1e-10 * vals.max():
-        raise AssertionError("level-set profile is not constant in s")
-    return float(vals.max())
+    far = slice(np.flatnonzero(np.any(sources, axis=0)).max(initial=0) + 1, None)
+    r = grid.r[far]  # columns r^{-2} and 1 of the design, coefficients (B, A)
+    coef, _, rank, _ = np.linalg.lstsq(np.vander(r ** -2.0, 2),
+                                       (r ** (grid.dim - 4) * values[:, far]).T, rcond=None)
+    fitted = coef[1] if rank == 2 else np.full(len(values), np.nan)
+    r4 = riesz_constants(grid.dim).r4
+    return fitted, r4 * integrate_values(grid, sources)
 
 
 def decay_constant(u, source):
-    """Far-field law r^{N-4} u(r) -> R4 int source.
-
-    Beyond the last node where the source is nonzero, R = r and rho = s in
-    the order N-4 kernel, so the potential is exactly r^{4-N} (A + B r^{-2})
-    there. fitted: A from a least-squares fit of r^{N-4} u to A + B r^{-2}
-    on those nodes, NaN when they do not determine both terms; predicted:
-    R4 times the integral of the source.
-    """
-    g = u.grid
-    far = slice(np.flatnonzero(source.values).max(initial=0) + 1, None)
-    r = g.r[far]  # columns r^{-2} and 1 of the design, coefficients (B, A)
-    coef, _, rank, _ = np.linalg.lstsq(np.vander(r ** -2.0, 2), r ** (g.dim - 4) * u.values[far],
-                                       rcond=None)
-    fitted = float(coef[1]) if rank == 2 else np.nan
-    predicted = float(riesz_constants(g.dim).r4 * integrate(source))
-    return fitted, predicted
+    """`decay_constants` of one potential u and its source field."""
+    fitted, predicted = decay_constants(u.grid, u.values[None], source.values[None])
+    return float(fitted[0]), float(predicted[0])

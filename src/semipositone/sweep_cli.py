@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import GeometryError, estimate_a1
-from .mountain_pass import MPConfig, find_vtilde, make_bump, mp_solve
+from .energy import GeometryError, Shifts, estimate_a1
+from .mountain_pass import MPConfig, find_vtilde, make_bump, solve_shifts
 from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
                            example_nonlinearity, linear_nonlinearity,
                            power_nonlinearity)
-from .riesz_potential import decay_constant
+from .riesz_potential import decay_constants
 from .weight import check_g1, check_g2, example_weight, table_weight
 
 CSV_HEADER = "a,level,norm_h2,sup_ext,min_value,neg_mass,decay_fit,decay_pred,residual,converged"
@@ -198,24 +198,29 @@ def _default_a_values(geometry, count, decades):
     return list(a_max * 10.0 ** (-decades * k / (count - 1)))
 
 
-def _row_from_solution(sol, shifted, sup):
-    u = sol.u
-    grid = u.grid
-    ext = grid.r >= 1.0
-    sup_ext = float(np.max(np.abs(u.values[ext])))
-    neg_part = np.maximum(-u.values, 0.0)
-    neg_mass = rc.integrate(rc.RadialField(grid, neg_part))
-    src = rc.RadialField(grid, sup.g * eval_fa(shifted, u.values))
-    fit, pred = decay_constant(u, src)
-    return SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
-                    sup_ext=sup_ext, min_value=float(np.min(u.values)),
-                    neg_mass=neg_mass, decay_fit=fit, decay_pred=pred,
-                    residual=sol.residual, converged=sol.converged)
+def _rows_from_solutions(sols, spec, sup):
+    """One SweepRow per solution; the profile statistics and the decay fit
+    run on the (k, n) stack of profiles, the decay source on S only."""
+    grid, nodes = sup.grid, sup.nodes
+    u = np.array([sol.u.values for sol in sols])
+    a = np.array([sol.a for sol in sols])
+    sup_ext, min_value = np.max(np.abs(u[:, grid.r >= 1.0]), axis=1), np.min(u, axis=1)
+    neg_mass = rc.integrate_values(grid, np.maximum(-u, 0.0))
+    src = np.zeros_like(u)
+    src[:, nodes] = sup.g[nodes] * eval_fa(Shifts(spec, a[:, None]), sup.restrict(u))
+    fit, pred = decay_constants(grid, u, src)
+    return [SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
+                     sup_ext=float(sup_ext[i]), min_value=float(min_value[i]),
+                     neg_mass=float(neg_mass[i]), decay_fit=float(fit[i]),
+                     decay_pred=float(pred[i]), residual=sol.residual,
+                     converged=sol.converged)
+            for i, sol in enumerate(sols)]
 
 
 def run_sweep(cfg, a_values=None):
     """Solve the shifted problem over a decreasing a-list plus the positone
-    limit, one independent solve per row."""
+    limit: the endpoint of each row's path by `find_vtilde`, then every row
+    in one batch (`solve_shifts`)."""
     spec, weight, grid = build_problem(cfg)
     geometry = estimate_a1(spec, weight, grid)
     if a_values is None:
@@ -224,19 +229,16 @@ def run_sweep(cfg, a_values=None):
     a_desc = sorted({float(a) for a in a_values if a > 0}, reverse=True)
     a_desc.append(0.0)  # positone row always present, always last
 
-    bump = make_bump(geometry.phi)
-    rows, profiles, sols = [], {}, {}
-    for a in a_desc:
-        shifted = ShiftedNonlinearity(spec, a)
-        vtilde = find_vtilde(shifted, geometry.support, bump, geometry.rho)
-        sol = mp_solve(shifted, weight, grid, cfg.mp, geometry, vtilde=vtilde)
-        rows.append(_row_from_solution(sol, shifted, geometry.support))
-        profiles[a] = sol.u.values.copy()
-        sols[a] = sol
+    sup, bump = geometry.support, make_bump(geometry.phi)
+    vtildes = [find_vtilde(ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
+               for a in a_desc]
+    sols = solve_shifts(spec, a_desc, vtildes, geometry, cfg.mp)
+    rows = _rows_from_solutions(sols, spec, sup)
+    profiles = {sol.a: sol.u.values for sol in sols}
 
     summary = _summarize(rows, profiles, grid, geometry)
     for key in ("morse_index", "level_gap"):
-        summary[key] = [[a, sol.diagnostics[key]] for a, sol in sols.items()]
+        summary[key] = [[sol.a, sol.diagnostics[key]] for sol in sols]
     echo = _config_echo(cfg)
     return SweepReport(rows=rows, summary=summary, config_echo=echo,
                        profiles=profiles, grid_r=grid.r.copy(), geometry=geometry)

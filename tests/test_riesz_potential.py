@@ -7,6 +7,8 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel_pairs
 
+from conftest import weak_lp_profile
+
 
 def test_riesz_constants_closed_forms():
     for dim in (5, 6, 8):
@@ -212,7 +214,7 @@ def test_riesz_solve_rejects_nonfinite(grid128):
 
 def test_weak_lp_profile_wrong_alpha():
     with pytest.raises(ValueError):
-        sp.weak_lp_profile(5, 2.0)
+        weak_lp_profile(5, 2.0)
 
 
 def test_decay_constant_on_riesz_field(grid512):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,40 +298,59 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
 
 def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     # each ray takes one norm and evaluates F_a on the m nodes of supp g: a
-    # row pays at most 9 norms (the sweep one more, for the bump), and
-    # no F_a argument is longer than the 31 rungs of the vtilde ladder times m
-    h2_calls, fa_sizes = [], []
-    h2_inner, eval_fa_prim = radial_core.h2_inner, energy.eval_Fa
+    # row pays at most 9 norms (the sweep one more, for the bump), counted
+    # as calls of h2_inner and, where the batch takes the norms of all rows
+    # at once, as integrals of stacked values; the trailing axis of every
+    # F_a argument is the m nodes, never the grid, and no F_a argument holds
+    # more than the 31 rungs of the vtilde ladder times m, or the 17 path
+    # nodes times m, per row
+    h2_calls, integrals, fa_shapes = [], [], []
+    h2_inner, integrate_values = radial_core.h2_inner, radial_core.integrate_values
+    eval_fa_prim = energy.eval_Fa
 
     def counting_h2(u, v):
         h2_calls.append(u.grid.n)
         return h2_inner(u, v)
 
+    def counting_integrals(grid, values, *args):
+        integrals.append(np.shape(values))
+        return integrate_values(grid, values, *args)
+
     def sizing_fa(shifted, t):
-        fa_sizes.append(np.size(t))
+        fa_shapes.append(np.shape(t))
         return eval_fa_prim(shifted, t)
     monkeypatch.setattr(radial_core, "h2_inner", counting_h2)
+    for mod in (radial_core, riesz_potential):
+        monkeypatch.setattr(mod, "integrate_values", counting_integrals)
     monkeypatch.setattr(energy, "eval_Fa", sizing_fa)
     cfg = parse_config(write(tmp_path, SMALL))
     report = sweep_cli.run_sweep(cfg)
     _, weight, grid = sweep_cli.build_problem(cfg)
     m = np.count_nonzero(sp.sample_on_grid(weight, grid).values)
+    rows = len(report.rows)
     assert all(r.converged for r in report.rows)
-    assert len(h2_calls) <= 9 * len(report.rows) + 1
-    assert fa_sizes and max(fa_sizes) <= 31 * m < grid.n
+    assert len(h2_calls) <= 9 * rows + 1
+    assert len(integrals) <= 9 * rows + 1
+    assert fa_shapes and all(shape[-1] == m < grid.n for shape in fa_shapes)
+    assert all(np.prod(shape) <= max(31, 17 * rows) * m for shape in fa_shapes)
 
 
 def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     # supp g is sampled and discretised once per sweep, and every stage reads
-    # that support: a row applies a potential only where its solve ends, to
-    # extend the polished point to the grid; the residuals are sums over S
-    counts = {"apply_potential": 0, "support": 0, "sample_on_grid": 0}
+    # that support: each row's ray is searched by find_vtilde, and the solve
+    # applies a potential only where it ends, once for all rows after the
+    # last search, to extend the polished points to the grid; the residuals
+    # are sums over S
+    counts = {"apply_potential": 0, "support": 0, "sample_on_grid": 0, "riesz_values": 0}
+    shapes = []
     for name in counts:
         home = weight if name == "sample_on_grid" else riesz_potential
         orig = getattr(home, name)
 
         def counting(*args, _orig=orig, _name=name):
             counts[_name] += 1
+            if _name == "riesz_values":
+                shapes.append(np.shape(args[1]))
             return _orig(*args)
         for mod in (weight, riesz_potential, energy, mountain_pass, sweep_cli):
             if getattr(mod, name, None) is orig:
@@ -345,8 +365,11 @@ def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     assert len(starts) == len(report.rows) == 13
     assert all(r.converged for r in report.rows)
     assert counts["support"] == counts["sample_on_grid"] == 1
-    for begin, end in zip(starts, starts[1:] + [counts]):
-        assert end["apply_potential"] - begin["apply_potential"] <= 1
+    # one potential for the B_g maximiser before the first search, one
+    # batched potential for all rows after the last
+    assert counts["apply_potential"] == 0
+    assert all(begin["riesz_values"] == 1 for begin in starts)
+    assert shapes == [(128,), (13, 128)]
 
 
 def test_sweep_takes_no_stencil(tmp_path, monkeypatch):
@@ -378,6 +401,39 @@ def test_table_weights_converge_at_index_one(tmp_path, table):
     report = sweep_cli.run_sweep(cfg)
     assert len(report.rows) == 4 and all(r.converged for r in report.rows)
     assert [idx for _, idx in report.summary["morse_index"]] == [1] * 4
+
+
+def test_wide_support_sweep_holds_one_stack_chunk(tmp_path, monkeypatch):
+    # the [0, 19] table fills the grid (m = 364 of n = 384): held at once,
+    # the 13 rows' (k, m, m) Newton and eigvals stacks would take 13 MB;
+    # built under a 1 MB budget, one row at a time, the solve peaks below
+    # 60% of one such stack (the rest is the O(k 17 m) crest path), and
+    # every number comes out as with the stacks held at once
+    tab = tmp_path / "g.csv"
+    r = np.linspace(0.0, 19.0, 40)
+    np.savetxt(tab, np.c_[r, 1.0 / (1.0 + r ** 2)], delimiter=",")
+    cfg = parse_config(write(tmp_path, "[weight]\nfamily = custom_table\n"
+                             "table_path = %s\n[grid]\nn = 384\n" % tab))
+    solve_shifts, peaks = sweep_cli.solve_shifts, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sols = solve_shifts(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        return sols
+    monkeypatch.setattr(sweep_cli, "solve_shifts", traced)
+    held = sweep_cli.run_sweep(cfg)
+    monkeypatch.setattr(mountain_pass, "_STACK_BYTES", 2 ** 20)
+    chunked = sweep_cli.run_sweep(cfg)
+    k, m = len(chunked.rows), chunked.geometry.support.nodes.size
+    assert k == 13 and m == 364 and all(r.converged for r in chunked.rows)
+    assert peaks[1] < 0.6 * 8 * k * m * m < peaks[0]
+    assert chunked.rows == held.rows
+    assert all(np.array_equal(chunked.profiles[a], held.profiles[a]) for a in held.profiles)
 
 
 def test_profile_csv_cells_round_trip(tmp_path, small_report):
@@ -430,6 +486,25 @@ def test_run_positone_script_small_ball():
     assert out.returncode == 0, out.stdout + out.stderr
     gap = re.search(r"weak level .*\(relative gap (\S+)\)", out.stdout)
     assert gap and float(gap.group(1)) <= 1e-8
+
+
+def test_run_positone_decay_matches_sweep_row(tmp_path, capsys):
+    # the script forms the decay source on supp g as the sweep does, so its
+    # printed decay numbers are the a = 0 row of sweep.csv for the same problem
+    spec = importlib.util.spec_from_file_location(
+        "run_positone", os.path.join(ROOT, "scripts", "run_positone.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--n", "128", "--r-max", "8"]) == 0
+    printed = re.search(r"decay  fit   = (\S+)    predicted = (\S+)   ratio = (\S+)",
+                        capsys.readouterr().out)
+    out = tmp_path / "out"
+    assert main(["--config", write(tmp_path, "[grid]\nn = 128\nr_max = 8\n"),
+                 "--out", str(out)]) == 0
+    last = open(out / "sweep.csv").read().splitlines()[-1].split(",")
+    assert float(last[0]) == 0.0
+    fit, pred = float(last[6]), float(last[7])
+    assert printed.groups() == ("%.6g" % fit, "%.6g" % pred, "%.6f" % (fit / pred))
 
 
 def test_main_missing_file(tmp_path, capsys):
