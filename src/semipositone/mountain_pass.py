@@ -14,8 +14,9 @@ supp g, where it is B f_a(u[S]), B the m x m block of the
 `riesz_potential.Support` that `estimate_a1` built: Newton runs on the m
 values, each step one exact dense solve of I - B diag(f_a'). Certify the
 polished point by its Morse index, the number of eigenvalues above 1 of
-R4 K diag(g f_a'(u)), read from the eigenvalues of B diag(f_a'(u[S])): a
-nondegenerate mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
+R4 K diag(g f_a'(u)), read from the eigenvalues of B diag(f_a'(u[S])),
+similar to a symmetric matrix while g f_a'(u) >= 0: a nondegenerate
+mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
 A polish that fails, does not lower the residual, falls below the rim level
 beta or has another index is rejected, and the crest is returned, flagged
 non-converged.
@@ -26,7 +27,7 @@ takes each shift's vtilde from `find_vtilde` and carries the k shifts from
 there on as a leading row axis, with a entering as the column a[:, None]
 (`energy.Shifts`): the crest is one (k, 17, m) evaluation, Newton one
 stacked solve per step over the rows still active (a row leaves where a
-one-row solve would stop), the certificate one `eigvals` of a (k, m, m)
+one-row solve would stop), the certificate one `eigvalsh` of a (k, m, m)
 stack, and the polished points become grid fields by one O(n) potential
 over (k, n). The (k, m, m) stacks go through `_chunks` of at most
 _STACK_BYTES, so they hold no more memory than one row at a time once a
@@ -44,7 +45,7 @@ import numpy as np
 from . import radial_core as rc
 from .energy import Shifts, estimate_a1, n_values, path_levels, ray_levels, residuals
 from .nonlinearity import eval_f0prime, eval_fa
-from .riesz_potential import riesz_values
+from .riesz_potential import riesz_constants, riesz_values
 
 
 @dataclass
@@ -129,9 +130,13 @@ def _morse_index(x, spec, sup):
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
     direction. That operator's spectrum is the eigenvalues of
-    B diag(f_a'(u[S])), B the support block of g, plus n - m zeros: `eigvals`
-    of the (k, m, m) stack, chunk by chunk. Where g f_a'(u) >= 0 it is similar
-    to a symmetric one, so its spectrum is real; the real parts are read.
+    B diag(f_a'(u[S])), B the support block of g, plus n - m zeros. B is
+    K diag(col) with K symmetric and col = R4 mass > 0 on S (`sample_on_grid`
+    puts g = 0 at r = 0, where the volume weight vanishes), so where
+    f_a' >= 0, B diag(f_a') is similar to diag(s) K diag(s), s = sqrt(col f_a'):
+    one `eigvalsh` of the symmetric (k, m, m) stack B s_i s_j / col_j, chunk
+    by chunk. A row where col f_a' has a negative entry (g f_a'(u) < 0
+    somewhere on S) raises ValueError.
     Returns (indices (k,), eigenvalues (k, 2) in decreasing order); an index
     counts only the two eigenvalues returned, so 2 means "at least 2".
     Without a registered f' there is no certificate: (None, (k, 0) empty).
@@ -139,10 +144,18 @@ def _morse_index(x, spec, sup):
     if spec.fprime is None:
         return None, np.empty((len(x), 0))
     k, m = x.shape
-    fp = eval_f0prime(spec, x)
+    col = riesz_constants(sup.grid.dim).r4 * sup.mass
+    d = col * eval_f0prime(spec, x)
+    if np.any(d < 0):
+        raise ValueError("col f_a' < 0 on supp g: the symmetric Morse certificate "
+                         "needs g f_a'(u) >= 0")
+    s = np.sqrt(d)
+    s_col = s / col
     spectrum = np.zeros((k, m + min(2, sup.grid.n - m)))
     for c in _chunks(k, m):
-        spectrum[c, :m] = np.linalg.eigvals(sup.block * fp[c, None, :]).real
+        stack = sup.block * s[c, :, None]
+        stack *= s_col[c, None, :]
+        spectrum[c, :m] = np.linalg.eigvalsh(stack)
     top = -np.sort(-spectrum, axis=1)[:, :2]
     return np.sum(top > 1.0, axis=1), top
 

@@ -311,11 +311,12 @@ def _summarize(rows, profiles, grid, geometry):
 
 
 def _config_echo(cfg):
+    """Every field of every section, tuples as lists, read without a copy."""
     echo = {}
     for name in ("problem", "weight", "grid", "mp", "sweep"):
-        sub = dataclasses.asdict(getattr(cfg, name))
-        echo[name] = {k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in sub.items()}
+        sec = getattr(cfg, name)
+        values = {f.name: getattr(sec, f.name) for f in dataclasses.fields(sec)}
+        echo[name] = {k: (list(v) if isinstance(v, tuple) else v) for k, v in values.items()}
     return echo
 
 
@@ -325,37 +326,28 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def emit(report, out_dir):
     """Write rows CSV, summary JSON, and per-a profile CSVs; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in report.rows:
-            fh.write(",".join([
-                _fmt(r.a), _fmt(r.level), _fmt(r.norm_h2), _fmt(r.sup_ext),
-                _fmt(r.min_value), _fmt(r.neg_mass), _fmt(r.decay_fit),
-                _fmt(r.decay_pred), _fmt(r.residual), _fmt(r.converged)]) + "\n")
-    paths.append(csv_path)
-
-    json_path = os.path.join(out_dir, "summary.json")
-    with open(json_path, "w") as fh:
-        json.dump({"summary": report.summary, "config": report.config_echo},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(json_path)
-
-    # every profile shares the r column: format its cells once
-    r_cells = [repr(r) + "," for r in np.asarray(report.grid_r, dtype=float).tolist()]
+    rows = "".join(",".join(_fmt(getattr(r, key)) for key in CSV_HEADER.split(",")) + "\n"
+                   for r in report.rows)
+    summary = json.dumps({"summary": report.summary, "config": report.config_echo},
+                         indent=2, sort_keys=True) + "\n"
+    paths = [_write(os.path.join(out_dir, "sweep.csv"), CSV_HEADER + "\n" + rows),
+             _write(os.path.join(out_dir, "summary.json"), summary)]
+    # every profile shares the r column: one template per grid, filled per a
+    template = "r,u\n" + "".join(repr(r) + ",%r\n"
+                                  for r in np.asarray(report.grid_r, dtype=float).tolist())
     for i, (a, vals) in enumerate(sorted(report.profiles.items(), reverse=True)):
         prof_path = os.path.join(out_dir, "profile_%02d_a%s.csv" % (i, ("%.6g" % a)))
-        with open(prof_path, "w") as fh:
-            fh.write("r,u\n")
-            fh.writelines(rr + repr(uu) + "\n" for rr, uu in
-                          zip(r_cells, np.asarray(vals, dtype=float).tolist()))
-        paths.append(prof_path)
+        paths.append(_write(prof_path,
+                            template % tuple(np.asarray(vals, dtype=float).tolist())))
     return paths
 
 

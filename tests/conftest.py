@@ -6,8 +6,12 @@ tests that probe with random directions; `weak_pairing`, `energy_report`,
 for the energy layer, `support_of` builds the support the layer
 functions read, and `weak_lp_profile`, `c_r_constant`, `check_prop33` and
 `prop33_negative_excess` check the paper's constants and its two-point
-bound, which no solve reads; all imported the same way."""
+bound, which no solve reads; `envelope_refine` and `emit_texts` are the
+per-sample envelope fit and the per-cell file formatter the package's faster
+versions must reproduce; all imported the same way."""
 
+import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +108,47 @@ def c_r_constant(spec, eps):
     C = sp.growth_envelope(spec, eps)
     R = spec.r_mono
     return 0.5 * eps * R * R + C / spec.gamma * R ** spec.gamma
+
+
+def envelope_refine(spec, eps):
+    """`growth_envelope` by a 20001-point linear refine of the bracket
+    around the argmax of the 4001-point log grid on [1e-8, T_BIG]."""
+    def ratio(tt):
+        return (np.asarray(sp.eval_f(spec, tt)) - eps * tt) / tt ** (spec.gamma - 1.0)
+
+    t = np.geomspace(1e-8, sp.nonlinearity.T_BIG, 4001)
+    rho = ratio(t)
+    i = int(np.argmax(rho))
+    fine = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 20001)
+    c = max(float(np.max(rho)), float(np.max(ratio(fine))))
+    return float(max(c, 0.0) * (1.0 + 1e-9) + 1e-300)
+
+
+def emit_texts(report):
+    """{file name: text} of what `emit` writes for report, one cell at a time."""
+    fmt = sp.sweep_cli._fmt
+    texts = {}
+    fh = io.StringIO()
+    fh.write(sp.sweep_cli.CSV_HEADER + "\n")
+    for r in report.rows:
+        fh.write(",".join([
+            fmt(r.a), fmt(r.level), fmt(r.norm_h2), fmt(r.sup_ext),
+            fmt(r.min_value), fmt(r.neg_mass), fmt(r.decay_fit),
+            fmt(r.decay_pred), fmt(r.residual), fmt(r.converged)]) + "\n")
+    texts["sweep.csv"] = fh.getvalue()
+    fh = io.StringIO()
+    json.dump({"summary": report.summary, "config": report.config_echo},
+              fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    texts["summary.json"] = fh.getvalue()
+    r_cells = [repr(r) + "," for r in np.asarray(report.grid_r, dtype=float).tolist()]
+    for i, (a, vals) in enumerate(sorted(report.profiles.items(), reverse=True)):
+        fh = io.StringIO()
+        fh.write("r,u\n")
+        fh.writelines(rr + repr(uu) + "\n" for rr, uu in
+                      zip(r_cells, np.asarray(vals, dtype=float).tolist()))
+        texts["profile_%02d_a%s.csv" % (i, ("%.6g" % a))] = fh.getvalue()
+    return texts
 
 
 def check_prop33(shifted, s, t, eps=0.5):

@@ -473,6 +473,39 @@ def test_morse_eigenvalues_match_dense(dim, n, support, seed):
     assert index == np.sum(dense > 1.0)
 
 
+@pytest.mark.parametrize("n,table", [(128, False), (512, False), (1024, False), (384, True)])
+def test_symmetric_certificate_matches_eigvals_on_sweeps(tmp_path, n, table):
+    # on every row of the default sweep, and of the [0, 19] table that fills
+    # the grid, the top two eigenvalues of the symmetric stack are those of
+    # the general eigvals of B diag(f'), and each index, 1 on every row, is
+    # the count above 1 of the latter
+    text = "[grid]\nn = %d\n" % n
+    if table:
+        r = np.linspace(0.0, 19.0, 40)
+        np.savetxt(tmp_path / "g.csv", np.c_[r, 1.0 / (1.0 + r ** 2)], delimiter=",")
+        text += "[weight]\nfamily = custom_table\ntable_path = %s\n" % (tmp_path / "g.csv")
+    (tmp_path / "cfg.ini").write_text(text)
+    cfg = sp.parse_config(str(tmp_path / "cfg.ini"))
+    report = sp.run_sweep(cfg)
+    spec, sup = sp.build_problem(cfg)[0], report.geometry.support
+    x = sup.restrict(np.array([report.profiles[r.a] for r in report.rows]))
+    index, top = mp._morse_index(x, spec, sup)
+    fp = sp.nonlinearity.eval_f0prime(spec, x)
+    dense = -np.sort(-np.linalg.eigvals(sup.block * fp[:, None, :]).real, axis=1)[:, :2]
+    np.testing.assert_allclose(top, dense, rtol=1e-12, atol=0)
+    assert index.tolist() == np.sum(dense > 1.0, axis=1).tolist() == [1] * len(x)
+    assert [i for _, i in report.summary["morse_index"]] == index.tolist()
+
+
+def test_certificate_rejects_negative_fprime(example_w, grid128):
+    # a registered f' < 0 on u > 0 makes g f_a'(u) negative on supp g, where
+    # B diag(f') is no longer similar to a symmetric matrix
+    spec = dataclasses.replace(sp.power_nonlinearity(3.0, gamma=3.5),
+                               fprime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
+    with pytest.raises(ValueError, match=r"col f_a' < 0 on supp g"):
+        sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid128)
+
+
 def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, positone128):
     grid = sp.make_grid(5, 2048, 20.0)
     u0 = RadialField(grid, np.interp(grid.r, positone128.u.grid.r, positone128.u.values))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import semipositone as sp
 from semipositone.nonlinearity import T_BIG, growth_envelope
 
-from conftest import c_r_constant, check_prop33, prop33_negative_excess
+from conftest import c_r_constant, check_prop33, envelope_refine, prop33_negative_excess
 
 
 def test_critical_exponent_values():
@@ -132,6 +134,53 @@ def test_growth_envelope_dominates(example_spec, t):
     eps = 0.25
     C = growth_envelope(example_spec, eps)
     assert example_spec.f(t) <= eps * t + C * t ** (example_spec.gamma - 1.0) + 1e-9
+
+
+def _envelope_specs():
+    # the example's gamma = 2.5 lies below 2** at every dim 5-9
+    return ([sp.example_nonlinearity(dim=dim) for dim in range(5, 10)]
+            + [sp.power_nonlinearity(3.0, gamma=3.5), sp.power_nonlinearity(3.0),
+               sp.linear_nonlinearity()])
+
+
+_ENVELOPE_EPS = np.geomspace(1e-3, 35.0, 12)
+
+
+def _recording(spec):
+    """spec with f logging every sample it is called on, and the log."""
+    seen = []
+
+    def f(t):
+        seen.append(np.atleast_1d(np.asarray(t, dtype=float)).copy())
+        return spec.f(t)
+
+    rec = dataclasses.replace(spec, f=f)
+    seen.clear()  # the spec's own f(0) check
+    return rec, seen
+
+
+@pytest.mark.parametrize("spec", _envelope_specs(), ids=lambda s: "%s-N%d-g%g" % (
+    s.name, s.dim, s.gamma))
+def test_growth_envelope_matches_linear_refine(spec):
+    # the zoom finds the constant of the 20001-point refine, across six
+    # decades of eps, including maxima pinned at either end of the range
+    for eps in _ENVELOPE_EPS:
+        assert growth_envelope(spec, eps) == pytest.approx(envelope_refine(spec, eps),
+                                                          rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("spec", _envelope_specs(), ids=lambda s: "%s-N%d-g%g" % (
+    s.name, s.dim, s.gamma))
+def test_growth_envelope_dominates_every_sample(spec):
+    # every coarse and zoom node, recorded from the calls to f, lies under
+    # the envelope, and one fit samples f on at most 4001 + 3 * 65 points
+    for eps in _ENVELOPE_EPS:
+        rec, seen = _recording(spec)
+        C = growth_envelope(rec, eps)
+        t = np.concatenate(seen)
+        assert t.size <= 4001 + 3 * 65
+        assert t.min() == 1e-8 and t.max() == T_BIG
+        assert np.all(spec.f(t) <= eps * t + C * t ** (spec.gamma - 1.0))
 
 
 def test_c_r_constant_formula(example_spec):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -13,8 +14,10 @@ import semipositone as sp
 from semipositone import (energy, mountain_pass, radial_core, riesz_potential, sweep_cli,
                           weight)
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
-                                    _default_a_values, _summarize, emit,
+                                    _config_echo, _default_a_values, _summarize, emit,
                                     main, parse_config)
+
+from conftest import emit_texts
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -224,6 +227,29 @@ def test_emit_roundtrip(tmp_path, small_report):
     assert blob["summary"]["n_rows"] == 3
     # one profile per row
     assert len(paths) == 2 + len(small_report.rows)
+
+
+def test_emit_matches_per_cell_formatter(tmp_path, small_report):
+    # one write per file from the profile template writes what the per-cell
+    # formatter writes, byte for byte, for every file
+    paths = emit(small_report, str(tmp_path / "out"))
+    written = {}
+    for path in paths:
+        with open(path) as fh:
+            written[os.path.basename(path)] = fh.read()
+    assert written == emit_texts(small_report)
+
+
+@pytest.mark.parametrize("text", ["", "[sweep]\na_list = 0.5, 0.25\n[grid]\nn = 64\n"])
+def test_config_echo_matches_asdict(tmp_path, text):
+    # the fields read in place give the deep copy's echo, tuples as lists
+    cfg = parse_config(write(tmp_path, text))
+    expect = {name: {k: (list(v) if isinstance(v, tuple) else v)
+                     for k, v in dataclasses.asdict(getattr(cfg, name)).items()}
+              for name in ("problem", "weight", "grid", "mp", "sweep")}
+    echo = _config_echo(cfg)
+    assert echo == expect
+    assert json.dumps(echo, sort_keys=True) == json.dumps(expect, sort_keys=True)
 
 
 def test_sweep_deterministic(tmp_path):
