@@ -53,7 +53,7 @@ def main(argv=None):
     nodes = geo.support.nodes  # the source g f_a(u) lives on supp g: form it there only
     src = np.zeros(grid.n)
     src[nodes] = geo.support.g[nodes] * sp.eval_fa(shifted, u.values[nodes])
-    fit, pred = sp.decay_constant(u, sp.RadialField(grid, src))
+    (fit,), (pred,) = sp.decay_constants(grid, u.values[None], src[None])
 
     print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
           % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))

@@ -11,9 +11,9 @@ take that support: N_a and the residual are sums over S, F_a is evaluated
 there only, and on a ray the norm is quadratic, so `ray_levels` gives
 I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one norm
 and one F_a call on a (len(t), m) array. `n_values`, `path_levels` and
-`residuals` take support values with any leading axes, and a `Shifts` in
-place of the one shift of `ShiftedNonlinearity`, so the solver evaluates
-every row of a sweep in one call.
+`residuals` take support values with any leading axes, and a
+`ShiftedNonlinearity` whose a is an array of shifts shaped to broadcast
+against them, so the solver evaluates every row of a sweep in one call.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2. Every
 field the solver forms is a Riesz potential u = T(h) that carries its
@@ -28,26 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .nonlinearity import NonlinearitySpec, eval_Fa, eval_fa, eval_f0prime, growth_envelope
+from .nonlinearity import ENVELOPE_FLOOR, T_BIG, eval_Fa, eval_fa, growth_envelope
 from .weight import sample_on_grid
 from .riesz_potential import Support, riesz_solve, support
 
 _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
-
-
-@dataclass(frozen=True, eq=False)
-class Shifts:
-    """k shifts a of one f, the batch form of `ShiftedNonlinearity`: a is an
-    array shaped to broadcast against the support values it meets, a[:, None]
-    for (k, m) points and a[:, None, None] for (k, P, m) paths, so
-    f_a = f_0 - a and F_a = F_0(t+) - a t act row by row."""
-    base: NonlinearitySpec
-    a: np.ndarray
-
-    def __post_init__(self):
-        if (self.a < 0).any():
-            raise ValueError("shift a must be nonnegative")
 
 
 def n_values(x, shifted, sup):
@@ -71,8 +57,8 @@ def path_levels(x, nsq, shifted, sup, t):
 
     The norm is quadratic and g vanishes off supp g, so
     I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): F_a on the
-    (..., len(t), m) array of scaled support values, which a `Shifts`
-    broadcasts over its rows.
+    (..., len(t), m) array of scaled support values, which an array of
+    shifts a[:, None, None] broadcasts over its rows.
     """
     t = np.asarray(t, dtype=float)
     f_a = eval_Fa(shifted, t[:, None] * np.asarray(x)[..., None, :])
@@ -216,14 +202,13 @@ def estimate_a1(spec, weight, grid, eps=None):
         a1 = a_rho / (2.0 * c_lin * rho_star)
     beta = 0.5 * a_rho
     if not all(np.isfinite(x) and x > 0 for x in (rho_star, beta, a1)):
+        cause = "" if c_env != ENVELOPE_FLOOR else (
+            "; f(t) <= eps t at every sampled t <= T_BIG (eps=%g, T_BIG=%g): "
+            "f is not superlinear on (0, %g]" % (eps, T_BIG, T_BIG))
         raise GeometryError("degenerate constants: c_gamma=%g, c_lin=%g give rho=%g, "
-                            "beta=%g, a1=%g (A has no finite positive maximum)"
-                            % (c_gamma, c_lin, rho_star, beta, a1))
+                            "beta=%g, a1=%g (A has no finite positive maximum)%s"
+                            % (c_gamma, c_lin, rho_star, beta, a1, cause))
     return GeometryConstants(b_g=b_g, eps=eps, c_gamma=c_gamma, rho=rho_star,
                              beta=beta, a1=a1, c_lin=c_lin, rho1=rho1,
                              c_env=c_env, gamma=gamma, phi=phi, support=sup)
 
-
-def fa_prime_values(shifted, values):
-    """Derivative of f_a along a field: f'(u) where u > 0, 0 where u <= 0."""
-    return eval_f0prime(shifted.base, values)

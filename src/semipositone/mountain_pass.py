@@ -25,13 +25,13 @@ The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
 F_a = F_0(t+) - a t, and share S, B, the bump and rho. So `solve_shifts`
 takes each shift's vtilde from `find_vtilde` and carries the k shifts from
 there on as a leading row axis, with a entering as the column a[:, None]
-(`energy.Shifts`): the crest is one (k, 17, m) evaluation, Newton one
-stacked solve per step over the rows still active (a row leaves where a
-one-row solve would stop), the certificate one `eigvalsh` of a (k, m, m)
-stack, and the polished points become grid fields by one O(n) potential
-over (k, n). The (k, m, m) stacks go through `_chunks` of at most
-_STACK_BYTES, so they hold no more memory than one row at a time once a
-row fills that budget. `mp_solve` is the batch of one. The cost is
+of one `ShiftedNonlinearity`: the crest is one (k, 17, m) evaluation,
+Newton one stacked solve per step over the rows still active (a row leaves
+where a one-row solve would stop), the certificate one `eigvalsh` of a
+(k, m, m) stack, and the polished points become grid fields by one O(n)
+potential over (k, n). The (k, m, m) stacks go through `_chunks` of at most
+_STACK_BYTES, so they hold no more memory than one row at a time once a row
+fills that budget. `mp_solve` is the batch of one. The cost is
 O(k n + k m^3) time and O(k n + min(k m^2, max(m^2, _STACK_BYTES))) memory;
 m^3 is small while g lives on a thin shell (m = 14 at n = 512 for the
 example) and grows when g fills the grid.
@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import Shifts, estimate_a1, n_values, path_levels, ray_levels, residuals
-from .nonlinearity import eval_f0prime, eval_fa
+from .energy import estimate_a1, n_values, path_levels, ray_levels, residuals
+from .nonlinearity import ShiftedNonlinearity, eval_f0prime, eval_fa
 from .riesz_potential import riesz_constants, riesz_values
 
 
@@ -215,7 +215,7 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
                                                 phi[step], res[step])
             if not rows.size:
                 break
-            sh = Shifts(shifted.base, shifted.a[rows])
+            sh = ShiftedNonlinearity(shifted.base, shifted.a[rows])
         res_prev = np.minimum(res_prev, res)
         fp = eval_f0prime(shifted.base, xr)
         dx, singular = _newton_steps(fp, phi, sup)
@@ -227,7 +227,7 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
                                               dx[keep], fp[keep])
             if not rows.size:
                 break
-            sh = Shifts(shifted.base, shifted.a[rows])
+            sh = ShiftedNonlinearity(shifted.base, shifted.a[rows])
         xr = xr - dx
         for i, c in zip(rows.tolist(), np.count_nonzero(fp, axis=1).tolist()):
             support[i].append(c)
@@ -243,8 +243,8 @@ def _crest(vals, src, shifted, sup, k_nodes):
     raises when a maximizer is pinned at an endpoint."""
     nsq = rc.integrate_values(sup.grid, src * vals)
     s = np.linspace(0.0, 1.0, k_nodes)
-    levels = path_levels(sup.restrict(vals), nsq, Shifts(shifted.base, shifted.a[..., None]),
-                         sup, s)
+    levels = path_levels(sup.restrict(vals), nsq,
+                         ShiftedNonlinearity(shifted.base, shifted.a[..., None]), sup, s)
     k_star = np.argmax(levels, axis=1)
     crest_at = k_star.tolist()
     if min(crest_at) == 0 or max(crest_at) == k_nodes - 1:
@@ -263,7 +263,7 @@ def solve_shifts(spec, a_values, vtildes, geometry, config=None):
     cfg = config or MPConfig()
     sup = geometry.support
     grid, nodes = sup.grid, sup.nodes
-    shifted = Shifts(spec, np.asarray(a_values, dtype=float).reshape(-1, 1))
+    shifted = ShiftedNonlinearity(spec, np.asarray(a_values, dtype=float).reshape(-1, 1))
     a = shifted.a[:, 0]
     k = a.size
     if len(vtildes) != k:

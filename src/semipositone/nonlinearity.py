@@ -19,6 +19,7 @@ import numpy as np
 from .radial_core import gauss_legendre
 
 T_BIG = 1e6          # top of the default sampling range
+ENVELOPE_FLOOR = 1e-300  # growth_envelope where f(t) <= eps t on every sample
 _ORIGIN_TOL = 0.01   # f(t)/t must sit below this on the smallest decade
 _GROWTH_TOL = 0.05   # slack on the subcritical ratio bound
 
@@ -56,14 +57,16 @@ class NonlinearitySpec:
             raise ValueError("f(0)=%g but the hypotheses need f(0)=0 exactly" % f0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedNonlinearity:
-    """f_a = f - a on t >= 0 and -a on t <= 0; a = 0 is the positone limit f_0."""
+    """f_a = f - a on t >= 0 and -a on t <= 0; a = 0 is the positone limit f_0.
+    a is one shift or an array of shifts that broadcasts against the values it
+    meets (a[:, None] for (k, m) points), so f_a and F_a act row by row."""
     base: NonlinearitySpec
-    a: float
+    a: float  # or an array of shifts
 
     def __post_init__(self):
-        if self.a < 0:
+        if np.any(np.asarray(self.a) < 0):
             raise ValueError("shift a must be nonnegative")
 
 
@@ -227,7 +230,8 @@ def growth_envelope(spec, eps):
     Least-upper fit over a dense log grid on [1e-8, T_BIG], then zoomed in
     3 rounds of 65 linear points on the bracket around the argmax so far
     (final spacing 2.5e-7 t), so points falling between log-grid samples
-    stay dominated too, then bumped by a hair.
+    stay dominated too, then bumped by a hair; ENVELOPE_FLOOR when no
+    sample has f(t) > eps t.
     """
     def ratio(tt):
         return (np.asarray(eval_f(spec, tt)) - eps * tt) / tt ** (spec.gamma - 1.0)
@@ -240,7 +244,7 @@ def growth_envelope(spec, eps):
         t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], _ZOOM_POINTS)
         rho = ratio(t)
         c = max(c, float(np.max(rho)))
-    return float(max(c, 0.0) * (1.0 + 1e-9) + 1e-300)
+    return float(max(c, 0.0) * (1.0 + 1e-9) + ENVELOPE_FLOOR)
 
 
 @dataclass
@@ -250,20 +254,21 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _default_samples():
-    return np.geomspace(1e-6, T_BIG, 2000)
+# The checkers' fixed samples: a log grid on [1e-6, T_BIG], the levels f(t)/t
+# must pass for (f2), and the compact interval of (f4) with its part of the grid
+_CHECK_T = np.geomspace(1e-6, T_BIG, 2000)
+_F2_PROBES = (1.0, 10.0)
+_F4_COMPACT = 100.0
+_F4_T = _CHECK_T[_CHECK_T <= _F4_COMPACT]
 
 
-def check_f1(spec, t_samples=None):
+def check_f1(spec):
     """f(t)/t -> 0 at the origin and f(t)/t^{gamma-1} bounded by c_f at the top."""
-    t = _default_samples() if t_samples is None else np.asarray(t_samples, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty sample set")
-    t = t[t > 0]
+    t = _CHECK_T
     ft = np.asarray(eval_f(spec, t))
-    small = t <= 10.0 * t.min()
+    small = t <= 10.0 * t[0]
     origin_ratio = float(np.max(np.abs(ft[small] / t[small])))
-    big = t >= t.max() / 10.0
+    big = t >= t[-1] / 10.0
     growth_ratio = float(np.max(ft[big] / t[big] ** (spec.gamma - 1.0)))
     origin_ok = origin_ratio <= _ORIGIN_TOL
     growth_ok = growth_ratio <= spec.c_f * (1.0 + _GROWTH_TOL)
@@ -272,24 +277,17 @@ def check_f1(spec, t_samples=None):
         "c_f": spec.c_f, "origin_ok": origin_ok, "growth_ok": growth_ok})
 
 
-def check_f2(spec, t_samples=None, probes=(1.0, 10.0)):
+def check_f2(spec):
     """f(t)/t must exceed every probe level somewhere in the sample range."""
-    t = _default_samples() if t_samples is None else np.asarray(t_samples, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty sample set")
-    t = t[t > 0]
-    ratio = np.asarray(eval_f(spec, t)) / t
-    exceeded = {float(m): bool(np.any(ratio > m)) for m in probes}
+    ratio = np.asarray(eval_f(spec, _CHECK_T)) / _CHECK_T
+    exceeded = {m: bool(np.any(ratio > m)) for m in _F2_PROBES}
     return CheckReport("f2", all(exceeded.values()), {
         "max_ratio": float(np.max(ratio)), "probes": exceeded})
 
 
-def check_f3(spec, t_samples=None):
+def check_f3(spec):
     """Discrete monotonicity of f(t)/t beyond the registered threshold R."""
-    t = _default_samples() if t_samples is None else np.asarray(t_samples, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty sample set")
-    t = np.sort(t[t > spec.r_mono])
+    t = _CHECK_T[_CHECK_T > spec.r_mono]
     ratio = np.asarray(eval_f(spec, t)) / t
     drops = np.diff(ratio)
     worst = float(np.min(drops)) if drops.size else 0.0
@@ -297,17 +295,12 @@ def check_f3(spec, t_samples=None):
     return CheckReport("f3", ok, {"worst_drop": worst, "r_mono": spec.r_mono})
 
 
-def check_f4(spec, t_samples=None, compact=100.0):
-    """Difference quotients on [0, compact] must stay bounded as the step
+def check_f4(spec):
+    """Difference quotients on [0, 100] must stay bounded as the step
     shrinks (growth between scales reads as a Lipschitz failure)."""
-    t = _default_samples() if t_samples is None else np.asarray(t_samples, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty sample set")
-    base = np.unique(np.clip(t[t <= compact], 0.0, compact))
-    scales = (1e-2, 1e-4, 1e-6)
     maxq = []
-    for hstep in scales:
-        pts = base[base + hstep <= compact]
+    for hstep in (1e-2, 1e-4, 1e-6):
+        pts = _F4_T[_F4_T + hstep <= _F4_COMPACT]
         q = np.abs(np.asarray(eval_f(spec, pts + hstep)) - np.asarray(eval_f(spec, pts))) / hstep
         maxq.append(float(np.max(q)))
     growth = max(maxq[i + 1] / maxq[i] for i in range(len(maxq) - 1)) if maxq[0] > 0 else 1.0

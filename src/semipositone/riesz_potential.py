@@ -239,8 +239,3 @@ def decay_constants(grid, values, sources):
     r4 = riesz_constants(grid.dim).r4
     return fitted, r4 * integrate_values(grid, sources)
 
-
-def decay_constant(u, source):
-    """`decay_constants` of one potential u and its source field."""
-    fitted, predicted = decay_constants(u.grid, u.values[None], source.values[None])
-    return float(fitted[0]), float(predicted[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import GeometryError, Shifts, estimate_a1
+from .energy import GeometryError, estimate_a1
 from .mountain_pass import MPConfig, find_vtilde, make_bump, solve_shifts
 from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
@@ -207,7 +207,8 @@ def _rows_from_solutions(sols, spec, sup):
     sup_ext, min_value = np.max(np.abs(u[:, grid.r >= 1.0]), axis=1), np.min(u, axis=1)
     neg_mass = rc.integrate_values(grid, np.maximum(-u, 0.0))
     src = np.zeros_like(u)
-    src[:, nodes] = sup.g[nodes] * eval_fa(Shifts(spec, a[:, None]), sup.restrict(u))
+    shifted = ShiftedNonlinearity(spec, a[:, None])
+    src[:, nodes] = sup.g[nodes] * eval_fa(shifted, sup.restrict(u))
     fit, pred = decay_constants(grid, u, src)
     return [SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
                      sup_ext=float(sup_ext[i]), min_value=float(min_value[i]),

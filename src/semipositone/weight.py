@@ -23,8 +23,7 @@ class WeightSpec:
 
     For the example family profile(r) = r^{-d} on the annulus; for table
     weights (r_in, r_out) just bound the support and g is smooth between the
-    knots. norms and c_g are caches filled on demand, keyed by p and by
-    delta respectively.
+    knots. norms is a cache filled on demand, keyed by p.
     """
     profile: Callable
     dim: int
@@ -34,7 +33,6 @@ class WeightSpec:
     name: str = "custom"
     knots: tuple = ()
     norms: dict = field(default_factory=dict)
-    c_g: dict = field(default_factory=dict)
 
     def norm(self, p):
         p = float(p)
@@ -238,40 +236,28 @@ def _g2_left_side_direct(spec, delta, x):
     return float(x ** alpha * val)
 
 
-def check_g2(spec, delta, x_samples=None, variant="exterior"):
+# (g2) probe radii: exterior points |x| >= 1, clear of the support
+_G2_PROBES = np.geomspace(1.05, 1e3, 24)
+_G2_PROBES.flags.writeable = False
+
+
+def check_g2(spec, delta):
     """Estimate C_g = sup over probes of the (g2) left side.
 
-    delta must be 1 or 2** (within round-off). Probes default to a log grid
-    on [1.05, 1e3]; the exterior variant requires probes >= 1, the punctured
-    variant (delta = 1 only) allows any positive radius. Non-finite values
-    are reported as failure rather than clipped.
+    delta must be 1 or 2** (within round-off). The probes are a log grid on
+    [1.05, 1e3], exterior to the unit ball. Non-finite values are reported
+    as failure rather than clipped.
     """
     dim = spec.dim
     two_ss = critical_exponent(dim)
     if not (abs(delta - 1.0) < 1e-12 or abs(delta - two_ss) < 1e-12):
         raise ValueError("delta=%g not in {1, 2**=%g}" % (delta, two_ss))
-    if variant not in ("exterior", "punctured"):
-        raise ValueError("variant must be 'exterior' or 'punctured'")
-    if variant == "punctured" and abs(delta - 1.0) > 1e-12:
-        raise ValueError("punctured-domain variant is stated for delta = 1 only")
-    if x_samples is None:
-        x_samples = np.geomspace(1.05, 1e3, 24)
-    x_samples = np.asarray(x_samples, dtype=float)
-    if variant == "exterior" and np.any(x_samples < 1.0):
-        raise ValueError("exterior probes must satisfy |x| >= 1")
-    if np.any(x_samples <= 0):
-        raise ValueError("probe radii must be positive")
-
-    values = g2_left_side(spec, delta, x_samples)
+    values = g2_left_side(spec, delta, _G2_PROBES)
     finite = np.isfinite(values)
     c_g = float(np.max(values[finite])) if np.any(finite) else np.inf
     limit_mass = support_mass_delta(spec, delta)
     far_ratio = float(values[finite][-1] / limit_mass) if np.any(finite) and limit_mass > 0 else np.nan
-    passed = bool(np.all(finite))
-    if passed:
-        spec.c_g[float(delta)] = c_g
-    return CheckReport("g2", passed, {
+    return CheckReport("g2", bool(np.all(finite)), {
         "delta": float(delta), "alpha": (dim - 4.0) * delta,
-        "x_samples": x_samples, "values": values, "c_g": c_g,
-        "limit_mass": limit_mass, "far_field_ratio": far_ratio,
-        "variant": variant})
+        "x_samples": _G2_PROBES, "values": values, "c_g": c_g,
+        "limit_mass": limit_mass, "far_field_ratio": far_ratio})

@@ -128,7 +128,7 @@ def test_criterion_6_positone_solve(example_spec, example_w, grid512, geometry51
     assert np.min(sol.u.values) >= 0.0
     gv = sp.sample_on_grid(example_w, grid512).values
     src = RadialField(grid512, gv * sp.eval_fa(sh, sol.u.values))
-    fit, pred = sp.decay_constant(sol.u, src)
+    (fit,), (pred,) = sp.decay_constants(grid512, sol.u.values[None], src.values[None])
     assert 0.9 <= fit / pred <= 1.1
     # frozen regression values, see FROZEN_LEVEL
     assert sol.level == pytest.approx(FROZEN_LEVEL, rel=FROZEN_RTOL)

@@ -7,6 +7,7 @@ from scipy.linalg import eigh
 
 import semipositone as sp
 from semipositone.energy import _ratio_sup
+from semipositone.nonlinearity import eval_f0prime
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
@@ -347,6 +348,17 @@ def test_estimate_a1_degenerate_raises():
         sp.estimate_a1(spec, w, sp.make_grid(7, 128, 20.0))
 
 
+def test_estimate_a1_names_a_linear_f():
+    # f(t) = t never beats eps t: the message names that cause, with eps and T_BIG
+    spec = sp.linear_nonlinearity(dim=5)
+    w = sp.example_weight(dim=5)
+    with pytest.raises(sp.GeometryError,
+                       match=r"^degenerate constants: .*; f\(t\) <= eps t at every sampled "
+                             r"t <= T_BIG \(eps=\S+, T_BIG=1e\+06\): f is not superlinear "
+                             r"on \(0, 1e\+06\]$"):
+        sp.estimate_a1(spec, w, sp.make_grid(5, 128, 20.0))
+
+
 def test_estimate_a1_eps_cap(example_spec, example_w, grid128):
     with pytest.raises(ValueError, match="eps"):
         sp.estimate_a1(example_spec, example_w, grid128, eps=1e9)
@@ -374,9 +386,8 @@ def test_rim_levels_dominate_beta(example_spec, example_w, grid128, geometry128)
 
 
 def test_fa_prime_vanishes_on_nonpositive(example_spec):
-    sh = sp.ShiftedNonlinearity(example_spec, 0.4)
     vals = np.array([-2.0, 0.0, 1.0, 3.0])
-    out = sp.fa_prime_values(sh, vals)
+    out = eval_f0prime(example_spec, vals)
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[2] == pytest.approx(example_spec.fprime(1.0))
     assert out[3] == pytest.approx(example_spec.fprime(3.0))

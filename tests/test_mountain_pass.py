@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import semipositone as sp
 from semipositone import mountain_pass as mp
-from semipositone.energy import Shifts
+from semipositone.nonlinearity import eval_f0prime
 from semipositone.radial_core import RadialField
 from semipositone.weight import sample_on_grid
 
@@ -25,7 +25,7 @@ def _polish(u0, sh, sup, max_iter):
     count; None when it fails."""
     scale = np.array([max(1.0, np.max(np.abs(u0.values)))])
     x, ok, _, support = mp._newton_polish(u0.values[sup.nodes][None], scale,
-                                          Shifts(sh.base, np.array([[sh.a]])), sup, max_iter)
+                                          sp.ShiftedNonlinearity(sh.base, np.array([[sh.a]])), sup, max_iter)
     if not ok[0]:
         return None
     src = np.zeros(u0.grid.n)
@@ -121,7 +121,7 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
         assert np.array_equal(vtildes[-1].values, ref.values)
     crest_vals, crest_src, crest_level, end, _ = mp._crest(
         np.stack([v.values for v in vtildes]), np.stack([v.source for v in vtildes]),
-        Shifts(example_spec, a_values[:, None]), sup, 17)
+        sp.ShiftedNonlinearity(example_spec, a_values[:, None]), sup, 17)
     for i, (a, vtilde) in enumerate(zip(a_values, vtildes)):
         sh = sp.ShiftedNonlinearity(example_spec, a)
         nodes = [sp.scale(vtilde, s) for s in np.linspace(0.0, 1.0, 17)]
@@ -184,7 +184,7 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
         assert abs(sol.level - weak) <= 1e-8 * sol.level
         assert sol.diagnostics["weak_level"] == pytest.approx(weak, rel=1e-12)
         assert sol.diagnostics["level_gap"] <= 1e-8
-        fit, pred = sp.decay_constant(sol.u, RadialField(grid, gv * sp.eval_fa(sh, u)))
+        (fit,), (pred,) = sp.decay_constants(grid, u[None], (gv * sp.eval_fa(sh, u))[None])
         assert abs(fit / pred - 1.0) <= 1e-10
         levels.append(sol.level)
         norms.append(sol.diagnostics["norm_h2"])
@@ -304,7 +304,7 @@ def test_morse_certificate_on_example(positone128, example_spec, example_w, grid
     assert d["morse_index"] == 1
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     m = grid128.r ** (grid128.dim - 1) * grid128.w
-    fp = sample_on_grid(example_w, grid128).values * sp.fa_prime_values(sh, positone128.u.values)
+    fp = sample_on_grid(example_w, grid128).values * eval_f0prime(example_spec, positone128.u.values)
     kern = sp.riesz_constants(grid128.dim).r4 * sp.ring_kernel(grid128, grid128.dim - 4)
     dense = np.sort(np.linalg.eigvals(kern * (m * fp)[None, :]).real)[::-1]
     np.testing.assert_allclose(d["morse_top_eigenvalues"], dense[:2], rtol=1e-8)
@@ -398,8 +398,8 @@ def test_newton_diagnostics(example_spec, example_w, positone128):
     # each step is solved on the nodes where g f'(u) != 0, and Newton
     # converges fast
     u = positone128.u
-    dg = sample_on_grid(example_w, u.grid).values * sp.fa_prime_values(
-        sp.ShiftedNonlinearity(example_spec, 0.0), u.values)
+    dg = sample_on_grid(example_w, u.grid).values * eval_f0prime(
+        example_spec, u.values)
     assert d["support_nodes"] == np.count_nonzero(dg) >= 1
     assert d["norm_h2"] == sp.h2_norm(u)
     assert res[-1] <= 1e-12 * res[0]

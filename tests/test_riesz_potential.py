@@ -220,6 +220,6 @@ def test_weak_lp_profile_wrong_alpha():
 def test_decay_constant_on_riesz_field(grid512):
     g = grid512
     h = RadialField(g, np.where(g.r < 1.0, np.cos(0.5 * np.pi * np.minimum(g.r, 1.0)) ** 4, 0.0))
-    fitted, predicted = sp.decay_constant(sp.riesz_solve(h), h)
+    (fitted,), (predicted,) = sp.decay_constants(g, sp.riesz_solve(h).values[None], h.values[None])
     assert predicted > 0
     assert abs(fitted / predicted - 1.0) < 1e-2

@@ -111,6 +111,32 @@ def test_perfbench_traced_functions_exist():
     assert missing == []
 
 
+def test_perfbench_tracer_binds_and_reads_mp_solve(example_spec, example_w, grid128,
+                                                  geometry128):
+    # the tracer finds every traced name in the loaded package, and the
+    # diagnostics it reads off an mp_solve result are there: a deletion that
+    # turns a benchmark layer "absent" fails here
+    tracer_path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert tr.absent == set()
+        tr.begin("op")
+        sol = sp.mp_solve(sp.ShiftedNonlinearity(example_spec, 0.0), example_w, grid128,
+                          None, geometry128)
+    finally:
+        tr.uninstall()
+    assert len(sol.diagnostics["history_residual"]) >= 1
+    assert isinstance(sol.diagnostics["newton_used"], bool)
+    count = tr.ops["op"].count
+    assert tr.ops["op"].calls["mountain_pass.mp_solve"] == 1
+    assert count["mountain_pass.deform_iters"] == len(sol.diagnostics["history_residual"])
+    assert count["mountain_pass.newton_used"] == sol.diagnostics["newton_used"]
+
+
 def test_build_problem_families(tmp_path):
     cfg = parse_config(write(tmp_path, "family = power\npower = 3\ngamma = 4\n"))
     spec, weight, grid = sweep_cli.build_problem(cfg)
@@ -512,6 +538,25 @@ def test_run_positone_script_small_ball():
     assert out.returncode == 0, out.stdout + out.stderr
     gap = re.search(r"weak level .*\(relative gap (\S+)\)", out.stdout)
     assert gap and float(gap.group(1)) <= 1e-8
+
+
+def test_run_sweep_script_on_example_at_n128(tmp_path):
+    # the shipped config at 128 nodes: exit 0 (every row converged) and the
+    # 12 shifts plus the positone row printed between header and summary
+    text = open(os.path.join(ROOT, "scripts", "configs", "example.ini")).read()
+    assert text.count("n = 512 ") == 1
+    cfg = write(tmp_path, text.replace("n = 512 ", "n = 128 "))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "run_sweep.py"),
+                          "--config", cfg],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("sweep: 13 rows")
+    rows = lines[2:lines.index("summary:")]
+    assert len(rows) == 13
+    assert all(row.split()[-1] == "ok" for row in rows)
 
 
 def test_run_positone_decay_matches_sweep_row(tmp_path, capsys):
