@@ -31,8 +31,8 @@ def main(argv=None):
     report = sp.run_sweep(cfg)
     dt = time.perf_counter() - t0
 
-    print("sweep: %d rows in %.1fs   (a1 = %.6g, beta = %.6g)"
-          % (len(report.rows), dt, report.geometry.a1, report.geometry.beta))
+    print("sweep: %d rows in %.1f ms   (a1 = %.6g, beta = %.6g)"
+          % (len(report.rows), 1e3 * dt, report.geometry.a1, report.geometry.beta))
     print("%12s %15s %15s %12s %11s %9s %5s"
           % ("a", "level", "norm_h2", "min_value", "decay", "resid", "conv"))
     for r in report.rows:
@@ -50,9 +50,12 @@ def main(argv=None):
     print("  n_converged     = %s / %s" % (s["n_converged"], len(report.rows)))
 
     if args.out:
+        t0 = time.perf_counter()
         paths = sp.emit(report, args.out)
+        dt = time.perf_counter() - t0
         for p in paths:
             print("wrote %s" % p)
+        print("wrote %d files in %.1f ms" % (len(paths), 1e3 * dt))
 
     bad = [r for r in report.rows if not r.converged]
     return 2 if bad else 0

@@ -172,7 +172,9 @@ def estimate_a1(spec, weight, grid, eps=None):
     The maximiser phi of the B_g iteration comes back too, the direction of
     the straight path (`mountain_pass.make_bump`), and so does the support
     the constants were computed on, which every later stage reads. Raises
-    GeometryError when eps, q or A(rho*) leave no positive rim.
+    GeometryError when eps, q or A(rho*) leave no positive rim, and when the
+    growth envelope sits at its floor (f(t) <= eps t on every sample), however
+    finite the constants built on that floor come out.
     """
     gamma = spec.gamma
     sup = support(sample_on_grid(weight, grid))
@@ -201,8 +203,9 @@ def estimate_a1(spec, weight, grid, eps=None):
         a_rho = q * rho_star ** 2 * (gamma - 2.0) / gamma
         a1 = a_rho / (2.0 * c_lin * rho_star)
     beta = 0.5 * a_rho
-    if not all(np.isfinite(x) and x > 0 for x in (rho_star, beta, a1)):
-        cause = "" if c_env != ENVELOPE_FLOOR else (
+    floor = c_env == ENVELOPE_FLOOR  # no sample beat eps t: c_gamma is no constant
+    if floor or not all(np.isfinite(x) and x > 0 for x in (rho_star, beta, a1)):
+        cause = "" if not floor else (
             "; f(t) <= eps t at every sampled t <= T_BIG (eps=%g, T_BIG=%g): "
             "f is not superlinear on (0, %g]" % (eps, T_BIG, T_BIG))
         raise GeometryError("degenerate constants: c_gamma=%g, c_lin=%g give rho=%g, "

@@ -327,6 +327,29 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _repr_cells(values):
+    """[repr(float(x)) for x in values], the cells of a profile CSV.
+
+    repr writes positional notation exactly where x == 0 or
+    1e-4 <= |x| < 1e16, and there its shortest round-trip digits are
+    those of Ryu (Adams, PLDI 2018), which orjson writes for a whole
+    array in one call; every other cell (exponent notation, nan, +-inf)
+    is formatted by repr itself. orjson is imported here, so a solve or a
+    check never loads it.
+    """
+    import orjson
+
+    x = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(x)
+    fast = (x == 0) | ((mag >= 1e-4) & (mag < 1e16))
+    cells = np.empty(x.size, dtype=object)
+    if fast.any():
+        text = orjson.dumps(x[fast], option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        cells[fast] = text[1:-1].split(",")
+    cells[~fast] = [repr(v) for v in x[~fast].tolist()]
+    return cells.tolist()
+
+
 def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -343,12 +366,10 @@ def emit(report, out_dir):
     paths = [_write(os.path.join(out_dir, "sweep.csv"), CSV_HEADER + "\n" + rows),
              _write(os.path.join(out_dir, "summary.json"), summary)]
     # every profile shares the r column: one template per grid, filled per a
-    template = "r,u\n" + "".join(repr(r) + ",%r\n"
-                                  for r in np.asarray(report.grid_r, dtype=float).tolist())
+    template = "r,u\n" + "".join(r + ",%s\n" for r in _repr_cells(report.grid_r))
     for i, (a, vals) in enumerate(sorted(report.profiles.items(), reverse=True)):
         prof_path = os.path.join(out_dir, "profile_%02d_a%s.csv" % (i, ("%.6g" % a)))
-        paths.append(_write(prof_path,
-                            template % tuple(np.asarray(vals, dtype=float).tolist())))
+        paths.append(_write(prof_path, template % tuple(_repr_cells(vals))))
     return paths
 
 

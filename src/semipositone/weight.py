@@ -71,10 +71,17 @@ def support_mass_delta(spec, delta):
     return float(sphere_area(spec.dim) * _radial_integral(spec, edges, delta)[0])
 
 
+# points per profile call of the L^inf sampling: the temporaries of one call
+# stay well below malloc's 128 KiB mmap threshold, so a check does not trim
+# and regrow the heap (about 250 page faults per `checks` op when it did)
+_SUP_CHUNK = 4096
+
+
 def _quad_norm(spec, p):
     if np.isinf(p):
         r = np.linspace(spec.r_in, spec.r_out, 20001)
-        return float(np.max(spec.profile(r)))
+        return float(max(np.max(spec.profile(r[i:i + _SUP_CHUNK]))
+                         for i in range(0, r.size, _SUP_CHUNK)))
     return support_mass_delta(spec, p) ** (1.0 / p)
 
 

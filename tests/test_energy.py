@@ -348,9 +348,12 @@ def test_estimate_a1_degenerate_raises():
         sp.estimate_a1(spec, w, sp.make_grid(7, 128, 20.0))
 
 
-def test_estimate_a1_names_a_linear_f():
-    # f(t) = t never beats eps t: the message names that cause, with eps and T_BIG
-    spec = sp.linear_nonlinearity(dim=5)
+@pytest.mark.parametrize("gamma", [2.5, 6.0, 8.0])
+def test_estimate_a1_names_a_linear_f(gamma):
+    # f(t) = t never beats eps t: the message names that cause, with eps and
+    # T_BIG, also at large gamma, where the floored envelope c_env = 1e-300
+    # gives finite constants (a1 ~ 1e75 at gamma = 6) rather than an overflow
+    spec = sp.linear_nonlinearity(dim=5, gamma=gamma)
     w = sp.example_weight(dim=5)
     with pytest.raises(sp.GeometryError,
                        match=r"^degenerate constants: .*; f\(t\) <= eps t at every sampled "

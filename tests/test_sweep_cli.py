@@ -9,13 +9,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import semipositone as sp
 from semipositone import (energy, mountain_pass, radial_core, riesz_potential, sweep_cli,
                           weight)
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
-                                    _config_echo, _default_a_values, _summarize, emit,
-                                    main, parse_config)
+                                    _config_echo, _default_a_values, _repr_cells,
+                                    _summarize, emit, main, parse_config)
 
 from conftest import emit_texts
 
@@ -255,15 +257,48 @@ def test_emit_roundtrip(tmp_path, small_report):
     assert len(paths) == 2 + len(small_report.rows)
 
 
-def test_emit_matches_per_cell_formatter(tmp_path, small_report):
+def synthetic_report(finite):
+    """A report whose cells leave the positional range of repr: subnormal,
+    tiny, huge and negative cells, signed zeros and, unless finite, nan and
+    +-inf, in the r column, in every profile and in the rows."""
+    cells = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-5, -9.99e-5, 1e-4, 0.5, -3.0,
+                      1e15, 1e16, 3.3e17, -1.7976931348623157e308, 1e300]
+                     + ([] if finite else [np.nan, np.inf, -np.inf]))
+    shifts = (2.0, 1e-9, 0.0)
+    rows = [fake_row(a, 1e20, -1e-20) for a in shifts]
+    profiles = {a: np.roll(cells, k) for k, a in enumerate(shifts)}
+    return SweepReport(rows=rows, summary={"n_rows": len(rows)}, config_echo={},
+                       profiles=profiles, grid_r=np.roll(cells, -1))
+
+
+@pytest.mark.parametrize("name", ["small_report", "synthetic_report"])
+def test_emit_matches_per_cell_formatter(tmp_path, request, name):
     # one write per file from the profile template writes what the per-cell
-    # formatter writes, byte for byte, for every file
-    paths = emit(small_report, str(tmp_path / "out"))
+    # formatter writes, byte for byte, for every file: on a solved sweep, and
+    # on cells that repr writes in exponent notation or as nan and +-inf
+    report = (synthetic_report(finite=False) if name == "synthetic_report"
+              else request.getfixturevalue(name))
+    paths = emit(report, str(tmp_path / "out"))
     written = {}
     for path in paths:
         with open(path) as fh:
             written[os.path.basename(path)] = fh.read()
-    assert written == emit_texts(small_report)
+    assert written == emit_texts(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+@example(np.array([0.0, -0.0]))
+@example(np.array([1e-4, np.nextafter(1e-4, 0.0)]))
+@example(np.array([1e16, np.nextafter(1e16, 0.0)]))
+@example(np.array([5e-324, 1.7976931348623157e308, -1.7976931348623157e308]))
+@example(np.array([]))
+def test_repr_cells_is_repr(x):
+    # the one-call formatter writes repr of every cell, on both sides of the
+    # positional range [1e-4, 1e16) and at its edges
+    assert _repr_cells(x) == [repr(v) for v in x.tolist()]
 
 
 @pytest.mark.parametrize("text", ["", "[sweep]\na_list = 0.5, 0.25\n[grid]\nn = 64\n"])
@@ -488,27 +523,32 @@ def test_wide_support_sweep_holds_one_stack_chunk(tmp_path, monkeypatch):
     assert all(np.array_equal(chunked.profiles[a], held.profiles[a]) for a in held.profiles)
 
 
-def test_profile_csv_cells_round_trip(tmp_path, small_report):
+@pytest.mark.parametrize("name", ["small_report", "synthetic_report"])
+def test_profile_csv_cells_round_trip(tmp_path, request, name):
     # the shared r column, formatted once, writes the same bytes as one
-    # "%r,%r" line per node, and every cell reads back exactly
-    paths = emit(small_report, str(tmp_path / "out"))
-    profiles = sorted(small_report.profiles.items(), reverse=True)
+    # "%r,%r" line per node, and every cell reads back exactly, signed zeros
+    # and the cells outside the positional range included
+    report = (synthetic_report(finite=True) if name == "synthetic_report"
+              else request.getfixturevalue(name))
+    paths = emit(report, str(tmp_path / "out"))
+    profiles = sorted(report.profiles.items(), reverse=True)
     assert len(paths[2:]) == len(profiles)
     for path, (_, vals) in zip(paths[2:], profiles):
         with open(path) as fh:
             text = fh.read()
         assert text == "r,u\n" + "".join("%r,%r\n" % (float(r), float(u))
-                                         for r, u in zip(small_report.grid_r, vals))
+                                         for r, u in zip(report.grid_r, vals))
         cells = [line.split(",") for line in text.splitlines()[1:]]
-        assert [float(r) for r, _ in cells] == small_report.grid_r.tolist()
+        assert [float(r) for r, _ in cells] == report.grid_r.tolist()
         assert [float(u) for _, u in cells] == vals.tolist()
+        assert [np.signbit(float(u)) for _, u in cells] == np.signbit(vals).tolist()
 
 
 def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
     # a sweep and the default checks run on fixed Gauss rules, closed forms,
     # terminating series and dense numpy solves on the support, so a process
     # that only solves and checks never imports any scipy module, let alone
-    # scipy.integrate or scipy.optimize
+    # scipy.integrate or scipy.optimize; nor orjson, which only emit reads
     small = write(tmp_path, SMALL)
     dim7 = write(tmp_path, "[problem]\ndim = 7\n" + SMALL, "dim7.ini")
     code = "\n".join([
@@ -518,13 +558,14 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
         "for path in (%r, %r):" % (small, dim7),
         "    reports = sp.sweep_cli.run_hypothesis_checks(sp.parse_config(path))",
         "    assert all(r.passed for r in reports)",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))"])
     src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_run_positone_script_small_ball():

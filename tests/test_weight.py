@@ -22,6 +22,18 @@ def test_check_g1_quadrature_agreement(example_w):
     assert rep.details["closed_mismatch"] < 1e-8
 
 
+@pytest.mark.parametrize("k", [0, 4095, 4096, 12288, 20000])
+def test_sup_norm_samples_every_point(k):
+    # the L^inf norm, taken chunk by chunk, sees every one of the 20001
+    # samples: a profile that peaks at sample k alone, at a chunk edge
+    # or at either end, has its peak value as the norm
+    peak = np.linspace(0.5, 1.0, 20001)[k]
+    spec = sp.WeightSpec(profile=lambda r: 1.0 / (1.0 + 1e6 * np.abs(np.asarray(r) - peak)),
+                         dim=5, r_in=0.5, r_out=1.0)
+    assert spec.norm(np.inf) == 1.0
+    assert sp.check_g1(spec).details["norms"][np.inf] == 1.0
+
+
 def test_check_g1_warns_on_zero_weight():
     with pytest.warns(UserWarning, match="degenerate"):
         rep = sp.check_g1(sp.zero_weight())
