@@ -9,11 +9,12 @@ m nodes S where g is nonzero (m = 14 of n = 512 for the example), the
 masses on S and the block B with T(g x) = B x on S. The layer functions
 take that support: N_a and the residual are sums over S, F_a is evaluated
 there only, and on a ray the norm is quadratic, so `ray_levels` gives
-I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at many scales t from one norm
-and one F_a call on a (len(t), m) array. `n_values`, `path_levels` and
-`residuals` take support values with any leading axes, and a
-`ShiftedNonlinearity` whose a is an array of shifts shaped to broadcast
-against them, so the solver evaluates every row of a sweep in one call.
+I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at an array of scales t of any
+shape from one norm and one F_a call on a (t.shape, m) array: the one level
+function of the straight path, whose every point is a scale of the bump.
+`n_values`, `ray_levels` and `residuals` take a `ShiftedNonlinearity` whose
+a is an array of shifts shaped to broadcast against their leading axes, so
+the solver evaluates every row of a sweep in one call.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2. Every
 field the solver forms is a Riesz potential u = T(h) that carries its
@@ -51,24 +52,18 @@ def i_a(u, shifted, sup):
     return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, sup)
 
 
-def path_levels(x, nsq, shifted, sup, t):
-    """I_a(t_j v) at every scale t_j of the array t, for the rays v with
-    support values x (..., m) and squared norms nsq (...); returns (..., len(t)).
+def ray_levels(v, shifted, sup, t):
+    """I_a(t v) at every scale of the array t, of any shape; returns t.shape.
 
     The norm is quadratic and g vanishes off supp g, so
-    I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): F_a on the
-    (..., len(t), m) array of scaled support values, which an array of
-    shifts a[:, None, None] broadcasts over its rows.
+    I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): one norm for the
+    whole ray, and F_a on the (t.shape, m) array of scaled support values,
+    which an array of shifts shaped to broadcast against t (a[:, None, None]
+    for (k, j) scales) takes row by row.
     """
     t = np.asarray(t, dtype=float)
-    f_a = eval_Fa(shifted, t[:, None] * np.asarray(x)[..., None, :])
-    return 0.5 * t * t * np.asarray(nsq)[..., None] - np.sum(sup.mass * f_a, axis=-1)
-
-
-def ray_levels(v, shifted, sup, t):
-    """I_a(t_k v) for every scale t_k of the array t: one norm for the whole
-    ray, and F_a on the (len(t), m) array of scaled support values."""
-    return path_levels(v.values[sup.nodes], rc.h2_inner(v, v), shifted, sup, t)
+    f_a = eval_Fa(shifted, t[..., None] * v.values[sup.nodes])
+    return 0.5 * t * t * rc.h2_inner(v, v) - np.sum(sup.mass * f_a, axis=-1)
 
 
 def residuals(x, h, shifted, sup):

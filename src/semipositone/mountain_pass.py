@@ -3,38 +3,41 @@
 Three steps find the mountain-pass point. Take the crest, the node of highest
 level, of the straight path from 0 to an endpoint vtilde with negative
 energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
-returns, scaled by `make_bump` to ||Delta phi|| = 1. Every level on that
-ray, the doubling ladder of `find_vtilde` and the path nodes of `_crest`,
-comes from `energy.path_levels`: t^2 ||Delta v||^2 / 2 from one norm per ray, less
-int g F_a(t v) on the m nodes of supp g. Every field here is a Riesz
-potential scaled from the bump, so it keeps its source and each norm, level
-and residual is int h v, exact on R^N. Polish the crest by semi-smooth
-Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the m nodes S of
-supp g, where it is B f_a(u[S]), B the m x m block of the
+returns, scaled by `make_bump` to ||Delta phi|| = 1, so every point of the
+path is a scale t times the bump and a row is carried as its scale. Every
+level on that ray, the doubling ladder of `find_vtilde` and the path nodes
+of `_crest`, comes from `energy.ray_levels`: t^2 ||Delta bump||^2 / 2 from
+one norm, less int g F_a(t bump) on the m nodes of supp g; the crest's
+values, source and norm are the bump's times its scale, and each norm,
+level and residual is int h v, exact on R^N. Polish the crest by
+semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
+m nodes S of supp g, where it is B f_a(u[S]), B the m x m block of the
 `riesz_potential.Support` that `estimate_a1` built: Newton runs on the m
-values, each step one exact dense solve of I - B diag(f_a'). Certify the
-polished point by its Morse index, the number of eigenvalues above 1 of
-R4 K diag(g f_a'(u)), read from the eigenvalues of B diag(f_a'(u[S])),
-similar to a symmetric matrix while g f_a'(u) >= 0: a nondegenerate
-mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
-A polish that fails, does not lower the residual, falls below the rim level
-beta or has another index is rejected, and the crest is returned, flagged
-non-converged.
+values, each step one exact dense solve of I - B diag(f_a'), and the
+polished candidate is T(x) = B f_a(x) on S. Certify it by its Morse index,
+the number of eigenvalues above 1 of R4 K diag(g f_a'(u)), read from the
+eigenvalues of B diag(f_a'(u[S])), similar to a symmetric matrix while
+g f_a'(u) >= 0: a nondegenerate mountain-pass point has index 1 (Hofer,
+Proc. AMS 90, 1984). A polish that fails, does not lower the residual,
+falls below the rim level beta or has another index is rejected, and the
+crest is returned, flagged non-converged.
 
 The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
 F_a = F_0(t+) - a t, and share S, B, the bump and rho. So `solve_shifts`
-takes each shift's vtilde from `find_vtilde` and carries the k shifts from
-there on as a leading row axis, with a entering as the column a[:, None]
-of one `ShiftedNonlinearity`: the crest is one (k, 17, m) evaluation,
-Newton one stacked solve per step over the rows still active (a row leaves
-where a one-row solve would stop), the certificate one `eigvalsh` of a
-(k, m, m) stack, and the polished points become grid fields by one O(n)
-potential over (k, n). The (k, m, m) stacks go through `_chunks` of at most
-_STACK_BYTES, so they hold no more memory than one row at a time once a row
-fills that budget. `mp_solve` is the batch of one. The cost is
-O(k n + k m^3) time and O(k n + min(k m^2, max(m^2, _STACK_BYTES))) memory;
-m^3 is small while g lives on a thin shell (m = 14 at n = 512 for the
-example) and grows when g fills the grid.
+takes each shift's endpoint scale from `find_vtilde` and carries the k
+shifts from there on as a leading row axis, with a entering as the column
+a[:, None] of one `ShiftedNonlinearity`: the crest is one (k, 17, m)
+evaluation, Newton one stacked solve per step over the rows still active
+(a row leaves where a one-row solve would stop), and the certificate one
+`eigvalsh` of a (k, m, m) stack. All of it runs on the support values; the
+grid is touched once, at the end, by one `riesz_values` over (k, n) of each
+row's final source, so every returned u is the potential of its source.
+The (k, m, m) stacks go through `_chunks` of at most _STACK_BYTES, so they
+hold no more memory than one row at a time once a row fills that budget.
+`mp_solve` is the batch of one. The cost is O(k n + k m^3) time and
+O(k n + min(k m^2, max(m^2, _STACK_BYTES))) memory; m^3 is small while g
+lives on a thin shell (m = 14 at n = 512 for the example) and grows when g
+fills the grid.
 """
 
 import warnings
@@ -43,19 +46,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import estimate_a1, n_values, path_levels, ray_levels, residuals
+from .energy import estimate_a1, n_values, ray_levels, residuals
 from .nonlinearity import ShiftedNonlinearity, eval_f0prime, eval_fa
 from .riesz_potential import riesz_constants, riesz_values
 
 
 @dataclass
 class MPConfig:
-    path_nodes: int = 17
     tol_res: float = 1e-4
-
-    def __post_init__(self):
-        if self.path_nodes < 8:
-            raise ValueError("path needs at least 8 nodes, got %d" % self.path_nodes)
 
 
 @dataclass
@@ -84,13 +82,14 @@ def make_bump(phi):
 
 
 _T_CAP_DOUBLINGS = 30
+_PATH_NODES = 17  # nodes of the straight path from 0 to vtilde, both ends included
 
 
 def find_vtilde(shifted, sup, bump, rho):
-    """First point t*bump with negative energy along the ray, t doubling
-    from 2*rho; the whole ladder is one `ray_levels` call. A cap at 2^30 rho
-    turns persistent positivity into an error (superlinearity of f is
-    suspect at that point)."""
+    """Scale t of the first point t*bump with negative energy along the ray,
+    t doubling from 2*rho; the whole ladder is one `ray_levels` call. A cap
+    at 2^30 rho turns persistent positivity into an error (superlinearity of
+    f is suspect at that point)."""
     nh2 = rc.h2_norm(bump)
     if abs(nh2 - 1.0) > 1e-10:
         raise ValueError("bump must be normalized to ||Delta phi||_2 = 1, got %.3e" % nh2)
@@ -100,7 +99,7 @@ def find_vtilde(shifted, sup, bump, rho):
     with np.errstate(over="ignore", invalid="ignore"):
         negative = np.flatnonzero(ray_levels(bump, shifted, sup, t) < 0.0)
     if negative.size:
-        return rc.scale(bump, t[negative[0]])
+        return float(t[negative[0]])
     raise RuntimeError(
         "no negative energy up to t = 2^%d rho along the bump ray; "
         "superlinearity (the f(t)/t -> infinity hypothesis) is suspect"
@@ -139,10 +138,7 @@ def _morse_index(x, spec, sup):
     somewhere on S) raises ValueError.
     Returns (indices (k,), eigenvalues (k, 2) in decreasing order); an index
     counts only the two eigenvalues returned, so 2 means "at least 2".
-    Without a registered f' there is no certificate: (None, (k, 0) empty).
     """
-    if spec.fprime is None:
-        return None, np.empty((len(x), 0))
     k, m = x.shape
     col = riesz_constants(sup.grid.dim).r4 * sup.mass
     d = col * eval_f0prime(spec, x)
@@ -194,8 +190,6 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
     k = len(x0)
     x = x0.copy()
     residual, support = [[] for _ in range(k)], [[] for _ in range(k)]
-    if shifted.base.fprime is None:
-        return x, np.zeros(k, dtype=bool), residual, support
     failed = np.zeros(k, dtype=bool)
     # the rows still iterating, with their values, shifts, scales and best residuals
     rows, xr, sh, sc, res_prev = np.arange(k), x.copy(), shifted, scale, np.full(k, np.inf)
@@ -235,39 +229,37 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
     return x, ~failed, residual, support
 
 
-def _crest(vals, src, shifted, sup, k_nodes):
-    """Highest of k_nodes evenly spaced nodes on the straight path from 0 to
-    each vtilde, the rows of values vals and sources src (k, n), all levels
-    from one `path_levels` call on (k, k_nodes, m). Returns the crest values
-    and sources (k, n), the crest levels, the levels and norms of vtilde;
-    raises when a maximizer is pinned at an endpoint."""
-    nsq = rc.integrate_values(sup.grid, src * vals)
-    s = np.linspace(0.0, 1.0, k_nodes)
-    levels = path_levels(sup.restrict(vals), nsq,
-                         ShiftedNonlinearity(shifted.base, shifted.a[..., None]), sup, s)
+def _crest(bump, t, shifted, sup):
+    """Highest of _PATH_NODES evenly spaced nodes on the straight path from 0
+    to each endpoint t_i bump, all levels from one `ray_levels` call on the
+    (k, _PATH_NODES) scales. Returns the crest scales c = s* t, the crest
+    levels and the endpoint levels; raises when a maximizer is pinned at an
+    endpoint."""
+    s = np.linspace(0.0, 1.0, _PATH_NODES)
+    levels = ray_levels(bump, ShiftedNonlinearity(shifted.base, shifted.a[..., None]), sup,
+                        s * t[:, None])
     k_star = np.argmax(levels, axis=1)
-    crest_at = k_star.tolist()
-    if min(crest_at) == 0 or max(crest_at) == k_nodes - 1:
+    if k_star.min() == 0 or k_star.max() == _PATH_NODES - 1:
         raise RuntimeError("path maximizer pinned at an endpoint")
-    s_star = s[k_star, None]
-    return (s_star * vals, s_star * src, levels[np.arange(len(vals)), k_star], levels[:, -1],
-            np.sqrt(np.maximum(nsq, 0.0)))
+    return s[k_star] * t, levels[np.arange(len(t)), k_star], levels[:, -1]
 
 
-def solve_shifts(spec, a_values, vtildes, geometry, config=None):
-    """`mp_solve` for every shift a of a_values at once, from its endpoint of
-    the same position in vtildes (`find_vtilde` of that shift), on
-    geometry.support: the rows differ only by the constant a in
-    f_a = f_0 - a, so each stage runs once on arrays with a leading row
-    axis. Returns one MPSolution per shift, in order."""
+def solve_shifts(spec, a_values, scales, geometry, config=None):
+    """`mp_solve` for every shift a of a_values at once, from its endpoint
+    t bump, t the scale of the same position in scales (`find_vtilde` of that
+    shift), on geometry.support: the rows differ only by the constant a in
+    f_a = f_0 - a, so each stage runs once on the support values of all rows,
+    and each row's final source becomes a grid field by one potential over
+    (k, n) at the end. Returns one MPSolution per shift, in order."""
     cfg = config or MPConfig()
     sup = geometry.support
     grid, nodes = sup.grid, sup.nodes
     shifted = ShiftedNonlinearity(spec, np.asarray(a_values, dtype=float).reshape(-1, 1))
     a = shifted.a[:, 0]
     k = a.size
-    if len(vtildes) != k:
-        raise ValueError("%d endpoints for %d shifts" % (len(vtildes), k))
+    t = np.asarray(scales, dtype=float)
+    if t.shape != (k,):
+        raise ValueError("%d endpoints for %d shifts" % (t.size, k))
     warned = []
     for a_row in a.tolist():
         warned.append([])
@@ -276,50 +268,49 @@ def solve_shifts(spec, a_values, vtildes, geometry, config=None):
                               % (a_row, geometry.a1))
             warnings.warn(warned[-1][-1])
 
-    crest_vals, crest_src, crest_level, vtilde_level, vtilde_norm = _crest(
-        np.array([v.values for v in vtildes]), np.array([v.source for v in vtildes]),
-        shifted, sup, cfg.path_nodes)
-    crest_res = residuals(sup.restrict(crest_vals), sup.restrict(crest_src), shifted, sup)
-    crest_norm = np.sqrt(np.maximum(rc.integrate_values(grid, crest_src * crest_vals), 0.0))
+    # each crest is c bump, so its values, source and norm are the bump's times c
+    bump = make_bump(geometry.phi)
+    c, crest_level, vtilde_level = _crest(bump, t, shifted, sup)
+    x0, h0 = c[:, None] * bump.values[nodes], c[:, None] * bump.source[nodes]
+    bump_norm = rc.h2_norm(bump)
+    crest_norm = c * bump_norm
+    crest_res = residuals(x0, h0, shifted, sup)
     res_rel = crest_res / np.maximum(1.0, crest_norm)
 
-    # Newton polish: every row becomes a grid field by one stacked potential
-    # (a failed polish stands in as its crest and is never accepted)
-    x0 = sup.restrict(crest_vals)
-    scale = np.maximum(1.0, np.max(np.abs(crest_vals), axis=1))
+    # Newton polish; the candidate is T(x) = B f_a(x) on S with source
+    # g f_a(x) (a failed polish stands in as its crest and is never accepted)
+    scale = np.maximum(1.0, c * np.max(bump.values))
     x, ok, newton_res, newton_support = _newton_polish(x0, scale, shifted, sup,
                                                        _NEWTON_MAX_ITER)
-    cand_src = np.zeros_like(crest_src)
-    cand_src[:, nodes] = sup.g[nodes] * eval_fa(shifted, np.where(ok[:, None], x, x0))
-    cand_vals = riesz_values(grid, cand_src)
-    cand_nsq = rc.integrate_values(grid, cand_src * cand_vals)
-    xc = sup.restrict(cand_vals)
+    f_x = eval_fa(shifted, np.where(ok[:, None], x, x0))
+    hc = sup.g[nodes] * f_x
+    xc = sup.apply(f_x)
+    cand_nsq = rc.integrate_values(grid, hc * xc, nodes)
     cand_n = n_values(xc, shifted, sup)
     cand_level = 0.5 * cand_nsq - cand_n
-    cand_res = residuals(xc, sup.restrict(cand_src), shifted, sup)
+    cand_res = residuals(xc, hc, shifted, sup)
     cand_norm = np.sqrt(np.maximum(cand_nsq, 0.0))
     cand_rel = cand_res / np.maximum(1.0, cand_norm)
     # accept a genuine improvement: a better residual, still above the rim,
     # at a point of mountain-pass type; the other rows are certified at the crest
     cand = ok & (cand_rel < res_rel) & (cand_level >= geometry.beta - 1e-6)
     index, top = _morse_index(np.where(cand[:, None], xc, x0), spec, sup)
-    certified = np.zeros(k, dtype=bool) if index is None else index == 1
-    used = cand & certified
-    if index is not None and not np.array_equal(used, cand):
+    used = cand & (index == 1)
+    if not np.array_equal(used, cand):
         redo = cand & ~used  # a rejected polish is certified at its crest
         index[redo], top[redo] = _morse_index(x0[redo], spec, sup)
-        certified = index == 1
-    morse = [None] * k if index is None else index.tolist()
-    vals = np.where(used[:, None], cand_vals, crest_vals)
-    src = np.where(used[:, None], cand_src, crest_src)
     final_level, final_res, final_norm, res_rel = np.where(
         used, (cand_level, cand_res, cand_norm, cand_rel), (crest_level, crest_res, crest_norm,
                                                              res_rel))
-    converged = (res_rel <= cfg.tol_res) & certified
+    converged = (res_rel <= cfg.tol_res) & (index == 1)
     # the weak-form level (1/2) int g f_a(u) u - int g F_a(u)
     xb = np.where(used[:, None], xc, x0)
     n_b = cand_n if used.all() else np.where(used, cand_n, n_values(xb, shifted, sup))
     weak_level = 0.5 * np.sum(sup.mass * eval_fa(shifted, xb) * xb, axis=-1) - n_b
+    # the one extension to the grid: every row is the potential of its source
+    src = np.zeros((k, grid.n))
+    src[:, nodes] = np.where(used[:, None], hc, h0)
+    vals = riesz_values(grid, src)
 
     sols = []
     for i in range(k):
@@ -330,18 +321,16 @@ def solve_shifts(spec, a_values, vtildes, geometry, config=None):
             "newton_iterations": steps,
             "newton_residual_history": np.asarray(newton_res[i]),
             "support_nodes": newton_support[i][-1] if steps else None,
-            "morse_index": morse[i],
+            "morse_index": int(index[i]),
             "morse_top_eigenvalues": top[i],
             "warnings": warned[i],
             "crest_level": float(crest_level[i]),
-            "vtilde_norm": float(vtilde_norm[i]),
+            "vtilde_norm": float(t[i] * bump_norm),
             "vtilde_level": float(vtilde_level[i]),
             "norm_h2": float(final_norm[i]),
             "weak_level": float(weak_level[i]),
             "level_gap": float(abs(final_level[i] - weak_level[i]) / abs(final_level[i])),
-            "history_norm": crest_norm[i:i + 1],
             "history_residual": crest_res[i:i + 1],
-            "history_level": crest_level[i:i + 1],
             "geometry": geometry,
         }
         sols.append(MPSolution(u=rc.RadialField(grid, vals[i], src[i]),
@@ -362,5 +351,5 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None):
     sup = geometry.support
     if sup.grid is not grid:
         raise ValueError("geometry was estimated on another grid than the one solved on")
-    vtilde = find_vtilde(shifted, sup, make_bump(geometry.phi), geometry.rho)
-    return solve_shifts(shifted.base, [shifted.a], [vtilde], geometry, config)[0]
+    t = find_vtilde(shifted, sup, make_bump(geometry.phi), geometry.rho)
+    return solve_shifts(shifted.base, [shifted.a], [t], geometry, config)[0]

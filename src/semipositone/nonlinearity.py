@@ -37,7 +37,6 @@ class NonlinearitySpec:
     gamma: float
     c_f: float
     r_mono: float
-    lipschitz: bool
     dim: int = 5
     name: str = "custom"
     F_closed: Optional[Callable] = None
@@ -66,8 +65,9 @@ class ShiftedNonlinearity:
     a: float  # or an array of shifts
 
     def __post_init__(self):
-        if np.any(np.asarray(self.a) < 0):
-            raise ValueError("shift a must be nonnegative")
+        a = np.asarray(self.a)
+        if not np.all((0 <= a) & (a < np.inf)):
+            raise ValueError("shift a must be finite and nonnegative")
 
 
 # Below _F_SERIES_T the example's closed-form primitive cancels terms of
@@ -98,9 +98,8 @@ def example_nonlinearity(dim=5, gamma=2.5):
         t = np.asarray(t, dtype=float)
         return 2.0 * np.log1p(t) + 2.0 * t / (1.0 + t)
 
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0,
-                            lipschitz=True, dim=dim, name="paper_example",
-                            F_closed=F, fprime=fprime)
+    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim,
+                            name="paper_example", F_closed=F, fprime=fprime)
 
 
 def power_nonlinearity(power, dim=5, gamma=None, coef=1.0):
@@ -120,8 +119,7 @@ def power_nonlinearity(power, dim=5, gamma=None, coef=1.0):
         t = np.asarray(t, dtype=float)
         return coef * power * t ** (power - 1.0)
 
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=float(coef),
-                            r_mono=1.0, lipschitz=power >= 1, dim=dim,
+    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=float(coef), r_mono=1.0, dim=dim,
                             name="power", F_closed=F, fprime=fprime)
 
 
@@ -136,7 +134,7 @@ def linear_nonlinearity(slope=1.0, dim=5, gamma=2.5):
         return 0.5 * slope * t * t
 
     return NonlinearitySpec(f=f, gamma=float(gamma), c_f=float(slope),
-                            r_mono=1.0, lipschitz=True, dim=dim, name="linear",
+                            r_mono=1.0, dim=dim, name="linear",
                             F_closed=F, fprime=lambda t: np.full_like(np.asarray(t, dtype=float), slope))
 
 
@@ -145,8 +143,7 @@ def zero_nonlinearity(dim=5, gamma=2.5):
     def f(t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0,
-                            lipschitz=True, dim=dim, name="zero",
+    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim, name="zero",
                             F_closed=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                             fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
 

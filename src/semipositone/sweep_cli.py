@@ -109,10 +109,7 @@ def parse_config(path):
             if key not in _SCHEMA[section]:
                 raise ValueError("%s.%s: unknown key" % (section, key))
             values[key] = _coerce("%s.%s" % (section, key), raw, _SCHEMA[section][key])
-        try:  # replace() reruns the section's own __post_init__ checks
-            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **values))
-        except ValueError as exc:
-            raise ValueError("%s: %s" % (section, exc))
+        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **values))
     _validate(cfg)
     return cfg
 
@@ -220,8 +217,12 @@ def _rows_from_solutions(sols, spec, sup):
 
 def run_sweep(cfg, a_values=None):
     """Solve the shifted problem over a decreasing a-list plus the positone
-    limit: the endpoint of each row's path by `find_vtilde`, then every row
-    in one batch (`solve_shifts`)."""
+    limit: the endpoint scale of each row's path by `find_vtilde`, then every
+    row in one batch (`solve_shifts`). a_values must be finite and >= 0;
+    repeats and an explicit 0 fold into the rows, the positone row last."""
+    if a_values is not None and not all(0.0 <= a < np.inf for a in a_values):
+        raise ValueError("every shift a must be finite and nonnegative, got %r"
+                         % (list(a_values),))
     spec, weight, grid = build_problem(cfg)
     geometry = estimate_a1(spec, weight, grid)
     if a_values is None:
@@ -231,9 +232,9 @@ def run_sweep(cfg, a_values=None):
     a_desc.append(0.0)  # positone row always present, always last
 
     sup, bump = geometry.support, make_bump(geometry.phi)
-    vtildes = [find_vtilde(ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
-               for a in a_desc]
-    sols = solve_shifts(spec, a_desc, vtildes, geometry, cfg.mp)
+    scales = [find_vtilde(ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
+              for a in a_desc]
+    sols = solve_shifts(spec, a_desc, scales, geometry, cfg.mp)
     rows = _rows_from_solutions(sols, spec, sup)
     profiles = {sol.a: sol.u.values for sol in sols}
 

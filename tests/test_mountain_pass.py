@@ -34,23 +34,18 @@ def _polish(u0, sh, sup, max_iter):
 
 
 def _solve_batch(spec, a_values, geometry):
-    """The shifts of a_values in one batch, from their endpoints, as
-    `run_sweep` solves a sweep."""
+    """The shifts of a_values in one batch, from the scales of their
+    endpoints, as `run_sweep` solves a sweep."""
     bump = sp.make_bump(geometry.phi)
-    vtildes = [sp.find_vtilde(sp.ShiftedNonlinearity(spec, a), geometry.support, bump,
-                              geometry.rho) for a in a_values]
-    return mp.solve_shifts(spec, a_values, vtildes, geometry)
+    scales = [sp.find_vtilde(sp.ShiftedNonlinearity(spec, a), geometry.support, bump,
+                             geometry.rho) for a in a_values]
+    return mp.solve_shifts(spec, a_values, scales, geometry)
 
 
 def _index(u, sh, sup):
     """The Morse index of I_a at the one field u, and its top eigenvalues."""
     index, top = mp._morse_index(u.values[sup.nodes][None], sh.base, sup)
     return index[0], top[0]
-
-
-def test_mpconfig_rejects_short_path():
-    with pytest.raises(ValueError):
-        sp.MPConfig(path_nodes=5)
 
 
 def gaussian(grid, width=1.5):
@@ -73,7 +68,8 @@ def test_make_bump_scales_bg_maximiser(grid128, geometry128):
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
     bump = sp.make_bump(geometry128.phi)
-    v = sp.find_vtilde(sh, geometry128.support, bump, geometry128.rho)
+    t = sp.find_vtilde(sh, geometry128.support, bump, geometry128.rho)
+    v = sp.scale(bump, t)
     assert sp.i_a(v, sh, geometry128.support) < 0.0
     assert sp.h2_norm(v) > geometry128.rho
 
@@ -95,42 +91,43 @@ def test_find_vtilde_no_superlinearity(example_w, grid128):
 
 
 def _find_vtilde_loop(shifted, sup, bump, rho):
-    # reference: one i_a per doubling, stopping at the first negative level
+    # reference: one i_a per doubling, stopping at the first negative level;
+    # returns that scale and the level of its rung in a one-row ladder
     t = 2.0 * rho
     for _ in range(mp._T_CAP_DOUBLINGS + 1):
-        cand = sp.scale(bump, t)
-        if sp.i_a(cand, shifted, sup) < 0.0:
-            return cand
+        if sp.i_a(sp.scale(bump, t), shifted, sup) < 0.0:
+            return t, sp.ray_levels(bump, shifted, sup, [t])[0]
         t *= 2.0
     return None
 
 
 def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, geometry128):
     # every row of the default n = 128 sweep: the ray evaluation returns the
-    # doubling loop's vtilde bit for bit; with all 13 vtildes in one batch,
+    # doubling loop's scale bit for bit; with all 13 scales in one batch,
     # each row's crest is the node that a list of i_a levels picks, and the
-    # path's last level is i_a(vtilde) bit for bit
+    # path's last level is the one-row ladder's level of that scale bit for
+    # bit, and i_a of the endpoint field to the crest's 1e-12
     bump = sp.make_bump(geometry128.phi)
     sup = geometry128.support
     a_values = np.array(sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0])
-    vtildes = []
+    scales, rungs = [], []
     for a in a_values:
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        vtildes.append(sp.find_vtilde(sh, sup, bump, geometry128.rho))
-        ref = _find_vtilde_loop(sh, sup, bump, geometry128.rho)
-        assert np.array_equal(vtildes[-1].values, ref.values)
-    crest_vals, crest_src, crest_level, end, _ = mp._crest(
-        np.stack([v.values for v in vtildes]), np.stack([v.source for v in vtildes]),
-        sp.ShiftedNonlinearity(example_spec, a_values[:, None]), sup, 17)
-    for i, (a, vtilde) in enumerate(zip(a_values, vtildes)):
+        scales.append(sp.find_vtilde(sh, sup, bump, geometry128.rho))
+        ref, rung = _find_vtilde_loop(sh, sup, bump, geometry128.rho)
+        assert scales[-1] == ref
+        rungs.append(rung)
+    crest_scale, crest_level, end = mp._crest(
+        bump, np.array(scales), sp.ShiftedNonlinearity(example_spec, a_values[:, None]), sup)
+    for i, (a, t) in enumerate(zip(a_values, scales)):
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        nodes = [sp.scale(vtilde, s) for s in np.linspace(0.0, 1.0, 17)]
-        levels = [sp.i_a(u, sh, sup) for u in nodes]
+        s = np.linspace(0.0, 1.0, 17)
+        levels = [sp.i_a(sp.scale(bump, s_j * t), sh, sup) for s_j in s]
         k_star = int(np.argmax(levels))
-        assert np.array_equal(crest_vals[i], nodes[k_star].values)
-        assert np.array_equal(crest_src[i], nodes[k_star].source)
+        assert crest_scale[i] == s[k_star] * t
         assert crest_level[i] == pytest.approx(levels[k_star], rel=1e-12)
-        assert end[i] == levels[-1]
+        assert end[i] == rungs[i]
+        assert end[i] == pytest.approx(levels[-1], rel=1e-12)
 
 
 def test_positone_solution(positone128, example_spec, example_w, geometry128):
@@ -285,11 +282,10 @@ def test_vtilde_cap_in_any_row_raises_as_one_row(tmp_path, example_spec, example
 
 def test_solve_shifts_rejects_negative_shift(example_spec, geometry128):
     # a batch checks its shifts as ShiftedNonlinearity checks one
-    vtilde = sp.scale(sp.make_bump(geometry128.phi), 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         sp.ShiftedNonlinearity(example_spec, -1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        mp.solve_shifts(example_spec, [0.0, -1.0], [vtilde, vtilde], geometry128)
+        mp.solve_shifts(example_spec, [0.0, -1.0], [1.0, 1.0], geometry128)
 
 
 def test_newton_polish_engages(positone128):
@@ -504,6 +500,14 @@ def test_certificate_rejects_negative_fprime(example_w, grid128):
                                fprime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
     with pytest.raises(ValueError, match=r"col f_a' < 0 on supp g"):
         sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid128)
+
+
+def test_spec_without_fprime_raises(example_w, grid128, geometry128):
+    # Newton and the certificate both need f': a spec without one is
+    # refused by eval_f0prime, not solved without a certificate
+    spec = dataclasses.replace(sp.example_nonlinearity(), fprime=None)
+    with pytest.raises(ValueError, match="no registered derivative"):
+        sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid128, None, geometry128)
 
 
 def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, positone128):

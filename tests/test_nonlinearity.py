@@ -20,11 +20,9 @@ def test_critical_exponent_values():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        sp.NonlinearitySpec(f=lambda t: t**2, gamma=12.0, c_f=1.0,
-                            r_mono=1.0, lipschitz=True, dim=5)
+        sp.NonlinearitySpec(f=lambda t: t**2, gamma=12.0, c_f=1.0, r_mono=1.0, dim=5)
     with pytest.raises(ValueError):
-        sp.NonlinearitySpec(f=lambda t: t + 1.0, gamma=2.5, c_f=1.0,
-                            r_mono=1.0, lipschitz=True, dim=5)
+        sp.NonlinearitySpec(f=lambda t: t + 1.0, gamma=2.5, c_f=1.0, r_mono=1.0, dim=5)
 
 
 @pytest.mark.parametrize("name", ["c_f", "r_mono"])
@@ -32,7 +30,7 @@ def test_spec_validation():
 def test_spec_rejects_nonfinite_constants(name, value):
     # a nan r_mono used to surface in check_f3 as an empty-array reduction,
     # and a nan c_f made check_f1 fail without saying why
-    kw = dict(f=lambda t: t**2, gamma=2.5, c_f=1.0, r_mono=1.0, lipschitz=True, dim=5)
+    kw = dict(f=lambda t: t**2, gamma=2.5, c_f=1.0, r_mono=1.0, dim=5)
     kw[name] = value
     with pytest.raises(ValueError, match="^%s=.* must be finite" % name):
         sp.NonlinearitySpec(**kw)
@@ -49,6 +47,14 @@ def test_shift_column_rejects_one_negative_entry(example_spec):
     with pytest.raises(ValueError, match="nonnegative"):
         sp.ShiftedNonlinearity(example_spec, np.array([[0.0], [2.5], [-1e-12], [7.0]]))
     sp.ShiftedNonlinearity(example_spec, np.array([[0.0], [2.5], [1e-12], [7.0]]))
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, np.array([[0.0], [2.5], [np.nan], [7.0]])])
+def test_shift_rejects_nonfinite_a(example_spec, a):
+    # a nan or infinite shift is no shift: it is rejected here, not found
+    # later as a ray that never turns negative
+    with pytest.raises(ValueError, match="shift a must be finite and nonnegative"):
+        sp.ShiftedNonlinearity(example_spec, a)
 
 
 @pytest.mark.parametrize("spec", [sp.example_nonlinearity(), sp.power_nonlinearity(3.0, gamma=3.5)])
@@ -69,8 +75,7 @@ def test_shift_column_is_the_scalar_shifts(spec):
 def test_example_closed_antiderivative(example_spec):
     # F_closed against the quadrature fallback
     bare = sp.NonlinearitySpec(f=example_spec.f, gamma=example_spec.gamma,
-                               c_f=example_spec.c_f, r_mono=example_spec.r_mono,
-                               lipschitz=True, dim=5)
+                               c_f=example_spec.c_f, r_mono=example_spec.r_mono, dim=5)
     for t in (0.3, 1.0, 7.5, 40.0):
         closed = sp.eval_F(example_spec, t)
         quadded = sp.eval_F(bare, t)
@@ -80,8 +85,7 @@ def test_example_closed_antiderivative(example_spec):
 def test_eval_F_fallback_cumulative(example_spec):
     # one cumulative sum serves unsorted samples with repeats and t = 0
     bare = sp.NonlinearitySpec(f=example_spec.f, gamma=example_spec.gamma,
-                               c_f=example_spec.c_f, r_mono=example_spec.r_mono,
-                               lipschitz=True, dim=5)
+                               c_f=example_spec.c_f, r_mono=example_spec.r_mono, dim=5)
     t = np.array([7.5, 0.0, T_BIG, 1e-3, 0.3, 40.0, 1.0, 1e-3])
     got = sp.eval_F(bare, t)
     closed = sp.eval_F(example_spec, t)
@@ -97,8 +101,7 @@ def test_eval_F_fallback_cumulative(example_spec):
     assert isinstance(sp.eval_Fa(sp.ShiftedNonlinearity(bare, 0.5), 2.0), float)
     # f = t^1.5 is not smooth at 0; the octaves below 1e-3 grade it out
     power = sp.power_nonlinearity(1.5)
-    bare = sp.NonlinearitySpec(f=power.f, gamma=power.gamma, c_f=1.0, r_mono=1.0,
-                               lipschitz=True, dim=5)
+    bare = sp.NonlinearitySpec(f=power.f, gamma=power.gamma, c_f=1.0, r_mono=1.0, dim=5)
     t = np.array([1e-3, T_BIG])
     assert np.all(np.abs(sp.eval_F(bare, t) / power.F_closed(t) - 1.0) <= 1e-13)
 
@@ -276,11 +279,11 @@ def test_prop33_negative_excess_algebra(example_spec, s, gap):
 def test_checker_counterexamples():
     # sqrt is non-Lipschitz at 0: quotients blow up between scales
     root = sp.NonlinearitySpec(f=lambda t: np.sqrt(np.maximum(t, 0.0)), gamma=2.5,
-                               c_f=10.0, r_mono=1.0, lipschitz=False, dim=5)
+                               c_f=10.0, r_mono=1.0, dim=5)
     assert not sp.check_f4(root).passed
     # a ratio f/t that decays beyond r_mono fails f3
     hump = sp.NonlinearitySpec(f=lambda t: t * np.exp(-t), gamma=2.5, c_f=10.0,
-                               r_mono=1.0, lipschitz=True, dim=5)
+                               r_mono=1.0, dim=5)
     assert not sp.check_f3(hump).passed
 
 

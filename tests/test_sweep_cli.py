@@ -42,7 +42,7 @@ def test_parse_defaults(tmp_path):
     assert cfg.problem.dim == 5
     assert cfg.problem.family == "paper_example"
     assert cfg.grid.n == 512
-    assert cfg.mp.path_nodes == 17
+    assert cfg.mp.tol_res == 1e-4
     assert cfg.sweep.count == 12
 
 
@@ -72,7 +72,7 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[grid]\nr_max = inf\n", "grid.r_max"),
     ("[weight]\nfamily = custom_table\n", "table_path"),
     ("[problem]\nfamily = cubic\n", "family"),
-    ("[mp]\npath_nodes = 3\n", "mp: path needs at least 8 nodes"),
+    ("[mp]\npath_nodes = 17\n", "mp.path_nodes: unknown key"),
 ])
 def test_parse_rejections(tmp_path, text, fragment):
     with pytest.raises(ValueError, match=None) as err:
@@ -81,7 +81,8 @@ def test_parse_rejections(tmp_path, text, fragment):
 
 
 def test_example_ini_shows_every_key_with_its_default():
-    # its header says so; commented-out keys count as shown
+    # its header says so; commented-out keys count as shown, and the file
+    # parses to the defaults
     shown, section = {}, None
     with open(os.path.join(ROOT, "scripts", "configs", "example.ini")) as fh:
         for line in fh:
@@ -98,6 +99,8 @@ def test_example_ini_shows_every_key_with_its_default():
     for (sec, k), raw in shown.items():
         value = sweep_cli._coerce("%s.%s" % (sec, k), raw, schema[sec][k])
         assert value == getattr(getattr(defaults, sec), k), (sec, k)
+    parsed = parse_config(os.path.join(ROOT, "scripts", "configs", "example.ini"))
+    assert _config_echo(parsed) == _config_echo(defaults)
 
 
 def test_perfbench_traced_functions_exist():
@@ -311,6 +314,22 @@ def test_config_echo_matches_asdict(tmp_path, text):
     echo = _config_echo(cfg)
     assert echo == expect
     assert json.dumps(echo, sort_keys=True) == json.dumps(expect, sort_keys=True)
+
+
+@pytest.mark.parametrize("a_values", [[np.nan, -5.0], [0.5, -1e-12], [np.inf], [0.5, np.nan]])
+def test_run_sweep_rejects_bad_shifts(tmp_path, a_values):
+    # a negative or non-finite shift is an error, not a row silently dropped
+    cfg = parse_config(write(tmp_path, SMALL))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sweep_cli.run_sweep(cfg, a_values)
+
+
+def test_run_sweep_folds_repeats_and_zero(tmp_path):
+    # repeated shifts and an explicit 0 fold into one row each, the
+    # positone row last
+    cfg = parse_config(write(tmp_path, SMALL))
+    report = sweep_cli.run_sweep(cfg, [0.0, 2.0, 0.0, 2.0])
+    assert [r.a for r in report.rows] == [2.0, 0.0]
 
 
 def test_sweep_deterministic(tmp_path):
