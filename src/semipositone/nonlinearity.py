@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .radial_core import gauss_legendre
+from .radial_core import gauss_legendre, sorted_union
 
 T_BIG = 1e6          # top of the default sampling range
 ENVELOPE_FLOOR = 1e-300  # growth_envelope where f(t) <= eps t on every sample
@@ -72,9 +72,9 @@ class ShiftedNonlinearity:
 
 # Below _F_SERIES_T the example's closed-form primitive cancels terms of
 # size t against a result of size t^3 (relative error ~1e-13 at t = 0.1 and
-# ~1e-10 at 1e-3); its Taylor series sum_k (-1)^k 2 t^{k+3} / ((k+1)(k+3))
-# is used there instead. 40 terms leave a tail below 0.25^40 ~ 1e-24.
-# Above 0.25 the closed form is within 6e-15 relative.
+# ~1e-10 at 1e-3); there its Taylor series sum_k (-1)^k 2 t^{k+3}/((k+1)(k+3))
+# is summed instead, by Horner's rule as numpy's polyval does. 40 terms leave
+# a tail below 0.25^40 ~ 1e-24; above 0.25 the closed form is within 6e-15.
 _F_SERIES_T = 0.25
 _F_SERIES_COEF = np.array([2.0 * (-1) ** k / ((k + 1) * (k + 3)) for k in range(40)])
 
@@ -91,7 +91,10 @@ def example_nonlinearity(dim=5, gamma=2.5):
         small = np.abs(t) < _F_SERIES_T
         if np.count_nonzero(small):  # cheaper than np.any on the common miss
             ts = t[small]
-            out[small] = ts ** 3 * np.polynomial.polynomial.polyval(ts, _F_SERIES_COEF)
+            acc = np.full_like(ts, _F_SERIES_COEF[-1])
+            for c in _F_SERIES_COEF[-2::-1]:
+                acc = c + acc * ts
+            out[small] = ts ** 3 * acc
         return out[()]
 
     def fprime(t):
@@ -166,12 +169,12 @@ def eval_F(spec, t):
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise ValueError("eval_F takes t >= 0")
-    samples = np.unique(tt)
+    samples = sorted_union(tt)
     out = np.zeros(tt.shape)
     if samples.size and samples[-1] > 0:
         t_min = samples[samples > 0][0]
         octaves = t_min * 2.0 ** np.arange(-40, np.log2(samples[-1] / t_min))
-        ends = np.union1d(np.concatenate(([0.0], octaves)), samples)
+        ends = sorted_union([0.0], octaves, samples)
         x, w = gauss_legendre(ends[:-1], ends[1:])
         cumulative = np.concatenate(([0.0], np.cumsum(np.sum(w * spec.f(x), axis=1))))
         out = cumulative[np.searchsorted(ends, tt)]

@@ -132,11 +132,13 @@ def _validate(cfg):
         raise ValueError("weight.table_path required for custom_table weights")
     if cfg.grid.n < 16:
         raise ValueError("grid.n=%d rejected: need at least 16 nodes" % cfg.grid.n)
-    if cfg.grid.r_max <= cfg.weight.r_out:
+    if cfg.weight.family == "paper_example" and cfg.grid.r_max <= cfg.weight.r_out:
         raise ValueError("grid.r_max=%g must exceed the weight support r_out=%g"
                          % (cfg.grid.r_max, cfg.weight.r_out))
     if cfg.sweep.count < 1:
         raise ValueError("sweep.count must be >= 1")
+    if not cfg.sweep.decades > 0:
+        raise ValueError("sweep.decades=%g must be > 0" % cfg.sweep.decades)
     if any(a < 0 for a in cfg.sweep.a_list):
         raise ValueError("sweep.a_list entries must be >= 0")
 
@@ -201,8 +203,9 @@ def _rows_from_solutions(sols, spec, sup):
     grid, nodes = sup.grid, sup.nodes
     u = np.array([sol.u.values for sol in sols])
     a = np.array([sol.a for sol in sols])
-    sup_ext, min_value = np.max(np.abs(u[:, grid.r >= 1.0]), axis=1), np.min(u, axis=1)
-    neg_mass = rc.integrate_values(grid, np.maximum(-u, 0.0))
+    ext_abs = np.abs(u[:, grid.r >= 1.0])  # no column when the grid ends inside B_1
+    sup_ext = np.max(ext_abs, axis=1) if ext_abs.size else np.full(len(u), np.nan)
+    min_value, neg_mass = np.min(u, axis=1), rc.integrate_values(grid, np.maximum(-u, 0.0))
     src = np.zeros_like(u)
     shifted = ShiftedNonlinearity(spec, a[:, None])
     src[:, nodes] = sup.g[nodes] * eval_fa(shifted, sup.restrict(u))
@@ -253,7 +256,7 @@ def _summarize(rows, profiles, grid, geometry):
     sup_global = {r.a: float(np.max(np.abs(profiles[r.a]))) for r in rows}
 
     limit_sup_distance = []
-    if u_tilde is not None:
+    if u_tilde is not None and np.any(ext):
         for r in pos_rows:
             dist = float(np.max(np.abs(profiles[r.a][ext] - u_tilde[ext])))
             limit_sup_distance.append([r.a, dist])

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .nonlinearity import CheckReport, critical_exponent
-from .radial_core import RadialField, gauss_legendre, sphere_area
+from .radial_core import RadialField, gauss_legendre, sorted_union, sphere_area
 from .riesz_potential import ring_kernel_pairs
 
 
@@ -58,7 +58,7 @@ def _radial_integral(spec, edges, p=1.0):
     at the knots: g is smooth on every piece, so the Gauss rule is exact for
     tables and at machine precision for the annulus."""
     knots = np.asarray(spec.knots, dtype=float)
-    pts = np.union1d(edges, knots[(knots > edges[0]) & (knots < edges[-1])])
+    pts = sorted_union(edges, knots[(knots > edges[0]) & (knots < edges[-1])])
     x, w = gauss_legendre(pts[:-1], pts[1:])
     piece = np.sum(w * spec.profile(x) ** p * x ** (spec.dim - 1), axis=1)
     owner = np.searchsorted(edges, pts[:-1], side="right") - 1

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import semipositone as sp
-from semipositone.radial_core import RadialField
+from semipositone.radial_core import RadialField, gauss_legendre
 
 
 def test_sphere_area_closed_forms():
@@ -88,3 +88,48 @@ def test_field_grid_mismatch():
         RadialField(g1, np.zeros(31))
     with pytest.raises(ValueError, match="source"):
         RadialField(g1, np.zeros(32), np.zeros(31))
+
+
+def _legendre_root_40_digits(n, x0):
+    # Newton on P_n by its recurrence in 40-digit arithmetic from a float
+    # guess; returns the root and its weight 2 / ((1 - x^2) P_n'(x)^2)
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x0))
+        for _ in range(8):
+            p, q = x, mpmath.mpf(1)
+            for j in range(2, n + 1):
+                p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+            dp = n * (q - x * p) / (1 - x * x)
+            x -= p / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def test_gauss_legendre_rule_against_40_digits():
+    # the ends, where eigenvector weights lose accuracy (leggauss(160) is off
+    # by 1.5e-11 there), interior nodes and the middle of the rule on [-1, 1]
+    import mpmath
+
+    x, w = gauss_legendre(-1.0, 1.0)
+    assert x.shape == w.shape == (160,) and np.all(np.diff(x) > 0)
+    for i in (0, 1, 2, 20, 57, 79, 80, 121, 158, 159):
+        root, weight = _legendre_root_40_digits(160, x[i])
+        with mpmath.workdps(40):
+            assert abs(float(mpmath.mpf(float(x[i])) - root)) <= 2e-16
+            assert abs(float((mpmath.mpf(float(w[i])) - weight) / weight)) <= 1e-14
+
+
+def test_gauss_legendre_rule_exact_symmetric_and_as_leggauss():
+    x, w = gauss_legendre(-1.0, 1.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 1e-15
+    # exact on x^{2k}, degree 2k <= 318 < 320, up to the rounding of the nodes:
+    # the correctly rounded rule itself reads 4.0e-15 at k = 159
+    for k in range(160):
+        assert abs(np.sum(w * x ** (2 * k)) * (k + 0.5) - 1.0) <= 5e-15, k
+    # numpy's eigenvector rule: nodes to an ulp, weights within its own
+    # 1.5e-11 error at the ends
+    lx, lw = np.polynomial.legendre.leggauss(160)
+    assert np.max(np.abs(x - lx)) <= 2e-16
+    assert np.max(np.abs(w / lw - 1.0)) <= 2e-11

@@ -66,6 +66,8 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[mp]\narmijo = 0.1\n", "mp.armijo"),
     ("[mp]\nmax_iter = 400\n", "mp.max_iter"),
     ("[grid]\nr_max = 0.8\n", "r_max"),
+    ("[sweep]\ndecades = -2\n", "sweep.decades"),
+    ("[sweep]\ndecades = 0\n", "sweep.decades"),
     ("[grid]\nn = 8\n", "16 nodes"),
     ("[sweep]\na_list = -1\n", ">= 0"),
     ("[sweep]\na_list = 0.5, nan\n", "sweep.a_list"),
@@ -376,6 +378,22 @@ def test_main_table_past_r_max_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table_inside_unit_ball_parses_and_solves(tmp_path):
+    # the support of a table weight is the table's own, so [weight] r_out
+    # (1 by default) does not bound r_max; a grid ending inside B_1 has no
+    # exterior node, so sup_ext is NaN and limit_sup_distance is empty
+    r = np.linspace(0.1, 0.8, 8)
+    table = tmp_path / "g.csv"
+    np.savetxt(table, np.c_[r, 1.0 + r], delimiter=",")
+    cfg = parse_config(write(tmp_path, "[weight]\nfamily = custom_table\ntable_path = %s\n"
+                             "[grid]\nn = 128\nr_max = 0.95\n[sweep]\ncount = 2\n" % table))
+    report = sweep_cli.run_sweep(cfg)
+    assert len(report.rows) == 3 and all(row.converged for row in report.rows)
+    assert [idx for _, idx in report.summary["morse_index"]] == [1] * 3
+    assert all(np.isnan(row.sup_ext) for row in report.rows)
+    assert report.summary["limit_sup_distance"] == []
+
+
 def test_main_degenerate_geometry_exits_2(tmp_path, capsys):
     # dim 7, example data: eps = cap/2 leaves the growth envelope at its floor
     # and estimate_a1 finds no positive rim
@@ -567,24 +585,32 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
     # a sweep and the default checks run on fixed Gauss rules, closed forms,
     # terminating series and dense numpy solves on the support, so a process
     # that only solves and checks never imports any scipy module, let alone
-    # scipy.integrate or scipy.optimize; nor orjson, which only emit reads
+    # scipy.integrate or scipy.optimize; nor orjson, which only emit reads.
+    # The Gauss rule is built without numpy.polynomial and the merges sort
+    # without np.unique, so after emit and a generic eval_F (no F_closed) as
+    # well, neither numpy.polynomial nor numpy.ma is loaded
     small = write(tmp_path, SMALL)
     dim7 = write(tmp_path, "[problem]\ndim = 7\n" + SMALL, "dim7.ini")
     code = "\n".join([
         "import sys",
         "import semipositone as sp",
-        "sp.run_sweep(sp.parse_config(%r))" % small,
+        "report = sp.run_sweep(sp.parse_config(%r))" % small,
         "for path in (%r, %r):" % (small, dim7),
         "    reports = sp.sweep_cli.run_hypothesis_checks(sp.parse_config(path))",
         "    assert all(r.passed for r in reports)",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))"])
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))",
+        "sp.sweep_cli.emit(report, %r)" % str(tmp_path / "out"),
+        "spec = sp.NonlinearitySpec(f=lambda t: t * t, gamma=3.0, c_f=1.0, r_mono=1.0)",
+        "assert abs(sp.eval_F(spec, [0.5, 2.0])[1] - 8.0 / 3.0) < 1e-14",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma'])))"])
     src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
+    assert out.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
 def test_run_positone_script_small_ball():
