@@ -12,6 +12,7 @@ not prove anything.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,10 @@ def critical_exponent(dim):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
+    """f with its growth constants (gamma, c_f, r_mono) and optional closed
+    forms of F and f'. check_sample, f on the checkers' log grid, is filled
+    on first use and kept on the instance, so one pass of (f1)-(f4) samples
+    f there once; a `dataclasses.replace`d spec starts without it."""
     f: Callable
     gamma: float
     c_f: float
@@ -54,6 +59,13 @@ class NonlinearitySpec:
         f0 = float(self.f(0.0))
         if abs(f0) > 0.0:
             raise ValueError("f(0)=%g but the hypotheses need f(0)=0 exactly" % f0)
+
+    @cached_property
+    def check_sample(self):
+        """f on _CHECK_T (read-only), the sample (f1)-(f4) share."""
+        ft = np.array(eval_f(self, _CHECK_T), dtype=float)
+        ft.flags.writeable = False
+        return ft
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,17 +267,21 @@ class CheckReport:
 
 
 # The checkers' fixed samples: a log grid on [1e-6, T_BIG], the levels f(t)/t
-# must pass for (f2), and the compact interval of (f4) with its part of the grid
+# must pass for (f2), and the compact interval of (f4) with its part of the
+# grid, a prefix of _CHECK_T, and the points one step ahead of it for each of
+# (f4)'s steps, concatenated so one call of f samples them all
 _CHECK_T = np.geomspace(1e-6, T_BIG, 2000)
 _F2_PROBES = (1.0, 10.0)
 _F4_COMPACT = 100.0
 _F4_T = _CHECK_T[_CHECK_T <= _F4_COMPACT]
+_F4_STEPS = (1e-2, 1e-4, 1e-6)
+_F4_SIZES = tuple(int(np.count_nonzero(_F4_T + h <= _F4_COMPACT)) for h in _F4_STEPS)
+_F4_AHEAD = np.concatenate([_F4_T[:m] + h for h, m in zip(_F4_STEPS, _F4_SIZES)])
 
 
 def check_f1(spec):
     """f(t)/t -> 0 at the origin and f(t)/t^{gamma-1} bounded by c_f at the top."""
-    t = _CHECK_T
-    ft = np.asarray(eval_f(spec, t))
+    t, ft = _CHECK_T, spec.check_sample
     small = t <= 10.0 * t[0]
     origin_ratio = float(np.max(np.abs(ft[small] / t[small])))
     big = t >= t[-1] / 10.0
@@ -279,7 +295,7 @@ def check_f1(spec):
 
 def check_f2(spec):
     """f(t)/t must exceed every probe level somewhere in the sample range."""
-    ratio = np.asarray(eval_f(spec, _CHECK_T)) / _CHECK_T
+    ratio = spec.check_sample / _CHECK_T
     exceeded = {m: bool(np.any(ratio > m)) for m in _F2_PROBES}
     return CheckReport("f2", all(exceeded.values()), {
         "max_ratio": float(np.max(ratio)), "probes": exceeded})
@@ -287,8 +303,8 @@ def check_f2(spec):
 
 def check_f3(spec):
     """Discrete monotonicity of f(t)/t beyond the registered threshold R."""
-    t = _CHECK_T[_CHECK_T > spec.r_mono]
-    ratio = np.asarray(eval_f(spec, t)) / t
+    beyond = _CHECK_T > spec.r_mono
+    ratio = spec.check_sample[beyond] / _CHECK_T[beyond]
     drops = np.diff(ratio)
     worst = float(np.min(drops)) if drops.size else 0.0
     ok = worst >= -1e-12 * max(1.0, float(np.max(np.abs(ratio))))
@@ -298,11 +314,9 @@ def check_f3(spec):
 def check_f4(spec):
     """Difference quotients on [0, 100] must stay bounded as the step
     shrinks (growth between scales reads as a Lipschitz failure)."""
-    maxq = []
-    for hstep in (1e-2, 1e-4, 1e-6):
-        pts = _F4_T[_F4_T + hstep <= _F4_COMPACT]
-        q = np.abs(np.asarray(eval_f(spec, pts + hstep)) - np.asarray(eval_f(spec, pts))) / hstep
-        maxq.append(float(np.max(q)))
+    ahead = np.split(np.asarray(eval_f(spec, _F4_AHEAD)), np.cumsum(_F4_SIZES)[:-1])
+    maxq = [float(np.max(np.abs(fa - spec.check_sample[:fa.size]) / h))
+            for fa, h in zip(ahead, _F4_STEPS)]
     growth = max(maxq[i + 1] / maxq[i] for i in range(len(maxq) - 1)) if maxq[0] > 0 else 1.0
     ok = growth <= 2.0
     return CheckReport("f4", ok, {"max_quotients": maxq, "scale_growth": growth})

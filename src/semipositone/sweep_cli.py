@@ -244,7 +244,7 @@ def run_sweep(cfg, a_values=None):
     summary = _summarize(rows, profiles, grid, geometry)
     for key in ("morse_index", "level_gap"):
         summary[key] = [[sol.a, sol.diagnostics[key]] for sol in sols]
-    echo = _config_echo(cfg)
+    echo = _config_echo(cfg, weight)
     return SweepReport(rows=rows, summary=summary, config_echo=echo,
                        profiles=profiles, grid_r=grid.r.copy(), geometry=geometry)
 
@@ -315,13 +315,18 @@ def _summarize(rows, profiles, grid, geometry):
     }
 
 
-def _config_echo(cfg):
-    """Every field of every section, tuples as lists, read without a copy."""
+def _config_echo(cfg, weight):
+    """Every field of every section, tuples as lists, read without a copy.
+    A table weight sets its own support and reads neither [weight] r_in,
+    r_out nor d: its echo gives the support of the weight as built, no d."""
     echo = {}
     for name in ("problem", "weight", "grid", "mp", "sweep"):
         sec = getattr(cfg, name)
         values = {f.name: getattr(sec, f.name) for f in dataclasses.fields(sec)}
         echo[name] = {k: (list(v) if isinstance(v, tuple) else v) for k, v in values.items()}
+    if cfg.weight.family == "custom_table":
+        del echo["weight"]["d"]
+        echo["weight"].update(r_in=weight.r_in, r_out=weight.r_out)
     return echo
 
 

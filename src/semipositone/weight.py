@@ -8,6 +8,7 @@ for delta = 1 and delta = 2** on exterior probe points.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,12 @@ class WeightSpec:
 
     For the example family profile(r) = r^{-d} on the annulus; for table
     weights (r_in, r_out) just bound the support and g is smooth between the
-    knots. norms is a cache filled on demand, keyed by p.
+    knots. norms is a cache filled on demand, keyed by p. rule, the
+    Gauss-Legendre rule over the support split at the knots with g and
+    r^{N-1} at its nodes, is built on first use and kept on the instance:
+    the finite norms, `support_mass_delta` and the far probes of
+    `g2_left_side` all read it, so one pass of (g1)/(g2) builds it once. A
+    `dataclasses.replace`d spec starts without it.
     """
     profile: Callable
     dim: int
@@ -40,6 +46,16 @@ class WeightSpec:
             self.norms[p] = _quad_norm(self, p)
         return self.norms[p]
 
+    @cached_property
+    def rule(self):
+        """(nodes, weights, g, r^{N-1}) of the rule on [r_in, r_out] split at
+        the knots, one panel per row, all read-only."""
+        x, w, _ = _split_rule(self, np.array([self.r_in, self.r_out]))
+        rule = (x, w, np.array(self.profile(x), dtype=float), x ** (self.dim - 1))
+        for a in rule:
+            a.flags.writeable = False
+        return rule
+
 
 def _annulus_lp(dim, d, r_in, r_out, p):
     """Closed form ||r^{-d} chi_[r_in,r_out]||_p over R^N."""
@@ -53,22 +69,35 @@ def _annulus_lp(dim, d, r_in, r_out, p):
     return (sphere_area(dim) * block) ** (1.0 / p)
 
 
-def _radial_integral(spec, edges, p=1.0):
-    """int g^p r^{N-1} dr over each [edges[k], edges[k+1]] (ascending), split
-    at the knots: g is smooth on every piece, so the Gauss rule is exact for
-    tables and at machine precision for the annulus."""
+def _split_rule(spec, edges):
+    """The Gauss-Legendre rule on each [edges[k], edges[k+1]] (ascending),
+    split at the knots, one panel per row: (nodes, weights, the k of each
+    panel). g is smooth on every panel, so the rule is exact for tables and
+    at machine precision for the annulus."""
     knots = np.asarray(spec.knots, dtype=float)
     pts = sorted_union(edges, knots[(knots > edges[0]) & (knots < edges[-1])])
     x, w = gauss_legendre(pts[:-1], pts[1:])
-    piece = np.sum(w * spec.profile(x) ** p * x ** (spec.dim - 1), axis=1)
-    owner = np.searchsorted(edges, pts[:-1], side="right") - 1
-    return np.bincount(owner, weights=piece, minlength=edges.size - 1)
+    return x, w, np.searchsorted(edges, pts[:-1], side="right") - 1
+
+
+def _panel_sums(w, gp, r_pow, owner, cells):
+    """Sum of w g^p r^{N-1} over each cell's panels; bincount adds a cell's
+    panels in order, which keeps the last bit where a table has many knots."""
+    piece = np.sum(w * gp * r_pow, axis=1)
+    return np.bincount(owner, weights=piece, minlength=cells)
+
+
+def _radial_integral(spec, edges):
+    """int g r^{N-1} dr over each [edges[k], edges[k+1]] (ascending)."""
+    x, w, owner = _split_rule(spec, edges)
+    return _panel_sums(w, spec.profile(x), x ** (spec.dim - 1), owner, edges.size - 1)
 
 
 def support_mass_delta(spec, delta):
     """int g^delta dy, the large-|x| limit of the (g2) left side."""
-    edges = np.array([spec.r_in, spec.r_out])
-    return float(sphere_area(spec.dim) * _radial_integral(spec, edges, delta)[0])
+    _, w, g, r_pow = spec.rule
+    mass = _panel_sums(w, g ** delta, r_pow, np.zeros(len(w), dtype=np.intp), 1)
+    return float(sphere_area(spec.dim) * mass[0])
 
 
 # points per profile call of the L^inf sampling: the temporaries of one call
@@ -194,12 +223,12 @@ def g2_left_side(spec, delta, x):
     """|x|^alpha int g^delta |x-y|^{-alpha} dy at probe radii x (a scalar or
     an array), alpha = (N-4) delta.
 
-    Probes clear of the support take the closed-form ring kernel and
-    Gauss-Legendre in the radial variable, all in one `ring_kernel_pairs`
-    call. Probes inside the support or within 2% of its width of an edge go
-    one at a time to `_g2_left_side_direct`, except that the value is +inf
-    when alpha >= N and the probe meets the support (the diagonal is not
-    integrable).
+    Probes clear of the support take the closed-form ring kernel and the
+    support's knot-split rule (`WeightSpec.rule`) in the radial variable, all
+    in one `ring_kernel_pairs` call. Probes inside the support or within 2%
+    of its width of an edge go one at a time to `_g2_left_side_direct`,
+    except that the value is +inf when alpha >= N and the probe meets the
+    support (the diagonal is not integrable).
     """
     dim = spec.dim
     alpha = (dim - 4.0) * delta
@@ -211,10 +240,10 @@ def g2_left_side(spec, delta, x):
     meets = (spec.r_in <= x) & (x <= spec.r_out)
     near = meets | (np.minimum(np.abs(x - spec.r_in), np.abs(x - spec.r_out)) < margin)
     out = np.empty(x.size)
-    s, jw = gauss_legendre(spec.r_in, spec.r_out)
+    s, jw, g, r_pow = (a.ravel() for a in spec.rule)
     far = x[~near]
     kern = ring_kernel_pairs(dim, far[:, None], s, alpha)
-    integrand = spec.profile(s) ** delta * s ** (dim - 1) * kern
+    integrand = g ** delta * r_pow * kern
     out[~near] = far ** alpha * np.sum(jw * integrand, axis=1)
     for i in np.flatnonzero(near):
         out[i] = np.inf if alpha >= dim and meets[i] \

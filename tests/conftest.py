@@ -8,10 +8,14 @@ functions read, and `weak_lp_profile`, `c_r_constant`, `check_prop33` and
 `prop33_negative_excess` check the paper's constants and its two-point
 bound, which no solve reads; `envelope_refine` and `emit_texts` are the
 per-sample envelope fit and the per-cell file formatter the package's faster
-versions must reproduce; all imported the same way."""
+versions must reproduce, and `oracle_check_f1` .. `oracle_check_g2` with
+`oracle_checks` the hypothesis checkers that sample f and g afresh in every
+call, which the per-spec samples must reproduce bit for bit (`bits` puts a
+report's details in a form compared exactly); all imported the same way."""
 
 import io
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +153,118 @@ def emit_texts(report):
                       zip(r_cells, np.asarray(vals, dtype=float).tolist()))
         texts["profile_%02d_a%s.csv" % (i, ("%.6g" % a))] = fh.getvalue()
     return texts
+
+
+def bits(x):
+    """x with every float as its repr and every array as (dtype, shape,
+    reprs), so == compares a report's details bit for bit (nan included)."""
+    if isinstance(x, dict):
+        return {bits(k): bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return (str(x.dtype), x.shape, [repr(v) for v in x.ravel().tolist()])
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return x
+
+
+_CHECK_T = np.geomspace(1e-6, 1e6, 2000)
+
+
+def oracle_check_f1(spec):
+    ft = np.asarray(sp.eval_f(spec, _CHECK_T))
+    small = _CHECK_T <= 10.0 * _CHECK_T[0]
+    origin_ratio = float(np.max(np.abs(ft[small] / _CHECK_T[small])))
+    big = _CHECK_T >= _CHECK_T[-1] / 10.0
+    growth_ratio = float(np.max(ft[big] / _CHECK_T[big] ** (spec.gamma - 1.0)))
+    origin_ok, growth_ok = origin_ratio <= 0.01, growth_ratio <= spec.c_f * 1.05
+    return sp.CheckReport("f1", origin_ok and growth_ok, {
+        "origin_ratio": origin_ratio, "growth_ratio": growth_ratio,
+        "c_f": spec.c_f, "origin_ok": origin_ok, "growth_ok": growth_ok})
+
+
+def oracle_check_f2(spec):
+    ratio = np.asarray(sp.eval_f(spec, _CHECK_T)) / _CHECK_T
+    exceeded = {m: bool(np.any(ratio > m)) for m in (1.0, 10.0)}
+    return sp.CheckReport("f2", all(exceeded.values()), {
+        "max_ratio": float(np.max(ratio)), "probes": exceeded})
+
+
+def oracle_check_f3(spec):
+    t = _CHECK_T[_CHECK_T > spec.r_mono]
+    ratio = np.asarray(sp.eval_f(spec, t)) / t
+    drops = np.diff(ratio)
+    worst = float(np.min(drops)) if drops.size else 0.0
+    ok = worst >= -1e-12 * max(1.0, float(np.max(np.abs(ratio))))
+    return sp.CheckReport("f3", ok, {"worst_drop": worst, "r_mono": spec.r_mono})
+
+
+def oracle_check_f4(spec):
+    maxq = []
+    t = _CHECK_T[_CHECK_T <= 100.0]
+    for hstep in (1e-2, 1e-4, 1e-6):
+        pts = t[t + hstep <= 100.0]
+        q = np.abs(np.asarray(sp.eval_f(spec, pts + hstep))
+                   - np.asarray(sp.eval_f(spec, pts))) / hstep
+        maxq.append(float(np.max(q)))
+    growth = max(maxq[i + 1] / maxq[i] for i in range(2)) if maxq[0] > 0 else 1.0
+    return sp.CheckReport("f4", growth <= 2.0, {"max_quotients": maxq, "scale_growth": growth})
+
+
+def _oracle_rule(weight):
+    """g's Gauss-Legendre rule on [r_in, r_out] split at the knots, built
+    afresh; on the annulus, one panel, as (g2) used to build it per call."""
+    pts = sp.radial_core.sorted_union([weight.r_in, weight.r_out], weight.knots)
+    return sp.radial_core.gauss_legendre(pts[:-1], pts[1:])
+
+
+def _oracle_mass(weight, p):
+    x, w = _oracle_rule(weight)
+    piece = np.sum(w * weight.profile(x) ** p * x ** (weight.dim - 1), axis=1)
+    total = np.bincount(np.zeros(piece.size, dtype=int), weights=piece)[0]
+    return float(sp.sphere_area(weight.dim) * total)
+
+
+def oracle_check_g1(weight):
+    two_ss = sp.critical_exponent(weight.dim)
+    ps = (1.0, weight.dim / 4.0, two_ss / (two_ss - 1.0), np.inf)
+    quad = {p: _oracle_mass(weight, p) ** (1.0 / p) for p in ps[:3]}
+    quad[np.inf] = float(np.max(weight.profile(np.linspace(weight.r_in, weight.r_out, 20001))))
+    mismatch = max([abs(quad[p] - v) / v for p, v in weight.norms.items()
+                    if p in quad and v > 0], default=0.0)
+    details = {"norms": quad, "closed_mismatch": mismatch}
+    if quad[1.0] == 0.0:
+        warnings.warn("degenerate weight: ||g||_1 = 0")
+        details["warning"] = "degenerate weight"
+    return sp.CheckReport("g1", all(np.isfinite(v) for v in quad.values()), details)
+
+
+def oracle_g2_left_side(weight, delta, x):
+    """The (g2) left side at an array of probes clear of the support."""
+    dim, alpha = weight.dim, (weight.dim - 4.0) * delta
+    s, jw = (a.ravel() for a in _oracle_rule(weight))
+    kern = sp.riesz_potential.ring_kernel_pairs(dim, x[:, None], s, alpha)
+    integrand = weight.profile(s) ** delta * s ** (dim - 1) * kern
+    return x ** alpha * np.sum(jw * integrand, axis=1)
+
+
+def oracle_check_g2(weight, delta):
+    x = sp.weight._G2_PROBES
+    values = oracle_g2_left_side(weight, delta, x)
+    mass = _oracle_mass(weight, delta)
+    return sp.CheckReport("g2", bool(np.all(np.isfinite(values))), {
+        "delta": float(delta), "alpha": (weight.dim - 4.0) * delta, "x_samples": x,
+        "values": values, "c_g": float(np.max(values)), "limit_mass": mass,
+        "far_field_ratio": float(values[-1] / mass)})
+
+
+def oracle_checks(cfg):
+    """`run_hypothesis_checks` with every checker sampling on its own."""
+    spec, weight, _ = sp.build_problem(cfg)
+    return [oracle_check_f1(spec), oracle_check_f2(spec), oracle_check_f3(spec),
+            oracle_check_f4(spec), oracle_check_g1(weight)] + \
+        [oracle_check_g2(weight, d) for d in (1.0, sp.critical_exponent(cfg.problem.dim))]
 
 
 def check_prop33(shifted, s, t, eps=0.5):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import semipositone as sp
 from semipositone.nonlinearity import T_BIG, growth_envelope
 
-from conftest import c_r_constant, check_prop33, envelope_refine, prop33_negative_excess
+from conftest import (bits, c_r_constant, check_prop33, envelope_refine, oracle_check_f1,
+                      oracle_check_f2, oracle_check_f3, oracle_check_f4, prop33_negative_excess)
 
 
 def test_critical_exponent_values():
@@ -276,15 +277,38 @@ def test_prop33_negative_excess_algebra(example_spec, s, gap):
     assert lhs <= 2.0 * rhs + 1e-9 * max(1.0, abs(rhs))
 
 
-def test_checker_counterexamples():
-    # sqrt is non-Lipschitz at 0: quotients blow up between scales
-    root = sp.NonlinearitySpec(f=lambda t: np.sqrt(np.maximum(t, 0.0)), gamma=2.5,
+def root_spec():
+    """sqrt is non-Lipschitz at 0: quotients blow up between scales."""
+    return sp.NonlinearitySpec(f=lambda t: np.sqrt(np.maximum(t, 0.0)), gamma=2.5,
                                c_f=10.0, r_mono=1.0, dim=5)
-    assert not sp.check_f4(root).passed
-    # a ratio f/t that decays beyond r_mono fails f3
-    hump = sp.NonlinearitySpec(f=lambda t: t * np.exp(-t), gamma=2.5, c_f=10.0,
+
+
+def hump_spec():
+    """A ratio f/t that decays beyond r_mono fails f3."""
+    return sp.NonlinearitySpec(f=lambda t: t * np.exp(-t), gamma=2.5, c_f=10.0,
                                r_mono=1.0, dim=5)
-    assert not sp.check_f3(hump).passed
+
+
+def test_checker_counterexamples():
+    assert not sp.check_f4(root_spec()).passed
+    assert not sp.check_f3(hump_spec()).passed
+
+
+@pytest.mark.parametrize("make", [
+    root_spec, hump_spec, sp.example_nonlinearity, sp.zero_nonlinearity, sp.linear_nonlinearity,
+    lambda: sp.power_nonlinearity(3.0, dim=7, gamma=3.0)])
+def test_checkers_match_per_call_sampling(make):
+    # (f1)-(f4) read one f sample per spec, and (f4) its three shifted point
+    # sets from one call of f; each report is the one that sampling f afresh
+    # in every checker gives, bit for bit, in any order of the checks
+    checks = [sp.check_f1, sp.check_f2, sp.check_f3, sp.check_f4]
+    oracles = [oracle_check_f1, oracle_check_f2, oracle_check_f3, oracle_check_f4]
+    for order in (slice(None), slice(None, None, -1)):
+        spec = make()
+        for check, oracle in list(zip(checks, oracles))[order]:
+            got, want = check(spec), oracle(spec)
+            assert (got.name, got.passed) == (want.name, want.passed)
+            assert bits(got.details) == bits(want.details)
 
 
 def test_eval_f_rejects_negative(example_spec):

@@ -17,9 +17,9 @@ from semipositone import (energy, mountain_pass, radial_core, riesz_potential, s
                           weight)
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
                                     _config_echo, _default_a_values, _repr_cells,
-                                    _summarize, emit, main, parse_config)
+                                    _summarize, build_problem, emit, main, parse_config)
 
-from conftest import emit_texts
+from conftest import bits, emit_texts, oracle_checks
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -102,7 +102,8 @@ def test_example_ini_shows_every_key_with_its_default():
         value = sweep_cli._coerce("%s.%s" % (sec, k), raw, schema[sec][k])
         assert value == getattr(getattr(defaults, sec), k), (sec, k)
     parsed = parse_config(os.path.join(ROOT, "scripts", "configs", "example.ini"))
-    assert _config_echo(parsed) == _config_echo(defaults)
+    assert _config_echo(parsed, build_problem(parsed)[1]) \
+        == _config_echo(defaults, build_problem(defaults)[1])
 
 
 def test_perfbench_traced_functions_exist():
@@ -313,7 +314,7 @@ def test_config_echo_matches_asdict(tmp_path, text):
     expect = {name: {k: (list(v) if isinstance(v, tuple) else v)
                      for k, v in dataclasses.asdict(getattr(cfg, name)).items()}
               for name in ("problem", "weight", "grid", "mp", "sweep")}
-    echo = _config_echo(cfg)
+    echo = _config_echo(cfg, build_problem(cfg)[1])
     assert echo == expect
     assert json.dumps(echo, sort_keys=True) == json.dumps(expect, sort_keys=True)
 
@@ -392,6 +393,10 @@ def test_table_inside_unit_ball_parses_and_solves(tmp_path):
     assert [idx for _, idx in report.summary["morse_index"]] == [1] * 3
     assert all(np.isnan(row.sup_ext) for row in report.rows)
     assert report.summary["limit_sup_distance"] == []
+    # the echo gives the support the table was built on, not the unread
+    # [weight] r_in / r_out defaults, and no d
+    assert report.config_echo["weight"] == {"family": "custom_table", "r_in": 0.1,
+                                            "r_out": 0.8, "table_path": str(table)}
 
 
 def test_main_degenerate_geometry_exits_2(tmp_path, capsys):
@@ -700,3 +705,68 @@ def test_main_check_hypotheses_only(tmp_path, capsys):
     blob = json.load(open(out / "checks.json"))
     assert len(blob) == 7
     assert all(v["passed"] for v in blob.values())
+
+
+@pytest.mark.parametrize("family", ["paper_example", "power"])
+@pytest.mark.parametrize("dim", [5, 6, 7, 8, 9])
+def test_hypothesis_checks_match_per_call_sampling(family, dim):
+    # one pass reads one f sample and one Gauss rule per spec; every report
+    # is the one the checkers give when each samples f and g on its own
+    cfg = parse_config(os.path.join(ROOT, "scripts", "configs", "example.ini"))
+    cfg.problem = dataclasses.replace(cfg.problem, dim=dim, family=family)
+    got, want = sweep_cli.run_hypothesis_checks(cfg), oracle_checks(cfg)
+    assert [(r.name, r.passed) for r in got] == [(r.name, r.passed) for r in want]
+    for g, w in zip(got, want):
+        assert bits(g.details) == bits(w.details), g.name
+
+
+@pytest.mark.parametrize("table", [None, [[0.5, 1.0], [0.7, 1.4], [0.85, 1.4], [1.3, 0.3]]])
+def test_hypothesis_checks_sample_f_twice_and_build_one_rule(tmp_path, monkeypatch, table):
+    # a pass calls f on arrays twice (the shared (f1)-(f4) sample, then the
+    # (f4) points one step ahead) and builds g's Gauss rule once, for the
+    # annulus and for a table with knots alike
+    text = ""
+    if table is not None:
+        np.savetxt(tmp_path / "g.csv", np.asarray(table), delimiter=",")
+        text = "[weight]\nfamily = custom_table\ntable_path = %s\n" % (tmp_path / "g.csv")
+    cfg = parse_config(write(tmp_path, text))
+    calls = {"f": 0, "rule": 0}
+    real_rule, real_build = weight.gauss_legendre, sweep_cli.build_problem
+
+    def counted_rule(a, b):
+        calls["rule"] += 1
+        return real_rule(a, b)
+
+    def counted_build(cfg):
+        spec, w, grid = real_build(cfg)
+
+        def f(t):
+            calls["f"] += np.ndim(t) > 0
+            return spec.f(t)
+        return dataclasses.replace(spec, f=f), w, grid
+
+    monkeypatch.setattr(weight, "gauss_legendre", counted_rule)
+    monkeypatch.setattr(sweep_cli, "build_problem", counted_build)
+    for _ in range(2):  # each pass builds its specs afresh and samples anew
+        calls.update(f=0, rule=0)
+        assert len(sweep_cli.run_hypothesis_checks(cfg)) == 7
+        assert calls == {"f": 2, "rule": 1}
+
+
+def test_replaced_specs_sample_afresh():
+    # the samples belong to one instance: a dataclasses.replace'd spec with
+    # another f or g samples its own, and the original keeps its own
+    spec = sp.power_nonlinearity(3.0)
+    base = sp.check_f1(spec).details["growth_ratio"]
+    twice = dataclasses.replace(spec, f=lambda t: 2.0 * spec.f(t), c_f=2.0)
+    assert sp.check_f1(twice).details["growth_ratio"] == 2.0 * base
+    np.testing.assert_array_equal(twice.check_sample, 2.0 * spec.check_sample)
+    assert sp.check_f1(spec).details["growth_ratio"] == base
+    w = sp.example_weight()
+    mass = weight.support_mass_delta(w, 1.0)
+    w2 = dataclasses.replace(w, profile=lambda r: 2.0 * w.profile(r), norms={})
+    assert weight.support_mass_delta(w2, 1.0) == 2.0 * mass
+    np.testing.assert_array_equal(w2.rule[2], 2.0 * w.rule[2])
+    assert sp.check_g1(w2).details["norms"][1.0] == 2.0 * sp.check_g1(w).details["norms"][1.0]
+    assert sp.check_g2(w2, 1.0).details["c_g"] == 2.0 * sp.check_g2(w, 1.0).details["c_g"]
+    assert weight.support_mass_delta(w, 1.0) == mass

@@ -1,9 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
+
+from conftest import bits, oracle_check_g1
+
+# a 3-piece table weight: g = 1, 1.4, 1.4, 0.3 at r = 0.5, 0.7, 0.85, 1.3
+TABLE_R, TABLE_G = [0.5, 0.7, 0.85, 1.3], [1.0, 1.4, 1.4, 0.3]
 
 
 def test_example_norms_closed_forms(example_w):
@@ -32,6 +39,19 @@ def test_sup_norm_samples_every_point(k):
                          dim=5, r_in=0.5, r_out=1.0)
     assert spec.norm(np.inf) == 1.0
     assert sp.check_g1(spec).details["norms"][np.inf] == 1.0
+
+
+@pytest.mark.parametrize("dim", [5, 7])
+@pytest.mark.parametrize("table", [
+    (TABLE_R, TABLE_G),
+    (np.linspace(0.0, 19.0, 200), 1.0 / (1.0 + np.linspace(0.0, 19.0, 200) ** 2))])
+def test_check_g1_on_tables_matches_per_call_rule(dim, table):
+    # the finite norms read the spec's one knot-split rule; the report is the
+    # one that builds the rule afresh for each norm, bit for bit
+    got = sp.check_g1(sp.table_weight(*table, dim=dim))
+    want = oracle_check_g1(sp.table_weight(*table, dim=dim))
+    assert got.passed == want.passed
+    assert bits(got.details) == bits(want.details)
 
 
 def test_check_g1_warns_on_zero_weight():
@@ -202,3 +222,38 @@ def test_g2_left_side_array_matches_scalar_calls(example_w):
     got = g2_left_side(example_w, sp.critical_exponent(5), np.array([0.5, 0.75, 1.0, 1.005]))
     assert np.array_equal(np.isinf(got), [True, True, True, False])
     assert np.isfinite(g2_left_side(example_w, 1.0, np.array([0.5, 0.75, 1.0]))).all()
+
+
+def _table_moment(r, g, k):
+    """int g(s) s^k ds of the piecewise-linear table (r, g), in rationals."""
+    total = Fraction(0)
+    for a, b, ga, gb in zip(*(map(Fraction, v) for v in (r[:-1], r[1:], g[:-1], g[1:]))):
+        slope = (gb - ga) / (b - a)
+        total += (ga - slope * a) * (b ** (k + 1) - a ** (k + 1)) / (k + 1) \
+            + slope * (b ** (k + 2) - a ** (k + 2)) / (k + 2)
+    return total
+
+
+def test_g2_on_table_matches_closed_form():
+    # at dim 5 and delta = 1, x^alpha kappa_1(x, s) = omega (1 - 0.2 s^2/x^2)
+    # for s < x, so for a piecewise-linear table the left side is
+    # omega (M_4 - M_6 / (5 x^2)) with M_k = int g s^k ds, a sum of
+    # polynomial pieces. Split at the knots the rule is exact on every piece;
+    # one panel across the kinks is ~5e-6 off.
+    omega = sp.sphere_area(5)
+
+    def closed(r, x):
+        m4, m6 = _table_moment(r, TABLE_G, 4), _table_moment(r, TABLE_G, 6)
+        return np.array([omega * float(m4 - m6 / (5 * Fraction(v) ** 2)) for v in x])
+
+    x = np.array([1.5, 2.0, 10.0])
+    got = g2_left_side(sp.table_weight(TABLE_R, TABLE_G), 1.0, x)
+    np.testing.assert_allclose(got, closed(TABLE_R, x), rtol=1e-13, atol=0.0)
+    # the same table moved inside B_1, so that every (g2) probe is clear of it
+    r = TABLE_R[:3] + [1.0]
+    rep = sp.check_g2(sp.table_weight(r, TABLE_G), 1.0)
+    probes = rep.details["x_samples"]
+    np.testing.assert_allclose(rep.details["values"], closed(r, probes), rtol=1e-13, atol=0.0)
+    m4, m6 = _table_moment(r, TABLE_G, 4), _table_moment(r, TABLE_G, 6)
+    ratio = float(1 - m6 / (5 * Fraction(probes[-1]) ** 2 * m4))
+    assert rep.details["far_field_ratio"] == pytest.approx(ratio, rel=1e-13, abs=0.0)
