@@ -11,8 +11,8 @@ With R = max(r, s) and rho = min(r, s) it is a hypergeometric series,
 
     kappa_alpha(r, s) = omega_N R^{-alpha} 2F1(alpha/2, 1 + (alpha-N)/2; N/2; rho^2/R^2),
 
-which `ring_kernel_pairs` evaluates at any alpha. At the two orders the
-solver needs it terminates:
+which `ring_kernel_pairs` evaluates at the orders where it reduces to a
+finite sum. At the two orders the solver needs it terminates:
 
     kappa_{N-2}(r, s) = omega_N R^{2-N}   (shell theorem)
     kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2).
@@ -76,9 +76,9 @@ def ring_kernel_pairs(dim, r, s, alpha):
 
     when c - b = -k (alpha = 2N - 2 + 2k: the (g2) order 2N at delta = 2**).
     alpha is matched to those orders within 1e-12 relative, the slack
-    `check_g2` grants delta. Any other alpha takes scipy's hyp2f1. On the
-    diagonal r = s > 0 this is Gauss's sum when alpha < N - 1 and +inf
-    otherwise; at r = s = 0 it is +inf.
+    `check_g2` grants delta; any other alpha raises ValueError ((g2) needs
+    only N - 4 and 2N). On the diagonal r = s > 0 this is Gauss's sum when
+    alpha < N - 1 and +inf otherwise; at r = s = 0 it is +inf.
     """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     big = np.maximum(r, s)
@@ -96,9 +96,8 @@ def ring_kernel_pairs(dim, r, s, alpha):
         k = _nonpositive_integer(c - b, slack)
         if k is not None:
             return scale * (1.0 - z) ** (c - a - b) * _hyp2f1_polynomial(c - a, c - b, c, z, k)
-    from scipy.special import hyp2f1
-
-    return scale * hyp2f1(a, b, c, z)
+    raise ValueError("alpha=%g: the series terminates only at alpha = N - 2 - 2k "
+                     "and 2N - 2 + 2k, k >= 0" % alpha)
 
 
 def _kernel_coeffs(grid, alpha):

@@ -125,6 +125,9 @@ def _validate(cfg):
     if cfg.problem.family not in ("paper_example", "power", "linear"):
         raise ValueError("problem.family=%r not one of paper_example|power|linear"
                          % cfg.problem.family)
+    if cfg.problem.family == "power" and cfg.problem.gamma < cfg.problem.power + 1.0:
+        raise ValueError("problem.gamma=%g < power + 1: f = t^power outgrows t^(gamma-1), "
+                         "so (f1) fails" % cfg.problem.gamma)
     if cfg.weight.family not in ("paper_example", "custom_table"):
         raise ValueError("weight.family=%r not one of paper_example|custom_table"
                          % cfg.weight.family)

@@ -3,7 +3,7 @@ norms, and verification of the Riesz growth bound
 
     |x|^{(N-4) delta} int g(y)^delta / |x-y|^{(N-4) delta} dy <= C_g
 
-for delta = 1 and delta = 2** on exterior probe points.
+for delta = 1 and delta = 2** at any probe radius.
 """
 
 import warnings
@@ -26,10 +26,10 @@ class WeightSpec:
     weights (r_in, r_out) just bound the support and g is smooth between the
     knots. norms is a cache filled on demand, keyed by p. rule, the
     Gauss-Legendre rule over the support split at the knots with g and
-    r^{N-1} at its nodes, is built on first use and kept on the instance:
-    the finite norms, `support_mass_delta` and the far probes of
-    `g2_left_side` all read it, so one pass of (g1)/(g2) builds it once. A
-    `dataclasses.replace`d spec starts without it.
+    r^{N-1} at its nodes, is built on first use: the finite norms,
+    `support_mass_delta` and the far probes of `g2_left_side` all read it,
+    so one pass of (g1)/(g2) builds it once. Both belong to the instance: a
+    `dataclasses.replace`d spec starts without them.
     """
     profile: Callable
     dim: int
@@ -38,7 +38,7 @@ class WeightSpec:
     d: float = 0.0
     name: str = "custom"
     knots: tuple = ()
-    norms: dict = field(default_factory=dict)
+    norms: dict = field(default_factory=dict, init=False)
 
     def norm(self, p):
         p = float(p)
@@ -133,10 +133,11 @@ def example_weight(d=1.0, r_in=0.5, r_out=1.0, dim=5):
         out[inside] = r[inside] ** (-d)
         return out if out.ndim else float(out)
 
-    norms = {p: _annulus_lp(dim, d, r_in, r_out, p)
-             for p in (1.0, float(dim) / 4.0, _conjugate(critical_exponent(dim)), np.inf)}
-    return WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out, d=d,
-                      name="paper_example", norms=norms)
+    spec = WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out, d=d,
+                      name="paper_example")
+    spec.norms.update((p, _annulus_lp(dim, d, r_in, r_out, p)) for p in
+                      (1.0, float(dim) / 4.0, _conjugate(critical_exponent(dim)), np.inf))
+    return spec
 
 
 def table_weight(r_values, g_values, dim=5, name="custom_table"):
@@ -221,14 +222,16 @@ def check_g1(spec):
 
 def g2_left_side(spec, delta, x):
     """|x|^alpha int g^delta |x-y|^{-alpha} dy at probe radii x (a scalar or
-    an array), alpha = (N-4) delta.
+    an array), alpha = (N-4) delta, by the closed-form ring kernel
+    (`ring_kernel_pairs`) in the radial variable at every probe.
 
-    Probes clear of the support take the closed-form ring kernel and the
-    support's knot-split rule (`WeightSpec.rule`) in the radial variable, all
-    in one `ring_kernel_pairs` call. Probes inside the support or within 2%
-    of its width of an edge go one at a time to `_g2_left_side_direct`,
-    except that the value is +inf when alpha >= N and the probe meets the
-    support (the diagonal is not integrable).
+    Probes clear of the support take its knot-split rule (`WeightSpec.rule`).
+    Probes inside it or within 2% of its width of an edge take panels split
+    at the edges, the knots, the probe and x -+ dist 2^j, dist the probe's
+    distance to the support: graded toward the near-singularity at s = x,
+    Gauss-Legendre converges geometrically (Trefethen, Approximation Theory
+    and Approximation Practice, 2013, ch. 19). A probe that meets the
+    support is +inf when alpha >= N.
     """
     dim = spec.dim
     alpha = (dim - 4.0) * delta
@@ -236,40 +239,33 @@ def g2_left_side(spec, delta, x):
     x = np.ravel(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise ValueError("probe radius must be positive")
-    margin = 0.02 * (spec.r_out - spec.r_in)
-    meets = (spec.r_in <= x) & (x <= spec.r_out)
-    near = meets | (np.minimum(np.abs(x - spec.r_in), np.abs(x - spec.r_out)) < margin)
+    width = spec.r_out - spec.r_in
+    dist = np.maximum(np.maximum(spec.r_in - x, x - spec.r_out), 0.0)
+    meets = dist == 0.0
+    near = meets | (dist < 0.02 * width)
     out = np.empty(x.size)
     s, jw, g, r_pow = (a.ravel() for a in spec.rule)
     far = x[~near]
     kern = ring_kernel_pairs(dim, far[:, None], s, alpha)
     integrand = g ** delta * r_pow * kern
     out[~near] = far ** alpha * np.sum(jw * integrand, axis=1)
-    for i in np.flatnonzero(near):
-        out[i] = np.inf if alpha >= dim and meets[i] \
-            else _g2_left_side_direct(spec, delta, x[i])
+    if alpha >= dim:  # the diagonal is not integrable
+        out[meets], near = np.inf, near & ~meets
+    edges, lo, hi, owner = np.array([spec.r_in, spec.r_out]), [], [], []
+    for i in np.flatnonzero(near):  # all panels of all near probes, one rule
+        steps = dist[i] * np.exp2(np.arange(np.log2(width / dist[i]) + 1)) if dist[i] else 0.0
+        pts = sorted_union(edges, np.clip(spec.knots, *edges),
+                           np.clip(np.append(x[i] - steps, x[i] + steps), *edges))
+        lo.append(pts[:-1])
+        hi.append(pts[1:])
+        owner.append(np.full(pts.size - 1, i))
+    if owner:
+        s, jw = gauss_legendre(np.concatenate(lo), np.concatenate(hi))
+        owner = np.concatenate(owner)
+        gp = np.asarray(spec.profile(s), dtype=float) ** delta
+        gp *= ring_kernel_pairs(dim, x[owner, None], s, alpha)
+        out[near] = x[near] ** alpha * _panel_sums(jw, gp, s ** (dim - 1), owner, x.size)[near]
     return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def _g2_left_side_direct(spec, delta, x):
-    """Nested adaptive quadrature in (s, polar angle); slow but safe when the
-    probe sits close to or inside the support. No solve or default probe
-    comes here: the one import of scipy.integrate."""
-    from scipy.integrate import quad
-
-    dim = spec.dim
-    alpha = (dim - 4.0) * delta
-    ring = sphere_area(dim - 1)
-
-    def inner(s):
-        def ang(th):
-            d2 = x * x + s * s - 2.0 * x * s * np.cos(th)
-            return np.sin(th) ** (dim - 2) * d2 ** (-0.5 * alpha)
-        val, _ = quad(ang, 0.0, np.pi, epsabs=1e-11, limit=400)
-        return spec.profile(s) ** delta * s ** (dim - 1) * ring * val
-
-    val, _ = quad(inner, spec.r_in, spec.r_out, epsabs=1e-11, limit=400)
-    return float(x ** alpha * val)
 
 
 # (g2) probe radii: exterior points |x| >= 1, clear of the support

@@ -11,7 +11,10 @@ per-sample envelope fit and the per-cell file formatter the package's faster
 versions must reproduce, and `oracle_check_f1` .. `oracle_check_g2` with
 `oracle_checks` the hypothesis checkers that sample f and g afresh in every
 call, which the per-spec samples must reproduce bit for bit (`bits` puts a
-report's details in a form compared exactly); all imported the same way."""
+report's details in a form compared exactly); `g2_left_side_direct` (the
+(g2) left side by nested adaptive quadrature) and `ring_kernel_hyp2f1` (the
+ring kernel at any order, by scipy's hyp2f1) are the oracles for the
+package's closed-form (g2) integrals; all imported the same way."""
 
 import io
 import json
@@ -247,6 +250,41 @@ def oracle_g2_left_side(weight, delta, x):
     kern = sp.riesz_potential.ring_kernel_pairs(dim, x[:, None], s, alpha)
     integrand = weight.profile(s) ** delta * s ** (dim - 1) * kern
     return x ** alpha * np.sum(jw * integrand, axis=1)
+
+
+def g2_left_side_direct(spec, delta, x):
+    """Nested adaptive quadrature in (s, polar angle); slow but safe when the
+    probe sits close to or inside the support."""
+    from scipy.integrate import quad
+
+    dim = spec.dim
+    alpha = (dim - 4.0) * delta
+    ring = sp.sphere_area(dim - 1)
+
+    def inner(s):
+        def ang(th):
+            d2 = x * x + s * s - 2.0 * x * s * np.cos(th)
+            return np.sin(th) ** (dim - 2) * d2 ** (-0.5 * alpha)
+        val, _ = quad(ang, 0.0, np.pi, epsabs=1e-11, limit=400)
+        return spec.profile(s) ** delta * s ** (dim - 1) * ring * val
+
+    val, _ = quad(inner, spec.r_in, spec.r_out, epsabs=1e-11, limit=400)
+    return float(x ** alpha * val)
+
+
+def ring_kernel_hyp2f1(dim, r, s, alpha):
+    """kappa_alpha(r, s) = omega_N R^{-alpha} 2F1(alpha/2, 1 + (alpha-N)/2; N/2;
+    rho^2/R^2) by scipy's hyp2f1, at any alpha."""
+    from scipy.special import hyp2f1
+
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    big = np.maximum(r, s)
+    ratio = np.zeros(big.shape)
+    np.divide(np.minimum(r, s), big, out=ratio, where=big > 0)
+    alpha = float(alpha)
+    with np.errstate(divide="ignore"):
+        scale = sp.sphere_area(dim) * big ** (-alpha)
+    return scale * hyp2f1(0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, ratio * ratio)
 
 
 def oracle_check_g2(weight, delta):

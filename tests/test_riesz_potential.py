@@ -7,7 +7,7 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel_pairs
 
-from conftest import weak_lp_profile
+from conftest import ring_kernel_hyp2f1, weak_lp_profile
 
 
 def test_riesz_constants_closed_forms():
@@ -51,8 +51,9 @@ def test_zero_radius_row_exact():
 
 def test_diagonal_against_direct_quadrature():
     # independent 1-d oracle for the ring average: the diagonal r = s, and
-    # off-diagonal pairs at orders where the hypergeometric series does not
-    # terminate (2N is the (g2) order delta = 2**)
+    # off-diagonal pairs at 2N, the (g2) order delta = 2**, and at 2.3, where
+    # the hypergeometric series does not terminate (there the kernel is the
+    # hyp2f1 oracle, which ring_kernel_pairs does not evaluate)
     def oracle(dim, alpha, r, s):
         def integrand(theta):
             d2 = (r - s) ** 2 + 4.0 * r * s * np.sin(0.5 * theta) ** 2  # |r e1 - s w|^2
@@ -65,7 +66,8 @@ def test_diagonal_against_direct_quadrature():
     cases += [(dim, alpha, r, s) for dim in (5, 7, 9) for alpha in (2.3, 2.0 * dim)
               for r, s in ((0.7, 0.3), (1.5, 3.0), (2.0, 1.8))]
     for dim, alpha, r, s in cases:
-        val = ring_kernel_pairs(dim, np.array([r]), np.array([s]), alpha)[0]
+        kernel = ring_kernel_hyp2f1 if alpha == 2.3 else ring_kernel_pairs
+        val = kernel(dim, np.array([r]), np.array([s]), alpha)[0]
         expected = oracle(dim, alpha, r, s)
         assert abs(val - expected) < 1e-12 * expected, (dim, alpha, r, s)
 
@@ -115,9 +117,19 @@ def test_terminating_orders_match_hyp2f1(monkeypatch, dim):
 
 
 def test_diagonal_infinite_when_alpha_large():
-    # the ring self-interaction diverges once alpha >= N - 1
-    v = ring_kernel_pairs(5, np.array([0.8]), np.array([0.8]), 4.5)[0]
+    # the ring self-interaction diverges once alpha >= N - 1: at the
+    # non-terminating 4.5 by the hyp2f1 oracle, at the terminating 2N by
+    # ring_kernel_pairs
+    v = ring_kernel_hyp2f1(5, np.array([0.8]), np.array([0.8]), 4.5)[0]
     assert np.isinf(v)
+    assert np.isinf(ring_kernel_pairs(5, np.array([0.8]), np.array([0.8]), 10.0)[0])
+
+
+@pytest.mark.parametrize("alpha", [2.3, 4.5, 9.0, 10.5])
+def test_ring_kernel_pairs_rejects_nonterminating_order(alpha):
+    # only the orders N - 2 - 2k and 2N - 2 + 2k have a finite series
+    with pytest.raises(ValueError, match="terminates"):
+        ring_kernel_pairs(5, np.array([0.3]), np.array([0.7]), alpha)
 
 
 @given(c=st.floats(min_value=0.1, max_value=10.0),

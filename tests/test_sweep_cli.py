@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import glob
 import importlib.util
 import json
 import os
@@ -75,6 +77,7 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[weight]\nfamily = custom_table\n", "table_path"),
     ("[problem]\nfamily = cubic\n", "family"),
     ("[mp]\npath_nodes = 17\n", "mp.path_nodes: unknown key"),
+    ("family = power\npower = 2\ngamma = 2.9\n", "(f1)"),
 ])
 def test_parse_rejections(tmp_path, text, fragment):
     with pytest.raises(ValueError, match=None) as err:
@@ -143,6 +146,19 @@ def test_perfbench_tracer_binds_and_reads_mp_solve(example_spec, example_w, grid
     assert tr.ops["op"].calls["mountain_pass.mp_solve"] == 1
     assert count["mountain_pass.deform_iters"] == len(sol.diagnostics["history_residual"])
     assert count["mountain_pass.newton_used"] == sol.diagnostics["newton_used"]
+
+
+def test_power_family_needs_gamma_at_least_power_plus_one(tmp_path, capsys):
+    # f = t^power grows like t^(gamma-1) only when gamma >= power + 1; the
+    # defaults power = 3, gamma = 2.5 used to pass parsing and die in
+    # find_vtilde. Now solve exits 2 with a config error that names (f1)
+    out = tmp_path / "out"
+    assert main(["--config", write(tmp_path, "family = power\n"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "(f1)" in err
+    assert not out.exists()
+    for text in ("family = power\npower = 3\ngamma = 4\n", "family = power\npower = 1.5\n"):
+        assert parse_config(write(tmp_path, text)).problem.family == "power"
 
 
 def test_build_problem_families(tmp_path):
@@ -591,11 +607,17 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
     # terminating series and dense numpy solves on the support, so a process
     # that only solves and checks never imports any scipy module, let alone
     # scipy.integrate or scipy.optimize; nor orjson, which only emit reads.
-    # The Gauss rule is built without numpy.polynomial and the merges sort
-    # without np.unique, so after emit and a generic eval_F (no F_closed) as
-    # well, neither numpy.polynomial nor numpy.ma is loaded
+    # Probes inside or near a table's support, and delta = 2** probes just
+    # off the annulus, take the same closed forms on Gauss panels. The Gauss
+    # rule is built without numpy.polynomial and the merges sort without
+    # np.unique, so after emit and a generic eval_F (no F_closed) as well,
+    # neither numpy.polynomial nor numpy.ma is loaded
     small = write(tmp_path, SMALL)
     dim7 = write(tmp_path, "[problem]\ndim = 7\n" + SMALL, "dim7.ini")
+    np.savetxt(tmp_path / "g.csv", np.c_[[0.5, 0.7, 0.85, 1.3], [1.0, 1.4, 1.4, 0.3]],
+               delimiter=",")
+    table = write(tmp_path, SMALL + "[weight]\nfamily = custom_table\ntable_path = %s\n"
+                  % (tmp_path / "g.csv"), "table.ini")
     code = "\n".join([
         "import sys",
         "import semipositone as sp",
@@ -603,6 +625,10 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
         "for path in (%r, %r):" % (small, dim7),
         "    reports = sp.sweep_cli.run_hypothesis_checks(sp.parse_config(path))",
         "    assert all(r.passed for r in reports)",
+        "reports = sp.sweep_cli.run_hypothesis_checks(sp.parse_config(%r))" % table,
+        "assert [r.passed for r in reports][-2:] == [True, False]",
+        "w = sp.example_weight()",
+        "assert 0 < sp.weight.g2_left_side(w, sp.critical_exponent(5), 1.0001) < float('inf')",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))",
         "sp.sweep_cli.emit(report, %r)" % str(tmp_path / "out"),
@@ -616,6 +642,26 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every module the package imports, at the top of a file or inside a
+    # function, is in the standard library or among pyproject's runtime
+    # dependencies, and every dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+    imported = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "semipositone", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def test_run_positone_script_small_ball():
@@ -724,7 +770,9 @@ def test_hypothesis_checks_match_per_call_sampling(family, dim):
 def test_hypothesis_checks_sample_f_twice_and_build_one_rule(tmp_path, monkeypatch, table):
     # a pass calls f on arrays twice (the shared (f1)-(f4) sample, then the
     # (f4) points one step ahead) and builds g's Gauss rule once, for the
-    # annulus and for a table with knots alike
+    # annulus and for a table with knots alike. The table's support reaches
+    # the first (g2) probe, 1.05, which takes one more rule at delta = 1 (at
+    # delta = 2** it is +inf and needs none)
     text = ""
     if table is not None:
         np.savetxt(tmp_path / "g.csv", np.asarray(table), delimiter=",")
@@ -750,7 +798,7 @@ def test_hypothesis_checks_sample_f_twice_and_build_one_rule(tmp_path, monkeypat
     for _ in range(2):  # each pass builds its specs afresh and samples anew
         calls.update(f=0, rule=0)
         assert len(sweep_cli.run_hypothesis_checks(cfg)) == 7
-        assert calls == {"f": 2, "rule": 1}
+        assert calls == {"f": 2, "rule": 1 if table is None else 2}
 
 
 def test_replaced_specs_sample_afresh():
@@ -764,8 +812,10 @@ def test_replaced_specs_sample_afresh():
     assert sp.check_f1(spec).details["growth_ratio"] == base
     w = sp.example_weight()
     mass = weight.support_mass_delta(w, 1.0)
-    w2 = dataclasses.replace(w, profile=lambda r: 2.0 * w.profile(r), norms={})
+    w2 = dataclasses.replace(w, profile=lambda r: 2.0 * w.profile(r))
     assert weight.support_mass_delta(w2, 1.0) == 2.0 * mass
+    assert w2.norm(1.0) == 2.0 * mass  # its own integral, not w's closed form
+    assert w.norm(1.0) == weight._annulus_lp(5, 1.0, 0.5, 1.0, 1.0)
     np.testing.assert_array_equal(w2.rule[2], 2.0 * w.rule[2])
     assert sp.check_g1(w2).details["norms"][1.0] == 2.0 * sp.check_g1(w).details["norms"][1.0]
     assert sp.check_g2(w2, 1.0).details["c_g"] == 2.0 * sp.check_g2(w, 1.0).details["c_g"]

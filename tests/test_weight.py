@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import bits, oracle_check_g1
+from conftest import bits, g2_left_side_direct, oracle_check_g1
 
 # a 3-piece table weight: g = 1, 1.4, 1.4, 0.3 at r = 0.5, 0.7, 0.85, 1.3
 TABLE_R, TABLE_G = [0.5, 0.7, 0.85, 1.3], [1.0, 1.4, 1.4, 0.3]
@@ -170,13 +171,12 @@ def test_g2_far_field_limit(example_w):
 
 
 def test_g2_direct_quadrature_fallback_matches(example_w):
-    # probes hugging the support edge switch to the 2-d quadrature; the two
-    # routes must agree where both are trustworthy
+    # the closed-form ring kernel on the support's rule agrees with nested
+    # adaptive quadrature in (s, angle) where the latter is trustworthy
     delta = 1.0
-    from semipositone.weight import _g2_left_side_direct
     for x in (1.5, 2.5):
         a = g2_left_side(example_w, delta, x)
-        b = _g2_left_side_direct(example_w, delta, x)
+        b = g2_left_side_direct(example_w, delta, x)
         assert abs(a - b) < 1e-6 * max(abs(a), abs(b))
 
 
@@ -228,32 +228,97 @@ def _table_moment(r, g, k):
     """int g(s) s^k ds of the piecewise-linear table (r, g), in rationals."""
     total = Fraction(0)
     for a, b, ga, gb in zip(*(map(Fraction, v) for v in (r[:-1], r[1:], g[:-1], g[1:]))):
+        if b == a:
+            continue
         slope = (gb - ga) / (b - a)
         total += (ga - slope * a) * (b ** (k + 1) - a ** (k + 1)) / (k + 1) \
             + slope * (b ** (k + 2) - a ** (k + 2)) / (k + 2)
     return total
 
 
+def _table_g2(r, g, x):
+    """The (g2) left side at dim 5, delta = 1, of the table (r, g) at the
+    probes x, from rational moments of the table split at each probe.
+
+    x kappa_1(x, s) = omega (1 - s^2 / (5 x^2)) for s < x and
+    omega (x / s - x^3 / (5 s^3)) for s > x, so the left side is
+    omega (M_4 - M_6 / (5 x^2)) over s < x plus omega (x M_3 - x^3 M_1 / 5)
+    over s > x, with M_k = int g s^k ds."""
+    r, g = [Fraction(v) for v in r], [Fraction(v) for v in g]
+    out = []
+    for v in x:
+        v = Fraction(v)
+        cut = min(max(v, r[0]), r[-1])
+        i = max(j for j in range(len(r) - 1) if r[j] <= cut)
+        g_cut = g[i] + (g[i + 1] - g[i]) * (cut - r[i]) / (r[i + 1] - r[i])
+        lo, g_lo = r[:i + 1] + [cut], g[:i + 1] + [g_cut]
+        hi, g_hi = [cut] + r[i + 1:], [g_cut] + g[i + 1:]
+        inner = _table_moment(lo, g_lo, 4) - _table_moment(lo, g_lo, 6) / (5 * v ** 2)
+        outer = v * _table_moment(hi, g_hi, 3) - v ** 3 * _table_moment(hi, g_hi, 1) / 5
+        out.append(sp.sphere_area(5) * float(inner + outer))
+    return np.array(out)
+
+
 def test_g2_on_table_matches_closed_form():
-    # at dim 5 and delta = 1, x^alpha kappa_1(x, s) = omega (1 - 0.2 s^2/x^2)
-    # for s < x, so for a piecewise-linear table the left side is
-    # omega (M_4 - M_6 / (5 x^2)) with M_k = int g s^k ds, a sum of
-    # polynomial pieces. Split at the knots the rule is exact on every piece;
-    # one panel across the kinks is ~5e-6 off.
-    omega = sp.sphere_area(5)
-
-    def closed(r, x):
-        m4, m6 = _table_moment(r, TABLE_G, 4), _table_moment(r, TABLE_G, 6)
-        return np.array([omega * float(m4 - m6 / (5 * Fraction(v) ** 2)) for v in x])
-
-    x = np.array([1.5, 2.0, 10.0])
-    got = g2_left_side(sp.table_weight(TABLE_R, TABLE_G), 1.0, x)
-    np.testing.assert_allclose(got, closed(TABLE_R, x), rtol=1e-13, atol=0.0)
-    # the same table moved inside B_1, so that every (g2) probe is clear of it
+    # at dim 5 and delta = 1 the left side of a piecewise-linear table is a
+    # sum of polynomial pieces once the table is split at the probe
+    # (`_table_g2`). Split at the knots and at the probe the rule is exact on
+    # every piece, for probes inside the support too; one panel across the
+    # kinks is ~5e-6 off
+    table = sp.table_weight(TABLE_R, TABLE_G)
+    x = np.array([0.6, 0.85, 1.05, 1.1, 1.2, 1.3, 1.5, 2.0, 10.0])
+    np.testing.assert_allclose(g2_left_side(table, 1.0, x), _table_g2(TABLE_R, TABLE_G, x),
+                               rtol=1e-13, atol=0.0)
+    # the same table moved inside B_1, so that every (g2) probe is clear of
+    # it, and the [0, 19] table, which holds 10 of the 24 probes
+    r19 = np.linspace(0.0, 19.0, 40)
+    for r, g in ((TABLE_R[:3] + [1.0], TABLE_G), (r19, 1.0 / (1.0 + r19 ** 2))):
+        rep = sp.check_g2(sp.table_weight(r, g), 1.0)
+        probes = rep.details["x_samples"]
+        np.testing.assert_allclose(rep.details["values"], _table_g2(r, g, probes),
+                                   rtol=1e-13, atol=0.0)
     r = TABLE_R[:3] + [1.0]
     rep = sp.check_g2(sp.table_weight(r, TABLE_G), 1.0)
-    probes = rep.details["x_samples"]
-    np.testing.assert_allclose(rep.details["values"], closed(r, probes), rtol=1e-13, atol=0.0)
     m4, m6 = _table_moment(r, TABLE_G, 4), _table_moment(r, TABLE_G, 6)
-    ratio = float(1 - m6 / (5 * Fraction(probes[-1]) ** 2 * m4))
+    ratio = float(1 - m6 / (5 * Fraction(rep.details["x_samples"][-1]) ** 2 * m4))
     assert rep.details["far_field_ratio"] == pytest.approx(ratio, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [5, 7])
+def test_g2_margin_probes_match_one_dimensional_quadrature(dim):
+    # delta = 2**: alpha = 2N and kappa_{2N} = omega R^{-2N} (1 + z)(1 - z)^{-N-1},
+    # z = rho^2 / R^2, is near-singular at s = x, within 1e-4 of the support
+    # at the closest probes here. Against adaptive quadrature in s of that
+    # closed form with the nearer edge as a breakpoint (within 6e-14 of
+    # 40-digit mpmath)
+    from scipy.integrate import quad
+
+    w = sp.example_weight(dim=dim)
+    delta = sp.critical_exponent(dim)
+    om = sp.sphere_area(dim)
+
+    def integrand(s, x):
+        z = (min(x, s) / max(x, s)) ** 2
+        kappa = om * max(x, s) ** (-2.0 * dim) * (1.0 + z) * (1.0 - z) ** (-dim - 1)
+        return w.profile(s) ** delta * s ** (dim - 1) * kappa
+
+    for gap in np.geomspace(1e-4, 1e-2, 5):
+        for x, edge in ((w.r_out + gap, w.r_out), (w.r_in - gap, w.r_in)):
+            want = x ** (2 * dim) * quad(integrand, w.r_in, w.r_out, args=(x,), points=[edge],
+                                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = g2_left_side(w, delta, x)
+            assert abs(got - want) <= 1e-11 * want, (x, got, want)
+
+
+def test_check_g2_on_tables_warns_nothing():
+    # probes inside a table's support are closed-form sums too: no warning,
+    # finite at delta = 1, +inf (failing) at delta = 2** where they meet it
+    r19 = np.linspace(0.0, 19.0, 40)
+    for table in (sp.table_weight(TABLE_R, TABLE_G), sp.table_weight(r19, 1.0 / (1.0 + r19 ** 2))):
+        for delta in (1.0, sp.critical_exponent(5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = sp.check_g2(table, delta)
+            assert rep.passed == (delta == 1.0)
