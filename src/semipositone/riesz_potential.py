@@ -11,13 +11,15 @@ With R = max(r, s) and rho = min(r, s) it is a hypergeometric series,
 
     kappa_alpha(r, s) = omega_N R^{-alpha} 2F1(alpha/2, 1 + (alpha-N)/2; N/2; rho^2/R^2),
 
-which `ring_kernel_pairs` evaluates at the orders where it reduces to a
-finite sum. At the two orders the solver needs it terminates:
+which closes at the orders used here:
 
     kappa_{N-2}(r, s) = omega_N R^{2-N}   (shell theorem)
-    kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2).
+    kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2)
+    kappa_{2N}(r, s)  = omega_N (r^2 + s^2) / |r^2 - s^2|^{N+1},
 
-Both are sums of at most two products f(rho) g(R), so `apply_potential`
+the last by Euler's transformation (DLMF 15.8.1). `ring_kernel_pairs`
+evaluates the (g2) orders N - 4 and 2N. The solver's N - 4 and N - 2 are
+sums of at most two products f(rho) g(R), so `apply_potential`
 evaluates a potential in O(n) from prefix and suffix sums of the source,
 and `support` gathers the same closed form on the nodes S of supp g into
 the m x m block B, built once per problem and read by every iterative
@@ -49,55 +51,28 @@ def riesz_constants(dim):
                           r2=1.0 / ((dim - 2) * om))
 
 
-def _nonpositive_integer(x, slack):
-    """k >= 0 with |x + k| <= slack, else None."""
-    k = round(-x)
-    return k if k >= 0 and abs(x + k) <= slack else None
-
-
-def _hyp2f1_polynomial(a, b, c, z, k):
-    """sum_{j <= k} (a)_j (b)_j / ((c)_j j!) z^j by Horner: 2F1(a, b; c; z)
-    when b = -k."""
-    out = np.ones_like(z)
-    for j in range(k, 0, -1):
-        out = 1.0 + out * z * ((a + j - 1) * (b + j - 1) / ((c + j - 1) * j))
-    return out
-
-
 def ring_kernel_pairs(dim, r, s, alpha):
-    """kappa_alpha(r_i, s_i) for broadcast arrays of radii, by the 2F1 series
-    at z = rho^2 / R^2.
-
-    With a = alpha/2, b = 1 + (alpha - N)/2 and c = N/2 the series is a
-    polynomial when b = -k (alpha = N - 2 - 2k: the orders N - 2 and N - 4),
-    and after Euler's transformation (DLMF 15.8.1)
-
-        2F1(a, b; c; z) = (1 - z)^{c-a-b} 2F1(c - a, c - b; c; z)
-
-    when c - b = -k (alpha = 2N - 2 + 2k: the (g2) order 2N at delta = 2**).
-    alpha is matched to those orders within 1e-12 relative, the slack
-    `check_g2` grants delta; any other alpha raises ValueError ((g2) needs
-    only N - 4 and 2N). On the diagonal r = s > 0 this is Gauss's sum when
-    alpha < N - 1 and +inf otherwise; at r = s = 0 it is +inf.
+    """kappa_alpha(r_i, s_i) for broadcast arrays of radii at the (g2) orders
+    alpha = N - 4 and 2N, matched within 1e-12 relative (the slack
+    `check_g2` grants delta); any other alpha raises ValueError. r^2 - s^2
+    is formed as (r - s)(r + s), so kappa_{2N} keeps its digits near the
+    diagonal, where it is +inf; both orders are +inf at r = s = 0.
     """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     big = np.maximum(r, s)
-    ratio = np.zeros(big.shape)  # rho / R, and 0 where r = s = 0
-    np.divide(np.minimum(r, s), big, out=ratio, where=big > 0)
-    z = ratio * ratio
     alpha = float(alpha)
-    a, b, c = 0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim
-    slack = 0.5e-12 * abs(alpha)
-    with np.errstate(divide="ignore"):
-        scale = sphere_area(dim) * big ** (-alpha)
-        k = _nonpositive_integer(b, slack)
-        if k is not None:
-            return scale * _hyp2f1_polynomial(a, b, c, z, k)
-        k = _nonpositive_integer(c - b, slack)
-        if k is not None:
-            return scale * (1.0 - z) ** (c - a - b) * _hyp2f1_polynomial(c - a, c - b, c, z, k)
-    raise ValueError("alpha=%g: the series terminates only at alpha = N - 2 - 2k "
-                     "and 2N - 2 + 2k, k >= 0" % alpha)
+    om = sphere_area(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(alpha - (dim - 4.0)) <= 1e-12 * alpha:
+            ratio = np.zeros(big.shape)  # rho / R, and 0 where r = s = 0
+            np.divide(np.minimum(r, s), big, out=ratio, where=big > 0)
+            z = ratio * ratio
+            return om * big ** (-alpha) * (1.0 - z * ((dim - 4.0) / dim))
+        if abs(alpha - 2.0 * dim) <= 1e-12 * alpha:
+            kern = om * (r * r + s * s) / (np.abs(r - s) * (r + s)) ** (dim + 1)
+            return np.where(big > 0, kern, np.inf)
+    raise ValueError("alpha=%g: closed forms exist for N-4=%d and 2N=%d only"
+                     % (alpha, dim - 4, 2 * dim))
 
 
 def _kernel_coeffs(grid, alpha):

@@ -107,10 +107,11 @@ _SUP_CHUNK = 4096
 
 
 def _quad_norm(spec, p):
-    if np.isinf(p):
+    if np.isinf(p):  # 20001 samples and the knots, where a table peaks
         r = np.linspace(spec.r_in, spec.r_out, 20001)
-        return float(max(np.max(spec.profile(r[i:i + _SUP_CHUNK]))
-                         for i in range(0, r.size, _SUP_CHUNK)))
+        parts = [r[i:i + _SUP_CHUNK] for i in range(0, r.size, _SUP_CHUNK)]
+        parts += [np.array(spec.knots)] if spec.knots else []
+        return float(max(np.max(spec.profile(part)) for part in parts))
     return support_mass_delta(spec, p) ** (1.0 / p)
 
 
@@ -204,8 +205,8 @@ def sample_on_grid(spec, grid):
 
 def check_g1(spec):
     """Integrability report: L^1, L^{N/4}, L^{(2**)'} and L^inf norms by
-    Gauss-Legendre over the knot-split support (L^inf by dense sampling),
-    cross-checked against any cached closed forms."""
+    Gauss-Legendre over the knot-split support (L^inf by dense sampling and
+    at the knots), cross-checked against any cached closed forms."""
     ps = (1.0, float(spec.dim) / 4.0, _conjugate(critical_exponent(spec.dim)), np.inf)
     quad_norms = {p: _quad_norm(spec, p) for p in ps}
     mismatch = 0.0
@@ -223,7 +224,8 @@ def check_g1(spec):
 def g2_left_side(spec, delta, x):
     """|x|^alpha int g^delta |x-y|^{-alpha} dy at probe radii x (a scalar or
     an array), alpha = (N-4) delta, by the closed-form ring kernel
-    (`ring_kernel_pairs`) in the radial variable at every probe.
+    (`ring_kernel_pairs`) in the radial variable at every probe. delta is 1
+    or 2** (alpha = N - 4 or 2N); any other delta raises ValueError.
 
     Probes clear of the support take its knot-split rule (`WeightSpec.rule`).
     Probes inside it or within 2% of its width of an edge take panels split

@@ -233,7 +233,8 @@ def oracle_check_g1(weight):
     two_ss = sp.critical_exponent(weight.dim)
     ps = (1.0, weight.dim / 4.0, two_ss / (two_ss - 1.0), np.inf)
     quad = {p: _oracle_mass(weight, p) ** (1.0 / p) for p in ps[:3]}
-    quad[np.inf] = float(np.max(weight.profile(np.linspace(weight.r_in, weight.r_out, 20001))))
+    r = np.concatenate((np.linspace(weight.r_in, weight.r_out, 20001), weight.knots))
+    quad[np.inf] = float(np.max(weight.profile(r)))
     mismatch = max([abs(quad[p] - v) / v for p, v in weight.norms.items()
                     if p in quad and v > 0], default=0.0)
     details = {"norms": quad, "closed_mismatch": mismatch}

@@ -72,48 +72,76 @@ def test_diagonal_against_direct_quadrature():
         assert abs(val - expected) < 1e-12 * expected, (dim, alpha, r, s)
 
 
+def _mp_ring_kernel(dim, alpha, r, s, closed=False):
+    """kappa_alpha at float radii in 40-digit mpmath: omega_N R^{-alpha} times
+    2F1(alpha/2, 1 + (alpha-N)/2; N/2; z), or with closed=True the Euler form
+    (1 + z)(1 - z)^{-N-1} of alpha = 2N, z = rho^2 / R^2."""
+    import mpmath
+
+    out = []
+    with mpmath.workdps(40):
+        half = mpmath.mpf(dim) / 2
+        om = 2 * mpmath.pi ** half / mpmath.gamma(half)
+        for a, b in zip(r, s):
+            big, small = mpmath.mpf(float(max(a, b))), mpmath.mpf(float(min(a, b)))
+            z = (small / big) ** 2
+            f = ((1 + z) * (1 - z) ** (-dim - 1) if closed else
+                 mpmath.hyp2f1(mpmath.mpf(alpha) / 2, 1 + mpmath.mpf(alpha - dim) / 2, half, z))
+            out.append(float(om * big ** -alpha * f))
+    return np.array(out)
+
+
 def test_order_2n_is_algebraic():
     # at alpha = 2N Euler's transformation (DLMF 15.8.1) closes the series:
-    # kappa_{2N} = omega_N R^{-2N} (1 + z) (1 - z)^{-N-1}, z = rho^2 / R^2
+    # kappa_{2N} = omega_N R^{-2N} (1 + z) (1 - z)^{-N-1}, z = rho^2 / R^2,
+    # here in 40-digit mpmath (in floats 1 - z loses digits near the diagonal)
     # rho / R from 0 to 0.999, packed towards the diagonal, over six decades of R
     big = np.geomspace(0.01, 100.0, 200)
     small = np.random.default_rng(0).permutation(1.0 - np.geomspace(1e-3, 1.0, 200)) * big
     for dim in range(5, 10):
-        z = (small / big) ** 2
-        exact = sp.sphere_area(dim) * big ** (-2.0 * dim) * (1.0 + z) * (1.0 - z) ** (-dim - 1)
+        exact = _mp_ring_kernel(dim, 2 * dim, big, small, closed=True)
         for r, s in ((big, small), (small, big)):
             np.testing.assert_allclose(ring_kernel_pairs(dim, r, s, 2.0 * dim), exact,
                                        rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("dim", range(5, 10))
-def test_terminating_orders_match_hyp2f1(monkeypatch, dim):
-    # both terminating families, alpha = N - 2 - 2k (b = -k) and
-    # alpha = 2N - 2 + 2k (c - b = -k, after Euler's transformation), against
-    # scipy's hyp2f1 for rho / R from 0 to 0.999 and on the diagonal; the
-    # finite sums answer without calling hyp2f1
+def test_terminating_orders_match_hyp2f1(dim):
+    # the two (g2) orders against the series: N - 4 (b = -1) against scipy's
+    # hyp2f1, 2N (c - b = -1 after Euler's transformation) against 40-digit
+    # mpmath, for rho / R from 0 to 0.999 and on the diagonal
     import scipy.special
 
     big = np.geomspace(0.01, 100.0, 200)
     ratio = np.concatenate((1.0 - np.geomspace(1e-3, 1.0, 199), [1.0]))
     small = ratio * big
     z = (small / big) ** 2
-    orders = [dim - 2 - 2 * k for k in range(4) if dim - 2 - 2 * k > 0]
-    orders += [2 * dim - 2 + 2 * k for k in range(4)]
-    wants = [sp.sphere_area(dim) * big ** (-float(alpha)) * scipy.special.hyp2f1(
-        0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, z) for alpha in orders]
+    alpha = dim - 4
+    want = sp.sphere_area(dim) * big ** (-float(alpha)) * scipy.special.hyp2f1(
+        0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, z)
+    want_2n = _mp_ring_kernel(dim, 2 * dim, big[:-1], small[:-1])
+    for r, s in ((big, small), (small, big)):
+        got = ring_kernel_pairs(dim, r, s, alpha)
+        np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-13, atol=0)
+        assert got[-1] == pytest.approx(want[-1], rel=1e-13)  # Gauss's sum
+        got = ring_kernel_pairs(dim, r, s, 2 * dim)
+        np.testing.assert_allclose(got[:-1], want_2n, rtol=1e-13, atol=0)
+        assert got[-1] == np.inf
 
-    def unused(*args):
-        raise AssertionError("terminating order reached hyp2f1")
-    monkeypatch.setattr(scipy.special, "hyp2f1", unused)
-    for alpha, want in zip(orders, wants):
+
+@pytest.mark.parametrize("dim", range(5, 10))
+def test_ring_kernel_pairs_pointwise_against_mpmath(dim):
+    # both orders against the 40-digit series, R over four decades and rho / R
+    # from 0 to 1 - 1e-8, packed toward the diagonal, in both argument orders:
+    # r^2 - s^2 formed as (r - s)(r + s) keeps kappa_{2N} to a few ulp there
+    big = np.geomspace(0.01, 100.0, 120)
+    ratio = np.concatenate(([0.0], 1.0 - np.geomspace(1e-8, 1.0, 119)))
+    small = np.random.default_rng(dim).permutation(ratio) * big
+    for alpha, rtol in ((dim - 4, 2e-15), (2 * dim, 1e-14)):
+        want = _mp_ring_kernel(dim, alpha, big, small)
         for r, s in ((big, small), (small, big)):
-            got = ring_kernel_pairs(dim, r, s, alpha)
-            np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-13, atol=0)
-            if alpha < dim - 1:  # Gauss's sum on the diagonal
-                assert got[-1] == pytest.approx(want[-1], rel=1e-13)
-            else:
-                assert got[-1] == want[-1] == np.inf
+            np.testing.assert_allclose(ring_kernel_pairs(dim, r, s, alpha), want,
+                                       rtol=rtol, atol=0)
 
 
 def test_diagonal_infinite_when_alpha_large():
@@ -125,10 +153,11 @@ def test_diagonal_infinite_when_alpha_large():
     assert np.isinf(ring_kernel_pairs(5, np.array([0.8]), np.array([0.8]), 10.0)[0])
 
 
-@pytest.mark.parametrize("alpha", [2.3, 4.5, 9.0, 10.5])
+@pytest.mark.parametrize("alpha", [2.3, 3.0, 4.5, 9.0, 10.5, 12.0])
 def test_ring_kernel_pairs_rejects_nonterminating_order(alpha):
-    # only the orders N - 2 - 2k and 2N - 2 + 2k have a finite series
-    with pytest.raises(ValueError, match="terminates"):
+    # only the two (g2) orders N - 4 and 2N have a closed form here; N - 2 and
+    # 2N + 2 (3 and 12 at N = 5) terminate as series but are rejected too
+    with pytest.raises(ValueError, match="N-4=1 and 2N=10 only"):
         ring_kernel_pairs(5, np.array([0.3]), np.array([0.7]), alpha)
 
 
@@ -147,16 +176,17 @@ def test_kernel_scaling_law(c, r, s):
 
 @pytest.mark.parametrize("dim", [5, 6, 7, 9])
 def test_closed_forms_against_quadrature(dim):
-    # ring_kernel is the closed form built from powers of r; ring_kernel_pairs
-    # evaluates the same spherical average as a hypergeometric series (the
-    # Gauss sum on the diagonal, omega_N max^{-alpha} on the r = 0 row and
-    # column)
+    # ring_kernel is the closed form built from powers of r; at N - 4 it
+    # matches ring_kernel_pairs' own closed form, at N - 2 the hyp2f1 oracle
+    # (the Gauss sum on the diagonal, omega_N max^{-alpha} on the r = 0 row
+    # and column)
     g = sp.make_grid(dim, 40, 6.0)
     rr, ss = np.meshgrid(g.r, g.r, indexing="ij")
     for alpha in (dim - 4, dim - 2):
         km = sp.ring_kernel(g, alpha)
         assert km[0, 0] == 0.0
-        oracle = ring_kernel_pairs(dim, rr, ss, alpha)
+        kernel = ring_kernel_pairs if alpha == dim - 4 else ring_kernel_hyp2f1
+        oracle = kernel(dim, rr, ss, alpha)
         off = ~np.eye(g.n, dtype=bool)
         diag = np.arange(1, g.n)
         np.testing.assert_allclose(km[off], oracle[off], rtol=1e-12, atol=0)

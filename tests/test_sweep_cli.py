@@ -644,24 +644,45 @@ def test_sweep_and_checks_import_no_quadpack_or_optimize(tmp_path):
     assert out.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
+def _declared(*extras):
+    """pyproject's runtime dependencies and those of the named extras, by name."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    deps = project["dependencies"] + [d for e in extras
+                                      for d in project["optional-dependencies"][e]]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+
+
+def _non_stdlib_imports(*patterns):
+    """Top-level names of the absolute imports in the files matching the glob
+    patterns under the repository root, at the top of a file or inside a
+    function, less the standard library."""
+    imported = set()
+    for pattern in patterns:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    return imported - set(sys.stdlib_module_names)
+
+
 def test_runtime_imports_are_the_declared_dependencies():
     # every module the package imports, at the top of a file or inside a
     # function, is in the standard library or among pyproject's runtime
     # dependencies, and every dependency is imported
-    tomllib = pytest.importorskip("tomllib")
-    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
-    imported = set()
-    for path in glob.glob(os.path.join(ROOT, "src", "semipositone", "*.py")):
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-    assert imported - set(sys.stdlib_module_names) == declared
+    assert _non_stdlib_imports(os.path.join("src", "semipositone", "*.py")) == _declared()
+
+
+def test_test_and_script_imports_are_declared():
+    # every module the tests and scripts import, other than the package and
+    # conftest, is a runtime dependency or in the test extra
+    imported = _non_stdlib_imports(os.path.join("tests", "*.py"), os.path.join("scripts", "*.py"))
+    assert imported - {"semipositone", "conftest"} <= _declared("test")
 
 
 def test_run_positone_script_small_ball():

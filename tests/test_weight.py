@@ -43,6 +43,14 @@ def test_sup_norm_samples_every_point(k):
 
 
 @pytest.mark.parametrize("dim", [5, 7])
+def test_sup_norm_reads_the_knots(dim):
+    # a table peaks at a knot; here the knot 0.5 + 0.8/3 falls between the
+    # 20001 samples, so the samples alone read 2.99995
+    spec = sp.table_weight(np.linspace(0.5, 1.3, 4), [1.0, 3.0, 2.0, 0.5], dim=dim)
+    assert sp.check_g1(spec).details["norms"][np.inf] == 3.0
+
+
+@pytest.mark.parametrize("dim", [5, 7])
 @pytest.mark.parametrize("table", [
     (TABLE_R, TABLE_G),
     (np.linspace(0.0, 19.0, 200), 1.0 / (1.0 + np.linspace(0.0, 19.0, 200) ** 2))])
@@ -191,6 +199,18 @@ def test_check_g2_rejects_bad_delta(example_w):
         sp.check_g2(example_w, 2.0)
 
 
+@pytest.mark.parametrize("dim", [5, 7])
+def test_g2_left_side_rejects_other_orders(dim):
+    # the ring kernel exists at the two (g2) orders only: delta = (N-2)/(N-4),
+    # alpha = N - 2, is refused, and check_g2 takes delta in {1, 2**} alone
+    w = sp.example_weight(dim=dim)
+    delta = (dim - 2.0) / (dim - 4.0)
+    with pytest.raises(ValueError, match="N-4=%d and 2N=%d" % (dim - 4, 2 * dim)):
+        g2_left_side(w, delta, np.array([1.5, 3.0]))
+    with pytest.raises(ValueError, match="not in"):
+        sp.check_g2(w, delta)
+
+
 def test_check_g2_values_are_g2_left_side_at_its_probes(example_w):
     # the report's values are the (g2) left side at the reported probes, bit
     # for bit, and its C_g is their maximum
@@ -286,11 +306,12 @@ def test_g2_on_table_matches_closed_form():
 
 @pytest.mark.parametrize("dim", [5, 7])
 def test_g2_margin_probes_match_one_dimensional_quadrature(dim):
-    # delta = 2**: alpha = 2N and kappa_{2N} = omega R^{-2N} (1 + z)(1 - z)^{-N-1},
-    # z = rho^2 / R^2, is near-singular at s = x, within 1e-4 of the support
-    # at the closest probes here. Against adaptive quadrature in s of that
-    # closed form with the nearer edge as a breakpoint (within 6e-14 of
-    # 40-digit mpmath)
+    # delta = 2**: alpha = 2N and kappa_{2N} = omega (x^2 + s^2) / |x^2 - s^2|^{N+1}
+    # is near-singular at s = x, within 1e-4 of the support at the closest
+    # probes here. Against adaptive quadrature in s of its Euler form
+    # omega R^{-2N} (1 + z)(1 - z)^{-N-1}, z = rho^2 / R^2, with the nearer
+    # edge as a breakpoint (within 3.4e-13 of 40-digit mpmath here, and
+    # g2_left_side within 4.4e-13)
     from scipy.integrate import quad
 
     w = sp.example_weight(dim=dim)
