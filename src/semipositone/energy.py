@@ -201,8 +201,9 @@ def estimate_a1(spec, weight, grid, eps=None):
     floor = c_env == ENVELOPE_FLOOR  # no sample beat eps t: c_gamma is no constant
     if floor or not all(np.isfinite(x) and x > 0 for x in (rho_star, beta, a1)):
         cause = "" if not floor else (
-            "; f(t) <= eps t at every sampled t <= T_BIG (eps=%g, T_BIG=%g): "
-            "f is not superlinear on (0, %g]" % (eps, T_BIG, T_BIG))
+            "; f(t) <= eps t at every sampled t <= T_BIG (eps=%g, T_BIG=%g): f is linear "
+            "there or outgrows eps t only beyond T_BIG, where the envelope does not sample "
+            "(ROADMAP.md item 2, the envelope on an unbounded range)" % (eps, T_BIG))
         raise GeometryError("degenerate constants: c_gamma=%g, c_lin=%g give rho=%g, "
                             "beta=%g, a1=%g (A has no finite positive maximum)%s"
                             % (c_gamma, c_lin, rho_star, beta, a1, cause))

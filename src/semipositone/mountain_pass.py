@@ -24,11 +24,12 @@ crest is returned, flagged non-converged.
 
 The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
 F_a = F_0(t+) - a t, and share S, B, the bump and rho. So `solve_shifts`
-takes each shift's endpoint scale from `find_vtilde` and carries the k
-shifts from there on as a leading row axis, with a entering as the column
-a[:, None] of one `ShiftedNonlinearity`: the crest is one (k, 17, m)
-evaluation, Newton one stacked solve per step over the rows still active
-(a row leaves where a one-row solve would stop), and the certificate one
+takes the bump and each shift's `find_vtilde` scale on it from its caller
+and carries the k shifts from there on as a leading row axis, with a
+entering as the column a[:, None] of one `ShiftedNonlinearity`: the crest
+is one (k, 17, m) evaluation, Newton one stacked solve per step over the
+live rows (each row's iterate stays in place in one (k, m) array; a row
+leaves where a one-row solve would stop), and the certificate one
 `eigvalsh` of a (k, m, m) stack. All of it runs on the support values; the
 grid is touched once, at the end, by one `riesz_values` over (k, n) of each
 row's final source, so every returned u is the potential of its source.
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import radial_core as rc
 from .energy import estimate_a1, n_values, ray_levels, residuals
-from .nonlinearity import ShiftedNonlinearity, eval_f0prime, eval_fa
+from .nonlinearity import ShiftedNonlinearity, eval_f0, eval_f0prime, eval_fa
 from .riesz_potential import riesz_constants, riesz_values
 
 
@@ -190,43 +191,32 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
     k = len(x0)
     x = x0.copy()
     residual, support = [[] for _ in range(k)], [[] for _ in range(k)]
-    failed = np.zeros(k, dtype=bool)
-    # the rows still iterating, with their values, shifts, scales and best residuals
-    rows, xr, sh, sc, res_prev = np.arange(k), x.copy(), shifted, scale, np.full(k, np.inf)
+    ok, best = np.ones(k, dtype=bool), np.full(k, np.inf)  # best: lowest res so far
+    rows = np.arange(k)  # the rows still iterating; their state stays in x, ok, best
     for it in range(max_iter):
-        phi = xr - sup.apply(eval_fa(sh, xr))
-        res_abs = np.max(np.abs(phi), axis=1)
-        for i, r in zip(rows.tolist(), res_abs.tolist()):
+        xr = x[rows]
+        phi = xr - sup.apply(eval_f0(shifted.base, xr) - shifted.a[rows])  # f_a = f_0 - a
+        res = np.max(np.abs(phi), axis=1)
+        for i, r in zip(rows.tolist(), res.tolist()):
             residual[i].append(r)
-        res = res_abs / sc
+        res /= scale[rows]
         step = np.isfinite(res) & (res >= tol)
         if it > 2:
-            step &= res <= 10.0 * res_prev
-        if not step.all():  # rows below tol are done, the others failed
-            failed[rows[~step & ~(res < tol)]] = True
-            x[rows] = xr
-            rows, xr, sc, res_prev, phi, res = (rows[step], xr[step], sc[step], res_prev[step],
-                                                phi[step], res[step])
-            if not rows.size:
-                break
-            sh = ShiftedNonlinearity(shifted.base, shifted.a[rows])
-        res_prev = np.minimum(res_prev, res)
-        fp = eval_f0prime(shifted.base, xr)
-        dx, singular = _newton_steps(fp, phi, sup)
-        if singular:
-            failed[rows[singular]] = True
-            keep = np.ones(len(rows), dtype=bool)
-            keep[singular] = False
-            rows, xr, sc, res_prev, dx, fp = (rows[keep], xr[keep], sc[keep], res_prev[keep],
-                                              dx[keep], fp[keep])
-            if not rows.size:
-                break
-            sh = ShiftedNonlinearity(shifted.base, shifted.a[rows])
-        xr = xr - dx
-        for i, c in zip(rows.tolist(), np.count_nonzero(fp, axis=1).tolist()):
+            step &= res <= 10.0 * best[rows]
+        best[rows] = np.minimum(best[rows], res)
+        fp = eval_f0prime(shifted.base, xr[step])
+        dx, singular = _newton_steps(fp, phi[step], sup)
+        moved = np.ones(len(dx), dtype=bool)
+        moved[singular] = False
+        step[step] = moved
+        ok[rows[~step & ~(res < tol)]] = False  # a row leaves done (below tol) or failed
+        rows = rows[step]
+        x[rows] -= dx[moved]
+        for i, c in zip(rows.tolist(), np.count_nonzero(fp[moved], axis=1).tolist()):
             support[i].append(c)
-    x[rows] = xr
-    return x, ~failed, residual, support
+        if not rows.size:
+            break
+    return x, ok, residual, support
 
 
 def _crest(bump, t, shifted, sup):
@@ -244,10 +234,11 @@ def _crest(bump, t, shifted, sup):
     return s[k_star] * t, levels[np.arange(len(t)), k_star], levels[:, -1]
 
 
-def solve_shifts(spec, a_values, scales, geometry, config=None):
+def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
     """`mp_solve` for every shift a of a_values at once, from its endpoint
     t bump, t the scale of the same position in scales (`find_vtilde` of that
-    shift), on geometry.support: the rows differ only by the constant a in
+    shift on this bump: the scales mean nothing on another), on
+    geometry.support: the rows differ only by the constant a in
     f_a = f_0 - a, so each stage runs once on the support values of all rows,
     and each row's final source becomes a grid field by one potential over
     (k, n) at the end. Returns one MPSolution per shift, in order."""
@@ -269,7 +260,6 @@ def solve_shifts(spec, a_values, scales, geometry, config=None):
             warnings.warn(warned[-1][-1])
 
     # each crest is c bump, so its values, source and norm are the bump's times c
-    bump = make_bump(geometry.phi)
     c, crest_level, vtilde_level = _crest(bump, t, shifted, sup)
     x0, h0 = c[:, None] * bump.values[nodes], c[:, None] * bump.source[nodes]
     bump_norm = rc.h2_norm(bump)
@@ -286,7 +276,8 @@ def solve_shifts(spec, a_values, scales, geometry, config=None):
     hc = sup.g[nodes] * f_x
     xc = sup.apply(f_x)
     cand_nsq = rc.integrate_values(grid, hc * xc, nodes)
-    cand_n = n_values(xc, shifted, sup)
+    # N_a at every row's candidate and crest, so at its final values, whichever is used
+    cand_n, crest_n = n_values(np.stack((xc, x0)), shifted, sup)
     cand_level = 0.5 * cand_nsq - cand_n
     cand_res = residuals(xc, hc, shifted, sup)
     cand_norm = np.sqrt(np.maximum(cand_nsq, 0.0))
@@ -303,10 +294,10 @@ def solve_shifts(spec, a_values, scales, geometry, config=None):
         used, (cand_level, cand_res, cand_norm, cand_rel), (crest_level, crest_res, crest_norm,
                                                              res_rel))
     converged = (res_rel <= cfg.tol_res) & (index == 1)
-    # the weak-form level (1/2) int g f_a(u) u - int g F_a(u)
+    # the weak-form level (1/2) int g f_a(u) u - int g F_a(u) at each row's final values
     xb = np.where(used[:, None], xc, x0)
-    n_b = cand_n if used.all() else np.where(used, cand_n, n_values(xb, shifted, sup))
-    weak_level = 0.5 * np.sum(sup.mass * eval_fa(shifted, xb) * xb, axis=-1) - n_b
+    weak_level = 0.5 * np.sum(sup.mass * eval_fa(shifted, xb) * xb, axis=-1) \
+        - np.where(used, cand_n, crest_n)
     # the one extension to the grid: every row is the potential of its source
     src = np.zeros((k, grid.n))
     src[:, nodes] = np.where(used[:, None], hc, h0)
@@ -351,5 +342,6 @@ def mp_solve(shifted, weight, grid, config=None, geometry=None):
     sup = geometry.support
     if sup.grid is not grid:
         raise ValueError("geometry was estimated on another grid than the one solved on")
-    t = find_vtilde(shifted, sup, make_bump(geometry.phi), geometry.rho)
-    return solve_shifts(shifted.base, [shifted.a], [t], geometry, config)[0]
+    bump = make_bump(geometry.phi)
+    t = find_vtilde(shifted, sup, bump, geometry.rho)
+    return solve_shifts(shifted.base, [shifted.a], bump, [t], geometry, config)[0]

@@ -1,10 +1,12 @@
 """Batch driver: a-sweeps against the positone limit, threshold estimates
-(a2 window, a3 positivity edge, beta1), hypothesis checks, and the `solve`
-command line entry point.
+(a2 window, a3 positivity edge, both from one scan up the converged rows,
+and beta1), hypothesis checks, and the `solve` command line entry point.
 
 Config files are INI-style key = value with sections [problem], [weight],
 [grid], [mp], [sweep]; a file without section headers is read as [problem].
-Unknown sections or keys are rejected with the offending key path.
+Unknown sections or keys are rejected with the offending key path, and a
+custom_table file must hold two columns r,g. `solve` exits 2 on a config,
+geometry or solve error (a row's RuntimeError), with no sweep file written.
 """
 
 import argparse
@@ -159,7 +161,10 @@ def build_problem(cfg):
     if w.family == "paper_example":
         weight = example_weight(d=w.d, r_in=w.r_in, r_out=w.r_out, dim=p.dim)
     else:
-        tab = np.loadtxt(w.table_path, delimiter=",")
+        tab = np.loadtxt(w.table_path, delimiter=",", ndmin=2)
+        if tab.shape[1] != 2:
+            raise ValueError("weight.table_path=%s: need 2 columns r,g, got %d"
+                             % (w.table_path, tab.shape[1]))
         weight = table_weight(tab[:, 0], tab[:, 1], dim=p.dim)
     if weight.r_out >= cfg.grid.r_max:  # a table sets its own support
         raise ValueError("grid.r_max=%g must exceed the weight support r_out=%g"
@@ -240,7 +245,7 @@ def run_sweep(cfg, a_values=None):
     sup, bump = geometry.support, make_bump(geometry.phi)
     scales = [find_vtilde(ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
               for a in a_desc]
-    sols = solve_shifts(spec, a_desc, scales, geometry, cfg.mp)
+    sols = solve_shifts(spec, a_desc, bump, scales, geometry, cfg.mp)
     rows = _rows_from_solutions(sols, spec, sup)
     profiles = {sol.a: sol.u.values for sol in sols}
 
@@ -264,39 +269,25 @@ def _summarize(rows, profiles, grid, geometry):
             dist = float(np.max(np.abs(profiles[r.a][ext] - u_tilde[ext])))
             limit_sup_distance.append([r.a, dist])
 
-    # a2: largest a whose whole tail (all smaller a, converged) keeps norm_h2
-    # within 25% of the positone norm
-    a2 = None
+    # one scan up the converged shifted rows from the smallest a (rows come in
+    # descending a): a2 is the largest a whose whole tail keeps norm_h2 within
+    # 25% of the positone norm, a3 the largest whose whole tail has
+    # min u >= -1e-8 sup|u|
     ref = rows[-1].norm_h2 if rows and rows[-1].a == 0.0 else None
-    if ref and ref > 0:
-        for r in rows:
-            if r.a == 0.0 or not r.converged:
-                continue
-            tail = [q for q in rows if 0.0 < q.a <= r.a and q.converged]
-            if tail and all(abs(q.norm_h2 - ref) <= 0.25 * ref for q in tail):
-                a2 = r.a
-                break
-
-    # a3: largest a with min u >= -tol, provided everything below it agrees
-    a3 = None
-    tol_of = {r.a: 1e-8 * sup_global[r.a] for r in rows}
-    nonneg = {r.a: r.min_value >= -tol_of[r.a] for r in pos_rows if r.converged}
-    for r in pos_rows:
-        if not r.converged:
-            continue
-        below = [q for q in pos_rows if q.converged and q.a <= r.a]
-        if nonneg[r.a] and all(nonneg[q.a] for q in below):
-            a3 = r.a
-            break
+    nonneg = [r.converged and r.min_value >= -1e-8 * sup_global[r.a] for r in pos_rows]
+    a2 = a3 = None
+    in_window, tail_nonneg = bool(ref and ref > 0), True
+    for r, flag in zip(reversed(pos_rows), reversed(nonneg)):
+        if r.converged:
+            in_window = in_window and abs(r.norm_h2 - ref) <= 0.25 * ref
+            tail_nonneg = tail_nonneg and flag
+            a2, a3 = (r.a if in_window else a2), (r.a if tail_nonneg else a3)
 
     # threshold index over descending positive rows: rows above strictly dip
-    # negative, rows at/below stay nonnegative; None when the split is dirty
-    threshold_index = None
-    flags = [nonneg.get(r.a, False) for r in pos_rows]
-    for k in range(len(flags) + 1):
-        if all(not f for f in flags[:k]) and all(flags[k:]):
-            threshold_index = k
-            break
+    # negative (or did not converge), rows from the first nonnegative one on
+    # stay nonnegative; None when the split is dirty
+    first = nonneg.index(True) if True in nonneg else len(nonneg)
+    threshold_index = first if all(nonneg[first:]) else None
 
     # empirical beta_1: the smallest sup norm over the shifted rows
     beta1 = min(sup_global[r.a] for r in pos_rows) if pos_rows else None
@@ -461,6 +452,9 @@ def main(argv=None):
         report = run_sweep(cfg, a_values)
     except GeometryError as exc:
         print("geometry error: %s" % exc, file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # the vtilde ladder cap or a pinned crest, in any row
+        print("solve error: %s" % exc, file=sys.stderr)
         return 2
     paths = emit(report, out_dir)
     s = report.summary

@@ -361,6 +361,98 @@ def energy_report(u, shifted, sup):
                         nonlinear_term=nl, grad_residual=res)
 
 
+def oracle_thresholds(rows, profiles):
+    """(a2_estimate, a3_estimate, threshold_index) of `_summarize` by its
+    three loops before they became one scan: a2 and a3 each rescan every
+    row's tail, the threshold index tries every split."""
+    pos_rows = [r for r in rows if r.a > 0]
+    sup_global = {r.a: float(np.max(np.abs(profiles[r.a]))) for r in rows}
+
+    # a2: largest a whose whole tail (all smaller a, converged) keeps norm_h2
+    # within 25% of the positone norm
+    a2 = None
+    ref = rows[-1].norm_h2 if rows and rows[-1].a == 0.0 else None
+    if ref and ref > 0:
+        for r in rows:
+            if r.a == 0.0 or not r.converged:
+                continue
+            tail = [q for q in rows if 0.0 < q.a <= r.a and q.converged]
+            if tail and all(abs(q.norm_h2 - ref) <= 0.25 * ref for q in tail):
+                a2 = r.a
+                break
+
+    # a3: largest a with min u >= -tol, provided everything below it agrees
+    a3 = None
+    tol_of = {r.a: 1e-8 * sup_global[r.a] for r in rows}
+    nonneg = {r.a: r.min_value >= -tol_of[r.a] for r in pos_rows if r.converged}
+    for r in pos_rows:
+        if not r.converged:
+            continue
+        below = [q for q in pos_rows if q.converged and q.a <= r.a]
+        if nonneg[r.a] and all(nonneg[q.a] for q in below):
+            a3 = r.a
+            break
+
+    # threshold index over descending positive rows: rows above strictly dip
+    # negative, rows at/below stay nonnegative; None when the split is dirty
+    threshold_index = None
+    flags = [nonneg.get(r.a, False) for r in pos_rows]
+    for k in range(len(flags) + 1):
+        if all(not f for f in flags[:k]) and all(flags[k:]):
+            threshold_index = k
+            break
+    return a2, a3, threshold_index
+
+
+def manufactured(dim, spec, S=1e3):
+    """An exact solution of Delta^2 u = g f(u) (a = 0), built backwards:
+    h = S ((r - 1/2)(1 - r))^2 on [1/2, 1], u* = R4 I_{N-4} h, and
+    g = h / f(u*) there, so that g f(u*) = h. Returns (weight, u_star, level):
+    the `WeightSpec` of g, u* as a function of r, and the exact level
+    I_0(u*) = omega int r^{N-1} (h u* / 2 - g F(u*)) dr.
+
+    With c = (N - 4)/N the ring kernel of order N - 4 is omega kappa,
+    kappa = r^{4-N} - c s^2 r^{2-N} for s < r and s^{4-N} - c r^2 s^{2-N}
+    for s > r (`riesz_potential`), so u*(r) = R4 omega int h s^{N-1} kappa ds
+    integrates a polynomial in s on each side of r at integer N, which the
+    Gauss-Legendre rule split at r does exactly. The level's integrand is
+    analytic on [1/2, 1], where one rule is at machine precision."""
+    r_in, r_out = 0.5, 1.0
+    c = (dim - 4.0) / dim
+    om = sp.sphere_area(dim)
+    gauss_legendre = sp.radial_core.gauss_legendre
+
+    def h(r):
+        return S * ((r - r_in) * (r_out - r)) ** 2
+
+    def u_star(r):
+        r = np.asarray(r, dtype=float)
+        cut = np.clip(r, r_in, r_out)
+        s, w = gauss_legendre(r_in, cut)  # s < r; empty for r <= r_in
+        r = r[..., None]
+        rr = np.maximum(r, r_in)
+        inner = np.sum(w * h(s) * s ** (dim - 1)
+                       * (rr ** (4.0 - dim) - c * s * s * rr ** (2.0 - dim)), axis=-1)
+        s, w = gauss_legendre(cut, r_out)  # s > r; empty for r >= r_out
+        outer = np.sum(w * h(s) * s ** (dim - 1)
+                       * (s ** (4.0 - dim) - c * r * r * s ** (2.0 - dim)), axis=-1)
+        return sp.riesz_constants(dim).r4 * om * (inner + outer)
+
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        out = np.zeros_like(r)
+        inside = (r > r_in) & (r < r_out)
+        out[inside] = h(r[inside]) / sp.eval_f(spec, u_star(r[inside]))
+        return out if out.ndim else float(out)
+
+    s, w = gauss_legendre(r_in, r_out)
+    u = u_star(s)
+    level = om * np.sum(w * s ** (dim - 1) * (0.5 * h(s) * u - profile(s) * sp.eval_F(spec, u)))
+    weight = sp.WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out,
+                           name="manufactured")
+    return weight, u_star, float(level)
+
+
 @pytest.fixture(scope="session")
 def grid512():
     return sp.make_grid(5, 512, 20.0)

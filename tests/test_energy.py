@@ -348,6 +348,18 @@ def test_estimate_a1_degenerate_raises():
         sp.estimate_a1(spec, w, sp.make_grid(7, 128, 20.0))
 
 
+def test_estimate_a1_floor_does_not_call_the_example_linear():
+    # at dim 7 the example's f(t)/t = 2 ln(1 + t) grows without bound, but
+    # eps ~ 35 exceeds 2 ln(1 + T_BIG) ~ 27.6: the message blames the
+    # sampled range, not the superlinearity of f
+    with pytest.raises(sp.GeometryError) as err:
+        sp.estimate_a1(sp.example_nonlinearity(dim=7), sp.example_weight(dim=7),
+                       sp.make_grid(7, 128, 20.0))
+    msg = str(err.value)
+    assert "T_BIG=1e+06" in msg and "only beyond T_BIG" in msg
+    assert "not superlinear" not in msg
+
+
 @pytest.mark.parametrize("gamma", [2.5, 6.0, 8.0])
 def test_estimate_a1_names_a_linear_f(gamma):
     # f(t) = t never beats eps t: the message names that cause, with eps and
@@ -357,8 +369,9 @@ def test_estimate_a1_names_a_linear_f(gamma):
     w = sp.example_weight(dim=5)
     with pytest.raises(sp.GeometryError,
                        match=r"^degenerate constants: .*; f\(t\) <= eps t at every sampled "
-                             r"t <= T_BIG \(eps=\S+, T_BIG=1e\+06\): f is not superlinear "
-                             r"on \(0, 1e\+06\]$"):
+                             r"t <= T_BIG \(eps=\S+, T_BIG=1e\+06\): f is linear there or "
+                             r"outgrows eps t only beyond T_BIG, where the envelope does not "
+                             r"sample \(ROADMAP.md item 2, the envelope on an unbounded range\)$"):
         sp.estimate_a1(spec, w, sp.make_grid(5, 128, 20.0))
 
 

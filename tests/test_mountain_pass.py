@@ -39,7 +39,7 @@ def _solve_batch(spec, a_values, geometry):
     bump = sp.make_bump(geometry.phi)
     scales = [sp.find_vtilde(sp.ShiftedNonlinearity(spec, a), geometry.support, bump,
                              geometry.rho) for a in a_values]
-    return mp.solve_shifts(spec, a_values, scales, geometry)
+    return mp.solve_shifts(spec, a_values, bump, scales, geometry)
 
 
 def _index(u, sh, sup):
@@ -285,7 +285,8 @@ def test_solve_shifts_rejects_negative_shift(example_spec, geometry128):
     with pytest.raises(ValueError, match="nonnegative"):
         sp.ShiftedNonlinearity(example_spec, -1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        mp.solve_shifts(example_spec, [0.0, -1.0], [1.0, 1.0], geometry128)
+        mp.solve_shifts(example_spec, [0.0, -1.0], sp.make_bump(geometry128.phi), [1.0, 1.0],
+                        geometry128)
 
 
 def test_newton_polish_engages(positone128):

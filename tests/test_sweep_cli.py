@@ -21,7 +21,7 @@ from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
                                     _config_echo, _default_a_values, _repr_cells,
                                     _summarize, build_problem, emit, main, parse_config)
 
-from conftest import bits, emit_texts, oracle_checks
+from conftest import bits, emit_texts, oracle_checks, oracle_thresholds
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -148,6 +148,38 @@ def test_perfbench_tracer_binds_and_reads_mp_solve(example_spec, example_w, grid
     assert count["mountain_pass.newton_used"] == sol.diagnostics["newton_used"]
 
 
+@pytest.mark.parametrize("text,args", [
+    ("[grid]\nn = 128\n", ["--single-a", "1e15", "--check-hypotheses"]),  # ladder cap
+    ("[problem]\ndim = 6\n", []),  # the default a-list at dim 6
+], ids=["single-a-1e15", "dim-6"])
+def test_solve_error_exits_two_without_sweep_files(tmp_path, capsys, text, args):
+    # a RuntimeError of any row (the vtilde ladder cap, a pinned crest) is
+    # reported as a solve error, not a traceback; no sweep file is written,
+    # and the hypothesis report stays
+    out = tmp_path / "out"
+    assert main(["--config", write(tmp_path, text), "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solve error: ")
+    assert not (out / "sweep.csv").exists() and not (out / "summary.json").exists()
+    assert (out / "checks.json").exists() == ("--check-hypotheses" in args)
+
+
+@pytest.mark.parametrize("table", ["0.5,1\n", "0.5\n1.0\n", "0.5,1,2\n1.0,1,2\n"],
+                         ids=["one-row", "one-column", "three-columns"])
+def test_malformed_table_is_a_config_error(tmp_path, capsys, table):
+    # one row, one column or three columns: a config error naming the
+    # problem, not an IndexError, and nothing written
+    tab = tmp_path / "g.csv"
+    tab.write_text(table)
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "[weight]\nfamily = custom_table\ntable_path = %s\n" % tab)
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert ("weight.table_path" in err) == (table != "0.5,1\n")
+    assert not out.exists()
+
+
 def test_power_family_needs_gamma_at_least_power_plus_one(tmp_path, capsys):
     # f = t^power grows like t^(gamma-1) only when gamma >= power + 1; the
     # defaults power = 3, gamma = 2.5 used to pass parsing and die in
@@ -207,6 +239,27 @@ def test_summarize_dirty_split_is_none(grid128, geometry128):
     assert s["threshold_index"] is None
     # a3 exists anyway: below a=1 everything is clean
     assert s["a3_estimate"] == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e3), unique=True, max_size=14), st.booleans(),
+       st.sampled_from([1.0, 0.5, 0.0]), st.data())
+def test_summarize_scan_matches_tail_loops(grid128, geometry128, a_values, positone, ref,
+                                           data):
+    # synthetic rows in descending a, the positone row last when present:
+    # the one scan gives the a2, a3 and threshold index of the loops that
+    # rescanned every tail; min u straddles the 1e-8 sup|u| tolerance
+    a_desc = sorted(a_values, reverse=True) + ([0.0] if positone else [])
+    rows, profiles = [], {}
+    for a in a_desc:
+        min_value = data.draw(st.sampled_from([-0.5, -2e-8, -2e-9, 0.0, 0.5]))
+        norm = ref if a == 0.0 else ref * data.draw(st.sampled_from([0.5, 0.75, 1.0, 1.2, 1.3]))
+        rows.append(fake_row(a, norm, min_value, converged=data.draw(st.booleans())))
+        profiles[a] = np.ones(grid128.n)
+        profiles[a][0] = min_value
+    s = _summarize(rows, profiles, grid128, geometry128)
+    assert (s["a2_estimate"], s["a3_estimate"], s["threshold_index"]) == \
+        oracle_thresholds(rows, profiles)
 
 
 def test_emit_empty_sweep(tmp_path, grid128, geometry128):
