@@ -204,18 +204,19 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
         if it > 2:
             step &= res <= 10.0 * best[rows]
         best[rows] = np.minimum(best[rows], res)
-        fp = eval_f0prime(shifted.base, xr[step])
-        dx, singular = _newton_steps(fp, phi[step], sup)
-        moved = np.ones(len(dx), dtype=bool)
-        moved[singular] = False
-        step[step] = moved
         ok[rows[~step & ~(res < tol)]] = False  # a row leaves done (below tol) or failed
         rows = rows[step]
+        if not rows.size:
+            break
+        fp = eval_f0prime(shifted.base, xr[step])
+        dx, singular = _newton_steps(fp, phi[step], sup)
+        ok[rows[singular]] = False
+        moved = np.ones(len(rows), dtype=bool)
+        moved[singular] = False
+        rows = rows[moved]
         x[rows] -= dx[moved]
         for i, c in zip(rows.tolist(), np.count_nonzero(fp[moved], axis=1).tolist()):
             support[i].append(c)
-        if not rows.size:
-            break
     return x, ok, residual, support
 
 

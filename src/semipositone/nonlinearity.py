@@ -1,10 +1,12 @@
 """Nonlinearity families f, the shift f_a, the positone limit f_0, primitives,
 and samplable growth/monotonicity checks.
 
-Conventions:
-    f_a(t) = f(t) - a for t >= 0,   f_a(t) = -a for t <= 0,
-    f_0(t) = f(t)     for t >= 0,   f_0(t) = 0  for t <= 0,
-    F(t) = int_0^t f,  F_a(t) = F(t) - a t (t >= 0),  F_a(t) = -a t (t <= 0).
+Conventions, with t+ = max(t, 0):
+    f_0(t) = f(t+),   f_a(t) = f(t+) - a,
+    F(t) = int_0^t f,  F_a(t) = F(t+) - a t,
+so f_a = -a and F_a = -a t on t <= 0. These hold because `NonlinearitySpec`
+rejects an f with f(0) != 0 and a registered F_closed with F_closed(0) != 0
+(the quadrature primitive is 0 at 0 by construction).
 
 The growth hypotheses are limits and monotonicity statements; the checkers
 here sample dense logarithmic grids and report falsifiable evidence, they do
@@ -56,9 +58,11 @@ class NonlinearitySpec:
         for name in ("c_f", "r_mono"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("%s=%r must be finite" % (name, getattr(self, name)))
-        f0 = float(self.f(0.0))
-        if abs(f0) > 0.0:
-            raise ValueError("f(0)=%g but the hypotheses need f(0)=0 exactly" % f0)
+        for name, fn in (("f", self.f), ("F_closed", self.F_closed)):
+            at0 = float(fn(0.0)) if fn is not None else 0.0
+            if at0 != 0.0:
+                raise ValueError("%s(0)=%g but the hypotheses need %s(0)=0 exactly"
+                                 % (name, at0, name))
 
     @cached_property
     def check_sample(self):
@@ -194,27 +198,18 @@ def eval_F(spec, t):
 
 
 def eval_f0(spec, t):
-    t = np.asarray(t, dtype=float)
-    pos = t > 0
-    out = np.zeros_like(t)
-    if np.any(pos):
-        out[pos] = spec.f(t[pos])
+    out = np.asarray(spec.f(np.maximum(np.asarray(t, dtype=float), 0.0)), dtype=float)
     return out if out.ndim else float(out)
 
 
 def eval_fa(shifted, t):
-    t = np.asarray(t, dtype=float)
     out = eval_f0(shifted.base, t) - shifted.a
     return out if np.ndim(out) else float(out)
 
 
 def eval_Fa(shifted, t):
     t = np.asarray(t, dtype=float)
-    pos = t > 0
-    out = -shifted.a * t
-    if np.any(pos):
-        out = np.where(pos, np.asarray(eval_F(shifted.base, np.where(pos, t, 0.0)))
-                       - shifted.a * t, out)
+    out = np.asarray(eval_F(shifted.base, np.maximum(t, 0.0))) - shifted.a * t
     return out if out.ndim else float(out)
 
 

@@ -261,13 +261,14 @@ def _summarize(rows, profiles, grid, geometry):
     ext = grid.r >= 1.0
     u_tilde = profiles.get(0.0)
     pos_rows = [r for r in rows if r.a > 0]
-    sup_global = {r.a: float(np.max(np.abs(profiles[r.a]))) for r in rows}
+    a = np.array([r.a for r in rows])
+    u = np.array([profiles[r.a] for r in rows]).reshape(len(rows), grid.n)  # (k, n)
+    sup_global = dict(zip(a.tolist(), np.max(np.abs(u), axis=1).tolist()))
 
     limit_sup_distance = []
     if u_tilde is not None and np.any(ext):
-        for r in pos_rows:
-            dist = float(np.max(np.abs(profiles[r.a][ext] - u_tilde[ext])))
-            limit_sup_distance.append([r.a, dist])
+        dist = np.max(np.abs(u[a > 0][:, ext] - u_tilde[ext]), axis=1)
+        limit_sup_distance = [[r.a, d] for r, d in zip(pos_rows, dist.tolist())]
 
     # one scan up the converged shifted rows from the smallest a (rows come in
     # descending a): a2 is the largest a whose whole tail keeps norm_h2 within
@@ -330,27 +331,29 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _repr_cells(values):
-    """[repr(float(x)) for x in values], the cells of a profile CSV.
+def _profile_csv(r, u):
+    """The profile CSV: header r,u and one line repr(r_i),repr(u_i) per node.
 
     repr writes positional notation exactly where x == 0 or
     1e-4 <= |x| < 1e16, and there its shortest round-trip digits are
-    those of Ryu (Adams, PLDI 2018), which orjson writes for a whole
-    array in one call; every other cell (exponent notation, nan, +-inf)
-    is formatted by repr itself. orjson is imported here, so a solve or a
-    check never loads it.
+    those of Ryu (Adams, PLDI 2018), which orjson writes for the whole
+    interleaved array r_0, u_0, r_1, u_1, ... in one call; every second
+    comma of that line then becomes a newline. A profile with any other
+    cell (exponent notation, nan, +-inf) is formatted by repr itself.
+    orjson is imported here, so a solve or a check never loads it.
     """
     import orjson
 
-    x = np.asarray(values, dtype=float).ravel()
-    mag = np.abs(x)
-    fast = (x == 0) | ((mag >= 1e-4) & (mag < 1e16))
-    cells = np.empty(x.size, dtype=object)
-    if fast.any():
-        text = orjson.dumps(x[fast], option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        cells[fast] = text[1:-1].split(",")
-    cells[~fast] = [repr(v) for v in x[~fast].tolist()]
-    return cells.tolist()
+    cells = np.column_stack((r, u)).astype(float, copy=False).ravel()
+    mag = np.abs(cells)
+    if cells.size and np.all((cells == 0) | ((mag >= 1e-4) & (mag < 1e16))):
+        line = np.frombuffer(bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)),
+                             np.uint8)[1:-1]  # without the brackets
+        line[np.flatnonzero(line == ord(","))[1::2]] = ord("\n")
+        body = line.tobytes().decode() + "\n"
+    else:
+        body = ("%r,%r\n" * (cells.size // 2)) % tuple(cells.tolist())
+    return "r,u\n" + body
 
 
 def _write(path, text):
@@ -368,11 +371,9 @@ def emit(report, out_dir):
                          indent=2, sort_keys=True) + "\n"
     paths = [_write(os.path.join(out_dir, "sweep.csv"), CSV_HEADER + "\n" + rows),
              _write(os.path.join(out_dir, "summary.json"), summary)]
-    # every profile shares the r column: one template per grid, filled per a
-    template = "r,u\n" + "".join(r + ",%s\n" for r in _repr_cells(report.grid_r))
     for i, (a, vals) in enumerate(sorted(report.profiles.items(), reverse=True)):
         prof_path = os.path.join(out_dir, "profile_%02d_a%s.csv" % (i, ("%.6g" % a)))
-        paths.append(_write(prof_path, template % tuple(_repr_cells(vals))))
+        paths.append(_write(prof_path, _profile_csv(report.grid_r, vals)))
     return paths
 
 

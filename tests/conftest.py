@@ -8,7 +8,8 @@ functions read, and `weak_lp_profile`, `c_r_constant`, `check_prop33` and
 `prop33_negative_excess` check the paper's constants and its two-point
 bound, which no solve reads; `envelope_refine` and `emit_texts` are the
 per-sample envelope fit and the per-cell file formatter the package's faster
-versions must reproduce, and `oracle_check_f1` .. `oracle_check_g2` with
+versions must reproduce, `masked_f0` and `masked_Fa` the f_0 and F_a of
+element masks the positive-part forms must reproduce, and `oracle_check_f1` .. `oracle_check_g2` with
 `oracle_checks` the hypothesis checkers that sample f and g afresh in every
 call, which the per-spec samples must reproduce bit for bit (`bits` puts a
 report's details in a form compared exactly); `g2_left_side_direct` (the
@@ -129,6 +130,27 @@ def envelope_refine(spec, eps):
     fine = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 20001)
     c = max(float(np.max(rho)), float(np.max(ratio(fine))))
     return float(max(c, 0.0) * (1.0 + 1e-9) + 1e-300)
+
+
+def masked_f0(spec, t):
+    """f_0 by its two branches: f(t) where t > 0, and 0 elsewhere."""
+    t = np.asarray(t, dtype=float)
+    pos = t > 0
+    out = np.zeros_like(t)
+    if np.any(pos):
+        out[pos] = spec.f(t[pos])
+    return out
+
+
+def masked_Fa(shifted, t):
+    """F_a by its two branches: F(t) - a t where t > 0, and -a t elsewhere."""
+    t = np.asarray(t, dtype=float)
+    pos = t > 0
+    out = -shifted.a * t
+    if np.any(pos):
+        out = np.where(pos, np.asarray(sp.eval_F(shifted.base, np.where(pos, t, 0.0)))
+                       - shifted.a * t, out)
+    return out
 
 
 def emit_texts(report):

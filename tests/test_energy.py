@@ -394,6 +394,21 @@ def test_estimate_a1_collapse(example_spec, grid128):
         sp.estimate_a1(example_spec, tiny, grid128, eps=0.9 * cap)
 
 
+@pytest.mark.xfail(strict=True, raises=sp.GeometryError, reason=(
+    "eps = cap/2 with cap = 1/(B_g ||g||_{N/4}) gives q = 1/2 - 1/(4 ||g||_{N/4}), "
+    "and B_g already carries g, so every weight with ||g||_{N/4} <= 1/2 gets "
+    "q <= 0; at 0.3x eps = 32.7 puts the envelope at its floor. The choice of "
+    "eps is ROADMAP item 2 (the sharpest a1)"))
+def test_geometry_survives_scaling_g(example_spec, grid512):
+    # g -> s g is f -> s f with a -> s a, and s f is as superlinear as f, so
+    # each scaled copy of the example-shaped table has a mountain-pass
+    # geometry as the table itself does
+    r = np.linspace(0.5, 1.0, 6)
+    for s in (1.0, 0.3, 0.1):
+        geo = sp.estimate_a1(example_spec, sp.table_weight(r, s / r), grid512)
+        assert np.isfinite(geo.a1) and geo.a1 > 0
+
+
 def test_rim_levels_dominate_beta(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5 * geometry128.a1)
     levels = rim_levels(sh, geometry128, grid128)

@@ -387,6 +387,33 @@ def test_large_shift_dips_negative(example_spec, example_w, grid128, geometry128
     assert sol.converged and np.min(sol.u.values) < 0.0
 
 
+def test_newton_steps_no_empty_batch(monkeypatch):
+    # the polish leaves its loop when no row steps, before f_0' and the
+    # stacked solve: across the example sweep every _newton_steps and
+    # eval_f0prime call carries at least one row
+    import os
+
+    rows = {"steps": [], "f0prime": []}
+    real_steps, real_f0prime = mp._newton_steps, mp.eval_f0prime
+
+    def steps(fp, phi, sup):
+        rows["steps"].append(len(phi))
+        return real_steps(fp, phi, sup)
+
+    def f0prime(spec, x):
+        rows["f0prime"].append(len(x))
+        return real_f0prime(spec, x)
+
+    monkeypatch.setattr(mp, "_newton_steps", steps)
+    monkeypatch.setattr(mp, "eval_f0prime", f0prime)
+    ini = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts", "configs", "example.ini")
+    report = sp.sweep_cli.run_sweep(sp.sweep_cli.parse_config(ini))
+    assert len(report.rows) == 13 and all(r.converged for r in report.rows)
+    assert rows["steps"] and min(rows["steps"]) > 0
+    assert rows["f0prime"] and min(rows["f0prime"]) > 0
+
+
 def test_newton_diagnostics(example_spec, example_w, positone128):
     d = positone128.diagnostics
     res = d["newton_residual_history"]

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import semipositone as sp
 from semipositone.nonlinearity import T_BIG, growth_envelope
 
-from conftest import (bits, c_r_constant, check_prop33, envelope_refine, oracle_check_f1,
-                      oracle_check_f2, oracle_check_f3, oracle_check_f4, prop33_negative_excess)
+from conftest import (bits, c_r_constant, check_prop33, envelope_refine, masked_f0, masked_Fa,
+                      oracle_check_f1, oracle_check_f2, oracle_check_f3, oracle_check_f4,
+                      prop33_negative_excess)
 
 
 def test_critical_exponent_values():
@@ -71,6 +73,62 @@ def test_shift_column_is_the_scalar_shifts(spec):
         want = np.array([ev(sp.ShiftedNonlinearity(spec, float(ai)), row) for ai, row in zip(a, t)])
         assert got.shape == t.shape
         np.testing.assert_array_equal(got, want)
+
+
+def test_spec_rejects_offset_primitive(example_spec):
+    # F = int_0^t f vanishes at 0, and F_a(t) = F(t+) - a t reads F(0) on
+    # t <= 0: a primitive offset by 1 is refused as f(0) != 0 is
+    F = example_spec.F_closed
+    with pytest.raises(ValueError, match=r"^F_closed\(0\)=1 .*F_closed\(0\)=0 exactly"):
+        dataclasses.replace(example_spec, F_closed=lambda t: F(t) + 1.0)
+    with pytest.raises(ValueError, match=r"^f\(0\)=nan"):
+        dataclasses.replace(example_spec, f=lambda t: np.full_like(t, np.nan))
+
+
+def _outcome(fn, *args):
+    """fn(*args) as an array, or the type of the error it raises."""
+    try:
+        return np.asarray(fn(*args))
+    except ValueError as exc:
+        return type(exc)
+
+
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                   st.floats(-1e6, 1e6, allow_subnormal=True))
+
+
+@pytest.mark.parametrize("spec", [
+    sp.example_nonlinearity(), sp.power_nonlinearity(1.5, gamma=2.5), sp.linear_nonlinearity(),
+    dataclasses.replace(sp.example_nonlinearity(), F_closed=None)],
+    ids=["example", "power", "linear", "quadrature"])
+@settings(max_examples=60, deadline=None)
+@given(t=hnp.arrays(np.float64, st.integers(0, 24), elements=SIGNED),
+       a=st.sampled_from([0.0, 0.3, 1e4]))
+def test_positive_part_forms_match_masks(spec, t, a):
+    # f_0 = f(t+), f_a = f(t+) - a and F_a = F(t+) - a t give the values of
+    # the element masks, on signed samples with +-0 and +-inf (+-0 compare
+    # equal, as do nans in the same place); "quadrature" has no F_closed,
+    # and there +inf stops both forms of F with the same ValueError
+    sh = sp.ShiftedNonlinearity(spec, a)
+    with np.errstate(all="ignore"):
+        f0, want_f0 = sp.eval_f0(spec, t), masked_f0(spec, t)
+        np.testing.assert_array_equal(f0, want_f0)
+        np.testing.assert_array_equal(sp.eval_fa(sh, t), want_f0 - a)
+        got, want = _outcome(sp.eval_Fa, sh, t), _outcome(masked_Fa, sh, t)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_positive_part_passes_nan(example_spec):
+    # t+ = max(t, 0) keeps a nan, where the masks made f_0(nan) = 0
+    sh = sp.ShiftedNonlinearity(example_spec, 0.3)
+    assert np.isnan(sp.eval_f0(example_spec, np.nan))
+    assert np.isnan(sp.eval_fa(sh, np.nan))
+    assert np.isnan(sp.eval_Fa(sh, np.nan))
+    got = sp.eval_f0(example_spec, np.array([np.nan, -1.0, 2.0]))
+    assert np.isnan(got[0]) and got[1] == 0.0 and got[2] == example_spec.f(2.0)
 
 
 def test_example_closed_antiderivative(example_spec):

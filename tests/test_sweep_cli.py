@@ -18,7 +18,7 @@ import semipositone as sp
 from semipositone import (energy, mountain_pass, radial_core, riesz_potential, sweep_cli,
                           weight)
 from semipositone.sweep_cli import (CSV_HEADER, SweepReport, SweepRow,
-                                    _config_echo, _default_a_values, _repr_cells,
+                                    _config_echo, _default_a_values, _profile_csv,
                                     _summarize, build_problem, emit, main, parse_config)
 
 from conftest import bits, emit_texts, oracle_checks, oracle_thresholds
@@ -348,7 +348,7 @@ def synthetic_report(finite):
 
 @pytest.mark.parametrize("name", ["small_report", "synthetic_report"])
 def test_emit_matches_per_cell_formatter(tmp_path, request, name):
-    # one write per file from the profile template writes what the per-cell
+    # one write per file, each profile from one array, writes what the per-cell
     # formatter writes, byte for byte, for every file: on a solved sweep, and
     # on cells that repr writes in exponent notation or as nan and +-inf
     report = (synthetic_report(finite=False) if name == "synthetic_report"
@@ -361,19 +361,32 @@ def test_emit_matches_per_cell_formatter(tmp_path, request, name):
     assert written == emit_texts(report)
 
 
+# a cell repr writes in positional notation (0, or 1e-4 <= |x| < 1e16), or any cell
+POSITIONAL = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(1e-4, 1e16, exclude_max=True),
+                       st.floats(-1e16, -1e-4, exclude_min=True))
+ANY_CELL = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
 @settings(max_examples=300, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(0, 40),
-                  elements=st.floats(allow_nan=True, allow_infinity=True,
-                                     allow_subnormal=True)))
-@example(np.array([0.0, -0.0]))
-@example(np.array([1e-4, np.nextafter(1e-4, 0.0)]))
-@example(np.array([1e16, np.nextafter(1e16, 0.0)]))
-@example(np.array([5e-324, 1.7976931348623157e308, -1.7976931348623157e308]))
-@example(np.array([]))
-def test_repr_cells_is_repr(x):
-    # the one-call formatter writes repr of every cell, on both sides of the
-    # positional range [1e-4, 1e16) and at its edges
-    assert _repr_cells(x) == [repr(v) for v in x.tolist()]
+@given(st.sampled_from([POSITIONAL, ANY_CELL]).flatmap(
+    lambda cells: hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.just(2)),
+                             elements=cells)))
+@example(np.array([[0.0, -0.0]]))
+@example(np.array([[1e-4, -np.nextafter(1e16, 0.0)], [-1e-4, 1.0]]))
+@example(np.array([[1e-4, np.nextafter(1e-4, 0.0)]]))
+@example(np.array([[1e16, np.nextafter(1e16, 0.0)]]))
+@example(np.array([[5e-324, 1.7976931348623157e308], [-1.7976931348623157e308, 1.0]]))
+@example(np.empty((0, 2)))
+def test_profile_csv_is_repr(cells):
+    # both columns come from one strategy, so a case takes either the
+    # one-call orjson path (every cell positional) or the repr path; the
+    # text is the per-cell repr join, on both sides of the positional
+    # range [1e-4, 1e16) and at its edges
+    r, u = cells[:, 0], cells[:, 1]
+    want = "r,u\n" + "".join("%s,%s\n" % (repr(x), repr(y))
+                             for x, y in zip(r.tolist(), u.tolist()))
+    assert _profile_csv(r, u) == want
 
 
 @pytest.mark.parametrize("text", ["", "[sweep]\na_list = 0.5, 0.25\n[grid]\nn = 64\n"])
@@ -636,8 +649,9 @@ def test_wide_support_sweep_holds_one_stack_chunk(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["small_report", "synthetic_report"])
 def test_profile_csv_cells_round_trip(tmp_path, request, name):
-    # the shared r column, formatted once, writes the same bytes as one
-    # "%r,%r" line per node, and every cell reads back exactly, signed zeros
+    # each profile, formatted as one interleaved [r, u] array, writes the
+    # same bytes as one "%r,%r" line per node, and every cell reads back
+    # exactly, signed zeros
     # and the cells outside the positional range included
     report = (synthetic_report(finite=True) if name == "synthetic_report"
               else request.getfixturevalue(name))
