@@ -1,8 +1,9 @@
 """Solve the unshifted (a = 0) problem on the built-in example and print the
 full diagnostic picture: geometry constants, critical level and norms, the
-far-field decay fit against the kernel prediction, and the Morse-index
-certificate. The level is printed twice: as I_a(u) with ||Delta u||^2 =
-int h u over the source, and in weak form, (1/2) int g f_a(u) u - int g F_a(u),
+far-field amplitude A = R4 int Delta^2 u of u = r^{4-N} (A + B r^{-2})
+beyond supp g against R4 int g f_a(u), and the Morse-index certificate.
+The level is printed twice: as I_a(u) with ||Delta u||^2 = int h u over
+the source, and in weak form, (1/2) int g f_a(u) u - int g F_a(u),
 with the relative gap between the two, of the order of the residual at a
 critical point.
 
@@ -20,6 +21,7 @@ import time
 import numpy as np
 
 import semipositone as sp
+from semipositone.radial_core import integrate_values
 
 
 def main(argv=None):
@@ -50,10 +52,11 @@ def main(argv=None):
     u = sol.u
     diag = sol.diagnostics
     norm = diag["norm_h2"]
-    nodes = geo.support.nodes  # the source g f_a(u) lives on supp g: form it there only
-    src = np.zeros(grid.n)
-    src[nodes] = geo.support.g[nodes] * sp.eval_fa(shifted, u.values[nodes])
-    (fit,), (pred,) = sp.decay_constants(grid, u.values[None], src[None])
+    sup = geo.support  # both sources live on supp g: sum them there only
+    r4 = sp.riesz_constants(grid.dim).r4
+    fit = r4 * integrate_values(grid, sup.restrict(u.source), sup.nodes)
+    f_u = sp.eval_fa(shifted, sup.restrict(u.values))
+    pred = r4 * integrate_values(grid, sup.g[sup.nodes] * f_u, sup.nodes)
 
     print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
           % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))

@@ -13,9 +13,8 @@ from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
                            power_nonlinearity, zero_nonlinearity)
 from .weight import (WeightSpec, check_g1, check_g2, example_weight,
                      g2_left_side, sample_on_grid, table_weight, zero_weight)
-from .riesz_potential import (RieszConstants, apply_potential, decay_constants,
-                              riesz_constants, riesz_solve, ring_kernel,
-                              ring_kernel_pairs)
+from .riesz_potential import (RieszConstants, apply_potential, riesz_constants,
+                              riesz_solve, ring_kernel, ring_kernel_pairs)
 from .energy import (GeometryConstants, GeometryError, estimate_a1,
                      estimate_bg, gradient_map, i_a, n_a, ray_levels)
 from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,

@@ -86,9 +86,9 @@ class ShiftedNonlinearity:
             raise ValueError("shift a must be finite and nonnegative")
 
 
-# Below _F_SERIES_T the example's closed-form primitive cancels terms of
-# size t against a result of size t^3 (relative error ~1e-13 at t = 0.1 and
-# ~1e-10 at 1e-3); there its Taylor series sum_k (-1)^k 2 t^{k+3}/((k+1)(k+3))
+# On 0 < |t| < _F_SERIES_T the example's closed-form primitive cancels terms
+# of size t against a result of size t^3 (relative error ~1e-13 at t = 0.1
+# and ~1e-10 at 1e-3); there its Taylor series sum_k (-1)^k 2 t^{k+3}/((k+1)(k+3))
 # is summed instead, by Horner's rule as numpy's polyval does. 40 terms leave
 # a tail below 0.25^40 ~ 1e-24; above 0.25 the closed form is within 6e-15.
 _F_SERIES_T = 0.25
@@ -104,7 +104,7 @@ def example_nonlinearity(dim=5, gamma=2.5):
     def F(t):
         t = np.asarray(t, dtype=float)
         out = np.asarray((t * t - 1.0) * np.log1p(t) - 0.5 * t * t + t)
-        small = np.abs(t) < _F_SERIES_T
+        small = (np.abs(t) < _F_SERIES_T) & (t != 0.0)  # the closed form is exact at 0
         if np.count_nonzero(small):  # cheaper than np.any on the common miss
             ts = t[small]
             acc = np.full_like(ts, _F_SERIES_COEF[-1])

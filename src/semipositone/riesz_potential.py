@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial_core import RadialField, RadialGrid, integrate_values, sphere_area
+from .radial_core import RadialField, RadialGrid, sphere_area
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,4 @@ def riesz_values(grid, sources):
 def riesz_solve(h):
     """u with Delta^2 u = h on R^N, u = R4 I_{N-4} h, carrying h as its source."""
     return RadialField(h.grid, riesz_values(h.grid, h.values), h.values)
-
-
-def decay_constants(grid, values, sources):
-    """Far-field law r^{N-4} u(r) -> R4 int source, for each row of the
-    (k, n) stack of potentials values and of their sources.
-
-    Beyond the last node where a source is nonzero, R = r and rho = s in
-    the order N-4 kernel, so each potential is exactly r^{4-N} (A + B r^{-2})
-    there. fitted: A from one least-squares fit of r^{N-4} u to A + B r^{-2}
-    on those nodes, with k right-hand sides, NaN when they do not determine
-    both terms; predicted: R4 times the integral of the source.
-    """
-    far = slice(np.flatnonzero(np.any(sources, axis=0)).max(initial=0) + 1, None)
-    r = grid.r[far]  # columns r^{-2} and 1 of the design, coefficients (B, A)
-    coef, _, rank, _ = np.linalg.lstsq(np.vander(r ** -2.0, 2),
-                                       (r ** (grid.dim - 4) * values[:, far]).T, rcond=None)
-    fitted = coef[1] if rank == 2 else np.full(len(values), np.nan)
-    r4 = riesz_constants(grid.dim).r4
-    return fitted, r4 * integrate_values(grid, sources)
 

@@ -4,7 +4,8 @@ and beta1), hypothesis checks, and the `solve` command line entry point.
 
 Config files are INI-style key = value with sections [problem], [weight],
 [grid], [mp], [sweep]; a file without section headers is read as [problem].
-Unknown sections or keys are rejected with the offending key path, and a
+Unknown sections or keys are rejected with the offending key path, a key
+or section given twice or a line without = with the file, and a
 custom_table file must hold two columns r,g. `solve` exits 2 on a config,
 geometry or solve error (a row's RuntimeError), with no sweep file written.
 """
@@ -26,7 +27,7 @@ from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
                            example_nonlinearity, linear_nonlinearity,
                            power_nonlinearity)
-from .riesz_potential import decay_constants
+from .riesz_potential import riesz_constants
 from .weight import check_g1, check_g2, example_weight, table_weight
 
 CSV_HEADER = "a,level,norm_h2,sup_ext,min_value,neg_mass,decay_fit,decay_pred,residual,converged"
@@ -98,9 +99,12 @@ def parse_config(path):
         text = fh.read()
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read_string(text)
-    except configparser.MissingSectionHeaderError:
-        cp.read_string("[problem]\n" + text)
+        try:
+            cp.read_string(text, source=path)
+        except configparser.MissingSectionHeaderError:
+            cp.read_string("[problem]\n" + text, source=path)
+    except configparser.Error as exc:  # a repeated key or section, a line without =
+        raise ValueError(str(exc))
 
     cfg = Config()
     for section in cp.sections():
@@ -135,6 +139,8 @@ def _validate(cfg):
                          % cfg.weight.family)
     if cfg.weight.family == "custom_table" and not cfg.weight.table_path:
         raise ValueError("weight.table_path required for custom_table weights")
+    if not cfg.mp.tol_res > 0:
+        raise ValueError("mp.tol_res=%g must be > 0" % cfg.mp.tol_res)
     if cfg.grid.n < 16:
         raise ValueError("grid.n=%d rejected: need at least 16 nodes" % cfg.grid.n)
     if cfg.weight.family == "paper_example" and cfg.grid.r_max <= cfg.weight.r_out:
@@ -206,18 +212,21 @@ def _default_a_values(geometry, count, decades):
 
 
 def _rows_from_solutions(sols, spec, sup):
-    """One SweepRow per solution; the profile statistics and the decay fit
-    run on the (k, n) stack of profiles, the decay source on S only."""
+    """One SweepRow per solution; the profile statistics run on the (k, n)
+    stack of profiles. Beyond supp g each profile is exactly
+    r^{4-N} (A + B r^{-2}) with A = R4 int Delta^2 u: decay_fit is that A,
+    from the row's own source, and decay_pred is R4 int g f_a(u), both sums
+    over S."""
     grid, nodes = sup.grid, sup.nodes
     u = np.array([sol.u.values for sol in sols])
     a = np.array([sol.a for sol in sols])
     ext_abs = np.abs(u[:, grid.r >= 1.0])  # no column when the grid ends inside B_1
     sup_ext = np.max(ext_abs, axis=1) if ext_abs.size else np.full(len(u), np.nan)
     min_value, neg_mass = np.min(u, axis=1), rc.integrate_values(grid, np.maximum(-u, 0.0))
-    src = np.zeros_like(u)
-    shifted = ShiftedNonlinearity(spec, a[:, None])
-    src[:, nodes] = sup.g[nodes] * eval_fa(shifted, sup.restrict(u))
-    fit, pred = decay_constants(grid, u, src)
+    r4 = riesz_constants(grid.dim).r4
+    fit = r4 * rc.integrate_values(grid, sup.restrict([sol.u.source for sol in sols]), nodes)
+    f_u = eval_fa(ShiftedNonlinearity(spec, a[:, None]), sup.restrict(u))
+    pred = r4 * rc.integrate_values(grid, sup.g[nodes] * f_u, nodes)
     return [SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
                      sup_ext=float(sup_ext[i]), min_value=float(min_value[i]),
                      neg_mass=float(neg_mass[i]), decay_fit=float(fit[i]),

@@ -152,6 +152,8 @@ def table_weight(r_values, g_values, dim=5, name="custom_table"):
         raise ValueError("r and g tables must be finite")
     if np.any(np.diff(r_values) <= 0):
         raise ValueError("r table must be strictly increasing")
+    if r_values[0] < 0:
+        raise ValueError("r table starts at r=%g < 0" % r_values[0])
     if np.any(g_values < 0):
         raise ValueError("weight table must be nonnegative")
 

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -167,7 +169,8 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
     # h = 1/32 the domain radius drops out of the solve: each r_max converges
     # at index 1 to the same level and norm, equal to the weak-form level
     # (1/2) int g f_a(u) u - int g F_a(u), which the solve reports, and the
-    # far-field fit r^{4-N} (A + B r^{-2}) finds A = R4 int g f_a(u) at every r_max
+    # far field r^{4-N} (A + B r^{-2}) of u has A = R4 int Delta^2 u equal to
+    # R4 int g f_a(u) at every r_max
     sh = sp.ShiftedNonlinearity(example_spec, a)
     levels, norms = [], []
     for r_max in (4, 8, 12, 20, 40):
@@ -181,8 +184,8 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
         assert abs(sol.level - weak) <= 1e-8 * sol.level
         assert sol.diagnostics["weak_level"] == pytest.approx(weak, rel=1e-12)
         assert sol.diagnostics["level_gap"] <= 1e-8
-        (fit,), (pred,) = sp.decay_constants(grid, u[None], (gv * sp.eval_fa(sh, u))[None])
-        assert abs(fit / pred - 1.0) <= 1e-10
+        fit = sp.integrate(RadialField(grid, sol.u.source))
+        assert abs(fit / sp.integrate(RadialField(grid, gv * sp.eval_fa(sh, u))) - 1.0) <= 1e-10
         levels.append(sol.level)
         norms.append(sol.diagnostics["norm_h2"])
     np.testing.assert_allclose(levels, levels[-1], rtol=1e-12, atol=0)
@@ -222,6 +225,38 @@ def test_batch_matches_one_row_solves(example_spec, example_w, grid128, geometry
         sh = sp.ShiftedNonlinearity(example_spec, a)
         _assert_same_solve(sol, sp.mp_solve(sh, example_w, grid128, None, geometry128))
     assert all(sol.converged for sol in batch)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(5, 9), power=st.sampled_from([1.5, 2.0]),
+       n=st.sampled_from([128, 192, 256]),
+       fractions=st.lists(st.floats(1e-3, 0.5, exclude_max=True), min_size=2, max_size=5))
+def test_power_sweep_is_deterministic_and_solves_each_row(dim, power, n, fractions):
+    # on the power family at dims 5-9, a sweep of 2-5 shifts below a1/2 emits
+    # the same files twice, every batch row is the one-row solve of its
+    # shift, and every converged row has A = R4 int Delta^2 u equal to
+    # R4 int g f_a(u): the integral defect of the fixed point
+    cfg = sp.Config(problem=sp.sweep_cli.ProblemConfig(dim=dim, family="power", power=power,
+                                                       gamma=power + 1.0),
+                    grid=sp.sweep_cli.GridConfig(n=n))
+    spec, weight, grid = sp.build_problem(cfg)
+    a_values = [x * sp.estimate_a1(spec, weight, grid).a1 for x in fractions]
+    batches, texts = [], []
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        def keep(*args):
+            batches.append(mp.solve_shifts(*args))
+            return batches[-1]
+        patch.setattr(sp.sweep_cli, "solve_shifts", keep)
+        for i in range(2):
+            report = sp.run_sweep(cfg, a_values)
+            paths = sp.emit(report, os.path.join(out, str(i)))
+            texts.append([open(p).read() for p in paths[:2]])  # sweep.csv, summary.json
+    assert texts[0] == texts[1]
+    geo = report.geometry
+    for sol in batches[0]:
+        sh = sp.ShiftedNonlinearity(spec, sol.a)
+        _assert_same_solve(sol, sp.mp_solve(sh, weight, geo.support.grid, None, geo))
+    assert all(abs(r.decay_fit / r.decay_pred - 1.0) <= 1e-9 for r in report.rows if r.converged)
 
 
 def test_mixed_batch_accepts_and_rejects_per_row(example_spec, example_w, grid128,

@@ -170,13 +170,13 @@ def test_example_primitive_matches_series(example_spec):
     # a result of size t^3; the registered F_closed matches the Taylor series
     # sum_k (-1)^k 2 t^{k+3} / ((k+1)(k+3)), summed to convergence at 40
     # digits, to 1e-14 relative over [1e-8, 1], on both sides of the
-    # threshold where it switches to the series; [0.1, 0.3] is sampled
-    # densely because the closed form reaches 3e-14 there
+    # threshold where it switches to the series, and exactly at +-0;
+    # [0.1, 0.3] is sampled densely because the closed form reaches 3e-14 there
     import mpmath
 
     from semipositone.nonlinearity import _F_SERIES_T
 
-    edge = np.array([np.nextafter(_F_SERIES_T, 0.0), _F_SERIES_T,
+    edge = np.array([0.0, -0.0, np.nextafter(_F_SERIES_T, 0.0), _F_SERIES_T,
                      np.nextafter(_F_SERIES_T, 1.0)])
     t = np.concatenate((np.geomspace(1e-8, 1.0, 161), np.linspace(0.1, 0.3, 401), edge))
     with mpmath.workdps(40):
@@ -184,7 +184,7 @@ def test_example_primitive_matches_series(example_spec):
             lambda k: (-1) ** k * 2 * mpmath.mpf(x) ** (k + 3) / ((k + 1) * (k + 3)),
             [0, mpmath.inf])) for x in t])
     got = example_spec.F_closed(t)
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
     assert example_spec.F_closed(0.0) == 0.0
 
 

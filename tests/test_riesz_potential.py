@@ -259,9 +259,29 @@ def test_weak_lp_profile_wrong_alpha():
         weak_lp_profile(5, 2.0)
 
 
-def test_decay_constant_on_riesz_field(grid512):
-    g = grid512
-    h = RadialField(g, np.where(g.r < 1.0, np.cos(0.5 * np.pi * np.minimum(g.r, 1.0)) ** 4, 0.0))
-    (fitted,), (predicted,) = sp.decay_constants(g, sp.riesz_solve(h).values[None], h.values[None])
-    assert predicted > 0
-    assert abs(fitted / predicted - 1.0) < 1e-2
+@pytest.mark.parametrize("n", [256, 512, 4097])
+@pytest.mark.parametrize("dim", [5, 6, 7, 8, 9])
+def test_potential_off_support_is_its_closed_form(dim, n):
+    # off the support of a signed source h on [1/2, 1], the order N-4 kernel
+    # has R = r (beyond) or R = s (inside), so u = R4 I_{N-4} h is exactly
+    # r^{4-N} (A + B r^{-2}) beyond the last nonzero of h and C0 - C2 r^2
+    # before the first, with the four moments as the trapezoid sums of the
+    # potential itself: A = R4 w int h s^{N-1}, B = -c R4 w int h s^{N+1},
+    # C0 = R4 w int h s^3, C2 = c R4 w int h s, c = (N-4)/N
+    g = sp.make_grid(dim, n, 20.0)
+    on = (g.r >= 0.5) & (g.r <= 1.0)
+    h = RadialField(g, np.where(on, np.cos(3.0 * np.pi * g.r) - 0.2, 0.0))
+    u = sp.riesz_solve(h).values
+    r4, c = sp.riesz_constants(dim).r4, (dim - 4.0) / dim
+
+    def moment(k):
+        return r4 * g.sphere_area * np.sum(h.values * g.r ** k * g.w)
+
+    src = np.flatnonzero(h.values)
+    assert np.any(h.values > 0) and np.any(h.values < 0)
+    beyond, core = g.r > g.r[src[-1]], g.r < g.r[src[0]]
+    rb, rc = g.r[beyond], g.r[core]
+    want = rb ** (4.0 - dim) * (moment(dim - 1) - c * moment(dim + 1) * rb ** -2.0)
+    assert np.max(np.abs(u[beyond] - want)) <= 1e-13 * np.max(np.abs(u[beyond]))
+    want = moment(3) - c * moment(1) * rc * rc
+    assert np.max(np.abs(u[core] - want)) <= 1e-13 * np.max(np.abs(u[core]))

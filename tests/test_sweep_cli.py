@@ -78,6 +78,11 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[problem]\nfamily = cubic\n", "family"),
     ("[mp]\npath_nodes = 17\n", "mp.path_nodes: unknown key"),
     ("family = power\npower = 2\ngamma = 2.9\n", "(f1)"),
+    ("[grid]\nn = 128\nn = 256\n", "option 'n' in section 'grid' already exists"),
+    ("[grid]\nn = 128\n[grid]\nr_max = 8\n", "section 'grid' already exists"),
+    ("[grid]\nn 128\n", "parsing errors"),
+    ("[mp]\ntol_res = 0\n", "mp.tol_res"),
+    ("[mp]\ntol_res = -1\n", "mp.tol_res"),
 ])
 def test_parse_rejections(tmp_path, text, fragment):
     with pytest.raises(ValueError, match=None) as err:
@@ -427,19 +432,42 @@ def test_sweep_deterministic(tmp_path):
     assert open(d1[1]).read() == open(d2[1]).read()
 
 
+def test_default_sweep_reads_decay_without_a_fit(tmp_path, monkeypatch):
+    # beyond supp g every row is r^{4-N} (A + B r^{-2}) exactly, so the
+    # shipped sweep reads A off each row's source: no least-squares solve
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(args) or lstsq(*args, **kw))
+    report = sweep_cli.run_sweep(parse_config(write(tmp_path, "")))
+    assert calls == [] and len(report.rows) == 13
+    assert all(abs(r.decay_fit / r.decay_pred - 1.0) <= 1e-12 for r in report.rows)
+
+
 def test_main_config_error(tmp_path, capsys):
     rc = main(["--config", write(tmp_path, "dim = 4\n"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_config_syntax_error(tmp_path, capsys):
+    # a key given twice is the file's error, reported as such, not a traceback
+    out = tmp_path / "out"
+    path = write(tmp_path, "[grid]\nn = 128\nn = 256\n")
+    assert main(["--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("[weight]\nd = -1\n", "d must be positive"),
     ("[weight]\nr_in = 0.2\n", "annulus radii"),
+    ("[weight]\nfamily = custom_table\ntable_path = TABLE\n", "r=-0.5 < 0"),
 ])
 def test_main_weight_error_is_config_error(tmp_path, capsys, text, fragment):
+    table = tmp_path / "g.csv"  # starts at r = -0.5
+    np.savetxt(table, np.c_[[-0.5, 0.5, 1.0], [1.0, 1.0, 1.0]], delimiter=",")
     out = tmp_path / "out"
-    rc = main(["--config", write(tmp_path, text), "--out", str(out)])
+    rc = main(["--config", write(tmp_path, text.replace("TABLE", str(table))), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
@@ -531,8 +559,7 @@ def test_straight_path_stays_on_support(tmp_path, monkeypatch):
         fa_shapes.append(np.shape(t))
         return eval_fa_prim(shifted, t)
     monkeypatch.setattr(radial_core, "h2_inner", counting_h2)
-    for mod in (radial_core, riesz_potential):
-        monkeypatch.setattr(mod, "integrate_values", counting_integrals)
+    monkeypatch.setattr(radial_core, "integrate_values", counting_integrals)
     monkeypatch.setattr(energy, "eval_Fa", sizing_fa)
     cfg = parse_config(write(tmp_path, SMALL))
     report = sweep_cli.run_sweep(cfg)

@@ -148,6 +148,15 @@ def test_table_weight_masses_exact():
     assert w.norm(p) == pytest.approx(closed, rel=1e-13)
 
 
+def test_table_weight_rejects_negative_radius():
+    # a table from r = -0.5 would integrate r^{N-1} over [-0.5, 0]; r = 0 is
+    # a legal first row
+    with pytest.raises(ValueError, match="r=-0.5 < 0"):
+        sp.table_weight([-0.5, 0.5, 1.0], [1.0, 1.0, 1.0])
+    w = sp.table_weight([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+    assert w.r_in == 0.0 and w.norm(1.0) > 0
+
+
 def test_table_weight_rejects_nonfinite():
     ones = [1.0, 1.0, 1.0]
     for r in ([0.5, np.nan, 1.0], [0.5, 0.75, np.inf]):
