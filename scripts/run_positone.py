@@ -22,6 +22,7 @@ import numpy as np
 
 import semipositone as sp
 from semipositone.radial_core import integrate_values
+from semipositone.sweep_cli import _profile_csv
 
 
 def main(argv=None):
@@ -75,9 +76,7 @@ def main(argv=None):
 
     if args.profile:
         with open(args.profile, "w") as fh:
-            fh.write("r,u\n")
-            for r, v in zip(grid.r, u.values):
-                fh.write("%r,%r\n" % (float(r), float(v)))
+            fh.write(_profile_csv(grid.r, u.values))
         print("profile -> %s" % args.profile)
 
     return 0 if sol.converged else 2

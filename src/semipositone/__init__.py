@@ -18,7 +18,7 @@ from .riesz_potential import (RieszConstants, apply_potential, riesz_constants,
 from .energy import (GeometryConstants, GeometryError, estimate_a1,
                      estimate_bg, gradient_map, i_a, n_a, ray_levels)
 from .mountain_pass import (MPConfig, MPSolution, find_vtilde, make_bump,
-                            mp_solve, solve_shifts)
+                            mp_solve, solve_shifts, vtilde_ladder)
 from .sweep_cli import (Config, SweepReport, SweepRow, build_problem, emit,
                         parse_config, run_sweep)
 

@@ -5,7 +5,7 @@ level, of the straight path from 0 to an endpoint vtilde with negative
 energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
 returns, scaled by `make_bump` to ||Delta phi|| = 1, so every point of the
 path is a scale t times the bump and a row is carried as its scale. Every
-level on that ray, the doubling ladder of `find_vtilde` and the path nodes
+level on that ray, the doubling ladder of `vtilde_ladder` and the path nodes
 of `_crest`, comes from `energy.ray_levels`: t^2 ||Delta bump||^2 / 2 from
 one norm, less int g F_a(t bump) on the m nodes of supp g; the crest's
 values, source and norm are the bump's times its scale, and each norm,
@@ -23,18 +23,20 @@ falls below the rim level beta or has another index is rejected, and the
 crest is returned, flagged non-converged.
 
 The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
-F_a = F_0(t+) - a t, and share S, B, the bump and rho. So `solve_shifts`
-takes the bump and each shift's `find_vtilde` scale on it from its caller
-and carries the k shifts from there on as a leading row axis, with a
+F_a = F_0(t+) - a t, and share S, B, the bump and rho. As t bump >= 0,
+I_a(t bump) = I_0(t bump) + a t int g bump: `vtilde_ladder` takes the a = 0
+levels of the ladder once per batch, `find_vtilde` reads each row's scale
+off them, and `solve_shifts` takes the bump and those scales from its
+caller and carries the k shifts from there on as a leading row axis, with a
 entering as the column a[:, None] of one `ShiftedNonlinearity`: the crest
 is one (k, 17, m) evaluation, Newton one stacked solve per step over the
 live rows (each row's iterate stays in place in one (k, m) array; a row
 leaves where a one-row solve would stop), and the certificate one
 `eigvalsh` of a (k, m, m) stack. All of it runs on the support values; the
 grid is touched once, at the end, by one `riesz_values` over (k, n) of each
-row's final source, so every returned u is the potential of its source.
-The (k, m, m) stacks go through `_chunks` of at most _STACK_BYTES, so they
-hold no more memory than one row at a time once a row fills that budget.
+row's final source, so every returned u is the potential of its source. The
+(k, m, m) stacks go through `_chunks` of at most _STACK_BYTES, so they hold
+no more memory than one row at a time once a row fills that budget.
 `mp_solve` is the batch of one. The cost is O(k n + k m^3) time and
 O(k n + min(k m^2, max(m^2, _STACK_BYTES))) memory; m^3 is small while g
 lives on a thin shell (m = 14 at n = 512 for the example) and grows when g
@@ -86,19 +88,22 @@ _T_CAP_DOUBLINGS = 30
 _PATH_NODES = 17  # nodes of the straight path from 0 to vtilde, both ends included
 
 
-def find_vtilde(shifted, sup, bump, rho):
-    """Scale t of the first point t*bump with negative energy along the ray,
-    t doubling from 2*rho; the whole ladder is one `ray_levels` call. A cap
-    at 2^30 rho turns persistent positivity into an error (superlinearity of
-    f is suspect at that point)."""
-    nh2 = rc.h2_norm(bump)
-    if abs(nh2 - 1.0) > 1e-10:
-        raise ValueError("bump must be normalized to ||Delta phi||_2 = 1, got %.3e" % nh2)
-    if np.min(bump.values) < 0:
-        raise ValueError("bump must be nonnegative")
+def vtilde_ladder(phi, spec, sup, rho):
+    """The ray of every shift on spec, built once: (bump, t, level0, slope) for
+    bump = `make_bump(phi)`, t = 2 rho 2^j (j <= 30), the a = 0 levels on t
+    from one `ray_levels` call and t int g bump; I_a(t bump) = level0 + a slope."""
+    bump = make_bump(phi)
     t = 2.0 * rho * 2.0 ** np.arange(_T_CAP_DOUBLINGS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        negative = np.flatnonzero(ray_levels(bump, shifted, sup, t) < 0.0)
+        level0 = ray_levels(bump, ShiftedNonlinearity(spec, 0.0), sup, t)
+    return bump, t, level0, t * np.sum(sup.mass * bump.values[sup.nodes])
+
+
+def find_vtilde(a, ladder):
+    """Scale t of the first `vtilde_ladder` rung with level0 + a slope < 0 (-inf
+    from an overflowed F counts, nan never does); none up to 2^30 rho raises."""
+    _, t, level0, slope = ladder
+    negative = np.flatnonzero(level0 + a * slope < 0.0)
     if negative.size:
         return float(t[negative[0]])
     raise RuntimeError(
@@ -238,7 +243,7 @@ def _crest(bump, t, shifted, sup):
 def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
     """`mp_solve` for every shift a of a_values at once, from its endpoint
     t bump, t the scale of the same position in scales (`find_vtilde` of that
-    shift on this bump: the scales mean nothing on another), on
+    shift on the ladder of this bump: the scales mean nothing on another), on
     geometry.support: the rows differ only by the constant a in
     f_a = f_0 - a, so each stage runs once on the support values of all rows,
     and each row's final source becomes a grid field by one potential over
@@ -334,15 +339,15 @@ def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
 
 def mp_solve(shifted, weight, grid, config=None, geometry=None):
     """Crest of the straight path, Newton polish, Morse-index certificate, for
-    one shift a, on geometry.support, which must lie on grid: `find_vtilde`,
-    then `solve_shifts` with one row. Converged means a relative residual
-    within tol_res at a point of Morse index 1; otherwise the crest comes
-    back non-converged."""
+    one shift a, on geometry.support, which must lie on grid: `vtilde_ladder`
+    and `find_vtilde`, then `solve_shifts` with one row. Converged means a
+    relative residual within tol_res at a point of Morse index 1; otherwise
+    the crest comes back non-converged."""
     if geometry is None:
         geometry = estimate_a1(shifted.base, weight, grid)
     sup = geometry.support
     if sup.grid is not grid:
         raise ValueError("geometry was estimated on another grid than the one solved on")
-    bump = make_bump(geometry.phi)
-    t = find_vtilde(shifted, sup, bump, geometry.rho)
-    return solve_shifts(shifted.base, [shifted.a], bump, [t], geometry, config)[0]
+    ladder = vtilde_ladder(geometry.phi, shifted.base, sup, geometry.rho)
+    t = find_vtilde(shifted.a, ladder)
+    return solve_shifts(shifted.base, [shifted.a], ladder[0], [t], geometry, config)[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import radial_core as rc
 from .energy import GeometryError, estimate_a1
-from .mountain_pass import MPConfig, find_vtilde, make_bump, solve_shifts
+from .mountain_pass import MPConfig, find_vtilde, solve_shifts, vtilde_ladder
 from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
                            example_nonlinearity, linear_nonlinearity,
@@ -97,14 +97,20 @@ def parse_config(path):
     filled in. Raises ValueError with a key path on any schema violation."""
     with open(path) as fh:
         text = fh.read()
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp, header = configparser.ConfigParser(inline_comment_prefixes=("#", ";")), 0
     try:
         try:
             cp.read_string(text, source=path)
         except configparser.MissingSectionHeaderError:
+            header = 1  # the line of [problem], which the file does not hold
             cp.read_string("[problem]\n" + text, source=path)
-    except configparser.Error as exc:  # a repeated key or section, a line without =
-        raise ValueError(str(exc))
+    except configparser.ParsingError as exc:  # lines without =, as numbered in the file
+        renumbered = configparser.ParsingError(path)
+        for lineno, line in exc.errors:
+            renumbered.append(lineno - header, line)
+        raise ValueError(str(renumbered))
+    except (configparser.DuplicateOptionError, configparser.DuplicateSectionError) as exc:
+        raise ValueError(str(type(exc)(*exc.args[:-1], exc.lineno - header)))
 
     cfg = Config()
     for section in cp.sections():
@@ -237,8 +243,8 @@ def _rows_from_solutions(sols, spec, sup):
 
 def run_sweep(cfg, a_values=None):
     """Solve the shifted problem over a decreasing a-list plus the positone
-    limit: the endpoint scale of each row's path by `find_vtilde`, then every
-    row in one batch (`solve_shifts`). a_values must be finite and >= 0;
+    limit: each row's endpoint by `find_vtilde` on one `vtilde_ladder`, then
+    every row in one batch (`solve_shifts`). a_values must be finite and >= 0;
     repeats and an explicit 0 fold into the rows, the positone row last."""
     if a_values is not None and not all(0.0 <= a < np.inf for a in a_values):
         raise ValueError("every shift a must be finite and nonnegative, got %r"
@@ -251,11 +257,10 @@ def run_sweep(cfg, a_values=None):
     a_desc = sorted({float(a) for a in a_values if a > 0}, reverse=True)
     a_desc.append(0.0)  # positone row always present, always last
 
-    sup, bump = geometry.support, make_bump(geometry.phi)
-    scales = [find_vtilde(ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
-              for a in a_desc]
-    sols = solve_shifts(spec, a_desc, bump, scales, geometry, cfg.mp)
-    rows = _rows_from_solutions(sols, spec, sup)
+    ladder = vtilde_ladder(geometry.phi, spec, geometry.support, geometry.rho)
+    scales = [find_vtilde(a, ladder) for a in a_desc]
+    sols = solve_shifts(spec, a_desc, ladder[0], scales, geometry, cfg.mp)
+    rows = _rows_from_solutions(sols, spec, geometry.support)
     profiles = {sol.a: sol.u.values for sol in sols}
 
     summary = _summarize(rows, profiles, grid, geometry)

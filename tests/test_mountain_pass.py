@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import tempfile
 import tracemalloc
@@ -35,13 +36,16 @@ def _polish(u0, sh, sup, max_iter):
     return sp.riesz_solve(RadialField(u0.grid, src)), len(support[0])
 
 
+def _ladder(spec, geometry):
+    return sp.vtilde_ladder(geometry.phi, spec, geometry.support, geometry.rho)
+
+
 def _solve_batch(spec, a_values, geometry):
     """The shifts of a_values in one batch, from the scales of their
-    endpoints, as `run_sweep` solves a sweep."""
-    bump = sp.make_bump(geometry.phi)
-    scales = [sp.find_vtilde(sp.ShiftedNonlinearity(spec, a), geometry.support, bump,
-                             geometry.rho) for a in a_values]
-    return mp.solve_shifts(spec, a_values, bump, scales, geometry)
+    endpoints on one ladder, as `run_sweep` solves a sweep."""
+    ladder = _ladder(spec, geometry)
+    scales = [sp.find_vtilde(a, ladder) for a in a_values]
+    return mp.solve_shifts(spec, a_values, ladder[0], scales, geometry)
 
 
 def _index(u, sh, sup):
@@ -69,27 +73,20 @@ def test_make_bump_scales_bg_maximiser(grid128, geometry128):
 
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
-    bump = sp.make_bump(geometry128.phi)
-    t = sp.find_vtilde(sh, geometry128.support, bump, geometry128.rho)
-    v = sp.scale(bump, t)
+    ladder = _ladder(example_spec, geometry128)
+    t = sp.find_vtilde(1.0, ladder)
+    v = sp.scale(ladder[0], t)
     assert sp.i_a(v, sh, geometry128.support) < 0.0
     assert sp.h2_norm(v) > geometry128.rho
-
-
-def test_find_vtilde_rejects_unnormalized(example_spec, example_w, grid128):
-    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    bad = RadialField(grid128, 2.0 * sp.make_bump(gaussian(grid128)).values)
-    with pytest.raises(ValueError, match="normalized"):
-        sp.find_vtilde(sh, support_of(example_w, grid128), bad, 1.0)
 
 
 def test_find_vtilde_no_superlinearity(example_w, grid128):
     # pure shift (f = 0): I_a(t phi) = t^2/2 + a t int g phi > 0 for t > 0,
     # so the doubling search must hit its cap and raise
-    sh = sp.ShiftedNonlinearity(sp.zero_nonlinearity(), 1.0)
-    bump = sp.make_bump(gaussian(grid128))
+    ladder = sp.vtilde_ladder(gaussian(grid128), sp.zero_nonlinearity(),
+                              support_of(example_w, grid128), 1.0)
     with pytest.raises(RuntimeError, match="superlinearity"):
-        sp.find_vtilde(sh, support_of(example_w, grid128), bump, 1.0)
+        sp.find_vtilde(1.0, ladder)
 
 
 def _find_vtilde_loop(shifted, sup, bump, rho):
@@ -103,19 +100,64 @@ def _find_vtilde_loop(shifted, sup, bump, rho):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder_geometry(dim, family, n):
+    """(spec, grid, geometry) of the example weight, or None where the
+    geometry has no rim (the paper's f at dims 7-9 sits at the envelope
+    floor)."""
+    spec = (sp.example_nonlinearity(dim=dim) if family == "paper_example"
+            else sp.power_nonlinearity(family, dim=dim, gamma=family + 1.0))
+    grid = sp.make_grid(dim, n, 20.0)
+    try:
+        return spec, grid, sp.estimate_a1(spec, sp.example_weight(dim=dim), grid)
+    except sp.GeometryError:
+        return None
+
+
+@given(dim=st.integers(5, 9), family=st.sampled_from(["paper_example", 1.5, 2.0]),
+       n=st.sampled_from([128, 256]), shift=st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+@settings(max_examples=40, deadline=None)
+def test_ladder_reads_every_shift(dim, family, n, shift):
+    # one ladder per batch answers every shift: find_vtilde(a, ladder) is the
+    # one-i_a-per-rung loop's scale bit for bit (the cap error where the loop
+    # finds none), and level0 + a slope is the ray's level at shift a to
+    # 1e-12 t^2 / 2 on every rung the search reads, up to its first negative
+    # one; f = 0 on a Gaussian phi has no negative rung at any shift
+    found = _ladder_geometry(dim, family, n)
+    assume(found is not None)
+    spec, grid, geometry = found
+    a, sup = shift * geometry.a1, geometry.support
+    ladder = _ladder(spec, geometry)
+    bump, t, level0, slope = ladder
+    ref = _find_vtilde_loop(sp.ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
+    if ref is None:
+        with pytest.raises(RuntimeError, match="superlinearity"):
+            sp.find_vtilde(a, ladder)
+    else:
+        assert sp.find_vtilde(a, ladder) == ref[0]
+    levels = level0 + a * slope
+    read = np.flatnonzero(levels < 0.0)
+    read = slice(0, read[0] + 1 if read.size else t.size)
+    want = sp.ray_levels(bump, sp.ShiftedNonlinearity(spec, a), sup, t[read])
+    assert np.all(np.abs(levels[read] - want) <= 1e-12 * 0.5 * t[read] ** 2)
+    flat = sp.vtilde_ladder(gaussian(grid), sp.zero_nonlinearity(dim=dim), sup, geometry.rho)
+    with pytest.raises(RuntimeError, match="superlinearity"):
+        sp.find_vtilde(a, flat)
+
+
 def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, geometry128):
     # every row of the default n = 128 sweep: the ray evaluation returns the
     # doubling loop's scale bit for bit; with all 13 scales in one batch,
     # each row's crest is the node that a list of i_a levels picks, and the
     # path's last level is the one-row ladder's level of that scale bit for
     # bit, and i_a of the endpoint field to the crest's 1e-12
-    bump = sp.make_bump(geometry128.phi)
-    sup = geometry128.support
+    ladder = _ladder(example_spec, geometry128)
+    bump, sup = ladder[0], geometry128.support
     a_values = np.array(sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0])
     scales, rungs = [], []
     for a in a_values:
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        scales.append(sp.find_vtilde(sh, sup, bump, geometry128.rho))
+        scales.append(sp.find_vtilde(a, ladder))
         ref, rung = _find_vtilde_loop(sh, sup, bump, geometry128.rho)
         assert scales[-1] == ref
         rungs.append(rung)

@@ -81,6 +81,10 @@ def test_parse_a_list_and_bools(tmp_path):
     ("[grid]\nn = 128\nn = 256\n", "option 'n' in section 'grid' already exists"),
     ("[grid]\nn = 128\n[grid]\nr_max = 8\n", "section 'grid' already exists"),
     ("[grid]\nn 128\n", "parsing errors"),
+    # line numbers are the file's own, with or without section headers
+    ("foo\n", "[line  1]: 'foo\\n'"),
+    ("dim = 5\ndim = 6\n", "[line  2]: option 'dim' in section 'problem' already exists"),
+    ("[grid]\nn = 128\nn = 256\n", "[line  3]: option 'n' in section 'grid'"),
     ("[mp]\ntol_res = 0\n", "mp.tol_res"),
     ("[mp]\ntol_res = -1\n", "mp.tol_res"),
 ])
@@ -536,13 +540,15 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
 
 
 def test_straight_path_stays_on_support(tmp_path, monkeypatch):
-    # each ray takes one norm and evaluates F_a on the m nodes of supp g: a
-    # row pays at most 9 norms (the sweep one more, for the bump), counted
-    # as calls of h2_inner and, where the batch takes the norms of all rows
-    # at once, as integrals of stacked values; the trailing axis of every
-    # F_a argument is the m nodes, never the grid, and no F_a argument holds
-    # more than the 31 rungs of the vtilde ladder times m, or the 17 path
-    # nodes times m, per row
+    # the batch shares one bump ray and evaluates F_a on the m nodes of
+    # supp g: a sweep pays 4 norms of the bump whatever its row count
+    # (make_bump's, the ladder's, the crest path's, solve_shifts'), counted
+    # as calls of h2_inner, and 10 integrals in all, where the batch takes
+    # the norms of all rows at once as integrals of stacked values; the
+    # trailing axis of every F_a argument is the m nodes, never the grid,
+    # the 31 rungs of the vtilde ladder are one F_a call for the whole
+    # sweep, and no F_a argument holds more than the 31 rungs times m, or
+    # the 17 path nodes times m per row
     h2_calls, integrals, fa_shapes = [], [], []
     h2_inner, integrate_values = radial_core.h2_inner, radial_core.integrate_values
     eval_fa_prim = energy.eval_Fa
@@ -567,9 +573,10 @@ def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     m = np.count_nonzero(sp.sample_on_grid(weight, grid).values)
     rows = len(report.rows)
     assert all(r.converged for r in report.rows)
-    assert len(h2_calls) <= 9 * rows + 1
-    assert len(integrals) <= 9 * rows + 1
+    assert len(h2_calls) <= 4
+    assert len(integrals) <= 10
     assert fa_shapes and all(shape[-1] == m < grid.n for shape in fa_shapes)
+    assert fa_shapes.count((31, m)) == 1
     assert all(np.prod(shape) <= max(31, 17 * rows) * m for shape in fa_shapes)
 
 
@@ -828,6 +835,22 @@ def test_run_positone_decay_matches_sweep_row(tmp_path, capsys):
     assert float(last[0]) == 0.0
     fit, pred = float(last[6]), float(last[7])
     assert printed.groups() == ("%.6g" % fit, "%.6g" % pred, "%.6f" % (fit / pred))
+
+
+def test_run_positone_profile_is_the_sweep_format(tmp_path, capsys):
+    # --profile writes the profile CSV of the sweep, which is, byte for byte,
+    # one "%r,%r" line per node under the header r,u
+    spec = importlib.util.spec_from_file_location(
+        "run_positone", os.path.join(ROOT, "scripts", "run_positone.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    path = tmp_path / "profile.csv"
+    assert script.main(["--n", "128", "--profile", str(path)]) == 0
+    grid = sp.make_grid(5, 128, 20.0)
+    u = sp.mp_solve(sp.ShiftedNonlinearity(sp.example_nonlinearity(dim=5), 0.0),
+                    sp.example_weight(dim=5), grid).u
+    want = "r,u\n" + "".join("%r,%r\n" % (float(r), float(v)) for r, v in zip(grid.r, u.values))
+    assert path.read_bytes() == want.encode()
 
 
 def test_main_missing_file(tmp_path, capsys):
