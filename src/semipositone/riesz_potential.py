@@ -58,7 +58,7 @@ def ring_kernel_pairs(dim, r, s, alpha):
     is formed as (r - s)(r + s), so kappa_{2N} keeps its digits near the
     diagonal, where it is +inf; both orders are +inf at r = s = 0.
     """
-    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
     big = np.maximum(r, s)
     alpha = float(alpha)
     om = sphere_area(dim)

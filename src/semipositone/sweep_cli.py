@@ -97,7 +97,9 @@ def parse_config(path):
     filled in. Raises ValueError with a key path on any schema violation."""
     with open(path) as fh:
         text = fh.read()
-    cp, header = configparser.ConfigParser(inline_comment_prefixes=("#", ";")), 0
+    # no interpolation: a '%' in a value, as in a table path, is literal
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    header = 0
     try:
         try:
             cp.read_string(text, source=path)

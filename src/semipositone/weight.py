@@ -26,10 +26,13 @@ class WeightSpec:
     weights (r_in, r_out) just bound the support and g is smooth between the
     knots. norms is a cache filled on demand, keyed by p. rule, the
     Gauss-Legendre rule over the support split at the knots with g and
-    r^{N-1} at its nodes, is built on first use: the finite norms,
+    r^{N-1} at its nodes, is built on first use: the norms,
     `support_mass_delta` and the far probes of `g2_left_side` all read it,
     so one pass of (g1)/(g2) builds it once. Both belong to the instance: a
-    `dataclasses.replace`d spec starts without them.
+    `dataclasses.replace`d spec starts without them. L^inf is the max of g
+    at the rule's nodes, r_in, r_out and the knots: exact for the annulus
+    (r^{-d} peaks at r_in) and for tables (they peak at an end or a knot);
+    a hand-built profile that peaks elsewhere is read on that sample.
     """
     profile: Callable
     dim: int
@@ -100,18 +103,10 @@ def support_mass_delta(spec, delta):
     return float(sphere_area(spec.dim) * mass[0])
 
 
-# points per profile call of the L^inf sampling: the temporaries of one call
-# stay well below malloc's 128 KiB mmap threshold, so a check does not trim
-# and regrow the heap (about 250 page faults per `checks` op when it did)
-_SUP_CHUNK = 4096
-
-
 def _quad_norm(spec, p):
-    if np.isinf(p):  # 20001 samples and the knots, where a table peaks
-        r = np.linspace(spec.r_in, spec.r_out, 20001)
-        parts = [r[i:i + _SUP_CHUNK] for i in range(0, r.size, _SUP_CHUNK)]
-        parts += [np.array(spec.knots)] if spec.knots else []
-        return float(max(np.max(spec.profile(part)) for part in parts))
+    if np.isinf(p):  # the rule's nodes, the support edges and the knots
+        ends = spec.profile(np.array((spec.r_in, spec.r_out, *spec.knots)))
+        return float(max(np.max(spec.rule[2]), np.max(ends)))
     return support_mass_delta(spec, p) ** (1.0 / p)
 
 
@@ -207,8 +202,9 @@ def sample_on_grid(spec, grid):
 
 def check_g1(spec):
     """Integrability report: L^1, L^{N/4}, L^{(2**)'} and L^inf norms by
-    Gauss-Legendre over the knot-split support (L^inf by dense sampling and
-    at the knots), cross-checked against any cached closed forms."""
+    Gauss-Legendre over the knot-split support (L^inf as the max of g at the
+    rule's nodes, the support edges and the knots: exact for the annulus and
+    for tables), cross-checked against any cached closed forms."""
     ps = (1.0, float(spec.dim) / 4.0, _conjugate(critical_exponent(spec.dim)), np.inf)
     quad_norms = {p: _quad_norm(spec, p) for p in ps}
     mismatch = 0.0

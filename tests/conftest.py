@@ -15,7 +15,8 @@ call, which the per-spec samples must reproduce bit for bit (`bits` puts a
 report's details in a form compared exactly); `g2_left_side_direct` (the
 (g2) left side by nested adaptive quadrature) and `ring_kernel_hyp2f1` (the
 ring kernel at any order, by scipy's hyp2f1) are the oracles for the
-package's closed-form (g2) integrals; all imported the same way."""
+package's closed-form (g2) integrals, and `oracle_ring_kernel_pairs` the
+closed forms on explicitly broadcast radii; all imported the same way."""
 
 import io
 import json
@@ -308,6 +309,22 @@ def ring_kernel_hyp2f1(dim, r, s, alpha):
     with np.errstate(divide="ignore"):
         scale = sp.sphere_area(dim) * big ** (-alpha)
     return scale * hyp2f1(0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, ratio * ratio)
+
+
+def oracle_ring_kernel_pairs(dim, r, s, alpha):
+    """`ring_kernel_pairs` with r and s put through `np.broadcast_arrays`
+    before any arithmetic, at the (g2) orders N - 4 and 2N."""
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    big = np.maximum(r, s)
+    om = sp.sphere_area(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if alpha == dim - 4:
+            ratio = np.zeros(big.shape)
+            np.divide(np.minimum(r, s), big, out=ratio, where=big > 0)
+            z = ratio * ratio
+            return om * big ** (-float(alpha)) * (1.0 - z * ((dim - 4.0) / dim))
+        kern = om * (r * r + s * s) / (np.abs(r - s) * (r + s)) ** (dim + 1)
+        return np.where(big > 0, kern, np.inf)
 
 
 def oracle_check_g2(weight, delta):

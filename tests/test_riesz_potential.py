@@ -7,7 +7,7 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel_pairs
 
-from conftest import ring_kernel_hyp2f1, weak_lp_profile
+from conftest import oracle_ring_kernel_pairs, ring_kernel_hyp2f1, weak_lp_profile
 
 
 def test_riesz_constants_closed_forms():
@@ -159,6 +159,31 @@ def test_ring_kernel_pairs_rejects_nonterminating_order(alpha):
     # 2N + 2 (3 and 12 at N = 5) terminate as series but are rejected too
     with pytest.raises(ValueError, match="N-4=1 and 2N=10 only"):
         ring_kernel_pairs(5, np.array([0.3]), np.array([0.7]), alpha)
+
+
+@pytest.mark.parametrize("order", ["N-4", "2N"])
+@pytest.mark.parametrize("dim", [5, 7])
+def test_ring_kernel_pairs_broadcasts_its_radii(dim, order):
+    # r and s broadcast in the arithmetic itself: each layout gives the
+    # broadcast shape and the bits of the form that broadcasts them first,
+    # r = s = 0 (in the (k, 1) x (P,) layouts) included
+    alpha = dim - 4.0 if order == "N-4" else 2.0 * dim
+    rng = np.random.default_rng(dim)
+    col = np.append(0.0, rng.uniform(0.1, 2.0, 2))[:, None]
+    row = np.append(0.0, rng.uniform(0.1, 2.0, 4))
+    full = rng.uniform(0.1, 2.0, (2, 3, 5))
+    cases = [(0.7, 1.3), (0.0, 0.4), (np.array(0.7), np.array(1.3)), (np.array(0.7), row),
+             (col, row), (row, col), (full[0], full[1]), (full[0], full[0])]
+    for r, s in cases:
+        got = ring_kernel_pairs(dim, r, s, alpha)
+        want = oracle_ring_kernel_pairs(dim, r, s, alpha)
+        assert np.shape(got) == np.broadcast_shapes(np.shape(r), np.shape(s))
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.isinf(ring_kernel_pairs(dim, 0.0, 0.0, alpha))
+    assert np.isinf(ring_kernel_pairs(dim, col, row, alpha)[0, 0])
+    with pytest.raises(ValueError):
+        ring_kernel_pairs(dim, np.ones(3), np.ones(4), alpha)
 
 
 @given(c=st.floats(min_value=0.1, max_value=10.0),

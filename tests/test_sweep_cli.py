@@ -189,6 +189,26 @@ def test_malformed_table_is_a_config_error(tmp_path, capsys, table):
     assert not out.exists()
 
 
+def test_percent_in_table_path_is_literal(tmp_path, capsys):
+    # a '%' in a value is the path's own character, not configparser's
+    # interpolation: a missing file is a config error naming the path, and a
+    # table under a '%' directory loads
+    out = tmp_path / "out"
+    missing = tmp_path / "x%y.csv"
+    cfg = write(tmp_path, "[weight]\nfamily = custom_table\ntable_path = %s\n" % missing)
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+    assert not out.exists()
+    (tmp_path / "100%").mkdir()
+    table = tmp_path / "100%" / "g%(r)s.csv"
+    np.savetxt(table, np.c_[[0.5, 0.75, 1.0], [1.0, 2.0, 1.0]], delimiter=",")
+    cfg = parse_config(write(tmp_path, "[weight]\nfamily = custom_table\ntable_path = %s\n"
+                             "[grid]\nn = 128\n" % table))
+    assert cfg.weight.table_path == str(table)
+    assert build_problem(cfg)[1].norm(np.inf) == 2.0
+
+
 def test_power_family_needs_gamma_at_least_power_plus_one(tmp_path, capsys):
     # f = t^power grows like t^(gamma-1) only when gamma >= power + 1; the
     # defaults power = 3, gamma = 2.5 used to pass parsing and die in

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import semipositone as sp
 from semipositone.radial_core import RadialField
@@ -30,16 +31,54 @@ def test_check_g1_quadrature_agreement(example_w):
     assert rep.details["closed_mismatch"] < 1e-8
 
 
-@pytest.mark.parametrize("k", [0, 4095, 4096, 12288, 20000])
-def test_sup_norm_samples_every_point(k):
-    # the L^inf norm, taken chunk by chunk, sees every one of the 20001
-    # samples: a profile that peaks at sample k alone, at a chunk edge
-    # or at either end, has its peak value as the norm
-    peak = np.linspace(0.5, 1.0, 20001)[k]
+# the nodes of the 160-point rule on [0.5, 1], the support with no knots
+_NODES = sp.WeightSpec(profile=np.zeros_like, dim=5, r_in=0.5, r_out=1.0).rule[0].ravel()
+
+
+@pytest.mark.parametrize("peak,knots", [
+    pytest.param(0.5, (), id="r_in"),
+    pytest.param(1.0, (), id="r_out"),
+    pytest.param(0.6180339887, (0.6180339887,), id="knot"),
+    pytest.param(_NODES[0], (), id="node0"),
+    pytest.param(_NODES[79], (), id="node79"),
+    pytest.param(_NODES[159], (), id="node159")])
+def test_sup_norm_samples_every_point(peak, knots):
+    # the L^inf norm reads g at the rule's nodes, the support edges and the
+    # knots: a profile that peaks at one of these points alone has its peak
+    # value as the norm
     spec = sp.WeightSpec(profile=lambda r: 1.0 / (1.0 + 1e6 * np.abs(np.asarray(r) - peak)),
-                         dim=5, r_in=0.5, r_out=1.0)
+                         dim=5, r_in=0.5, r_out=1.0, knots=knots)
     assert spec.norm(np.inf) == 1.0
     assert sp.check_g1(spec).details["norms"][np.inf] == 1.0
+
+
+@given(dim=st.integers(5, 9), d=st.floats(0.0, 3.0, exclude_min=True),
+       r_in=st.floats(0.5, 1.0), r_out=st.floats(0.5, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_sup_norm_is_exact_on_the_annulus(dim, d, r_in, r_out):
+    # r^{-d} peaks at r_in, which the L^inf sample holds: g(r_in), bit for
+    # bit. The closed form r_in^{-d} is Python's float power, which can round
+    # one ulp away from numpy's array power in the profile (d = 2 at
+    # r_in = 0.7960029953828607 does)
+    assume(r_in < r_out)
+    spec = sp.example_weight(d=d, r_in=r_in, r_out=r_out, dim=dim)
+    sup = sp.check_g1(spec).details["norms"][np.inf]
+    assert sup == spec.profile(r_in)
+    assert abs(sup - spec.norms[np.inf]) <= np.spacing(spec.norms[np.inf])
+
+
+@given(dim=st.integers(5, 9), r0=st.floats(0.0, 2.0),
+       table=st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 1e6, allow_subnormal=False)),
+                      min_size=2, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_sup_norm_is_exact_on_tables(dim, r0, table):
+    # a piecewise-linear table peaks at an end or a knot, which the L^inf
+    # sample holds: max(g), bit for bit
+    steps, g = np.array(table).T
+    spec = sp.table_weight(r0 + np.cumsum(steps), g, dim=dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an all-zero table is degenerate
+        assert sp.check_g1(spec).details["norms"][np.inf] == np.max(g)
 
 
 @pytest.mark.parametrize("dim", [5, 7])
