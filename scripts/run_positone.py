@@ -21,8 +21,7 @@ import time
 import numpy as np
 
 import semipositone as sp
-from semipositone.radial_core import integrate_values
-from semipositone.sweep_cli import _profile_csv
+from semipositone.sweep_cli import _profile_csv, _rows_from_solutions
 
 
 def main(argv=None):
@@ -53,11 +52,8 @@ def main(argv=None):
     u = sol.u
     diag = sol.diagnostics
     norm = diag["norm_h2"]
-    sup = geo.support  # both sources live on supp g: sum them there only
-    r4 = sp.riesz_constants(grid.dim).r4
-    fit = r4 * integrate_values(grid, sup.restrict(u.source), sup.nodes)
-    f_u = sp.eval_fa(shifted, sup.restrict(u.values))
-    pred = r4 * integrate_values(grid, sup.g[sup.nodes] * f_u, sup.nodes)
+    row = _rows_from_solutions([sol], spec, geo.support)[0]  # the sweep's a = 0 row
+    fit, pred = row.decay_fit, row.decay_pred
 
     print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
           % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))

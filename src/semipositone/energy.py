@@ -6,12 +6,13 @@ and the support of g that every later stage reads.
 
 `estimate_a1` samples g once and builds its `riesz_potential.Support`: the
 m nodes S where g is nonzero (m = 14 of n = 512 for the example), the
-masses on S and the block B with T(g x) = B x on S. The layer functions
-take that support: N_a and the residual are sums over S, F_a is evaluated
-there only, and on a ray the norm is quadratic, so `ray_levels` gives
-I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at an array of scales t of any
-shape from one norm and one F_a call on a (t.shape, m) array: the one level
-function of the straight path, whose every point is a scale of the bump.
+masses on S and the symmetric kernel K_S of T(g x) = K_S (mass x) on S.
+The layer functions take that support: N_a and the residual are sums over
+S, F_a is evaluated there only, and on a ray the norm is quadratic, so
+`ray_levels` gives I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at an array
+of scales t of any shape from one norm and one F_a call on a (t.shape, m)
+array: the one level function of the straight path, whose every point is a
+scale of the bump.
 `n_values`, `ray_levels` and `residuals` take a `ShiftedNonlinearity` whose
 a is an array of shifts shaped to broadcast against their leading axes, so
 the solver evaluates every row of a sweep in one call.
@@ -69,7 +70,7 @@ def ray_levels(v, shifted, sup, t):
 def residuals(x, h, shifted, sup):
     """The gradient residual ||Delta(u - T(u))||_2 of potentials u with
     support values x (..., m) and sources h (..., m) on S: u - T(u) is the
-    potential of h - g f_a(x), and T(u) = B f_a(x) on S, so the residual
+    potential of h - g f_a(x), and T(u) = sup.apply(f_a(x)) on S, so the residual
     is a sum over S, exact on R^N."""
     with np.errstate(over="ignore", invalid="ignore"):
         f_x = eval_fa(shifted, x)
@@ -117,7 +118,7 @@ def _ratio_sup(sup, p):
 
     Normalised nonlinear power iteration v <- T(h) / ||Delta T(h)||,
     h = g|v|^{p-2} v (Boyd, Linear Algebra Appl. 9, 1974; Hein & Buhler,
-    NIPS 2010), on the values at S, where T(g x) = B x. By the
+    NIPS 2010), on the values at S, where T(g x) = sup.apply(x). By the
     representation ||Delta T(h)||^2 = int h T(h), so no step differentiates
     anything, and convexity of int g|u|^p makes the ratio rise
     monotonically. The start is the constant field, which has mass wherever
@@ -128,7 +129,7 @@ def _ratio_sup(sup, p):
     lam_prev = np.inf
     for _ in range(_BG_MAX_ITER):
         dual = np.abs(v) ** (p - 2.0) * v  # h = g * dual
-        t = sup.block @ dual  # T(h) on S
+        t = sup.apply(dual)  # T(h) on S
         norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
         if norm_d == 0.0:
             return 0.0, np.zeros(nodes.size)
@@ -188,7 +189,7 @@ def estimate_a1(spec, weight, grid, eps=None):
     if q <= 0:
         raise GeometryError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
 
-    c_lin = float(np.sqrt(np.sum(sup.mass * sup.block.sum(axis=1))))  # int g T(g), B 1 = T(g) on S
+    c_lin = float(np.sqrt(np.sum(sup.mass * sup.apply(np.ones(sup.nodes.size)))))  # int g T(g)
     c_env = growth_envelope(spec, eps)
     c_gamma = c_env / gamma * _ratio_sup(sup, gamma)[0]
 

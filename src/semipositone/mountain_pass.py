@@ -11,19 +11,19 @@ one norm, less int g F_a(t bump) on the m nodes of supp g; the crest's
 values, source and norm are the bump's times its scale, and each norm,
 level and residual is int h v, exact on R^N. Polish the crest by
 semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
-m nodes S of supp g, where it is B f_a(u[S]), B the m x m block of the
-`riesz_potential.Support` that `estimate_a1` built: Newton runs on the m
-values, each step one exact dense solve of I - B diag(f_a'), and the
-polished candidate is T(x) = B f_a(x) on S. Certify it by its Morse index,
-the number of eigenvalues above 1 of R4 K diag(g f_a'(u)), read from the
-eigenvalues of B diag(f_a'(u[S])), similar to a symmetric matrix while
-g f_a'(u) >= 0: a nondegenerate mountain-pass point has index 1 (Hofer,
-Proc. AMS 90, 1984). A polish that fails, does not lower the residual,
-falls below the rim level beta or has another index is rejected, and the
-crest is returned, flagged non-converged.
+m nodes S of supp g, where it is K_S (mass f_a(u[S])), K_S the symmetric
+m x m `kernel` of the `riesz_potential.Support` that `estimate_a1` built:
+Newton runs on the m values, each step one exact dense solve of
+I - K_S diag(mass f_a'), and the polished candidate is T(x) on S. Certify
+it by its Morse index, the number of eigenvalues above 1 of
+R4 K diag(g f_a'(u)), read from diag(s) K_S diag(s), s = sqrt(mass f_a'),
+while g f_a'(u) >= 0: a nondegenerate mountain-pass point has index 1
+(Hofer, Proc. AMS 90, 1984). A polish that fails, does not lower the
+residual, falls below the rim level beta or has another index is rejected,
+and the crest is returned, flagged non-converged.
 
 The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
-F_a = F_0(t+) - a t, and share S, B, the bump and rho. As t bump >= 0,
+F_a = F_0(t+) - a t, and share S, K_S, the bump and rho. As t bump >= 0,
 I_a(t bump) = I_0(t bump) + a t int g bump: `vtilde_ladder` takes the a = 0
 levels of the ladder once per batch, `find_vtilde` reads each row's scale
 off them, and `solve_shifts` takes the bump and those scales from its
@@ -51,7 +51,7 @@ import numpy as np
 from . import radial_core as rc
 from .energy import estimate_a1, n_values, ray_levels, residuals
 from .nonlinearity import ShiftedNonlinearity, eval_f0, eval_f0prime, eval_fa
-from .riesz_potential import riesz_constants, riesz_values
+from .riesz_potential import riesz_values
 
 
 @dataclass
@@ -135,41 +135,36 @@ def _morse_index(x, spec, sup):
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
     direction. That operator's spectrum is the eigenvalues of
-    B diag(f_a'(u[S])), B the support block of g, plus n - m zeros. B is
-    K diag(col) with K symmetric and col = R4 mass > 0 on S (`sample_on_grid`
-    puts g = 0 at r = 0, where the volume weight vanishes), so where
-    f_a' >= 0, B diag(f_a') is similar to diag(s) K diag(s), s = sqrt(col f_a'):
-    one `eigvalsh` of the symmetric (k, m, m) stack B s_i s_j / col_j, chunk
-    by chunk. A row where col f_a' has a negative entry (g f_a'(u) < 0
-    somewhere on S) raises ValueError.
+    K_S diag(mass f_a'(u[S])), K_S the symmetric `sup.kernel`, plus n - m
+    zeros, similar where f_a' >= 0 to diag(s) K_S diag(s), s = sqrt(mass f_a'):
+    one `eigvalsh` of the (k, m, m) stack K_S s_i s_j, chunk by chunk. A row
+    where g f_a'(u) < 0 somewhere on S raises ValueError.
     Returns (indices (k,), eigenvalues (k, 2) in decreasing order); an index
     counts only the two eigenvalues returned, so 2 means "at least 2".
     """
     k, m = x.shape
-    col = riesz_constants(sup.grid.dim).r4 * sup.mass
-    d = col * eval_f0prime(spec, x)
+    d = sup.mass * eval_f0prime(spec, x)
     if np.any(d < 0):
-        raise ValueError("col f_a' < 0 on supp g: the symmetric Morse certificate "
+        raise ValueError("g f_a'(u) < 0 on supp g: the symmetric Morse certificate "
                          "needs g f_a'(u) >= 0")
     s = np.sqrt(d)
-    s_col = s / col
     spectrum = np.zeros((k, m + min(2, sup.grid.n - m)))
     for c in _chunks(k, m):
-        stack = sup.block * s[c, :, None]
-        stack *= s_col[c, None, :]
+        stack = sup.kernel * s[c, :, None]
+        stack *= s[c, None, :]
         spectrum[c, :m] = np.linalg.eigvalsh(stack)
     top = -np.sort(-spectrum, axis=1)[:, :2]
     return np.sum(top > 1.0, axis=1), top
 
 
 def _newton_steps(fp, phi, sup):
-    """Steps dx with (I - B diag(fp)) dx = phi for each row of phi (k, m),
+    """Steps dx with (I - K_S diag(mass fp)) dx = phi for each row of phi (k, m),
     one stacked solve per chunk of rows, and the list of rows whose system
     is singular: such a row fails alone."""
     k, m = phi.shape
     dx, singular = np.empty_like(phi), []
     for c in _chunks(k, m):
-        jac = sup.block * -fp[c, None, :]
+        jac = sup.kernel * -(sup.mass * fp[c])[:, None, :]
         jac.reshape(len(jac), -1)[:, ::m + 1] += 1.0
         try:
             dx[c] = np.linalg.solve(jac, phi[c, :, None])[..., 0]
@@ -183,9 +178,9 @@ def _newton_steps(fp, phi, sup):
 
 
 def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
-    """Semi-smooth Newton on Phi(x) = x - B f_a(x) for every row of the
-    support values x0 (k, m), with Jacobian I - B diag(f_a'(x)) (f_a' taken
-    0 on x <= 0), over the rows still active. A row stops at
+    """Semi-smooth Newton on Phi(x) = x - T(g f_a(x)) for every row of the
+    support values x0 (k, m), with Jacobian I - K_S diag(mass f_a'(x)) (f_a'
+    taken 0 on x <= 0), over the rows still active. A row stops at
     max|Phi| / scale < tol, and fails on a non-finite residual, a tenfold
     rise after step 3, or a singular Jacobian.
 
@@ -273,7 +268,7 @@ def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
     crest_res = residuals(x0, h0, shifted, sup)
     res_rel = crest_res / np.maximum(1.0, crest_norm)
 
-    # Newton polish; the candidate is T(x) = B f_a(x) on S with source
+    # Newton polish; the candidate is T(x) = K_S (mass f_a(x)) on S with source
     # g f_a(x) (a failed polish stands in as its crest and is never accepted)
     scale = np.maximum(1.0, c * np.max(bump.values))
     x, ok, newton_res, newton_support = _newton_polish(x0, scale, shifted, sup,

@@ -18,12 +18,13 @@ which closes at the orders used here:
     kappa_{2N}(r, s)  = omega_N (r^2 + s^2) / |r^2 - s^2|^{N+1},
 
 the last by Euler's transformation (DLMF 15.8.1). `ring_kernel_pairs`
-evaluates the (g2) orders N - 4 and 2N. The solver's N - 4 and N - 2 are
-sums of at most two products f(rho) g(R), so `apply_potential`
-evaluates a potential in O(n) from prefix and suffix sums of the source,
-and `support` gathers the same closed form on the nodes S of supp g into
-the m x m block B, built once per problem and read by every iterative
-stage of the solver; `ring_kernel` is the kernel as a dense matrix, a test
+evaluates the orders N - 4 and 2N on pairs of radii: both for the (g2)
+check, and N - 4 for `support`, which takes it on the nodes S of supp g
+as the symmetric m x m kernel of T on S, built once per problem and read
+by every iterative stage of the solver. The solver's N - 4 and N - 2 on
+the grid are sums of at most two products f(rho) g(R), so
+`apply_potential` evaluates a potential in O(n) from prefix and suffix
+sums of the source; `ring_kernel` is the kernel as a dense matrix, a test
 oracle.
 `riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
 is all the D^{2,2} products of `radial_core.h2_inner` need; `riesz_values`
@@ -53,10 +54,10 @@ def riesz_constants(dim):
 
 def ring_kernel_pairs(dim, r, s, alpha):
     """kappa_alpha(r_i, s_i) for broadcast arrays of radii at the (g2) orders
-    alpha = N - 4 and 2N, matched within 1e-12 relative (the slack
-    `check_g2` grants delta); any other alpha raises ValueError. r^2 - s^2
-    is formed as (r - s)(r + s), so kappa_{2N} keeps its digits near the
-    diagonal, where it is +inf; both orders are +inf at r = s = 0.
+    alpha = N - 4, also the solver's kernel on S, and 2N, matched within 1e-12
+    relative (the slack `check_g2` grants delta); any other alpha raises
+    ValueError. r^2 - s^2 is formed as (r - s)(r + s), so kappa_{2N} keeps its
+    digits near the diagonal, where it is +inf; both are +inf at r = s = 0.
     """
     r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
     big = np.maximum(r, s)
@@ -117,16 +118,17 @@ def ring_kernel(grid, alpha):
 class Support:
     """supp g discretised once per problem, by `support`. Every integral
     against g is a sum over the nodes S = flatnonzero(g) with weights
-    mass = omega_N r^{N-1} w g, and T(g x) = B x on S, with the m x m block
-    B = R4 K[S, S] diag(r^{N-1} w g)[S], K the order N-4 kernel. T reads x
-    on S only, so its nonzero spectrum is that of B, and (I - T) x = y
-    reduces to (I - B) x_S = y_S (Atkinson, The Numerical Solution of
-    Integral Equations of the Second Kind, 1997, ch. 4)."""
+    mass = omega_N r^{N-1} w g, and T(g x) = K_S (mass x) on S, with the
+    symmetric m x m kernel K_S = R4 K[S, S] / omega_N, K the order N-4 kernel.
+    T reads x on S only, so its nonzero spectrum is that of K_S diag(mass),
+    and (I - T) x = y reduces to (I - K_S diag(mass)) x_S = y_S (Atkinson,
+    The Numerical Solution of Integral Equations of the Second Kind, 1997,
+    ch. 4)."""
     grid: RadialGrid
     g: np.ndarray  # the sampled grid values of g
     nodes: np.ndarray
     mass: np.ndarray
-    block: np.ndarray
+    kernel: np.ndarray
 
     def restrict(self, values):
         """The values on S of each row of the grid values (..., n), each row
@@ -134,23 +136,23 @@ class Support:
         return np.take(values, self.nodes, axis=-1)
 
     def apply(self, x):
-        """B x for each row of the support values x (..., m): one matrix-vector
-        product per row, so a row of a batch is its one-row product bit for bit."""
-        return np.matmul(self.block, x[..., None])[..., 0]
+        """T(g x) = K_S (mass x) on S for each row of the support values x
+        (..., m): one matrix-vector product per row, so a row of a batch is its
+        one-row product bit for bit."""
+        return np.matmul(self.kernel, (self.mass * x)[..., None])[..., 0]
 
 
 def support(g_field):
-    """The `Support` of the sampled weight g_field, B from the closed form."""
+    """The `Support` of the sampled weight g_field, its kernel the closed form
+    of `ring_kernel_pairs` on S x S. S never holds r = 0, where the pairs
+    kernel is +inf: `sample_on_grid` gives g(0) = 0."""
     grid, g = g_field.grid, g_field.values
     nodes = np.flatnonzero(g)
-    p0, p2, c = _kernel_coeffs(grid, grid.dim - 4.0)
-    big = np.maximum.outer(nodes, nodes)
-    small = grid.r[np.minimum.outer(nodes, nodes)]
-    kern = p0[big] - c * small * small * p2[big]
-    col = (riesz_constants(grid.dim).r4 * grid.sphere_area
-           * grid.r_pow[nodes] * grid.w[nodes] * g[nodes])
+    r = grid.r[nodes]
+    kernel = (riesz_constants(grid.dim).r4 / grid.sphere_area
+              * ring_kernel_pairs(grid.dim, r[:, None], r, grid.dim - 4))
     mass = grid.sphere_area * grid.r_pow[nodes] * grid.w[nodes] * g[nodes]
-    return Support(grid=grid, g=g, nodes=nodes, mass=mass, block=kern * col)
+    return Support(grid=grid, g=g, nodes=nodes, mass=mass, kernel=kernel)
 
 
 def _potential(grid, alpha, src):

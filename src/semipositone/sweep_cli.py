@@ -422,7 +422,7 @@ def main(argv=None):
         prog="solve",
         description="Mountain-pass sweeps for the semipositone biharmonic problem")
     ap.add_argument("--config", required=True, help="INI config file")
-    ap.add_argument("--out", default=None, help="output directory")
+    ap.add_argument("--out", default=None, help="output directory (default ./solve_out)")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--sweep", action="store_true",
                       help="run the full a-sweep (default action)")
@@ -443,7 +443,7 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    out_dir = args.out or os.environ.get("SEMIPOSITONE_OUT") or "solve_out"
+    out_dir = args.out or "solve_out"
     status = 0
 
     if args.check_hypotheses:

@@ -522,7 +522,7 @@ def test_warnings_recorded_as_data(monkeypatch, example_spec, example_w, grid128
        top=st.floats(1.2, 4.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
-    # one Newton step on the support block against LU on the dense
+    # one Newton step on the support kernel against LU on the dense
     # closed-form kernel: with f(t) = t^2 on t > 0, the polish stopped after
     # one step returns T(u0 + delta), where
     # (I - r4 K diag(m g f'(u0))) delta = -(u0 - T(u0))
@@ -555,7 +555,7 @@ def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
        support=st.sampled_from(["annulus", "table"]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_morse_eigenvalues_match_dense(dim, n, support, seed):
-    # the top two eigenvalues read from the support block against the dense
+    # the top two eigenvalues read from the support kernel against the dense
     # eigenvalues of the full r4 K diag(m d), d = g f'(u), f(t) = t^2
     grid = sp.make_grid(dim, n, 20.0)
     if support == "annulus":
@@ -578,7 +578,7 @@ def test_morse_eigenvalues_match_dense(dim, n, support, seed):
 def test_symmetric_certificate_matches_eigvals_on_sweeps(tmp_path, n, table):
     # on every row of the default sweep, and of the [0, 19] table that fills
     # the grid, the top two eigenvalues of the symmetric stack are those of
-    # the general eigvals of B diag(f'), and each index, 1 on every row, is
+    # the general eigvals of kernel diag(mass f'), and each index, 1 on every row, is
     # the count above 1 of the latter
     text = "[grid]\nn = %d\n" % n
     if table:
@@ -592,7 +592,8 @@ def test_symmetric_certificate_matches_eigvals_on_sweeps(tmp_path, n, table):
     x = sup.restrict(np.array([report.profiles[r.a] for r in report.rows]))
     index, top = mp._morse_index(x, spec, sup)
     fp = sp.nonlinearity.eval_f0prime(spec, x)
-    dense = -np.sort(-np.linalg.eigvals(sup.block * fp[:, None, :]).real, axis=1)[:, :2]
+    dense = -np.sort(-np.linalg.eigvals(sup.kernel * (sup.mass * fp)[:, None, :]).real,
+                     axis=1)[:, :2]
     np.testing.assert_allclose(top, dense, rtol=1e-12, atol=0)
     assert index.tolist() == np.sum(dense > 1.0, axis=1).tolist() == [1] * len(x)
     assert [i for _, i in report.summary["morse_index"]] == index.tolist()
@@ -600,10 +601,10 @@ def test_symmetric_certificate_matches_eigvals_on_sweeps(tmp_path, n, table):
 
 def test_certificate_rejects_negative_fprime(example_w, grid128):
     # a registered f' < 0 on u > 0 makes g f_a'(u) negative on supp g, where
-    # B diag(f') is no longer similar to a symmetric matrix
+    # kernel diag(mass f') is no longer similar to a symmetric matrix
     spec = dataclasses.replace(sp.power_nonlinearity(3.0, gamma=3.5),
                                fprime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
-    with pytest.raises(ValueError, match=r"col f_a' < 0 on supp g"):
+    with pytest.raises(ValueError, match=r"g f_a'\(u\) < 0 on supp g"):
         sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid128)
 
 

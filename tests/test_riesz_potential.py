@@ -5,9 +5,9 @@ from scipy.integrate import quad
 
 import semipositone as sp
 from semipositone.radial_core import RadialField
-from semipositone.riesz_potential import ring_kernel_pairs
+from semipositone.riesz_potential import riesz_values, ring_kernel_pairs
 
-from conftest import oracle_ring_kernel_pairs, ring_kernel_hyp2f1, weak_lp_profile
+from conftest import oracle_ring_kernel_pairs, ring_kernel_hyp2f1, support_of, weak_lp_profile
 
 
 def test_riesz_constants_closed_forms():
@@ -310,3 +310,42 @@ def test_potential_off_support_is_its_closed_form(dim, n):
     assert np.max(np.abs(u[beyond] - want)) <= 1e-13 * np.max(np.abs(u[beyond]))
     want = moment(3) - c * moment(1) * rc * rc
     assert np.max(np.abs(u[core] - want)) <= 1e-13 * np.max(np.abs(u[core]))
+
+
+@given(dim=st.integers(min_value=5, max_value=9),
+       n=st.sampled_from([128, 384, 1024]),
+       family=st.sampled_from(["annulus", "table"]),
+       start=st.sampled_from([0.0, None]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(dim=5, n=384, family="table", start=0.0, seed=0)
+@example(dim=9, n=1024, family="table", start=0.0, seed=1)
+@example(dim=7, n=128, family="annulus", start=None, seed=2)
+@settings(max_examples=30, deadline=None)
+def test_support_kernel_is_t_on_s(dim, n, family, start, seed):
+    # the operator on S, T(g x) = kernel (mass x): a symmetric kernel, the
+    # dense grid kernel read on S x S, the potential of the scattered source
+    # g x read on S, and one product per row of a batch
+    rng = np.random.default_rng(seed)
+    grid = sp.make_grid(dim, n, 20.0)
+    if family == "annulus":
+        r_in, r_out = np.sort(rng.uniform(0.5, 1.0, 2))
+        weight = sp.example_weight(d=rng.uniform(0.1, 3.0), r_in=r_in, r_out=r_out, dim=dim)
+    else:  # start = 0 puts the first knot at r = 0, where g is sampled as 0
+        knots = rng.integers(2, 12)
+        r0 = rng.uniform(0.0, 10.0) if start is None else start
+        r_tab = r0 + np.cumsum(np.append(0.0, rng.uniform(0.2, 1.0, knots - 1)))
+        weight = sp.table_weight(r_tab, rng.uniform(0.1, 2.0, knots), dim=dim)
+    sup = support_of(weight, grid)
+    nodes, kern = sup.nodes, sup.kernel
+    assert nodes.size and nodes[0] > 0
+    assert np.array_equal(kern, kern.T)
+    dense = (sp.riesz_constants(dim).r4 / grid.sphere_area
+             * sp.ring_kernel(grid, dim - 4)[np.ix_(nodes, nodes)])
+    assert np.max(np.abs(kern - dense) / dense) <= 1e-14
+    x = rng.standard_normal((3, nodes.size))
+    src = np.zeros((3, n))
+    src[:, nodes] = sup.g[nodes] * x
+    want = riesz_values(grid, src)[:, nodes]
+    got = sup.apply(x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, np.array([sup.apply(row) for row in x]))

@@ -898,6 +898,19 @@ def test_main_single_a_zero(tmp_path, capsys):
     assert lines[1].endswith("true")
 
 
+def test_main_without_out_writes_solve_out(tmp_path, monkeypatch, capsys):
+    # without --out the files go to ./solve_out, whatever the environment holds
+    cfg = write(tmp_path, SMALL)
+    cwd, elsewhere = tmp_path / "cwd", tmp_path / "elsewhere"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("SEMIPOSITONE_OUT", str(elsewhere))
+    assert main(["--config", cfg, "--single-a", "0"]) == 0
+    assert (cwd / "solve_out" / "sweep.csv").is_file()
+    assert (cwd / "solve_out" / "summary.json").is_file()
+    assert not elsewhere.exists()
+
+
 def test_main_check_hypotheses_only(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["--config", write(tmp_path, SMALL), "--out", str(out),

@@ -83,8 +83,8 @@ def test_sup_norm_is_exact_on_tables(dim, r0, table):
 
 @pytest.mark.parametrize("dim", [5, 7])
 def test_sup_norm_reads_the_knots(dim):
-    # a table peaks at a knot; here the knot 0.5 + 0.8/3 falls between the
-    # 20001 samples, so the samples alone read 2.99995
+    # a table peaks at a knot, here 0.5 + 0.8/3, which L^inf reads as one of
+    # its sample points, so the norm is the knot's value exactly
     spec = sp.table_weight(np.linspace(0.5, 1.3, 4), [1.0, 3.0, 2.0, 0.5], dim=dim)
     assert sp.check_g1(spec).details["norms"][np.inf] == 3.0
 
