@@ -43,14 +43,9 @@ def n_values(x, shifted, sup):
     return np.sum(sup.mass * eval_Fa(shifted, x), axis=-1)
 
 
-def n_a(u, shifted, sup):
-    """N_a(u) = int g F_a(u), summed over the nodes of supp g."""
-    return float(n_values(u.values[sup.nodes], shifted, sup))
-
-
 def i_a(u, shifted, sup):
-    """I_a(u) = ||Delta u||^2 / 2 - N_a(u)."""
-    return 0.5 * rc.h2_inner(u, u) - n_a(u, shifted, sup)
+    """I_a(u) = ||Delta u||^2 / 2 - N_a(u), N_a summed over the nodes of supp g."""
+    return 0.5 * rc.h2_inner(u, u) - float(n_values(u.values[sup.nodes], shifted, sup))
 
 
 def ray_levels(v, shifted, sup, t):

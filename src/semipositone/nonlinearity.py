@@ -157,16 +157,6 @@ def linear_nonlinearity(slope=1.0, dim=5, gamma=2.5):
                             F_closed=F, fprime=lambda t: np.full_like(np.asarray(t, dtype=float), slope))
 
 
-def zero_nonlinearity(dim=5, gamma=2.5):
-    """f identically 0; the shifted problem is pure -a (no superlinearity)."""
-    def f(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim, name="zero",
-                            F_closed=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                            fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-
-
 def eval_f(spec, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):

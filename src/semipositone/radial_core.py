@@ -84,10 +84,6 @@ def make_grid(dim, n, r_max):
                       r_pow=r ** (int(dim) - 1))
 
 
-def zeros(grid):
-    return RadialField(grid, np.zeros(grid.n), np.zeros(grid.n))  # T(0), with its source
-
-
 def laplacian(u):
     """Radial Laplacian u'' + (N-1)/r u', second order.
 

@@ -1,9 +1,8 @@
 """Ring-reduced Riesz kernels and potentials.
 
-The inverse of Delta^2 on R^N is convolution with R4 |x|^{4-N}; -Delta of the
-same function is convolution with R2 |x|^{2-N}. For radial sources the
-convolution reduces to a one-dimensional integral against the spherical
-average
+The inverse of Delta^2 on R^N is convolution with R4 |x|^{4-N}. For radial
+sources the convolution reduces to a one-dimensional integral against the
+spherical average
 
     kappa_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^{-alpha} dsigma(w).
 
@@ -13,19 +12,19 @@ With R = max(r, s) and rho = min(r, s) it is a hypergeometric series,
 
 which closes at the orders used here:
 
-    kappa_{N-2}(r, s) = omega_N R^{2-N}   (shell theorem)
     kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2)
     kappa_{2N}(r, s)  = omega_N (r^2 + s^2) / |r^2 - s^2|^{N+1},
 
-the last by Euler's transformation (DLMF 15.8.1). `ring_kernel_pairs`
+the last by Euler's transformation (DLMF 15.8.1). The shell theorem's
+kappa_{N-2} = omega_N R^{2-N}, the kernel of -Delta u = R2 I_{N-2} h, is
+a test oracle only: the solver never forms -Delta u. `ring_kernel_pairs`
 evaluates the orders N - 4 and 2N on pairs of radii: both for the (g2)
 check, and N - 4 for `support`, which takes it on the nodes S of supp g
 as the symmetric m x m kernel of T on S, built once per problem and read
-by every iterative stage of the solver. The solver's N - 4 and N - 2 on
-the grid are sums of at most two products f(rho) g(R), so
-`apply_potential` evaluates a potential in O(n) from prefix and suffix
-sums of the source; `ring_kernel` is the kernel as a dense matrix, a test
-oracle.
+by every iterative stage of the solver. kappa_{N-4} on the grid is a sum
+of two products f(rho) g(R), so `apply_potential` evaluates a potential
+in O(n) from prefix and suffix sums of the source; `ring_kernel` is the
+kernel as a dense matrix, a test oracle.
 `riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
 is all the D^{2,2} products of `radial_core.h2_inner` need; `riesz_values`
 is the same potential for every row of a (k, n) stack of sources.
@@ -38,18 +37,9 @@ import numpy as np
 from .radial_core import RadialField, RadialGrid, sphere_area
 
 
-@dataclass(frozen=True)
-class RieszConstants:
-    dim: int
-    r4: float
-    r2: float
-
-
-def riesz_constants(dim):
-    om = sphere_area(dim)
-    return RieszConstants(dim=dim,
-                          r4=1.0 / (2.0 * (dim - 2) * (dim - 4) * om),
-                          r2=1.0 / ((dim - 2) * om))
+def riesz_r4(dim):
+    """R4 = 1 / (2 (N-2)(N-4) omega_N): R4 |x|^{4-N} is Delta^2's fundamental solution."""
+    return 1.0 / (2.0 * (dim - 2) * (dim - 4) * sphere_area(dim))
 
 
 def ring_kernel_pairs(dim, r, s, alpha):
@@ -77,20 +67,16 @@ def ring_kernel_pairs(dim, r, s, alpha):
 
 
 def _kernel_coeffs(grid, alpha):
-    """Powers of r for kappa_alpha = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}).
+    """Powers of r for kappa_{N-4} = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}).
 
-    Returns (r^{-alpha}, r^{-alpha-2}, c) with both powers set to 0 at r = 0,
-    which gives K[0, 0] = 0 (its volume weight vanishes) and leaves
-    K[0, j] = omega_N s_j^{-alpha} exact.
+    Returns (r^{-alpha}, r^{-alpha-2}, c = (N-4)/N) with both powers set to 0
+    at r = 0, which gives K[0, 0] = 0 (its volume weight vanishes) and leaves
+    K[0, j] = omega_N s_j^{-alpha} exact; any other alpha raises ValueError.
     """
     alpha = float(alpha)
-    if alpha == grid.dim - 4.0:
-        c = (grid.dim - 4.0) / grid.dim
-    elif alpha == grid.dim - 2.0:
-        c = 0.0
-    else:
-        raise ValueError("alpha=%g: closed forms exist for N-4=%d and N-2=%d only"
-                         % (alpha, grid.dim - 4, grid.dim - 2))
+    if alpha != grid.dim - 4.0:
+        raise ValueError("alpha=%g: closed forms exist for N-4=%d only" % (alpha, grid.dim - 4))
+    c = (grid.dim - 4.0) / grid.dim
     r = grid.r
     p0 = np.zeros(grid.n)
     p2 = np.zeros(grid.n)
@@ -100,7 +86,7 @@ def _kernel_coeffs(grid, alpha):
 
 
 def ring_kernel(grid, alpha):
-    """Dense kappa_alpha(r_i, s_j) matrix over the grid, alpha in {N-4, N-2}.
+    """Dense kappa_alpha(r_i, s_j) matrix over the grid, alpha = N-4.
 
     Row i, column j >= i has R = s_j and rho = r_i; the lower triangle is its
     mirror image.
@@ -149,7 +135,7 @@ def support(g_field):
     grid, g = g_field.grid, g_field.values
     nodes = np.flatnonzero(g)
     r = grid.r[nodes]
-    kernel = (riesz_constants(grid.dim).r4 / grid.sphere_area
+    kernel = (riesz_r4(grid.dim) / grid.sphere_area
               * ring_kernel_pairs(grid.dim, r[:, None], r, grid.dim - 4))
     mass = grid.sphere_area * grid.r_pow[nodes] * grid.w[nodes] * g[nodes]
     return Support(grid=grid, g=g, nodes=nodes, mass=mass, kernel=kernel)
@@ -169,8 +155,7 @@ def _potential(grid, alpha, src):
         return tail
 
     out = p0 * np.cumsum(src, axis=-1) + outer(p0 * src)
-    if c:
-        out -= c * (p2 * np.cumsum(r2 * src, axis=-1) + r2 * outer(p2 * src))
+    out -= c * (p2 * np.cumsum(r2 * src, axis=-1) + r2 * outer(p2 * src))
     return grid.sphere_area * out
 
 
@@ -189,7 +174,7 @@ def riesz_values(grid, sources):
     stack sources, in one O(n) pass per row."""
     if not np.all(np.isfinite(sources)):
         raise ValueError("source has non-finite values (divergent norms)")
-    return riesz_constants(grid.dim).r4 * _potential(grid, grid.dim - 4, sources)
+    return riesz_r4(grid.dim) * _potential(grid, grid.dim - 4, sources)
 
 
 def riesz_solve(h):

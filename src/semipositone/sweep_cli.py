@@ -27,10 +27,8 @@ from .nonlinearity import (ShiftedNonlinearity, check_f1, check_f2, check_f3,
                            check_f4, critical_exponent, eval_fa,
                            example_nonlinearity, linear_nonlinearity,
                            power_nonlinearity)
-from .riesz_potential import riesz_constants
+from .riesz_potential import riesz_r4
 from .weight import check_g1, check_g2, example_weight, table_weight
-
-CSV_HEADER = "a,level,norm_h2,sup_ext,min_value,neg_mass,decay_fit,decay_pred,residual,converged"
 
 
 @dataclass
@@ -201,6 +199,9 @@ class SweepRow:
     converged: bool
 
 
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRow))
+
+
 @dataclass
 class SweepReport:
     rows: list
@@ -231,7 +232,7 @@ def _rows_from_solutions(sols, spec, sup):
     ext_abs = np.abs(u[:, grid.r >= 1.0])  # no column when the grid ends inside B_1
     sup_ext = np.max(ext_abs, axis=1) if ext_abs.size else np.full(len(u), np.nan)
     min_value, neg_mass = np.min(u, axis=1), rc.integrate_values(grid, np.maximum(-u, 0.0))
-    r4 = riesz_constants(grid.dim).r4
+    r4 = riesz_r4(grid.dim)
     fit = r4 * rc.integrate_values(grid, sup.restrict([sol.u.source for sol in sols]), nodes)
     f_u = eval_fa(ShiftedNonlinearity(spec, a[:, None]), sup.restrict(u))
     pred = r4 * rc.integrate_values(grid, sup.g[nodes] * f_u, nodes)
@@ -331,7 +332,7 @@ def _config_echo(cfg, weight):
     A table weight sets its own support and reads neither [weight] r_in,
     r_out nor d: its echo gives the support of the weight as built, no d."""
     echo = {}
-    for name in ("problem", "weight", "grid", "mp", "sweep"):
+    for name in (section.name for section in dataclasses.fields(cfg)):
         sec = getattr(cfg, name)
         values = {f.name: getattr(sec, f.name) for f in dataclasses.fields(sec)}
         echo[name] = {k: (list(v) if isinstance(v, tuple) else v) for k, v in values.items()}
@@ -484,6 +485,3 @@ def main(argv=None):
         status = max(status, 2)
     return status
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

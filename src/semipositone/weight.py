@@ -161,12 +161,6 @@ def table_weight(r_values, g_values, dim=5, name="custom_table"):
                       knots=tuple(r_values[1:-1].tolist()))
 
 
-def zero_weight(dim=5):
-    def profile(r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-    return WeightSpec(profile=profile, dim=dim, r_in=0.5, r_out=1.0, name="zero")
-
-
 def _conjugate(p):
     return p / (p - 1.0)
 

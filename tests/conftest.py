@@ -1,7 +1,9 @@
 """Shared fixtures. The expensive objects (n=512 kernel, geometry constants,
 positone solve) are session-scoped so the whole suite pays for them once.
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
-tests that probe with random directions; `weak_pairing`, `energy_report`,
+tests that probe with random directions; `zero_potential`,
+`zero_nonlinearity` and `zero_weight` are the degenerate inputs (the
+potential T(0) with its source, f = 0 and g = 0); `weak_pairing`, `energy_report`,
 `full_grid_n_a`, `full_grid_ratio_sup` and `fixed_point_map` are oracles
 for the energy layer, `support_of` builds the support the layer
 functions read, and `weak_lp_profile`, `c_r_constant`, `check_prop33` and
@@ -16,7 +18,9 @@ report's details in a form compared exactly); `g2_left_side_direct` (the
 (g2) left side by nested adaptive quadrature) and `ring_kernel_hyp2f1` (the
 ring kernel at any order, by scipy's hyp2f1) are the oracles for the
 package's closed-form (g2) integrals, and `oracle_ring_kernel_pairs` the
-closed forms on explicitly broadcast radii; all imported the same way."""
+closed forms on explicitly broadcast radii; `newton_kernel` and
+`newton_potential` are the order N - 2 kernel and -Delta u = R2 I_{N-2} h,
+which the solver never forms; all imported the same way."""
 
 import io
 import json
@@ -27,6 +31,26 @@ import numpy as np
 import pytest
 
 import semipositone as sp
+
+
+def zero_potential(grid):
+    """The zero field as the solver forms it: T(0), with its source."""
+    return sp.RadialField(grid, np.zeros(grid.n), np.zeros(grid.n))
+
+
+def zero_nonlinearity(dim=5, gamma=2.5):
+    """f identically 0; the shifted problem is pure -a (no superlinearity)."""
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    return sp.NonlinearitySpec(f=zero, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim,
+                               name="zero", F_closed=zero, fprime=zero)
+
+
+def zero_weight(dim=5):
+    """g identically 0 on the annulus [1/2, 1]."""
+    return sp.WeightSpec(profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+                         dim=dim, r_in=0.5, r_out=1.0, name="zero")
 
 
 def random_trial_fields(grid, count, rng, n_lobes=4, r_span=None):
@@ -79,7 +103,7 @@ def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
         t = sp.riesz_solve(sp.RadialField(grid, g * dual)).values
         norm_d = np.sqrt(np.sum(mass * dual * t))
         if norm_d == 0.0:
-            return 0.0, sp.zeros(grid)
+            return 0.0, zero_potential(grid)
         v = t / norm_d
         lam = float(np.sum(mass * np.abs(v) ** p))
         if abs(lam - lam_prev) <= tol * lam:
@@ -311,6 +335,25 @@ def ring_kernel_hyp2f1(dim, r, s, alpha):
     return scale * hyp2f1(0.5 * alpha, 1.0 + 0.5 * (alpha - dim), 0.5 * dim, ratio * ratio)
 
 
+def newton_kernel(grid):
+    """The dense kappa_{N-2}(r_i, s_j) over the grid by `ring_kernel_hyp2f1`,
+    with K[0, 0] = 0, where the volume weight vanishes. Its series stops at
+    its first term, the shell theorem's omega_N max(r, s)^{2-N}."""
+    rr, ss = np.meshgrid(grid.r, grid.r, indexing="ij")
+    km = ring_kernel_hyp2f1(grid.dim, rr, ss, grid.dim - 2)
+    km[0, 0] = 0.0
+    return km
+
+
+def newton_potential(h):
+    """-Delta u of u = R4 I_{N-4} h, which is R2 I_{N-2} h with
+    R2 = 1/((N-2) omega_N): `newton_kernel` against the trapezoid radial
+    measure of h."""
+    g = h.grid
+    r2 = 1.0 / ((g.dim - 2) * g.sphere_area)
+    return sp.RadialField(g, r2 * (newton_kernel(g) @ (h.values * g.r_pow * g.w)))
+
+
 def oracle_ring_kernel_pairs(dim, r, s, alpha):
     """`ring_kernel_pairs` with r and s put through `np.broadcast_arrays`
     before any arithmetic, at the (g2) orders N - 4 and 2N."""
@@ -394,7 +437,7 @@ def fixed_point_map(u, shifted, sup):
 
 def energy_report(u, shifted, sup):
     nh2 = sp.h2_norm(u)
-    nl = sp.n_a(u, shifted, sup)
+    nl = float(sp.energy.n_values(u.values[sup.nodes], shifted, sup))
     res = sp.gradient_map(u, shifted, sup)
     return EnergyReport(value=0.5 * nh2 ** 2 - nl, norm_h2=nh2,
                         nonlinear_term=nl, grad_residual=res)
@@ -475,7 +518,7 @@ def manufactured(dim, spec, S=1e3):
         s, w = gauss_legendre(cut, r_out)  # s > r; empty for r >= r_out
         outer = np.sum(w * h(s) * s ** (dim - 1)
                        * (s ** (4.0 - dim) - c * r * r * s ** (2.0 - dim)), axis=-1)
-        return sp.riesz_constants(dim).r4 * om * (inner + outer)
+        return sp.riesz_r4(dim) * om * (inner + outer)
 
     def profile(r):
         r = np.asarray(r, dtype=float)

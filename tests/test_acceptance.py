@@ -15,8 +15,8 @@ from semipositone import sweep_cli
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import (check_prop33, random_trial_fields, support_of, weak_lp_profile,
-                      weak_pairing)
+from conftest import (check_prop33, newton_kernel, newton_potential, random_trial_fields,
+                      support_of, weak_lp_profile, weak_pairing)
 
 # n = 512, r_max = 20: the level and norm on R^N, ||Delta u||^2 = int h u
 FROZEN_LEVEL = 930135288621.4
@@ -37,7 +37,7 @@ def test_criterion_1_newton_kernel():
     worst = 0.0
     for dim in (5, 6, 8):
         g = sp.make_grid(dim, 256, 20.0)
-        km = sp.ring_kernel(g, dim - 2)
+        km = newton_kernel(g)
         rr = np.maximum.outer(g.r, g.r)
         with np.errstate(divide="ignore"):
             exact = g.sphere_area * rr ** (2.0 - dim)
@@ -54,8 +54,8 @@ def test_criterion_2_riesz_closure(grid512):
     h = RadialField(g, np.where(g.r < 1.0,
                                 np.cos(0.5 * np.pi * np.minimum(g.r, 1.0)) ** 4, 0.0))
     u = sp.riesz_solve(h)
-    # -Delta u = R2 I_{N-2} h, formed here only: the solver never needs it
-    neg_lap = RadialField(g, sp.riesz_constants(g.dim).r2 * sp.apply_potential(g.dim - 2, h).values)
+    # -Delta u = R2 I_{N-2} h, the dense oracle: the solver never needs it
+    neg_lap = newton_potential(h)
     lap_u = sp.laplacian(u).values
     closure = (np.sqrt(sp.integrate(RadialField(g, (lap_u + neg_lap.values) ** 2)))
                / np.sqrt(sp.integrate(RadialField(g, neg_lap.values ** 2))))

@@ -12,7 +12,8 @@ from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
 from conftest import (energy_report, fixed_point_map, full_grid_n_a, full_grid_ratio_sup,
-                      random_trial_fields, rim_levels, support_of, weak_pairing)
+                      random_trial_fields, rim_levels, support_of, weak_pairing,
+                      zero_potential, zero_weight)
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -44,7 +45,8 @@ def test_nonlinear_term_split_oracle(example_spec, example_w, grid128):
     gv = sp.sample_on_grid(example_w, grid128).values
     f_part = sp.integrate(RadialField(grid128, gv * sp.eval_F(example_spec, u.values)))
     lin_part = sp.integrate(RadialField(grid128, gv * u.values))
-    assert sp.n_a(u, sh, support_of(example_w, grid128)) == pytest.approx(
+    sup = support_of(example_w, grid128)
+    assert sp.energy.n_values(u.values[sup.nodes], sh, sup) == pytest.approx(
         f_part - a * lin_part, rel=1e-12)
 
 
@@ -102,7 +104,8 @@ def test_n_a_on_support_matches_full_grid(dim, n, support, family, shift, seed):
     rng = np.random.default_rng(seed)
     u = RadialField(grid, rng.uniform(-1.0, 3.0, n))
     scale = sp.integrate(RadialField(grid, np.abs(gv * sp.eval_Fa(sh, u.values))))
-    assert abs(sp.n_a(u, sh, support_of(weight, grid))
+    sup = support_of(weight, grid)
+    assert abs(sp.energy.n_values(u.values[sup.nodes], sh, sup)
                - full_grid_n_a(u, sh, weight)) <= 1e-13 * scale
     if support != "annulus":
         inner = gv[(grid.r > weight.r_in) & (grid.r < weight.r_out)]
@@ -112,7 +115,7 @@ def test_n_a_on_support_matches_full_grid(dim, n, support, family, shift, seed):
 def test_energy_zero_field(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.5)
     sup = support_of(example_w, grid128)
-    z = sp.zeros(grid128)
+    z = zero_potential(grid128)
     assert sp.i_a(z, sh, sup) == 0.0
     t0, res = fixed_point_map(z, sh, sup), sp.gradient_map(z, sh, sup)
     # T(0) = -a R4 K4 g is strictly negative: the shift alone pushes down
@@ -123,7 +126,7 @@ def test_energy_zero_field(example_spec, example_w, grid128):
 def test_gradient_map_positone_zero_is_critical(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     sup = support_of(example_w, grid128)
-    z = sp.zeros(grid128)
+    z = zero_potential(grid128)
     t0, res = fixed_point_map(z, sh, sup), sp.gradient_map(z, sh, sup)
     assert res == 0.0
     assert np.all(t0.values == 0.0)
@@ -181,14 +184,13 @@ def test_estimate_bg_dense_oracle(example_w, grid128):
     m = gv * g.r ** (g.dim - 1) * g.w
     root = np.sqrt(m)
     k4 = ring_kernel(g, g.dim - 4)
-    c = sp.riesz_constants(g.dim)
-    s_mat = c.r4 * root[:, None] * k4 * root[None, :]
+    s_mat = sp.riesz_r4(g.dim) * root[:, None] * k4 * root[None, :]
     top = eigh(s_mat, eigvals_only=True)[-1]
     assert lam == pytest.approx(top, rel=1e-2)
 
 
 def test_estimate_bg_zero_weight(grid128):
-    assert sp.estimate_bg(sp.zero_weight(), grid128) == 0.0
+    assert sp.estimate_bg(zero_weight(), grid128) == 0.0
 
 
 def test_estimate_bg_scales_linearly(example_w, grid128):
@@ -225,7 +227,7 @@ def test_c_lin_dense_oracle(example_w, grid128, geometry128):
     def dense_c_lin(weight, g):
         mg = sp.sample_on_grid(weight, g).values * g.r ** (g.dim - 1) * g.w
         k4 = ring_kernel(g, g.dim - 4)
-        return np.sqrt(g.sphere_area * sp.riesz_constants(g.dim).r4 * (mg @ k4 @ mg))
+        return np.sqrt(g.sphere_area * sp.riesz_r4(g.dim) * (mg @ k4 @ mg))
 
     assert geometry128.c_lin == pytest.approx(dense_c_lin(example_w, grid128), rel=1e-12)
     r_tab = np.linspace(0.0, 19.0, 40)
@@ -315,7 +317,7 @@ def test_weight_supported_far_out(example_spec):
     m = sp.sample_on_grid(w, g).values * g.r ** (g.dim - 1) * g.w
     root = np.sqrt(m)
     k4 = ring_kernel(g, g.dim - 4)
-    s_mat = sp.riesz_constants(g.dim).r4 * root[:, None] * k4 * root[None, :]
+    s_mat = sp.riesz_r4(g.dim) * root[:, None] * k4 * root[None, :]
     assert lam == pytest.approx(eigh(s_mat, eigvals_only=True)[-1], rel=1e-10)
     geo = sp.estimate_a1(example_spec, w, g)
     assert geo.b_g == lam and geo.a1 > 0 and np.isfinite(geo.beta)

@@ -30,7 +30,7 @@ def test_manufactured_solution_is_exact(dim):
     # kernel, inside, on and outside the support
     spec = SPECS[dim]()
     weight, u_star, level = manufactured(dim, spec)
-    r4, om = sp.riesz_constants(dim).r4, sp.sphere_area(dim)
+    r4, om = sp.riesz_r4(dim), sp.sphere_area(dim)
 
     def h(s):
         return 1e3 * ((s - 0.5) * (1.0 - s)) ** 2

@@ -14,7 +14,8 @@ from semipositone.nonlinearity import eval_f0prime
 from semipositone.radial_core import RadialField
 from semipositone.weight import sample_on_grid
 
-from conftest import fixed_point_map, random_trial_fields, support_of, weak_pairing
+from conftest import (fixed_point_map, random_trial_fields, support_of, weak_pairing,
+                      zero_nonlinearity, zero_potential)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ def test_make_bump_scales_bg_maximiser(grid128, geometry128):
     with pytest.raises(ValueError, match="nonnegative"):
         sp.make_bump(RadialField(grid128, -phi.values))
     with pytest.raises(ValueError, match="zero"):
-        sp.make_bump(sp.zeros(grid128))
+        sp.make_bump(zero_potential(grid128))
 
 
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
@@ -83,7 +84,7 @@ def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry12
 def test_find_vtilde_no_superlinearity(example_w, grid128):
     # pure shift (f = 0): I_a(t phi) = t^2/2 + a t int g phi > 0 for t > 0,
     # so the doubling search must hit its cap and raise
-    ladder = sp.vtilde_ladder(gaussian(grid128), sp.zero_nonlinearity(),
+    ladder = sp.vtilde_ladder(gaussian(grid128), zero_nonlinearity(),
                               support_of(example_w, grid128), 1.0)
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(1.0, ladder)
@@ -140,7 +141,7 @@ def test_ladder_reads_every_shift(dim, family, n, shift):
     read = slice(0, read[0] + 1 if read.size else t.size)
     want = sp.ray_levels(bump, sp.ShiftedNonlinearity(spec, a), sup, t[read])
     assert np.all(np.abs(levels[read] - want) <= 1e-12 * 0.5 * t[read] ** 2)
-    flat = sp.vtilde_ladder(gaussian(grid), sp.zero_nonlinearity(dim=dim), sup, geometry.rho)
+    flat = sp.vtilde_ladder(gaussian(grid), zero_nonlinearity(dim=dim), sup, geometry.rho)
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(a, flat)
 
@@ -343,7 +344,7 @@ def test_vtilde_cap_in_any_row_raises_as_one_row(tmp_path, example_spec, example
     # a row whose ray never turns negative stops the batch, and the sweep,
     # with the error its one-row solve raises: f = 0 in every row, or one
     # shift so large that a t outgrows F(t) up to the 2^30 rho cap
-    for spec, a_values in ((sp.zero_nonlinearity(), [0.5, 0.0]), (example_spec, [1e15, 0.0])):
+    for spec, a_values in ((zero_nonlinearity(), [0.5, 0.0]), (example_spec, [1e15, 0.0])):
         with pytest.raises(RuntimeError) as one:
             sp.mp_solve(sp.ShiftedNonlinearity(spec, a_values[0]), example_w, grid128,
                         None, geometry128)
@@ -379,7 +380,7 @@ def test_morse_certificate_on_example(positone128, example_spec, example_w, grid
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     m = grid128.r ** (grid128.dim - 1) * grid128.w
     fp = sample_on_grid(example_w, grid128).values * eval_f0prime(example_spec, positone128.u.values)
-    kern = sp.riesz_constants(grid128.dim).r4 * sp.ring_kernel(grid128, grid128.dim - 4)
+    kern = sp.riesz_r4(grid128.dim) * sp.ring_kernel(grid128, grid128.dim - 4)
     dense = np.sort(np.linalg.eigvals(kern * (m * fp)[None, :]).real)[::-1]
     np.testing.assert_allclose(d["morse_top_eigenvalues"], dense[:2], rtol=1e-8)
 
@@ -536,7 +537,7 @@ def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
     rng = np.random.default_rng(seed)
     u0 = rng.uniform(0.5, 1.5, n)
     mg = grid.r ** (dim - 1) * grid.w * sample_on_grid(weight, grid).values
-    kern = sp.riesz_constants(dim).r4 * sp.ring_kernel(grid, dim - 4)
+    kern = sp.riesz_r4(dim) * sp.ring_kernel(grid, dim - 4)
     # r4 K diag(m g f'(u0)) is similar to a symmetric matrix; scale u0 so its
     # top eigenvalue is `top` and keep the spectrum of I - r4 K D off zero
     sq = np.sqrt(mg * 2.0 * u0)
@@ -567,7 +568,7 @@ def test_morse_eigenvalues_match_dense(dim, n, support, seed):
     u = RadialField(grid, np.random.default_rng(seed).uniform(0.5, 1.5, n))
     d = sample_on_grid(weight, grid).values * 2.0 * u.values
     m = grid.r ** (dim - 1) * grid.w
-    kern = sp.riesz_constants(dim).r4 * sp.ring_kernel(grid, dim - 4)
+    kern = sp.riesz_r4(dim) * sp.ring_kernel(grid, dim - 4)
     dense = np.sort(np.linalg.eigvals(kern * (m * d)[None, :]).real)[::-1][:2]
     index, top = _index(u, sh, support_of(weight, grid))
     np.testing.assert_allclose(top, dense, rtol=1e-10, atol=0)

@@ -10,7 +10,7 @@ from semipositone.nonlinearity import T_BIG, growth_envelope
 
 from conftest import (bits, c_r_constant, check_prop33, envelope_refine, masked_f0, masked_Fa,
                       oracle_check_f1, oracle_check_f2, oracle_check_f3, oracle_check_f4,
-                      prop33_negative_excess)
+                      prop33_negative_excess, zero_nonlinearity)
 
 
 def test_critical_exponent_values():
@@ -353,7 +353,7 @@ def test_checker_counterexamples():
 
 
 @pytest.mark.parametrize("make", [
-    root_spec, hump_spec, sp.example_nonlinearity, sp.zero_nonlinearity, sp.linear_nonlinearity,
+    root_spec, hump_spec, sp.example_nonlinearity, zero_nonlinearity, sp.linear_nonlinearity,
     lambda: sp.power_nonlinearity(3.0, dim=7, gamma=3.0)])
 def test_checkers_match_per_call_sampling(make):
     # (f1)-(f4) read one f sample per spec, and (f4) its three shifted point

@@ -7,23 +7,27 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import riesz_values, ring_kernel_pairs
 
-from conftest import oracle_ring_kernel_pairs, ring_kernel_hyp2f1, support_of, weak_lp_profile
+from conftest import (newton_kernel, newton_potential, oracle_ring_kernel_pairs,
+                      ring_kernel_hyp2f1, support_of, weak_lp_profile)
 
 
 def test_riesz_constants_closed_forms():
+    # R4 |x|^{4-N} is the fundamental solution of Delta^2, and its -Delta is
+    # R2 |x|^{2-N}, that of -Delta, so 2 (N-4) R4 = R2 = 1/((N-2) omega_N)
     for dim in (5, 6, 8):
         om = sp.sphere_area(dim)
-        c = sp.riesz_constants(dim)
-        assert abs(c.r4 - 1.0 / (2.0 * (dim - 2) * (dim - 4) * om)) < 1e-15 * c.r4
-        assert abs(c.r2 - 1.0 / ((dim - 2) * om)) < 1e-15 * c.r2
+        r4, r2 = sp.riesz_r4(dim), 1.0 / ((dim - 2) * om)
+        assert abs(r4 - 1.0 / (2.0 * (dim - 2) * (dim - 4) * om)) < 1e-15 * r4
+        assert abs(2.0 * (dim - 4) * r4 - r2) < 1e-15 * r2
 
 
 def test_newton_identity_small():
     # kappa_{N-2}(r,s) = omega_N max(r,s)^{2-N}: spherical averages of the
-    # Newton kernel see a ring as a point at the larger radius
+    # Newton kernel see a ring as a point at the larger radius; the dense
+    # oracle sums the hypergeometric series, which stops at its first term
     for dim in (5, 6):
         g = sp.make_grid(dim, 96, 3.0)
-        km = sp.ring_kernel(g, dim - 2)
+        km = newton_kernel(g)
         rr = np.maximum.outer(g.r, g.r)
         with np.errstate(divide="ignore"):
             exact = g.sphere_area * rr ** (2.0 - dim)
@@ -201,25 +205,25 @@ def test_kernel_scaling_law(c, r, s):
 
 @pytest.mark.parametrize("dim", [5, 6, 7, 9])
 def test_closed_forms_against_quadrature(dim):
-    # ring_kernel is the closed form built from powers of r; at N - 4 it
-    # matches ring_kernel_pairs' own closed form, at N - 2 the hyp2f1 oracle
-    # (the Gauss sum on the diagonal, omega_N max^{-alpha} on the r = 0 row
-    # and column)
+    # ring_kernel is the closed form built from powers of r; it matches
+    # ring_kernel_pairs' own closed form and the hyp2f1 series (the Gauss sum
+    # on the diagonal), and omega_N max^{-alpha} on the r = 0 row; it exists
+    # at N - 4 only
     g = sp.make_grid(dim, 40, 6.0)
     rr, ss = np.meshgrid(g.r, g.r, indexing="ij")
-    for alpha in (dim - 4, dim - 2):
-        km = sp.ring_kernel(g, alpha)
-        assert km[0, 0] == 0.0
-        kernel = ring_kernel_pairs if alpha == dim - 4 else ring_kernel_hyp2f1
+    alpha = dim - 4
+    km = sp.ring_kernel(g, alpha)
+    assert km[0, 0] == 0.0
+    off = ~np.eye(g.n, dtype=bool)
+    diag = np.arange(1, g.n)
+    for kernel in (ring_kernel_pairs, ring_kernel_hyp2f1):
         oracle = kernel(dim, rr, ss, alpha)
-        off = ~np.eye(g.n, dtype=bool)
-        diag = np.arange(1, g.n)
         np.testing.assert_allclose(km[off], oracle[off], rtol=1e-12, atol=0)
         np.testing.assert_allclose(km[diag, diag], oracle[diag, diag],
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(km[0, 1:], g.sphere_area * g.r[1:] ** (-alpha),
-                                   rtol=1e-12, atol=0)
-    for bad in (dim - 3, dim - 1):
+    np.testing.assert_allclose(km[0, 1:], g.sphere_area * g.r[1:] ** (-alpha),
+                               rtol=1e-12, atol=0)
+    for bad in (dim - 3, dim - 2, dim - 1):
         with pytest.raises(ValueError, match="closed forms"):
             sp.ring_kernel(g, bad)
         with pytest.raises(ValueError, match="closed forms"):
@@ -231,13 +235,12 @@ def test_closed_forms_against_quadrature(dim):
        r_max=st.floats(min_value=1.0, max_value=40.0),
        lo=st.floats(min_value=0.0, max_value=1.0),
        hi=st.floats(min_value=0.0, max_value=1.0),
-       order=st.sampled_from([4, 2]),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-@example(dim=5, n=64, r_max=20.0, lo=0.0, hi=1.0, order=4, seed=0)
-@example(dim=9, n=17, r_max=3.0, lo=0.0, hi=0.1, order=2, seed=1)
-@example(dim=7, n=200, r_max=12.0, lo=0.9, hi=1.0, order=4, seed=2)
+@example(dim=5, n=64, r_max=20.0, lo=0.0, hi=1.0, seed=0)
+@example(dim=9, n=17, r_max=3.0, lo=0.0, hi=0.1, seed=1)
+@example(dim=7, n=200, r_max=12.0, lo=0.9, hi=1.0, seed=2)
 @settings(max_examples=60, deadline=None)
-def test_apply_potential_matches_dense(dim, n, r_max, lo, hi, order, seed):
+def test_apply_potential_matches_dense(dim, n, r_max, lo, hi, seed):
     # the O(n) prefix/suffix-sum apply against the dense closed-form product,
     # for nonnegative sources on [r_lo, r_hi]; lo = 0 puts mass at r = 0 and
     # hi = 1 carries the support out to r_max
@@ -246,7 +249,7 @@ def test_apply_potential_matches_dense(dim, n, r_max, lo, hi, order, seed):
     vals = np.zeros(n)
     vals[i0:i1 + 1] = np.random.default_rng(seed).uniform(0.1, 1.0, i1 + 1 - i0)
     h = RadialField(g, vals)
-    alpha = dim - order
+    alpha = dim - 4
     dense = sp.ring_kernel(g, alpha) @ (vals * g.r ** (dim - 1) * g.w)
     fast = sp.apply_potential(alpha, h).values
     np.testing.assert_allclose(fast, dense, rtol=1e-13, atol=0)
@@ -265,10 +268,9 @@ def test_riesz_solve_far_field_newton(grid256):
     g = grid256
     h = RadialField(g, np.where(g.r < 1.0, (1.0 - np.minimum(g.r, 1.0) ** 2) ** 4, 0.0))
     mass = sp.integrate(h)
-    c = sp.riesz_constants(g.dim)
-    neg_lap = c.r2 * sp.apply_potential(g.dim - 2, h).values
+    neg_lap = newton_potential(h).values
     far = g.r >= 2.0
-    expected = c.r2 * mass * g.r[far] ** (2.0 - g.dim)
+    expected = mass * g.r[far] ** (2.0 - g.dim) / ((g.dim - 2) * g.sphere_area)
     assert np.max(np.abs(neg_lap[far] - expected) / expected) < 1e-10
 
 
@@ -297,7 +299,7 @@ def test_potential_off_support_is_its_closed_form(dim, n):
     on = (g.r >= 0.5) & (g.r <= 1.0)
     h = RadialField(g, np.where(on, np.cos(3.0 * np.pi * g.r) - 0.2, 0.0))
     u = sp.riesz_solve(h).values
-    r4, c = sp.riesz_constants(dim).r4, (dim - 4.0) / dim
+    r4, c = sp.riesz_r4(dim), (dim - 4.0) / dim
 
     def moment(k):
         return r4 * g.sphere_area * np.sum(h.values * g.r ** k * g.w)
@@ -339,7 +341,7 @@ def test_support_kernel_is_t_on_s(dim, n, family, start, seed):
     nodes, kern = sup.nodes, sup.kernel
     assert nodes.size and nodes[0] > 0
     assert np.array_equal(kern, kern.T)
-    dense = (sp.riesz_constants(dim).r4 / grid.sphere_area
+    dense = (sp.riesz_r4(dim) / grid.sphere_area
              * sp.ring_kernel(grid, dim - 4)[np.ix_(nodes, nodes)])
     assert np.max(np.abs(kern - dense) / dense) <= 1e-14
     x = rng.standard_normal((3, nodes.size))

@@ -806,6 +806,72 @@ def test_test_and_script_imports_are_declared():
     assert imported - {"semipositone", "conftest"} <= _declared("test")
 
 
+def _names_read(path, roots):
+    """The names the file at path reads: loaded names, imported names,
+    attributes of a name in roots (`sp.run_sweep`, `rc.integrate`,
+    `sp.sweep_cli.emit`) and string constants (the tracer's TARGETS), each
+    outside the body of a def or class of that name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in roots:
+                name = node.attr
+        if name is not None and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_is_read_outside_tests():
+    # a name the package exports is read by another module of the package
+    # (or its own, outside its definition), by scripts/ or by perfbench/:
+    # the solver, the scripts and the benchmark, not a test-only fixture.
+    # The package and its modules are read through their aliases (the
+    # worker takes the package as its parameter sp)
+    src = os.path.join(ROOT, "src", "semipositone")
+    with open(os.path.join(src, "__init__.py")) as fh:
+        exported = {a.asname or a.name for node in ast.parse(fh.read()).body
+                    if isinstance(node, ast.ImportFrom) for a in node.names}
+    roots = {"sp", "semipositone", "rc"} | {
+        os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(src, "*.py"))}
+    paths = [p for p in glob.glob(os.path.join(src, "*.py")) if not p.endswith("__init__.py")]
+    paths += glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+    paths += glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    read = set().union(*(_names_read(p, roots) for p in paths))
+    assert sorted(exported - read) == []
+
+
+def test_module_entry_runs_without_warnings(tmp_path):
+    # python -m semipositone is the solve command; the package __init__ does
+    # not import it, so the run warns of nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "semipositone",
+                          "--config", os.path.join(ROOT, "scripts", "configs", "example.ini"),
+                          "--check-hypotheses", "--out", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "checks.json").is_file()
+
+
 def test_run_positone_script_small_ball():
     # r_max = 8 is enough once the norm is int h u on R^N: the script exits 0
     # (converged) and its two readings of the level agree

@@ -9,7 +9,7 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import bits, g2_left_side_direct, oracle_check_g1
+from conftest import bits, g2_left_side_direct, oracle_check_g1, zero_weight
 
 # a 3-piece table weight: g = 1, 1.4, 1.4, 0.3 at r = 0.5, 0.7, 0.85, 1.3
 TABLE_R, TABLE_G = [0.5, 0.7, 0.85, 1.3], [1.0, 1.4, 1.4, 0.3]
@@ -104,7 +104,7 @@ def test_check_g1_on_tables_matches_per_call_rule(dim, table):
 
 def test_check_g1_warns_on_zero_weight():
     with pytest.warns(UserWarning, match="degenerate"):
-        rep = sp.check_g1(sp.zero_weight())
+        rep = sp.check_g1(zero_weight())
     assert rep.details["warning"] == "degenerate weight"
 
 
