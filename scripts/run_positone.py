@@ -37,7 +37,11 @@ def main(argv=None):
     grid = sp.make_grid(args.dim, args.n, args.r_max)
 
     t0 = time.perf_counter()
-    geo = sp.estimate_a1(spec, weight, grid)
+    try:
+        geo = sp.estimate_a1(spec, weight, grid)
+    except sp.GeometryError as exc:  # as `solve` reports it
+        print("geometry error: %s" % exc, file=sys.stderr)
+        return 2
     t_geo = time.perf_counter() - t0
     print("geometry  (%.1fs)" % t_geo)
     print("  b_g   = %.6g    eps  = %.6g" % (geo.b_g, geo.eps))
@@ -46,7 +50,11 @@ def main(argv=None):
 
     shifted = sp.ShiftedNonlinearity(spec, 0.0)
     t0 = time.perf_counter()
-    sol = sp.mp_solve(shifted, weight, grid, None, geo)
+    try:
+        sol = sp.mp_solve(shifted, geo)
+    except RuntimeError as exc:  # the vtilde ladder cap or a pinned crest
+        print("solve error: %s" % exc, file=sys.stderr)
+        return 2
     t_solve = time.perf_counter() - t0
 
     u = sol.u

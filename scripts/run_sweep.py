@@ -23,12 +23,20 @@ def main(argv=None):
 
     try:
         cfg = sp.parse_config(args.config)
+        sp.build_problem(cfg)  # as `solve`: the weight and grid check their own inputs
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
     t0 = time.perf_counter()
-    report = sp.run_sweep(cfg)
+    try:
+        report = sp.run_sweep(cfg)
+    except sp.GeometryError as exc:  # as `solve` reports both
+        print("geometry error: %s" % exc, file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # the vtilde ladder cap or a pinned crest, in any row
+        print("solve error: %s" % exc, file=sys.stderr)
+        return 2
     dt = time.perf_counter() - t0
 
     print("sweep: %d rows in %.1f ms   (a1 = %.6g, beta = %.6g)"

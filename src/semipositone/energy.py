@@ -48,18 +48,19 @@ def i_a(u, shifted, sup):
     return 0.5 * rc.h2_inner(u, u) - float(n_values(u.values[sup.nodes], shifted, sup))
 
 
-def ray_levels(v, shifted, sup, t):
-    """I_a(t v) at every scale of the array t, of any shape; returns t.shape.
+def ray_levels(x, nsq, shifted, sup, t):
+    """I_a(t v) at every scale of the array t, of any shape, for the v with
+    support values x = v[S] and ||Delta v||^2 = nsq; returns t.shape.
 
     The norm is quadratic and g vanishes off supp g, so
-    I_a(t v) = t^2 ||Delta v||^2 / 2 - sum_S g F_a(t v): one norm for the
-    whole ray, and F_a on the (t.shape, m) array of scaled support values,
-    which an array of shifts shaped to broadcast against t (a[:, None, None]
-    for (k, j) scales) takes row by row.
+    I_a(t v) = t^2 nsq / 2 - sum_S g F_a(t x): one norm for the whole ray,
+    and F_a on the (t.shape, m) array of scaled support values, which an
+    array of shifts shaped to broadcast against t (a[:, None, None] for
+    (k, j) scales) takes row by row.
     """
     t = np.asarray(t, dtype=float)
-    f_a = eval_Fa(shifted, t[..., None] * v.values[sup.nodes])
-    return 0.5 * t * t * rc.h2_inner(v, v) - np.sum(sup.mass * f_a, axis=-1)
+    f_a = eval_Fa(shifted, t[..., None] * x)
+    return 0.5 * t * t * nsq - np.sum(sup.mass * f_a, axis=-1)
 
 
 def residuals(x, h, shifted, sup):

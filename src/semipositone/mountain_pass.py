@@ -26,7 +26,7 @@ The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
 F_a = F_0(t+) - a t, and share S, K_S, the bump and rho. As t bump >= 0,
 I_a(t bump) = I_0(t bump) + a t int g bump: `vtilde_ladder` takes the a = 0
 levels of the ladder once per batch, `find_vtilde` reads each row's scale
-off them, and `solve_shifts` takes the bump and those scales from its
+off them, and `solve_shifts` takes the ladder and those scales from its
 caller and carries the k shifts from there on as a leading row axis, with a
 entering as the column a[:, None] of one `ShiftedNonlinearity`: the crest
 is one (k, 17, m) evaluation, Newton one stacked solve per step over the
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radial_core as rc
-from .energy import estimate_a1, n_values, ray_levels, residuals
+from .energy import n_values, ray_levels, residuals
 from .nonlinearity import ShiftedNonlinearity, eval_f0, eval_f0prime, eval_fa
 from .riesz_potential import riesz_values
 
@@ -88,21 +88,23 @@ _T_CAP_DOUBLINGS = 30
 _PATH_NODES = 17  # nodes of the straight path from 0 to vtilde, both ends included
 
 
-def vtilde_ladder(phi, spec, sup, rho):
-    """The ray of every shift on spec, built once: (bump, t, level0, slope) for
-    bump = `make_bump(phi)`, t = 2 rho 2^j (j <= 30), the a = 0 levels on t
-    from one `ray_levels` call and t int g bump; I_a(t bump) = level0 + a slope."""
-    bump = make_bump(phi)
-    t = 2.0 * rho * 2.0 ** np.arange(_T_CAP_DOUBLINGS + 1)
+def vtilde_ladder(geometry, spec):
+    """The ray of every shift on spec, built once: (bump, nsq, t, level0, slope)
+    for bump = `make_bump(geometry.phi)`, nsq = ||Delta bump||^2, t = 2 rho 2^j
+    (j <= 30), the a = 0 levels on t from one `ray_levels` call and
+    t int g bump; I_a(t bump) = level0 + a slope."""
+    bump, sup = make_bump(geometry.phi), geometry.support
+    nsq, x = rc.h2_inner(bump, bump), bump.values[sup.nodes]
+    t = 2.0 * geometry.rho * 2.0 ** np.arange(_T_CAP_DOUBLINGS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        level0 = ray_levels(bump, ShiftedNonlinearity(spec, 0.0), sup, t)
-    return bump, t, level0, t * np.sum(sup.mass * bump.values[sup.nodes])
+        level0 = ray_levels(x, nsq, ShiftedNonlinearity(spec, 0.0), sup, t)
+    return bump, nsq, t, level0, t * np.sum(sup.mass * x)
 
 
 def find_vtilde(a, ladder):
     """Scale t of the first `vtilde_ladder` rung with level0 + a slope < 0 (-inf
     from an overflowed F counts, nan never does); none up to 2^30 rho raises."""
-    _, t, level0, slope = ladder
+    _, _, t, level0, slope = ladder
     negative = np.flatnonzero(level0 + a * slope < 0.0)
     if negative.size:
         return float(t[negative[0]])
@@ -114,6 +116,7 @@ def find_vtilde(a, ladder):
 
 # Newton takes 2 steps on the example; the bound only stops a stall.
 _NEWTON_MAX_ITER = 20
+_NEWTON_TOL = 1e-11  # a row stops at max|Phi| / scale below this
 
 # The (rows, m, m) stacks of Newton and of the certificate are built at most
 # this many bytes at a time, and always at least one row, so a wide support
@@ -177,20 +180,21 @@ def _newton_steps(fp, phi, sup):
     return dx, singular
 
 
-def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
+def _newton_polish(x0, scale, shifted, sup, max_iter):
     """Semi-smooth Newton on Phi(x) = x - T(g f_a(x)) for every row of the
     support values x0 (k, m), with Jacobian I - K_S diag(mass f_a'(x)) (f_a'
     taken 0 on x <= 0), over the rows still active. A row stops at
-    max|Phi| / scale < tol, and fails on a non-finite residual, a tenfold
-    rise after step 3, or a singular Jacobian.
+    max|Phi| / scale < _NEWTON_TOL, and fails on a non-finite residual, a
+    tenfold rise after step 3, or a singular Jacobian.
 
-    Returns (x, ok, residual, support): the final values, the mask of rows
-    that did not fail, and per row the list of max|Phi| at each iterate and
-    the list of support sizes (nodes where g f_a'(x) != 0), one per step.
+    Returns (x, ok, residual, steps, support): the final values, the mask of
+    rows that did not fail, and per row max|Phi| at each iterate, the steps
+    taken and the support size (nodes where g f_a'(x) != 0) at the last one.
     """
     k = len(x0)
     x = x0.copy()
-    residual, support = [[] for _ in range(k)], [[] for _ in range(k)]
+    residual = [[] for _ in range(k)]
+    steps, support = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     ok, best = np.ones(k, dtype=bool), np.full(k, np.inf)  # best: lowest res so far
     rows = np.arange(k)  # the rows still iterating; their state stays in x, ok, best
     for it in range(max_iter):
@@ -200,11 +204,11 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
         for i, r in zip(rows.tolist(), res.tolist()):
             residual[i].append(r)
         res /= scale[rows]
-        step = np.isfinite(res) & (res >= tol)
+        step = np.isfinite(res) & (res >= _NEWTON_TOL)
         if it > 2:
             step &= res <= 10.0 * best[rows]
         best[rows] = np.minimum(best[rows], res)
-        ok[rows[~step & ~(res < tol)]] = False  # a row leaves done (below tol) or failed
+        ok[rows[~step & ~(res < _NEWTON_TOL)]] = False  # a row leaves done (below tol) or failed
         rows = rows[step]
         if not rows.size:
             break
@@ -215,19 +219,20 @@ def _newton_polish(x0, scale, shifted, sup, max_iter, tol=1e-11):
         moved[singular] = False
         rows = rows[moved]
         x[rows] -= dx[moved]
-        for i, c in zip(rows.tolist(), np.count_nonzero(fp[moved], axis=1).tolist()):
-            support[i].append(c)
-    return x, ok, residual, support
+        steps[rows] += 1
+        support[rows] = np.count_nonzero(fp[moved], axis=1)
+    return x, ok, residual, steps, support
 
 
-def _crest(bump, t, shifted, sup):
+def _crest(ladder, t, shifted, sup):
     """Highest of _PATH_NODES evenly spaced nodes on the straight path from 0
     to each endpoint t_i bump, all levels from one `ray_levels` call on the
-    (k, _PATH_NODES) scales. Returns the crest scales c = s* t, the crest
-    levels and the endpoint levels; raises when a maximizer is pinned at an
-    endpoint."""
+    (k, _PATH_NODES) scales on the bump and norm of the ladder. Returns the
+    crest scales c = s* t, the crest levels and the endpoint levels; raises
+    when a maximizer is pinned at an endpoint."""
     s = np.linspace(0.0, 1.0, _PATH_NODES)
-    levels = ray_levels(bump, ShiftedNonlinearity(shifted.base, shifted.a[..., None]), sup,
+    levels = ray_levels(ladder[0].values[sup.nodes], ladder[1],
+                        ShiftedNonlinearity(shifted.base, shifted.a[..., None]), sup,
                         s * t[:, None])
     k_star = np.argmax(levels, axis=1)
     if k_star.min() == 0 or k_star.max() == _PATH_NODES - 1:
@@ -235,11 +240,11 @@ def _crest(bump, t, shifted, sup):
     return s[k_star] * t, levels[np.arange(len(t)), k_star], levels[:, -1]
 
 
-def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
+def solve_shifts(spec, a_values, ladder, scales, geometry, config=None):
     """`mp_solve` for every shift a of a_values at once, from its endpoint
-    t bump, t the scale of the same position in scales (`find_vtilde` of that
-    shift on the ladder of this bump: the scales mean nothing on another), on
-    geometry.support: the rows differ only by the constant a in
+    t bump on the ladder, t the scale of the same position in scales
+    (`find_vtilde` of that shift on this ladder: the scales mean nothing on
+    another), on geometry.support: the rows differ only by the constant a in
     f_a = f_0 - a, so each stage runs once on the support values of all rows,
     and each row's final source becomes a grid field by one potential over
     (k, n) at the end. Returns one MPSolution per shift, in order."""
@@ -261,9 +266,9 @@ def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
             warnings.warn(warned[-1][-1])
 
     # each crest is c bump, so its values, source and norm are the bump's times c
-    c, crest_level, vtilde_level = _crest(bump, t, shifted, sup)
+    c, crest_level, vtilde_level = _crest(ladder, t, shifted, sup)
+    bump, bump_norm = ladder[0], np.sqrt(ladder[1])
     x0, h0 = c[:, None] * bump.values[nodes], c[:, None] * bump.source[nodes]
-    bump_norm = rc.h2_norm(bump)
     crest_norm = c * bump_norm
     crest_res = residuals(x0, h0, shifted, sup)
     res_rel = crest_res / np.maximum(1.0, crest_norm)
@@ -271,7 +276,7 @@ def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
     # Newton polish; the candidate is T(x) = K_S (mass f_a(x)) on S with source
     # g f_a(x) (a failed polish stands in as its crest and is never accepted)
     scale = np.maximum(1.0, c * np.max(bump.values))
-    x, ok, newton_res, newton_support = _newton_polish(x0, scale, shifted, sup,
+    x, ok, newton_res, steps, support = _newton_polish(x0, scale, shifted, sup,
                                                        _NEWTON_MAX_ITER)
     f_x = eval_fa(shifted, np.where(ok[:, None], x, x0))
     hc = sup.g[nodes] * f_x
@@ -306,13 +311,12 @@ def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
 
     sols = []
     for i in range(k):
-        steps = len(newton_support[i])
         diag = {
             "rim_ok": bool(final_level[i] >= geometry.beta - 1e-6),
             "newton_used": bool(used[i]),
-            "newton_iterations": steps,
+            "newton_iterations": int(steps[i]),
             "newton_residual_history": np.asarray(newton_res[i]),
-            "support_nodes": newton_support[i][-1] if steps else None,
+            "support_nodes": int(support[i]) if steps[i] else None,
             "morse_index": int(index[i]),
             "morse_top_eigenvalues": top[i],
             "warnings": warned[i],
@@ -327,22 +331,17 @@ def solve_shifts(spec, a_values, bump, scales, geometry, config=None):
         }
         sols.append(MPSolution(u=rc.RadialField(grid, vals[i], src[i]),
                                level=float(final_level[i]), residual=float(final_res[i]),
-                               a=float(a[i]), iterations=1 + steps if used[i] else 1,
+                               a=float(a[i]), iterations=1 + int(steps[i]) if used[i] else 1,
                                converged=bool(converged[i]), diagnostics=diag))
     return sols
 
 
-def mp_solve(shifted, weight, grid, config=None, geometry=None):
+def mp_solve(shifted, geometry):
     """Crest of the straight path, Newton polish, Morse-index certificate, for
-    one shift a, on geometry.support, which must lie on grid: `vtilde_ladder`
-    and `find_vtilde`, then `solve_shifts` with one row. Converged means a
-    relative residual within tol_res at a point of Morse index 1; otherwise
-    the crest comes back non-converged."""
-    if geometry is None:
-        geometry = estimate_a1(shifted.base, weight, grid)
-    sup = geometry.support
-    if sup.grid is not grid:
-        raise ValueError("geometry was estimated on another grid than the one solved on")
-    ladder = vtilde_ladder(geometry.phi, shifted.base, sup, geometry.rho)
+    one shift a, on geometry.support: `vtilde_ladder` and `find_vtilde`, then
+    `solve_shifts` with one row. Converged means a relative residual within
+    tol_res at a point of Morse index 1; otherwise the crest comes back
+    non-converged."""
+    ladder = vtilde_ladder(geometry, shifted.base)
     t = find_vtilde(shifted.a, ladder)
-    return solve_shifts(shifted.base, [shifted.a], ladder[0], [t], geometry, config)[0]
+    return solve_shifts(shifted.base, [shifted.a], ladder, [t], geometry)[0]

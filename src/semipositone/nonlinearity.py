@@ -121,40 +121,39 @@ def example_nonlinearity(dim=5, gamma=2.5):
                             name="paper_example", F_closed=F, fprime=fprime)
 
 
-def power_nonlinearity(power, dim=5, gamma=None, coef=1.0):
-    """f(t) = coef t^power; gamma defaults to the exact growth power + 1."""
+def power_nonlinearity(power, dim=5, gamma=None):
+    """f(t) = t^power, so c_f = 1; gamma defaults to the exact growth power + 1."""
     if gamma is None:
         gamma = power + 1.0
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        return coef * t ** power
+        return t ** power
 
     def F(t):
         t = np.asarray(t, dtype=float)
-        return coef * t ** (power + 1.0) / (power + 1.0)
+        return t ** (power + 1.0) / (power + 1.0)
 
     def fprime(t):
         t = np.asarray(t, dtype=float)
-        return coef * power * t ** (power - 1.0)
+        return power * t ** (power - 1.0)
 
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=float(coef), r_mono=1.0, dim=dim,
+    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim,
                             name="power", F_closed=F, fprime=fprime)
 
 
-def linear_nonlinearity(slope=1.0, dim=5, gamma=2.5):
-    """f(t) = slope * t. Fails superlinearity; used as a checker counterexample."""
+def linear_nonlinearity(dim=5, gamma=2.5):
+    """f(t) = t, so c_f = 1; the `linear` family, a superlinearity counterexample."""
     def f(t):
-        t = np.asarray(t, dtype=float)
-        return slope * t
+        return np.array(t, dtype=float)
 
     def F(t):
         t = np.asarray(t, dtype=float)
-        return 0.5 * slope * t * t
+        return 0.5 * t * t
 
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=float(slope),
+    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0,
                             r_mono=1.0, dim=dim, name="linear",
-                            F_closed=F, fprime=lambda t: np.full_like(np.asarray(t, dtype=float), slope))
+                            F_closed=F, fprime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def eval_f(spec, t):

@@ -23,8 +23,8 @@ check, and N - 4 for `support`, which takes it on the nodes S of supp g
 as the symmetric m x m kernel of T on S, built once per problem and read
 by every iterative stage of the solver. kappa_{N-4} on the grid is a sum
 of two products f(rho) g(R), so `apply_potential` evaluates a potential
-in O(n) from prefix and suffix sums of the source; `ring_kernel` is the
-kernel as a dense matrix, a test oracle.
+in O(n) from prefix and suffix sums of the source; `ring_kernel` is
+`ring_kernel_pairs` on grid x grid as a dense matrix, a test oracle.
 `riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
 is all the D^{2,2} products of `radial_core.h2_inner` need; `riesz_values`
 is the same potential for every row of a (k, n) stack of sources.
@@ -66,38 +66,20 @@ def ring_kernel_pairs(dim, r, s, alpha):
                      % (alpha, dim - 4, 2 * dim))
 
 
-def _kernel_coeffs(grid, alpha):
-    """Powers of r for kappa_{N-4} = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}).
-
-    Returns (r^{-alpha}, r^{-alpha-2}, c = (N-4)/N) with both powers set to 0
-    at r = 0, which gives K[0, 0] = 0 (its volume weight vanishes) and leaves
-    K[0, j] = omega_N s_j^{-alpha} exact; any other alpha raises ValueError.
-    """
-    alpha = float(alpha)
-    if alpha != grid.dim - 4.0:
+def _check_order(grid, alpha):
+    """The one order the grid kernels take: alpha = N-4, else ValueError."""
+    if float(alpha) != grid.dim - 4.0:
         raise ValueError("alpha=%g: closed forms exist for N-4=%d only" % (alpha, grid.dim - 4))
-    c = (grid.dim - 4.0) / grid.dim
-    r = grid.r
-    p0 = np.zeros(grid.n)
-    p2 = np.zeros(grid.n)
-    p0[1:] = r[1:] ** (-alpha)
-    p2[1:] = p0[1:] / (r[1:] * r[1:])
-    return p0, p2, c
 
 
 def ring_kernel(grid, alpha):
-    """Dense kappa_alpha(r_i, s_j) matrix over the grid, alpha = N-4.
-
-    Row i, column j >= i has R = s_j and rho = r_i; the lower triangle is its
-    mirror image.
-    """
-    p0, p2, c = _kernel_coeffs(grid, alpha)
-    om = grid.sphere_area
-    entries = np.multiply.outer(-c * om * grid.r * grid.r, p2)
-    entries += om * p0
-    lower = np.tri(grid.n, k=-1, dtype=bool)
-    entries[lower] = entries.T[lower]
-    return entries
+    """Dense kappa_alpha(r_i, s_j) matrix over the grid, alpha = N-4:
+    `ring_kernel_pairs` on grid x grid, with K[0, 0] = 0 (its volume weight
+    vanishes) in place of +inf."""
+    _check_order(grid, alpha)
+    kern = ring_kernel_pairs(grid.dim, grid.r[:, None], grid.r, alpha)
+    kern[0, 0] = 0.0
+    return kern
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +123,19 @@ def support(g_field):
     return Support(grid=grid, g=g, nodes=nodes, mass=mass, kernel=kernel)
 
 
-def _potential(grid, alpha, src):
-    """kappa_alpha potentials of the rows of src (..., n) in O(n) each, from
-    prefix and suffix sums along the last axis."""
-    p0, p2, c = _kernel_coeffs(grid, alpha)
-    r2 = grid.r * grid.r
+def _potential(grid, src):
+    """kappa_{N-4} = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}) potentials of
+    the rows of src (..., n) in O(n) each, from prefix and suffix sums along
+    the last axis. Both powers of r are 0 at r = 0, which gives K[0, 0] = 0
+    (its volume weight vanishes) and leaves K[0, j] = omega_N s_j^{-alpha}."""
+    alpha = grid.dim - 4.0
+    c = alpha / grid.dim
+    r = grid.r
+    p0 = np.zeros(grid.n)
+    p2 = np.zeros(grid.n)
+    p0[1:] = r[1:] ** (-alpha)
+    p2[1:] = p0[1:] / (r[1:] * r[1:])
+    r2 = r * r
     src = src * grid.r_pow * grid.w
 
     def outer(x):
@@ -160,13 +150,15 @@ def _potential(grid, alpha, src):
 
 
 def apply_potential(alpha, h):
-    """(I_alpha h)(r_i) = sum_j kappa_alpha(r_i, s_j) h(s_j) s_j^{N-1} w_j in O(n).
+    """(I_alpha h)(r_i) = sum_j kappa_alpha(r_i, s_j) h(s_j) s_j^{N-1} w_j in O(n),
+    alpha = N-4.
 
     kappa already integrates over the sphere, so the quadrature carries the
     radial measure only. The sum splits at s_j = r_i: R = r_i on the inner
     part (s_j <= r_i), R = s_j on the outer part (s_j > r_i).
     """
-    return RadialField(h.grid, _potential(h.grid, alpha, h.values))
+    _check_order(h.grid, alpha)
+    return RadialField(h.grid, _potential(h.grid, h.values))
 
 
 def riesz_values(grid, sources):
@@ -174,7 +166,7 @@ def riesz_values(grid, sources):
     stack sources, in one O(n) pass per row."""
     if not np.all(np.isfinite(sources)):
         raise ValueError("source has non-finite values (divergent norms)")
-    return riesz_r4(grid.dim) * _potential(grid, grid.dim - 4, sources)
+    return riesz_r4(grid.dim) * _potential(grid, sources)
 
 
 def riesz_solve(h):

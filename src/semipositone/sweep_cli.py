@@ -260,9 +260,9 @@ def run_sweep(cfg, a_values=None):
     a_desc = sorted({float(a) for a in a_values if a > 0}, reverse=True)
     a_desc.append(0.0)  # positone row always present, always last
 
-    ladder = vtilde_ladder(geometry.phi, spec, geometry.support, geometry.rho)
+    ladder = vtilde_ladder(geometry, spec)
     scales = [find_vtilde(a, ladder) for a in a_desc]
-    sols = solve_shifts(spec, a_desc, ladder[0], scales, geometry, cfg.mp)
+    sols = solve_shifts(spec, a_desc, ladder, scales, geometry, cfg.mp)
     rows = _rows_from_solutions(sols, spec, geometry.support)
     profiles = {sol.a: sol.u.values for sol in sols}
 

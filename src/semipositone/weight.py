@@ -38,7 +38,6 @@ class WeightSpec:
     dim: int
     r_in: float
     r_out: float
-    d: float = 0.0
     name: str = "custom"
     knots: tuple = ()
     norms: dict = field(default_factory=dict, init=False)
@@ -129,14 +128,14 @@ def example_weight(d=1.0, r_in=0.5, r_out=1.0, dim=5):
         out[inside] = r[inside] ** (-d)
         return out if out.ndim else float(out)
 
-    spec = WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out, d=d,
+    spec = WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out,
                       name="paper_example")
     spec.norms.update((p, _annulus_lp(dim, d, r_in, r_out, p)) for p in
                       (1.0, float(dim) / 4.0, _conjugate(critical_exponent(dim)), np.inf))
     return spec
 
 
-def table_weight(r_values, g_values, dim=5, name="custom_table"):
+def table_weight(r_values, g_values, dim=5):
     """Piecewise-linear weight from tabulated (r, g) samples; zero outside
     the tabulated range."""
     r_values = np.asarray(r_values, dtype=float)
@@ -157,7 +156,7 @@ def table_weight(r_values, g_values, dim=5, name="custom_table"):
         return np.interp(r, r_values, g_values, left=0.0, right=0.0)
 
     return WeightSpec(profile=profile, dim=dim, r_in=float(r_values[0]),
-                      r_out=float(r_values[-1]), name=name,
+                      r_out=float(r_values[-1]), name="custom_table",
                       knots=tuple(r_values[1:-1].tolist()))
 
 

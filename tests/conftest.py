@@ -571,6 +571,6 @@ def geometry128(example_spec, example_w, grid128):
 
 
 @pytest.fixture(scope="session")
-def positone512(example_spec, example_w, grid512, geometry512):
+def positone512(example_spec, geometry512):
     shifted = sp.ShiftedNonlinearity(example_spec, 0.0)
-    return sp.mp_solve(shifted, example_w, grid512, None, geometry512)
+    return sp.mp_solve(shifted, geometry512)

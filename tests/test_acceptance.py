@@ -118,7 +118,7 @@ def test_criterion_5_g2_verification(example_w):
 def test_criterion_6_positone_solve(example_spec, example_w, grid512, geometry512):
     t0 = time.time()
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    sol = sp.mp_solve(sh, example_w, grid512, None, geometry512)
+    sol = sp.mp_solve(sh, geometry512)
     elapsed = time.time() - t0
     assert elapsed < 300.0
     nh2 = sp.h2_norm(sol.u)

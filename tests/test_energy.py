@@ -78,7 +78,7 @@ def test_ray_levels_match_i_a(dim, family, shift, signed, top, seed):
     sup = support_of(weight, grid)
     on_support = np.max(np.abs(v.values[sup.g > 0]))
     t = np.linspace(0.0, top / on_support, 9)
-    levels = sp.ray_levels(v, sh, sup, t)
+    levels = sp.ray_levels(v.values[sup.nodes], sp.h2_inner(v, v), sh, sup, t)
     assert levels.shape == t.shape
     for t_k, level in zip(t, levels):
         ref = sp.i_a(RadialField(grid, t_k * v.values), sh, sup)

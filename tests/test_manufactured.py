@@ -58,8 +58,8 @@ def test_level_converges_to_manufactured_level(dim):
     weight, _, level = manufactured(dim, spec)
     errors = []
     for n in (256, 512, 1024):
-        sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), weight,
-                          sp.make_grid(dim, n, 20.0))
+        geo = sp.estimate_a1(spec, weight, sp.make_grid(dim, n, 20.0))
+        sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geo)
         assert sol.converged
         assert sol.diagnostics["morse_index"] == 1
         errors.append(abs(sol.level - level) / level)

@@ -19,34 +19,31 @@ from conftest import (fixed_point_map, random_trial_fields, support_of, weak_pai
 
 
 @pytest.fixture(scope="module")
-def positone128(example_spec, example_w, grid128, geometry128):
+def positone128(example_spec, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    return sp.mp_solve(sh, example_w, grid128, None, geometry128)
+    return sp.mp_solve(sh, geometry128)
 
 
 def _polish(u0, sh, sup, max_iter):
     """The Newton polish of the one field u0 as a grid field, with its step
     count; None when it fails."""
     scale = np.array([max(1.0, np.max(np.abs(u0.values)))])
-    x, ok, _, support = mp._newton_polish(u0.values[sup.nodes][None], scale,
-                                          sp.ShiftedNonlinearity(sh.base, np.array([[sh.a]])), sup, max_iter)
+    shifted = sp.ShiftedNonlinearity(sh.base, np.array([[sh.a]]))
+    x, ok, _, steps, _ = mp._newton_polish(u0.values[sup.nodes][None], scale, shifted, sup,
+                                           max_iter)
     if not ok[0]:
         return None
     src = np.zeros(u0.grid.n)
     src[sup.nodes] = sup.g[sup.nodes] * sp.eval_fa(sh, x[0])
-    return sp.riesz_solve(RadialField(u0.grid, src)), len(support[0])
-
-
-def _ladder(spec, geometry):
-    return sp.vtilde_ladder(geometry.phi, spec, geometry.support, geometry.rho)
+    return sp.riesz_solve(RadialField(u0.grid, src)), steps[0]
 
 
 def _solve_batch(spec, a_values, geometry):
     """The shifts of a_values in one batch, from the scales of their
     endpoints on one ladder, as `run_sweep` solves a sweep."""
-    ladder = _ladder(spec, geometry)
+    ladder = sp.vtilde_ladder(geometry, spec)
     scales = [sp.find_vtilde(a, ladder) for a in a_values]
-    return mp.solve_shifts(spec, a_values, ladder[0], scales, geometry)
+    return mp.solve_shifts(spec, a_values, ladder, scales, geometry)
 
 
 def _index(u, sh, sup):
@@ -74,18 +71,18 @@ def test_make_bump_scales_bg_maximiser(grid128, geometry128):
 
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
-    ladder = _ladder(example_spec, geometry128)
+    ladder = sp.vtilde_ladder(geometry128, example_spec)
     t = sp.find_vtilde(1.0, ladder)
     v = sp.scale(ladder[0], t)
     assert sp.i_a(v, sh, geometry128.support) < 0.0
     assert sp.h2_norm(v) > geometry128.rho
 
 
-def test_find_vtilde_no_superlinearity(example_w, grid128):
+def test_find_vtilde_no_superlinearity(grid128, geometry128):
     # pure shift (f = 0): I_a(t phi) = t^2/2 + a t int g phi > 0 for t > 0,
     # so the doubling search must hit its cap and raise
-    ladder = sp.vtilde_ladder(gaussian(grid128), zero_nonlinearity(),
-                              support_of(example_w, grid128), 1.0)
+    ladder = sp.vtilde_ladder(dataclasses.replace(geometry128, phi=gaussian(grid128), rho=1.0),
+                              zero_nonlinearity())
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(1.0, ladder)
 
@@ -96,7 +93,8 @@ def _find_vtilde_loop(shifted, sup, bump, rho):
     t = 2.0 * rho
     for _ in range(mp._T_CAP_DOUBLINGS + 1):
         if sp.i_a(sp.scale(bump, t), shifted, sup) < 0.0:
-            return t, sp.ray_levels(bump, shifted, sup, [t])[0]
+            return t, sp.ray_levels(bump.values[sup.nodes], sp.h2_inner(bump, bump), shifted,
+                                    sup, [t])[0]
         t *= 2.0
     return None
 
@@ -128,8 +126,8 @@ def test_ladder_reads_every_shift(dim, family, n, shift):
     assume(found is not None)
     spec, grid, geometry = found
     a, sup = shift * geometry.a1, geometry.support
-    ladder = _ladder(spec, geometry)
-    bump, t, level0, slope = ladder
+    ladder = sp.vtilde_ladder(geometry, spec)
+    bump, nsq, t, level0, slope = ladder
     ref = _find_vtilde_loop(sp.ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
     if ref is None:
         with pytest.raises(RuntimeError, match="superlinearity"):
@@ -139,9 +137,11 @@ def test_ladder_reads_every_shift(dim, family, n, shift):
     levels = level0 + a * slope
     read = np.flatnonzero(levels < 0.0)
     read = slice(0, read[0] + 1 if read.size else t.size)
-    want = sp.ray_levels(bump, sp.ShiftedNonlinearity(spec, a), sup, t[read])
+    want = sp.ray_levels(bump.values[sup.nodes], nsq, sp.ShiftedNonlinearity(spec, a), sup,
+                         t[read])
     assert np.all(np.abs(levels[read] - want) <= 1e-12 * 0.5 * t[read] ** 2)
-    flat = sp.vtilde_ladder(gaussian(grid), zero_nonlinearity(dim=dim), sup, geometry.rho)
+    flat = sp.vtilde_ladder(dataclasses.replace(geometry, phi=gaussian(grid)),
+                            zero_nonlinearity(dim=dim))
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(a, flat)
 
@@ -152,7 +152,7 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
     # each row's crest is the node that a list of i_a levels picks, and the
     # path's last level is the one-row ladder's level of that scale bit for
     # bit, and i_a of the endpoint field to the crest's 1e-12
-    ladder = _ladder(example_spec, geometry128)
+    ladder = sp.vtilde_ladder(geometry128, example_spec)
     bump, sup = ladder[0], geometry128.support
     a_values = np.array(sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0])
     scales, rungs = [], []
@@ -163,7 +163,7 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
         assert scales[-1] == ref
         rungs.append(rung)
     crest_scale, crest_level, end = mp._crest(
-        bump, np.array(scales), sp.ShiftedNonlinearity(example_spec, a_values[:, None]), sup)
+        ladder, np.array(scales), sp.ShiftedNonlinearity(example_spec, a_values[:, None]), sup)
     for i, (a, t) in enumerate(zip(a_values, scales)):
         sh = sp.ShiftedNonlinearity(example_spec, a)
         s = np.linspace(0.0, 1.0, 17)
@@ -218,7 +218,7 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
     levels, norms = [], []
     for r_max in (4, 8, 12, 20, 40):
         grid = sp.make_grid(5, 32 * r_max + 1, float(r_max))
-        sol = sp.mp_solve(sh, example_w, grid)
+        sol = sp.mp_solve(sh, sp.estimate_a1(example_spec, example_w, grid))
         assert sol.converged and sol.diagnostics["morse_index"] == 1
         u = sol.u.values
         gv = sample_on_grid(example_w, grid).values
@@ -235,15 +235,6 @@ def test_level_independent_of_r_max(example_spec, example_w, a):
     np.testing.assert_allclose(norms, norms[-1], rtol=1e-12, atol=0)
 
 
-def test_mp_solve_rejects_geometry_of_another_grid(example_spec, example_w, geometry128):
-    # the geometry carries the support it was estimated on; a solve on any
-    # other grid, even one of the same size, would index it wrongly
-    sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    for grid in (sp.make_grid(5, 128, 12.0), sp.make_grid(5, 128, 20.0)):
-        with pytest.raises(ValueError, match="another grid"):
-            sp.mp_solve(sh, example_w, grid, None, geometry128)
-
-
 def _assert_same_solve(sol, one):
     # a batch row against the one-row solve of its shift
     d, e = sol.diagnostics, one.diagnostics
@@ -258,7 +249,7 @@ def _assert_same_solve(sol, one):
     assert np.max(np.abs(sol.u.values - one.u.values)) <= 1e-12 * scale
 
 
-def test_batch_matches_one_row_solves(example_spec, example_w, grid128, geometry128):
+def test_batch_matches_one_row_solves(example_spec, geometry128):
     # every row of the default n = 128 sweep, solved in one batch, is the
     # solve of its shift alone
     a_values = sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0]
@@ -266,7 +257,7 @@ def test_batch_matches_one_row_solves(example_spec, example_w, grid128, geometry
     assert [sol.a for sol in batch] == a_values
     for a, sol in zip(a_values, batch):
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        _assert_same_solve(sol, sp.mp_solve(sh, example_w, grid128, None, geometry128))
+        _assert_same_solve(sol, sp.mp_solve(sh, geometry128))
     assert all(sol.converged for sol in batch)
 
 
@@ -298,12 +289,11 @@ def test_power_sweep_is_deterministic_and_solves_each_row(dim, power, n, fractio
     geo = report.geometry
     for sol in batches[0]:
         sh = sp.ShiftedNonlinearity(spec, sol.a)
-        _assert_same_solve(sol, sp.mp_solve(sh, weight, geo.support.grid, None, geo))
+        _assert_same_solve(sol, sp.mp_solve(sh, geo))
     assert all(abs(r.decay_fit / r.decay_pred - 1.0) <= 1e-9 for r in report.rows if r.converged)
 
 
-def test_mixed_batch_accepts_and_rejects_per_row(example_spec, example_w, grid128,
-                                                 geometry128):
+def test_mixed_batch_accepts_and_rejects_per_row(example_spec, geometry128):
     # the level falls with a: a rim between the polished levels of the top
     # shift and of a = 0 keeps the first polish and sends the second row back
     # to its crest, each as its one-row solve does
@@ -316,7 +306,7 @@ def test_mixed_batch_accepts_and_rejects_per_row(example_spec, example_w, grid12
     assert batch[1].level == batch[1].diagnostics["crest_level"] and not batch[1].converged
     for a, sol in zip(a_values, batch):
         sh = sp.ShiftedNonlinearity(example_spec, a)
-        _assert_same_solve(sol, sp.mp_solve(sh, example_w, grid128, None, geo))
+        _assert_same_solve(sol, sp.mp_solve(sh, geo))
 
 
 def test_singular_row_fails_alone(monkeypatch, example_spec, example_w, grid128, geometry128):
@@ -339,15 +329,13 @@ def test_singular_row_fails_alone(monkeypatch, example_spec, example_w, grid128,
     _assert_same_solve(good, ref[1])
 
 
-def test_vtilde_cap_in_any_row_raises_as_one_row(tmp_path, example_spec, example_w, grid128,
-                                                 geometry128):
+def test_vtilde_cap_in_any_row_raises_as_one_row(tmp_path, example_spec, geometry128):
     # a row whose ray never turns negative stops the batch, and the sweep,
     # with the error its one-row solve raises: f = 0 in every row, or one
     # shift so large that a t outgrows F(t) up to the 2^30 rho cap
     for spec, a_values in ((zero_nonlinearity(), [0.5, 0.0]), (example_spec, [1e15, 0.0])):
         with pytest.raises(RuntimeError) as one:
-            sp.mp_solve(sp.ShiftedNonlinearity(spec, a_values[0]), example_w, grid128,
-                        None, geometry128)
+            sp.mp_solve(sp.ShiftedNonlinearity(spec, a_values[0]), geometry128)
         with pytest.raises(RuntimeError, match="superlinearity") as batch:
             _solve_batch(spec, a_values, geometry128)
         assert str(batch.value) == str(one.value)
@@ -363,8 +351,8 @@ def test_solve_shifts_rejects_negative_shift(example_spec, geometry128):
     with pytest.raises(ValueError, match="nonnegative"):
         sp.ShiftedNonlinearity(example_spec, -1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        mp.solve_shifts(example_spec, [0.0, -1.0], sp.make_bump(geometry128.phi), [1.0, 1.0],
-                        geometry128)
+        mp.solve_shifts(example_spec, [0.0, -1.0], sp.vtilde_ladder(geometry128, example_spec),
+                        [1.0, 1.0], geometry128)
 
 
 def test_newton_polish_engages(positone128):
@@ -391,7 +379,7 @@ def test_polish_above_crest_is_accepted(example_w, grid256):
     # gives r4 K D u = 3 u: the top eigenvalue is exactly p
     spec = sp.power_nonlinearity(3.0, gamma=3.5)
     geo = sp.estimate_a1(spec, example_w, grid256)
-    sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid256, None, geo)
+    sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geo)
     d = sol.diagnostics
     assert sol.level > d["crest_level"]
     assert sol.converged and d["newton_used"]
@@ -405,10 +393,10 @@ def test_beta_floor_rejects_spurious_polish(example_spec, example_w):
     grid = sp.make_grid(5, 128, 12.0)
     geo = sp.estimate_a1(example_spec, example_w, grid)
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    good = sp.mp_solve(sh, example_w, grid, None, geo)
+    good = sp.mp_solve(sh, geo)
     assert good.converged and good.diagnostics["newton_used"]
     high = dataclasses.replace(geo, beta=2.0 * good.level)
-    sol = sp.mp_solve(sh, example_w, grid, None, high)
+    sol = sp.mp_solve(sh, high)
     assert not sol.converged and not sol.diagnostics["newton_used"]
     assert sol.level == sol.diagnostics["crest_level"]
     polished, _ = _polish(sol.u, sh, geo.support, 20)
@@ -416,26 +404,24 @@ def test_beta_floor_rejects_spurious_polish(example_spec, example_w):
     assert sp.i_a(polished, sh, geo.support) < high.beta
 
 
-def test_polish_of_higher_index_is_rejected(monkeypatch, example_spec, example_w,
-                                            grid128, geometry128):
+def test_polish_of_higher_index_is_rejected(monkeypatch, example_spec, geometry128):
     # a polished point that is not of mountain-pass type is no solution: the
     # crest comes back, non-converged, with the index that was read
     monkeypatch.setattr(mp, "_morse_index", lambda x, sh, sup: (
         np.full(len(x), 2), np.tile([3.0, 1.5], (len(x), 1))))
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+    sol = sp.mp_solve(sh, geometry128)
     d = sol.diagnostics
     assert not sol.converged and not d["newton_used"]
     assert sol.level == d["crest_level"] and sol.iterations == 1
     assert d["morse_index"] == 2
 
 
-def test_solution_positive_despite_shift(example_spec, example_w, grid128,
-                                         geometry128, positone128):
+def test_solution_positive_despite_shift(example_spec, grid128, geometry128, positone128):
     # small-a solve stays positive everywhere and lands near the positone
     a = 0.01 * geometry128.a1
     sh = sp.ShiftedNonlinearity(example_spec, a)
-    sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+    sol = sp.mp_solve(sh, geometry128)
     assert sol.converged
     assert np.min(sol.u.values) >= -1e-8 * np.max(np.abs(sol.u.values))
     ext = grid128.r >= 1.0
@@ -443,11 +429,11 @@ def test_solution_positive_despite_shift(example_spec, example_w, grid128,
     assert gap < 0.05 * np.max(np.abs(positone128.u.values[ext]))
 
 
-def test_warns_beyond_a1(monkeypatch, example_spec, example_w, grid128, geometry128):
+def test_warns_beyond_a1(monkeypatch, example_spec, geometry128):
     monkeypatch.setattr(mp, "_NEWTON_MAX_ITER", 4)
     sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
     with pytest.warns(UserWarning, match="geometry untrusted"):
-        sp.mp_solve(sh, example_w, grid128, None, geometry128)
+        sp.mp_solve(sh, geometry128)
 
 
 @pytest.mark.xfail(strict=False, reason=(
@@ -456,12 +442,12 @@ def test_warns_beyond_a1(monkeypatch, example_spec, example_w, grid128, geometry
     "mountain-pass solution inflates with a and keeps f_a(u) > 0 on the "
     "support at every reachable shift, so positivity never breaks (scanned "
     "to a ~ 3e8 x a1; see the notes ledger)"))
-def test_large_shift_dips_negative(example_spec, example_w, grid128, geometry128):
+def test_large_shift_dips_negative(example_spec, geometry128):
     import warnings
     sh = sp.ShiftedNonlinearity(example_spec, 50.0 * geometry128.a1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+        sol = sp.mp_solve(sh, geometry128)
     assert sol.converged and np.min(sol.u.values) < 0.0
 
 
@@ -508,12 +494,11 @@ def test_newton_diagnostics(example_spec, example_w, positone128):
     assert d["warnings"] == []
 
 
-def test_warnings_recorded_as_data(monkeypatch, example_spec, example_w, grid128,
-                                   geometry128):
+def test_warnings_recorded_as_data(monkeypatch, example_spec, geometry128):
     monkeypatch.setattr(mp, "_NEWTON_MAX_ITER", 4)
     sh = sp.ShiftedNonlinearity(example_spec, 2.0 * geometry128.a1)
     with pytest.warns(UserWarning, match="geometry untrusted"):
-        sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+        sol = sp.mp_solve(sh, geometry128)
     (msg,) = sol.diagnostics["warnings"]
     assert "geometry untrusted" in msg
 
@@ -605,16 +590,17 @@ def test_certificate_rejects_negative_fprime(example_w, grid128):
     # kernel diag(mass f') is no longer similar to a symmetric matrix
     spec = dataclasses.replace(sp.power_nonlinearity(3.0, gamma=3.5),
                                fprime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
+    geo = sp.estimate_a1(spec, example_w, grid128)
     with pytest.raises(ValueError, match=r"g f_a'\(u\) < 0 on supp g"):
-        sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid128)
+        sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geo)
 
 
-def test_spec_without_fprime_raises(example_w, grid128, geometry128):
+def test_spec_without_fprime_raises(geometry128):
     # Newton and the certificate both need f': a spec without one is
     # refused by eval_f0prime, not solved without a certificate
     spec = dataclasses.replace(sp.example_nonlinearity(), fprime=None)
     with pytest.raises(ValueError, match="no registered derivative"):
-        sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), example_w, grid128, None, geometry128)
+        sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geometry128)
 
 
 def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, positone128):
@@ -632,13 +618,12 @@ def test_newton_polish_allocates_no_dense_matrix(example_spec, example_w, posito
     assert peak < 8 * grid.n ** 2  # one dense n x n float64 array
 
 
-def test_failed_newton_step_keeps_crest(monkeypatch, example_spec, example_w,
-                                        grid128, geometry128):
+def test_failed_newton_step_keeps_crest(monkeypatch, example_spec, geometry128):
     def singular(a, b):
         raise np.linalg.LinAlgError("singular matrix")
     monkeypatch.setattr(np.linalg, "solve", singular)
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
-    sol = sp.mp_solve(sh, example_w, grid128, None, geometry128)
+    sol = sp.mp_solve(sh, geometry128)
     d = sol.diagnostics
     assert not d["newton_used"]
     assert d["newton_iterations"] == 0 and len(d["newton_residual_history"]) == 1

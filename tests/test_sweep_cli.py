@@ -131,8 +131,7 @@ def test_perfbench_traced_functions_exist():
     assert missing == []
 
 
-def test_perfbench_tracer_binds_and_reads_mp_solve(example_spec, example_w, grid128,
-                                                  geometry128):
+def test_perfbench_tracer_binds_and_reads_mp_solve(example_spec, geometry128):
     # the tracer finds every traced name in the loaded package, and the
     # diagnostics it reads off an mp_solve result are there: a deletion that
     # turns a benchmark layer "absent" fails here
@@ -145,8 +144,7 @@ def test_perfbench_tracer_binds_and_reads_mp_solve(example_spec, example_w, grid
     try:
         assert tr.absent == set()
         tr.begin("op")
-        sol = sp.mp_solve(sp.ShiftedNonlinearity(example_spec, 0.0), example_w, grid128,
-                          None, geometry128)
+        sol = sp.mp_solve(sp.ShiftedNonlinearity(example_spec, 0.0), geometry128)
     finally:
         tr.uninstall()
     assert len(sol.diagnostics["history_residual"]) >= 1
@@ -177,7 +175,8 @@ def test_solve_error_exits_two_without_sweep_files(tmp_path, capsys, text, args)
                          ids=["one-row", "one-column", "three-columns"])
 def test_malformed_table_is_a_config_error(tmp_path, capsys, table):
     # one row, one column or three columns: a config error naming the
-    # problem, not an IndexError, and nothing written
+    # problem, not an IndexError, and nothing written; scripts/run_sweep.py
+    # prints the same line and exits 2 as well
     tab = tmp_path / "g.csv"
     tab.write_text(table)
     out = tmp_path / "out"
@@ -187,6 +186,11 @@ def test_malformed_table_is_a_config_error(tmp_path, capsys, table):
     assert err.startswith("config error: ")
     assert ("weight.table_path" in err) == (table != "0.5,1\n")
     assert not out.exists()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    script = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "run_sweep.py"),
+                             "--config", cfg], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=300)
+    assert script.returncode == 2 and script.stderr == err
 
 
 def test_percent_in_table_path_is_literal(tmp_path, capsys):
@@ -561,10 +565,11 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
 
 def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     # the batch shares one bump ray and evaluates F_a on the m nodes of
-    # supp g: a sweep pays 4 norms of the bump whatever its row count
-    # (make_bump's, the ladder's, the crest path's, solve_shifts'), counted
-    # as calls of h2_inner, and 10 integrals in all, where the batch takes
-    # the norms of all rows at once as integrals of stacked values; the
+    # supp g: a sweep pays 2 norms of the bump whatever its row count
+    # (make_bump's, and the ladder's, which the crest path and solve_shifts
+    # read too), counted as calls of h2_inner, and 10 integrals in all,
+    # where the batch takes the norms of all rows at once as integrals of
+    # stacked values; the
     # trailing axis of every F_a argument is the m nodes, never the grid,
     # the 31 rungs of the vtilde ladder are one F_a call for the whole
     # sweep, and no F_a argument holds more than the 31 rungs times m, or
@@ -593,7 +598,7 @@ def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     m = np.count_nonzero(sp.sample_on_grid(weight, grid).values)
     rows = len(report.rows)
     assert all(r.converged for r in report.rows)
-    assert len(h2_calls) <= 4
+    assert len(h2_calls) <= 2
     assert len(integrals) <= 10
     assert fa_shapes and all(shape[-1] == m < grid.n for shape in fa_shapes)
     assert fa_shapes.count((31, m)) == 1
@@ -904,6 +909,25 @@ def test_run_sweep_script_on_example_at_n128(tmp_path):
     assert all(row.split()[-1] == "ok" for row in rows)
 
 
+@pytest.mark.parametrize("script", ["run_sweep.py", "run_positone.py"])
+@pytest.mark.parametrize("dim,prefix", [(6, "solve error: "), (7, "geometry error: ")])
+def test_scripts_fail_as_solve_does(tmp_path, capsys, script, dim, prefix):
+    # the paper's f at dim 6 stops at the vtilde ladder cap, and at dim 7 at
+    # the envelope floor (ROADMAP item 2): each script prints the line
+    # `solve` prints on the same problem and exits 2, without a traceback
+    cfg = write(tmp_path, "[problem]\ndim = %d\n[grid]\nn = 128\n" % dim)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith(prefix)
+    args = ["--config", cfg] if script == "run_sweep.py" else ["--n", "128", "--dim", str(dim)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)] + args,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == want
+
+
 def test_run_positone_decay_matches_sweep_row(tmp_path, capsys):
     # the script forms the decay source on supp g as the sweep does, so its
     # printed decay numbers are the a = 0 row of sweep.csv for the same problem
@@ -933,8 +957,9 @@ def test_run_positone_profile_is_the_sweep_format(tmp_path, capsys):
     path = tmp_path / "profile.csv"
     assert script.main(["--n", "128", "--profile", str(path)]) == 0
     grid = sp.make_grid(5, 128, 20.0)
-    u = sp.mp_solve(sp.ShiftedNonlinearity(sp.example_nonlinearity(dim=5), 0.0),
-                    sp.example_weight(dim=5), grid).u
+    spec = sp.example_nonlinearity(dim=5)
+    geo = sp.estimate_a1(spec, sp.example_weight(dim=5), grid)
+    u = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geo).u
     want = "r,u\n" + "".join("%r,%r\n" % (float(r), float(v)) for r, v in zip(grid.r, u.values))
     assert path.read_bytes() == want.encode()
 
