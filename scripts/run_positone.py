@@ -43,7 +43,7 @@ def main(argv=None):
         print("geometry error: %s" % exc, file=sys.stderr)
         return 2
     t_geo = time.perf_counter() - t0
-    print("geometry  (%.1fs)" % t_geo)
+    print("geometry  (%.2f ms)" % (1e3 * t_geo))
     print("  b_g   = %.6g    eps  = %.6g" % (geo.b_g, geo.eps))
     print("  rho   = %.6g    rho1 = %.6g" % (geo.rho, geo.rho1))
     print("  beta  = %.6g    a1   = %.6g" % (geo.beta, geo.a1))
@@ -63,8 +63,8 @@ def main(argv=None):
     row = _rows_from_solutions([sol], spec, geo.support)[0]  # the sweep's a = 0 row
     fit, pred = row.decay_fit, row.decay_pred
 
-    print("solve     (%.1fs, %d iterations, m=%s support nodes, newton=%s)"
-          % (t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))
+    print("solve     (%.2f ms, %d iterations, m=%s support nodes, newton=%s)"
+          % (1e3 * t_solve, sol.iterations, diag["support_nodes"], diag["newton_used"]))
     print("  converged    = %s" % sol.converged)
     print("  level        = %.12g   (rim floor beta = %.6g)" % (sol.level, geo.beta))
     print("  weak level   = %.12g   (relative gap %.3e)"

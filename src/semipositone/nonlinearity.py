@@ -45,7 +45,6 @@ class NonlinearitySpec:
     c_f: float
     r_mono: float
     dim: int = 5
-    name: str = "custom"
     F_closed: Optional[Callable] = None
     fprime: Optional[Callable] = None
 
@@ -118,7 +117,7 @@ def example_nonlinearity(dim=5, gamma=2.5):
         return 2.0 * np.log1p(t) + 2.0 * t / (1.0 + t)
 
     return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim,
-                            name="paper_example", F_closed=F, fprime=fprime)
+                            F_closed=F, fprime=fprime)
 
 
 def power_nonlinearity(power, dim=5, gamma=None):
@@ -139,7 +138,7 @@ def power_nonlinearity(power, dim=5, gamma=None):
         return power * t ** (power - 1.0)
 
     return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim,
-                            name="power", F_closed=F, fprime=fprime)
+                            F_closed=F, fprime=fprime)
 
 
 def linear_nonlinearity(dim=5, gamma=2.5):
@@ -151,9 +150,8 @@ def linear_nonlinearity(dim=5, gamma=2.5):
         t = np.asarray(t, dtype=float)
         return 0.5 * t * t
 
-    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0,
-                            r_mono=1.0, dim=dim, name="linear",
-                            F_closed=F, fprime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    return NonlinearitySpec(f=f, gamma=float(gamma), c_f=1.0, r_mono=1.0, dim=dim, F_closed=F,
+                            fprime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def eval_f(spec, t):

@@ -3,11 +3,13 @@ norms, and verification of the Riesz growth bound
 
     |x|^{(N-4) delta} int g(y)^delta / |x-y|^{(N-4) delta} dy <= C_g
 
-for delta = 1 and delta = 2** at any probe radius.
+for delta = 1 and delta = 2** at any probe radius. The norms of g are
+taken on the weight's one Gauss-Legendre rule (`WeightSpec.rule`), built
+from `WeightSpec.profile` alone.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -24,29 +26,28 @@ class WeightSpec:
 
     For the example family profile(r) = r^{-d} on the annulus; for table
     weights (r_in, r_out) just bound the support and g is smooth between the
-    knots. norms is a cache filled on demand, keyed by p. rule, the
-    Gauss-Legendre rule over the support split at the knots with g and
-    r^{N-1} at its nodes, is built on first use: the norms,
+    knots. rule, the Gauss-Legendre rule over the support split at the knots
+    with g and r^{N-1} at its nodes, is built on first use: `norm`,
     `support_mass_delta` and the far probes of `g2_left_side` all read it,
-    so one pass of (g1)/(g2) builds it once. Both belong to the instance: a
-    `dataclasses.replace`d spec starts without them. L^inf is the max of g
-    at the rule's nodes, r_in, r_out and the knots: exact for the annulus
-    (r^{-d} peaks at r_in) and for tables (they peak at an end or a knot);
-    a hand-built profile that peaks elsewhere is read on that sample.
+    so one pass of (g1)/(g2) builds it once (a `dataclasses.replace`d spec
+    builds its own).
     """
     profile: Callable
     dim: int
     r_in: float
     r_out: float
-    name: str = "custom"
     knots: tuple = ()
-    norms: dict = field(default_factory=dict, init=False)
 
     def norm(self, p):
+        """||g||_p over R^N on the rule. L^inf is the max of g at the rule's
+        nodes, r_in, r_out and the knots: exact for the annulus (r^{-d} peaks
+        at r_in) and for tables (they peak at an end or a knot); a hand-built
+        profile that peaks elsewhere is read on that sample."""
         p = float(p)
-        if p not in self.norms:
-            self.norms[p] = _quad_norm(self, p)
-        return self.norms[p]
+        if np.isinf(p):
+            ends = self.profile(np.array((self.r_in, self.r_out, *self.knots)))
+            return float(max(np.max(self.rule[2]), np.max(ends)))
+        return support_mass_delta(self, p) ** (1.0 / p)
 
     @cached_property
     def rule(self):
@@ -57,18 +58,6 @@ class WeightSpec:
         for a in rule:
             a.flags.writeable = False
         return rule
-
-
-def _annulus_lp(dim, d, r_in, r_out, p):
-    """Closed form ||r^{-d} chi_[r_in,r_out]||_p over R^N."""
-    if np.isinf(p):
-        return r_in ** (-d)
-    s = dim - d * p
-    if abs(s) < 1e-13:
-        block = np.log(r_out / r_in)
-    else:
-        block = (r_out ** s - r_in ** s) / s
-    return (sphere_area(dim) * block) ** (1.0 / p)
 
 
 def _split_rule(spec, edges):
@@ -102,18 +91,13 @@ def support_mass_delta(spec, delta):
     return float(sphere_area(spec.dim) * mass[0])
 
 
-def _quad_norm(spec, p):
-    if np.isinf(p):  # the rule's nodes, the support edges and the knots
-        ends = spec.profile(np.array((spec.r_in, spec.r_out, *spec.knots)))
-        return float(max(np.max(spec.rule[2]), np.max(ends)))
-    return support_mass_delta(spec, p) ** (1.0 / p)
-
-
 def example_weight(d=1.0, r_in=0.5, r_out=1.0, dim=5):
     """g(y) = |y|^{-d} on the annulus r_in <= |y| <= r_out, zero elsewhere.
 
     The annulus must sit inside the closed shell between radii 1/2 and 1 so
-    that the support stays in B_1 \\ B_{1/2}.
+    that the support stays in B_1 \\ B_{1/2}. Its norms come from the
+    weight's Gauss rule as for any profile; they match the closed forms of
+    r^{-d} on the annulus within a few ulps.
     """
     if not (0.5 <= r_in < r_out <= 1.0):
         raise ValueError("annulus radii need 0.5 <= r_in < r_out <= 1, got [%g, %g]"
@@ -128,11 +112,7 @@ def example_weight(d=1.0, r_in=0.5, r_out=1.0, dim=5):
         out[inside] = r[inside] ** (-d)
         return out if out.ndim else float(out)
 
-    spec = WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out,
-                      name="paper_example")
-    spec.norms.update((p, _annulus_lp(dim, d, r_in, r_out, p)) for p in
-                      (1.0, float(dim) / 4.0, _conjugate(critical_exponent(dim)), np.inf))
-    return spec
+    return WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out)
 
 
 def table_weight(r_values, g_values, dim=5):
@@ -156,12 +136,7 @@ def table_weight(r_values, g_values, dim=5):
         return np.interp(r, r_values, g_values, left=0.0, right=0.0)
 
     return WeightSpec(profile=profile, dim=dim, r_in=float(r_values[0]),
-                      r_out=float(r_values[-1]), name="custom_table",
-                      knots=tuple(r_values[1:-1].tolist()))
-
-
-def _conjugate(p):
-    return p / (p - 1.0)
+                      r_out=float(r_values[-1]), knots=tuple(r_values[1:-1].tolist()))
 
 
 def sample_on_grid(spec, grid):
@@ -194,18 +169,13 @@ def sample_on_grid(spec, grid):
 
 
 def check_g1(spec):
-    """Integrability report: L^1, L^{N/4}, L^{(2**)'} and L^inf norms by
-    Gauss-Legendre over the knot-split support (L^inf as the max of g at the
-    rule's nodes, the support edges and the knots: exact for the annulus and
-    for tables), cross-checked against any cached closed forms."""
-    ps = (1.0, float(spec.dim) / 4.0, _conjugate(critical_exponent(spec.dim)), np.inf)
-    quad_norms = {p: _quad_norm(spec, p) for p in ps}
-    mismatch = 0.0
-    for p, v in spec.norms.items():
-        if p in quad_norms and v > 0:
-            mismatch = max(mismatch, abs(quad_norms[p] - v) / v)
+    """Integrability report: the L^1, L^{N/4}, L^{(2**)'} and L^inf norms of
+    g, each `WeightSpec.norm` on the weight's knot-split Gauss rule."""
+    two_ss = critical_exponent(spec.dim)
+    ps = (1.0, float(spec.dim) / 4.0, two_ss / (two_ss - 1.0), np.inf)
+    quad_norms = {p: spec.norm(p) for p in ps}
     finite = all(np.isfinite(v) for v in quad_norms.values())
-    details = {"norms": quad_norms, "closed_mismatch": mismatch}
+    details = {"norms": quad_norms}
     if quad_norms[1.0] == 0.0:
         warnings.warn("degenerate weight: ||g||_1 = 0")
         details["warning"] = "degenerate weight"

@@ -196,7 +196,7 @@ def test_estimate_bg_zero_weight(grid128):
 def test_estimate_bg_scales_linearly(example_w, grid128):
     base = sp.estimate_bg(example_w, grid128)
     doubled = sp.WeightSpec(profile=lambda r: 2.0 * example_w.profile(r),
-                            dim=5, r_in=0.5, r_out=1.0, name="doubled")
+                            dim=5, r_in=0.5, r_out=1.0)
     assert sp.estimate_bg(doubled, grid128) == pytest.approx(2.0 * base, rel=1e-9)
 
 
@@ -388,7 +388,7 @@ def test_estimate_a1_collapse(example_spec, grid128):
     tiny = sp.WeightSpec(profile=lambda r: 1e-6 * np.where((np.asarray(r) >= 0.5)
                                                            & (np.asarray(r) <= 1.0),
                                                            1.0 / np.maximum(np.asarray(r), 1e-12), 0.0),
-                         dim=5, r_in=0.5, r_out=1.0, name="tiny")
+                         dim=5, r_in=0.5, r_out=1.0)
     b = sp.estimate_bg(tiny, grid128)
     n4 = tiny.norm(grid128.dim / 4.0)
     cap = 1.0 / (b * n4)

@@ -220,10 +220,12 @@ def test_growth_envelope_dominates(example_spec, t):
 
 
 def _envelope_specs():
-    # the example's gamma = 2.5 lies below 2** at every dim 5-9
-    return ([sp.example_nonlinearity(dim=dim) for dim in range(5, 10)]
-            + [sp.power_nonlinearity(3.0, gamma=3.5), sp.power_nonlinearity(3.0),
-               sp.linear_nonlinearity()])
+    # the example's gamma = 2.5 lies below 2** at every dim 5-9; each spec
+    # with its id, family-N<dim>-g<gamma>
+    specs = ([("paper_example", sp.example_nonlinearity(dim=dim)) for dim in range(5, 10)]
+             + [("power", sp.power_nonlinearity(3.0, gamma=3.5)),
+                ("power", sp.power_nonlinearity(3.0)), ("linear", sp.linear_nonlinearity())])
+    return [pytest.param(s, id="%s-N%d-g%g" % (family, s.dim, s.gamma)) for family, s in specs]
 
 
 _ENVELOPE_EPS = np.geomspace(1e-3, 35.0, 12)
@@ -242,8 +244,7 @@ def _recording(spec):
     return rec, seen
 
 
-@pytest.mark.parametrize("spec", _envelope_specs(), ids=lambda s: "%s-N%d-g%g" % (
-    s.name, s.dim, s.gamma))
+@pytest.mark.parametrize("spec", _envelope_specs())
 def test_growth_envelope_matches_linear_refine(spec):
     # the zoom finds the constant of the 20001-point refine, across six
     # decades of eps, including maxima pinned at either end of the range
@@ -252,8 +253,7 @@ def test_growth_envelope_matches_linear_refine(spec):
                                                           rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("spec", _envelope_specs(), ids=lambda s: "%s-N%d-g%g" % (
-    s.name, s.dim, s.gamma))
+@pytest.mark.parametrize("spec", _envelope_specs())
 def test_growth_envelope_dominates_every_sample(spec):
     # every coarse and zoom node, recorded from the calls to f, lies under
     # the envelope, and one fit samples f on at most 4001 + 3 * 65 points

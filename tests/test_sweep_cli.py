@@ -230,7 +230,10 @@ def test_build_problem_families(tmp_path):
     cfg = parse_config(write(tmp_path, "family = power\npower = 3\ngamma = 4\n"))
     spec, weight, grid = sweep_cli.build_problem(cfg)
     assert spec.f(2.0) == pytest.approx(8.0)
-    assert weight.name == "paper_example"
+    # the annulus family: r^{-1} on [1/2, 1], zero outside
+    assert (weight.r_in, weight.r_out) == (0.5, 1.0)
+    np.testing.assert_array_equal(weight.profile(np.array([0.4, 0.5, 0.8, 1.1])),
+                                  [0.0, 2.0, 1.25, 0.0])
     assert grid.n == 512
 
 
@@ -947,6 +950,21 @@ def test_run_positone_decay_matches_sweep_row(tmp_path, capsys):
     assert printed.groups() == ("%.6g" % fit, "%.6g" % pred, "%.6f" % (fit / pred))
 
 
+def test_run_positone_prints_phase_times_in_ms(capsys):
+    # both phases take milliseconds, so each prints a positive time in ms
+    # with two decimals, not a zero count of seconds
+    spec = importlib.util.spec_from_file_location(
+        "run_positone", os.path.join(ROOT, "scripts", "run_positone.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--n", "128", "--r-max", "8"]) == 0
+    printed = capsys.readouterr().out
+    times = [re.search(r"^%s +\((\d+\.\d\d) ms[,)]" % phase, printed, re.M)
+             for phase in ("geometry", "solve")]
+    assert all(times), printed
+    assert all(float(t.group(1)) > 0 for t in times)
+
+
 def test_run_positone_profile_is_the_sweep_format(tmp_path, capsys):
     # --profile writes the profile CSV of the sweep, which is, byte for byte,
     # one "%r,%r" line per node under the header r,u
@@ -1076,8 +1094,8 @@ def test_replaced_specs_sample_afresh():
     mass = weight.support_mass_delta(w, 1.0)
     w2 = dataclasses.replace(w, profile=lambda r: 2.0 * w.profile(r))
     assert weight.support_mass_delta(w2, 1.0) == 2.0 * mass
-    assert w2.norm(1.0) == 2.0 * mass  # its own integral, not w's closed form
-    assert w.norm(1.0) == weight._annulus_lp(5, 1.0, 0.5, 1.0, 1.0)
+    assert w2.norm(1.0) == 2.0 * mass  # its own integral
+    assert w.norm(1.0) == weight.support_mass_delta(w, 1.0)
     np.testing.assert_array_equal(w2.rule[2], 2.0 * w.rule[2])
     assert sp.check_g1(w2).details["norms"][1.0] == 2.0 * sp.check_g1(w).details["norms"][1.0]
     assert sp.check_g2(w2, 1.0).details["c_g"] == 2.0 * sp.check_g2(w, 1.0).details["c_g"]
