@@ -2,8 +2,8 @@
 radial mountain-pass solves through Riesz potentials, hypothesis checkers,
 and a-sweeps against the positone limit."""
 
-from .radial_core import (RadialField, RadialGrid, h2_inner, h2_norm,
-                          integrate, laplacian, make_grid, scale, sphere_area)
+from .radial_core import (RadialField, RadialGrid, h2_inner, integrate, laplacian,
+                          make_grid, sphere_area)
 from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
                            check_f1, check_f2, check_f3, check_f4,
                            critical_exponent, eval_F, eval_Fa,

@@ -1,28 +1,28 @@
 """Variational layer: the functionals N_a, I_a over radial fields, the
 gradient residual of the Riesz fixed-point map T(u) = riesz_solve(g f_a(u)),
 and the mountain-pass geometry constants from their variational problems,
-returned with the B_g maximiser phi, the direction of the straight path,
-and the support of g that every later stage reads.
+returned with the source of the B_g maximiser, the direction of the
+straight path, and the support of g that every later stage reads.
 
 `estimate_a1` samples g once and builds its `riesz_potential.Support`: the
-m nodes S where g is nonzero (m = 14 of n = 512 for the example), the
-masses on S and the symmetric kernel K_S of T(g x) = K_S (mass x) on S.
-The layer functions take that support: N_a and the residual are sums over
-S, F_a is evaluated there only, and on a ray the norm is quadratic, so
-`ray_levels` gives I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at an array
-of scales t of any shape from one norm and one F_a call on a (t.shape, m)
-array: the one level function of the straight path, whose every point is a
-scale of the bump.
+rule on the m nodes S where g is nonzero (m = 14 of n = 512 for the
+example), with the masses on S and the symmetric kernel K_S of
+T(g x) = K_S (mass x). The layer functions take that support, no grid: N_a
+and the residual are sums over S, F_a is evaluated there only, and on a
+ray the norm is quadratic, so `ray_levels` gives
+I_a(t v) = t^2 ||Delta v||^2 / 2 - N_a(t v) at an array of scales t of any
+shape from one norm and one F_a call on a (t.shape, m) array: the one level
+function of the straight path, whose every point is a scale of the bump.
 `n_values`, `ray_levels` and `residuals` take a `ShiftedNonlinearity` whose
 a is an array of shifts shaped to broadcast against their leading axes, so
 the solver evaluates every row of a sweep in one call.
 
 Norm convention: the energy space is D^{2,2}, norm ||Delta u||_2. Every
-field the solver forms is a Riesz potential u = T(h) that carries its
-source h, so ||Delta u||^2 = int h u exactly on R^N (`radial_core.h2_inner`)
+field the solver forms is a Riesz potential u = T(h) of a source h on S, so
+||Delta u||^2 = int h u exactly on R^N, a sum over S (`Support.integrate`),
 and the map h -> T(h) is self-adjoint there: the geometry constants, the
 path levels, the level and the gradient residual all see the norm on R^N,
-not on the ball of radius r_max, and read u on supp g only.
+not on the ball of radius r_max.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ import numpy as np
 from . import radial_core as rc
 from .nonlinearity import ENVELOPE_FLOOR, T_BIG, eval_Fa, eval_fa, growth_envelope
 from .weight import sample_on_grid
-from .riesz_potential import Support, riesz_solve, support
+from .riesz_potential import Support, riesz_solve, support  # riesz_solve: bound for perfbench
 
 _BG_TOL = 1e-12
 _BG_MAX_ITER = 500
@@ -70,10 +70,10 @@ def residuals(x, h, shifted, sup):
     is a sum over S, exact on R^N."""
     with np.errstate(over="ignore", invalid="ignore"):
         f_x = eval_fa(shifted, x)
-        d = h - sup.g[sup.nodes] * f_x
+        d = h - sup.g * f_x
     if not np.all(np.isfinite(d)):
         raise ValueError("divergent source norm: g f_a(u) is not finite on supp g")
-    sq = rc.integrate_values(sup.grid, d * (x - sup.apply(f_x)), sup.nodes)
+    sq = sup.integrate(d * (x - sup.apply(f_x)))
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -104,8 +104,9 @@ class GeometryConstants:
     rho1: float
     c_env: float
     gamma: float
-    phi: rc.RadialField = field(repr=False, compare=False)  # B_g maximiser
+    phi: np.ndarray = field(repr=False, compare=False)  # the source on S of the B_g maximiser
     support: Support = field(repr=False, compare=False)  # supp g, read by every stage
+    grid: rc.RadialGrid = field(repr=False, compare=False)  # g's sampling grid: output only
 
 
 def _ratio_sup(sup, p):
@@ -120,19 +121,19 @@ def _ratio_sup(sup, p):
     monotonically. The start is the constant field, which has mass wherever
     g lives.
     """
-    g, nodes, mass = sup.g, sup.nodes, sup.mass
-    v = np.ones(nodes.size)
+    mass = sup.mass
+    v = np.ones(mass.size)
     lam_prev = np.inf
     for _ in range(_BG_MAX_ITER):
         dual = np.abs(v) ** (p - 2.0) * v  # h = g * dual
         t = sup.apply(dual)  # T(h) on S
         norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
         if norm_d == 0.0:
-            return 0.0, np.zeros(nodes.size)
+            return 0.0, np.zeros(mass.size)
         v = t / norm_d
         lam = float(np.sum(mass * np.abs(v) ** p))
         if abs(lam - lam_prev) <= _BG_TOL * lam:
-            return lam, g[nodes] * dual / norm_d
+            return lam, sup.g * dual / norm_d
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge in %d steps"
                        % (p, _BG_MAX_ITER))
@@ -147,7 +148,7 @@ def estimate_a1(spec, weight, grid, eps=None):
     """Mountain-pass geometry constants for the shifted family built on spec.
 
     Both embedding constants are variational problems solved exactly on
-    the grid: c_lin = sup int g|u| / ||Delta u|| = (int g T(g))^{1/2} by
+    the support: c_lin = sup int g|u| / ||Delta u|| = (int g T(g))^{1/2} by
     the representation (T(g) > 0 is the maximiser), and
     c_gamma = c_env / gamma * sup int g|u|^gamma / ||Delta u||^gamma by the
     power iteration of `_ratio_sup`. With q = 1/2 - (eps/2) B_g,
@@ -161,20 +162,19 @@ def estimate_a1(spec, weight, grid, eps=None):
 
         a1 = A(rho*) / (2 c_lin rho*),   beta = A(rho*) / 2.
 
-    The maximiser phi of the B_g iteration comes back too, the direction of
-    the straight path (`mountain_pass.make_bump`), and so does the support
-    the constants were computed on, which every later stage reads. Raises
-    GeometryError when eps, q or A(rho*) leave no positive rim, and when the
-    growth envelope sits at its floor (f(t) <= eps t on every sample), however
-    finite the constants built on that floor come out.
+    The maximiser T(phi) of the B_g iteration comes back too, as its source
+    phi on S, the direction of the straight path (`mountain_pass.make_bump`),
+    and so does the support the constants were computed on, which every
+    later stage reads, and the grid g was sampled on, only where the solve
+    writes its profiles. Raises GeometryError when eps, q or A(rho*) leave no
+    positive rim, and when the growth envelope sits at its floor
+    (f(t) <= eps t on every sample), however finite the constants built on
+    that floor come out.
     """
     gamma = spec.gamma
     sup = support(sample_on_grid(weight, grid))
-    b_g, h = _ratio_sup(sup, 2.0)
-    src = np.zeros(grid.n)
-    src[sup.nodes] = h
-    phi = riesz_solve(rc.RadialField(grid, src))  # the maximiser on the grid, once
-    gn4 = weight.norm(grid.dim / 4.0)
+    b_g, phi = _ratio_sup(sup, 2.0)
+    gn4 = weight.norm(sup.dim / 4.0)
     cap = 1.0 / (b_g * gn4) if b_g * gn4 > 0 else np.inf
     if eps is None:
         eps = 0.5 * cap
@@ -185,7 +185,7 @@ def estimate_a1(spec, weight, grid, eps=None):
     if q <= 0:
         raise GeometryError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)
 
-    c_lin = float(np.sqrt(np.sum(sup.mass * sup.apply(np.ones(sup.nodes.size)))))  # int g T(g)
+    c_lin = float(np.sqrt(np.sum(sup.mass * sup.apply(np.ones(sup.mass.size)))))  # int g T(g)
     c_env = growth_envelope(spec, eps)
     c_gamma = c_env / gamma * _ratio_sup(sup, gamma)[0]
 
@@ -206,5 +206,5 @@ def estimate_a1(spec, weight, grid, eps=None):
                             % (c_gamma, c_lin, rho_star, beta, a1, cause))
     return GeometryConstants(b_g=b_g, eps=eps, c_gamma=c_gamma, rho=rho_star,
                              beta=beta, a1=a1, c_lin=c_lin, rho1=rho1,
-                             c_env=c_env, gamma=gamma, phi=phi, support=sup)
+                             c_env=c_env, gamma=gamma, phi=phi, support=sup, grid=grid)
 

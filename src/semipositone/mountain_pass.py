@@ -1,46 +1,41 @@
-"""Numerical mountain-pass solver, for a whole batch of shifts at once.
+"""Numerical mountain-pass solver, for a whole batch of shifts at once, on
+the rule on supp g (`riesz_potential.Support`, built by `estimate_a1`).
 
 Three steps find the mountain-pass point. Take the crest, the node of highest
 level, of the straight path from 0 to an endpoint vtilde with negative
-energy; vtilde lies on the ray of the B_g maximiser phi that `estimate_a1`
-returns, scaled by `make_bump` to ||Delta phi|| = 1, so every point of the
-path is a scale t times the bump and a row is carried as its scale. Every
-level on that ray, the doubling ladder of `vtilde_ladder` and the path nodes
-of `_crest`, comes from `energy.ray_levels`: t^2 ||Delta bump||^2 / 2 from
-one norm, less int g F_a(t bump) on the m nodes of supp g; the crest's
-values, source and norm are the bump's times its scale, and each norm,
-level and residual is int h v, exact on R^N. Polish the crest by
-semi-smooth Newton on u = T(u). T(u) = R4 K (g f_a(u)) reads u only on the
-m nodes S of supp g, where it is K_S (mass f_a(u[S])), K_S the symmetric
-m x m `kernel` of the `riesz_potential.Support` that `estimate_a1` built:
-Newton runs on the m values, each step one exact dense solve of
-I - K_S diag(mass f_a'), and the polished candidate is T(x) on S. Certify
-it by its Morse index, the number of eigenvalues above 1 of
-R4 K diag(g f_a'(u)), read from diag(s) K_S diag(s), s = sqrt(mass f_a'),
-while g f_a'(u) >= 0: a nondegenerate mountain-pass point has index 1
-(Hofer, Proc. AMS 90, 1984). A polish that fails, does not lower the
-residual, falls below the rim level beta or has another index is rejected,
-and the crest is returned, flagged non-converged.
+energy; vtilde lies on the ray of the B_g maximiser T(phi), scaled by
+`make_bump` to unit norm, so every point of the path is a scale t times the
+bump and a row is carried as its scale. Every level on that ray, the
+doubling ladder of `vtilde_ladder` and the path nodes of `_crest`, comes
+from `energy.ray_levels`: t^2 ||Delta bump||^2 / 2 from one norm, less
+int g F_a(t bump) on the m nodes S of supp g; each norm, level and residual
+is int h v, exact on R^N. Polish the crest by semi-smooth Newton on
+u = T(u). T(u) = R4 K (g f_a(u)) reads u only on S, where it is
+K_S (mass f_a(u[S])), K_S the symmetric m x m `Support.kernel`: Newton runs
+on the m values, each step one exact dense solve of I - K_S diag(mass f_a'),
+and the polished candidate is T(x) on S. Certify it by its Morse index, the
+number of eigenvalues above 1 of R4 K diag(g f_a'(u)), read from
+diag(s) K_S diag(s), s = sqrt(mass f_a'), while g f_a'(u) >= 0: a
+nondegenerate mountain-pass point has index 1 (Hofer, Proc. AMS 90, 1984).
+A polish that fails, does not lower the residual, falls below the rim level
+beta or has another index is rejected, and the crest is returned, flagged
+non-converged.
 
 The shifts of a sweep differ only by the constant a in f_a = f_0 - a and
 F_a = F_0(t+) - a t, and share S, K_S, the bump and rho. As t bump >= 0,
 I_a(t bump) = I_0(t bump) + a t int g bump: `vtilde_ladder` takes the a = 0
 levels of the ladder once per batch, `find_vtilde` reads each row's scale
-off them, and `solve_shifts` takes the ladder and those scales from its
-caller and carries the k shifts from there on as a leading row axis, with a
-entering as the column a[:, None] of one `ShiftedNonlinearity`: the crest
-is one (k, 17, m) evaluation, Newton one stacked solve per step over the
-live rows (each row's iterate stays in place in one (k, m) array; a row
-leaves where a one-row solve would stop), and the certificate one
-`eigvalsh` of a (k, m, m) stack. All of it runs on the support values; the
-grid is touched once, at the end, by one `riesz_values` over (k, n) of each
-row's final source, so every returned u is the potential of its source. The
-(k, m, m) stacks go through `_chunks` of at most _STACK_BYTES, so they hold
-no more memory than one row at a time once a row fills that budget.
-`mp_solve` is the batch of one. The cost is O(k n + k m^3) time and
-O(k n + min(k m^2, max(m^2, _STACK_BYTES))) memory; m^3 is small while g
-lives on a thin shell (m = 14 at n = 512 for the example) and grows when g
-fills the grid.
+off them, and `solve_shifts` carries the k shifts as a leading row axis,
+with a the column a[:, None] of one `ShiftedNonlinearity`: the crest is one
+(k, 17, m) evaluation, Newton one stacked solve per step over the live rows
+(a row leaves where a one-row solve would stop), and the certificate one
+`eigvalsh` of a (k, m, m) stack, each stack built in `_chunks` of at most
+_STACK_BYTES. The grid, where profiles are written, is touched once, at the
+end, by one `riesz_values` over (k, n) of each row's final source, so every
+returned u is the potential of its source. `mp_solve` is the batch of one.
+The cost is O(k n + k m^3) time and O(k n + min(k m^2, max(m^2,
+_STACK_BYTES))) memory; m^3 is small while g lives on a thin shell (m = 14
+at n = 512 for the example) and grows when g fills the grid.
 """
 
 import warnings
@@ -70,18 +65,19 @@ class MPSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def make_bump(phi):
-    """phi clipped at 0 and scaled to ||Delta phi||_2 = 1, the direction of
-    the straight path. phi must be nonnegative up to rounding; the clip
-    keeps its source."""
-    vals = phi.values
+def make_bump(phi, sup):
+    """T(phi), phi a source on S, clipped at 0 and scaled to ||Delta u||_2 = 1:
+    the straight path's direction, as (values on S, source on S, u(0), its
+    maximum on R^N). T(phi) >= 0 on S up to rounding; the clip keeps phi."""
+    vals, top = sup.potential(phi)
     if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ValueError("bump must be nonnegative")
-    clipped = rc.RadialField(phi.grid, np.maximum(vals, 0.0), phi.source)
-    nh2 = rc.h2_norm(clipped)
+    vals = np.maximum(vals, 0.0)
+    nh2 = np.sqrt(max(sup.integrate(phi * vals), 0.0))
     if nh2 == 0:
         raise ValueError("bump has zero D^{2,2} norm")
-    return rc.scale(clipped, 1.0 / nh2)
+    t = 1.0 / nh2
+    return t * vals, t * phi, t * top
 
 
 _T_CAP_DOUBLINGS = 30
@@ -90,11 +86,12 @@ _PATH_NODES = 17  # nodes of the straight path from 0 to vtilde, both ends inclu
 
 def vtilde_ladder(geometry, spec):
     """The ray of every shift on spec, built once: (bump, nsq, t, level0, slope)
-    for bump = `make_bump(geometry.phi)`, nsq = ||Delta bump||^2, t = 2 rho 2^j
-    (j <= 30), the a = 0 levels on t from one `ray_levels` call and
-    t int g bump; I_a(t bump) = level0 + a slope."""
-    bump, sup = make_bump(geometry.phi), geometry.support
-    nsq, x = rc.h2_inner(bump, bump), bump.values[sup.nodes]
+    for bump = `make_bump(geometry.phi, geometry.support)`, nsq = ||Delta bump||^2,
+    t = 2 rho 2^j (j <= 30), the a = 0 levels on t from one `ray_levels` call
+    and t int g bump; I_a(t bump) = level0 + a slope."""
+    sup = geometry.support
+    x, h, _ = bump = make_bump(geometry.phi, sup)
+    nsq = sup.integrate(h * x)
     t = 2.0 * geometry.rho * 2.0 ** np.arange(_T_CAP_DOUBLINGS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         level0 = ray_levels(x, nsq, ShiftedNonlinearity(spec, 0.0), sup, t)
@@ -138,8 +135,8 @@ def _morse_index(x, spec, sup):
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
     direction. That operator's spectrum is the eigenvalues of
-    K_S diag(mass f_a'(u[S])), K_S the symmetric `sup.kernel`, plus n - m
-    zeros, similar where f_a' >= 0 to diag(s) K_S diag(s), s = sqrt(mass f_a'):
+    K_S diag(mass f_a'(u[S])), K_S the symmetric `sup.kernel`, plus zeros,
+    similar where f_a' >= 0 to diag(s) K_S diag(s), s = sqrt(mass f_a'):
     one `eigvalsh` of the (k, m, m) stack K_S s_i s_j, chunk by chunk. A row
     where g f_a'(u) < 0 somewhere on S raises ValueError.
     Returns (indices (k,), eigenvalues (k, 2) in decreasing order); an index
@@ -151,7 +148,7 @@ def _morse_index(x, spec, sup):
         raise ValueError("g f_a'(u) < 0 on supp g: the symmetric Morse certificate "
                          "needs g f_a'(u) >= 0")
     s = np.sqrt(d)
-    spectrum = np.zeros((k, m + min(2, sup.grid.n - m)))
+    spectrum = np.zeros((k, m + 2))  # and two of the zeros
     for c in _chunks(k, m):
         stack = sup.kernel * s[c, :, None]
         stack *= s[c, None, :]
@@ -231,7 +228,7 @@ def _crest(ladder, t, shifted, sup):
     crest scales c = s* t, the crest levels and the endpoint levels; raises
     when a maximizer is pinned at an endpoint."""
     s = np.linspace(0.0, 1.0, _PATH_NODES)
-    levels = ray_levels(ladder[0].values[sup.nodes], ladder[1],
+    levels = ray_levels(ladder[0][0], ladder[1],
                         ShiftedNonlinearity(shifted.base, shifted.a[..., None]), sup,
                         s * t[:, None])
     k_star = np.argmax(levels, axis=1)
@@ -246,11 +243,10 @@ def solve_shifts(spec, a_values, ladder, scales, geometry, config=None):
     (`find_vtilde` of that shift on this ladder: the scales mean nothing on
     another), on geometry.support: the rows differ only by the constant a in
     f_a = f_0 - a, so each stage runs once on the support values of all rows,
-    and each row's final source becomes a grid field by one potential over
-    (k, n) at the end. Returns one MPSolution per shift, in order."""
+    and each row's final source becomes a field on geometry.grid by one
+    potential over (k, n) at the end. Returns one MPSolution per shift."""
     cfg = config or MPConfig()
-    sup = geometry.support
-    grid, nodes = sup.grid, sup.nodes
+    sup, grid = geometry.support, geometry.grid
     shifted = ShiftedNonlinearity(spec, np.asarray(a_values, dtype=float).reshape(-1, 1))
     a = shifted.a[:, 0]
     k = a.size
@@ -267,21 +263,21 @@ def solve_shifts(spec, a_values, ladder, scales, geometry, config=None):
 
     # each crest is c bump, so its values, source and norm are the bump's times c
     c, crest_level, vtilde_level = _crest(ladder, t, shifted, sup)
-    bump, bump_norm = ladder[0], np.sqrt(ladder[1])
-    x0, h0 = c[:, None] * bump.values[nodes], c[:, None] * bump.source[nodes]
+    (bump, bump_src, bump_top), bump_norm = ladder[0], np.sqrt(ladder[1])
+    x0, h0 = c[:, None] * bump, c[:, None] * bump_src
     crest_norm = c * bump_norm
     crest_res = residuals(x0, h0, shifted, sup)
     res_rel = crest_res / np.maximum(1.0, crest_norm)
 
     # Newton polish; the candidate is T(x) = K_S (mass f_a(x)) on S with source
     # g f_a(x) (a failed polish stands in as its crest and is never accepted)
-    scale = np.maximum(1.0, c * np.max(bump.values))
+    scale = np.maximum(1.0, c * bump_top)  # the crest's maximum on R^N
     x, ok, newton_res, steps, support = _newton_polish(x0, scale, shifted, sup,
                                                        _NEWTON_MAX_ITER)
     f_x = eval_fa(shifted, np.where(ok[:, None], x, x0))
-    hc = sup.g[nodes] * f_x
+    hc = sup.g * f_x
     xc = sup.apply(f_x)
-    cand_nsq = rc.integrate_values(grid, hc * xc, nodes)
+    cand_nsq = sup.integrate(hc * xc)
     # N_a at every row's candidate and crest, so at its final values, whichever is used
     cand_n, crest_n = n_values(np.stack((xc, x0)), shifted, sup)
     cand_level = 0.5 * cand_nsq - cand_n
@@ -306,7 +302,7 @@ def solve_shifts(spec, a_values, ladder, scales, geometry, config=None):
         - np.where(used, cand_n, crest_n)
     # the one extension to the grid: every row is the potential of its source
     src = np.zeros((k, grid.n))
-    src[:, nodes] = np.where(used[:, None], hc, h0)
+    src[:, sup.nodes] = np.where(used[:, None], hc, h0)
     vals = riesz_values(grid, src)
 
     sols = []

@@ -1,12 +1,14 @@
 """Radial discretization of R^N: grids, fields, Laplacian, integrals, norms.
 
-Everything downstream works on radial profiles u(r) sampled on a uniform grid
-over [0, r_max]. Integrals carry the full N-dimensional measure
-omega_N r^{N-1} dr, and those of g and f one 160-point Gauss-Legendre rule
-built by Newton's method on P_160. A field formed as a Riesz potential,
-u = T(h), carries its source h = Delta^2 u, and its D^{2,2} products are
-int h v, exact on R^N and read only where h lives; the finite-difference
-Laplacian, cut off at r_max, serves only fields without a source.
+Radial profiles u(r) are written on a uniform grid over [0, r_max]; the
+solve runs on the rule on supp g (`riesz_potential.Support`), the grid's
+nodes and trapezoid weights there. Integrals carry the full N-dimensional
+measure omega_N r^{N-1} dr, and those of g and f one 160-point
+Gauss-Legendre rule built by Newton's method on P_160. A field formed as a
+Riesz potential, u = T(h), carries its source h = Delta^2 u, and its
+D^{2,2} products are int h v, exact on R^N and read only where h lives; the
+finite-difference Laplacian, cut off at r_max, serves only fields without
+a source.
 
 The search space is deliberately radial: full grids in N >= 5 are infeasible
 at desk scale and the canonical weight is radial. Nothing here asserts that
@@ -56,12 +58,6 @@ class RadialField:
             setattr(self, name, arr)
 
 
-def scale(u, t):
-    """t u, with the source t Delta^2 u when u has one."""
-    src = None if u.source is None else t * u.source
-    return RadialField(u.grid, t * u.values, src)
-
-
 def _require_same_grid(u, v):
     if u.grid.key() != v.grid.key():
         raise ValueError("grid mismatch: %s vs %s" % (u.grid.key(), v.grid.key()))
@@ -104,11 +100,11 @@ def laplacian(u):
     return RadialField(g, out)
 
 
-def integrate_values(grid, values, nodes=slice(None)):
-    """`integrate` of each row of the grid values (..., n), or of values
-    (..., len(nodes)) given at the nodes only and zero elsewhere: the
-    trapezoid sum along the last axis."""
-    return grid.sphere_area * np.sum(values * grid.r_pow[nodes] * grid.w[nodes], axis=-1)
+def integrate_values(grid, values):
+    """`integrate` of each row of the values (..., n) at the nodes of grid, a
+    `RadialGrid` or the rule on supp g (`riesz_potential.Support`), along the
+    last axis."""
+    return grid.sphere_area * np.sum(values * grid.r_pow * grid.w, axis=-1)
 
 
 def integrate(u):
@@ -130,10 +126,6 @@ def h2_inner(u, v):
     lu = laplacian(u).values
     lv = lu if v is u else laplacian(v).values
     return integrate(RadialField(u.grid, lu * lv))
-
-
-def h2_norm(u):
-    return float(np.sqrt(max(h2_inner(u, u), 0.0)))
 
 
 def _legendre_rule(n):

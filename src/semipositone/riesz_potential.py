@@ -15,26 +15,22 @@ which closes at the orders used here:
     kappa_{N-4}(r, s) = omega_N R^{4-N} (1 - (N-4)/N rho^2 / R^2)
     kappa_{2N}(r, s)  = omega_N (r^2 + s^2) / |r^2 - s^2|^{N+1},
 
-the last by Euler's transformation (DLMF 15.8.1). The shell theorem's
-kappa_{N-2} = omega_N R^{2-N}, the kernel of -Delta u = R2 I_{N-2} h, is
-a test oracle only: the solver never forms -Delta u. `ring_kernel_pairs`
-evaluates the orders N - 4 and 2N on pairs of radii: both for the (g2)
-check, and N - 4 for `support`, which takes it on the nodes S of supp g
-as the symmetric m x m kernel of T on S, built once per problem and read
-by every iterative stage of the solver. kappa_{N-4} on the grid is a sum
-of two products f(rho) g(R), so `apply_potential` evaluates a potential
-in O(n) from prefix and suffix sums of the source; `ring_kernel` is
-`ring_kernel_pairs` on grid x grid as a dense matrix, a test oracle.
-`riesz_solve` returns u = R4 I_{N-4} h with its source h attached, which
-is all the D^{2,2} products of `radial_core.h2_inner` need; `riesz_values`
-is the same potential for every row of a (k, n) stack of sources.
+the last by Euler's transformation (DLMF 15.8.1). `ring_kernel_pairs`
+evaluates both on pairs of radii: for the (g2) check, and N - 4 for
+`support`, the rule on supp g that the solver runs on, as the symmetric
+m x m kernel of T on its nodes S. kappa_{N-4} is a sum of two products
+f(rho) g(R), so a potential takes O(n) from prefix and suffix sums, on S
+(`Support.potential`) as on the output grid (`riesz_values`,
+`apply_potential`; `riesz_solve` attaches the source h, which is all the
+D^{2,2} products of `radial_core.h2_inner` need). `ring_kernel` is the
+dense grid x grid kernel, a test oracle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .radial_core import RadialField, RadialGrid, sphere_area
+from .radial_core import RadialField, integrate_values, sphere_area
 
 
 def riesz_r4(dim):
@@ -84,17 +80,20 @@ def ring_kernel(grid, alpha):
 
 @dataclass(frozen=True, eq=False)
 class Support:
-    """supp g discretised once per problem, by `support`. Every integral
-    against g is a sum over the nodes S = flatnonzero(g) with weights
-    mass = omega_N r^{N-1} w g, and T(g x) = K_S (mass x) on S, with the
-    symmetric m x m kernel K_S = R4 K[S, S] / omega_N, K the order N-4 kernel.
-    T reads x on S only, so its nonzero spectrum is that of K_S diag(mass),
-    and (I - T) x = y reduces to (I - K_S diag(mass)) x_S = y_S (Atkinson,
-    The Numerical Solution of Integral Equations of the Second Kind, 1997,
-    ch. 4)."""
-    grid: RadialGrid
-    g: np.ndarray  # the sampled grid values of g
-    nodes: np.ndarray
+    """supp g as a rule, built once per problem by `support`: the nodes S of
+    the grid g was sampled on where g != 0, and on S only their radii r,
+    trapezoid weights w, r^{N-1}, g and mass = omega_N r^{N-1} w g. Every
+    integral against g is a sum over S, and T(g x) = K_S (mass x) on S,
+    K_S = R4 K[S, S] / omega_N symmetric, K the order N-4 kernel, so
+    (I - T) x = y reduces to (I - K_S diag(mass)) x_S = y_S (Atkinson, The
+    Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4)."""
+    dim: int
+    sphere_area: float
+    nodes: np.ndarray  # S as indices of the sampling grid, where outputs are written
+    r: np.ndarray
+    w: np.ndarray
+    r_pow: np.ndarray
+    g: np.ndarray
     mass: np.ndarray
     kernel: np.ndarray
 
@@ -103,40 +102,51 @@ class Support:
         contiguous, so a sum over S adds up a batch row as it adds up one field."""
         return np.take(values, self.nodes, axis=-1)
 
+    integrate = integrate_values  # int_{R^N} v dx for support values (..., m), zero off S
+
     def apply(self, x):
         """T(g x) = K_S (mass x) on S for each row of the support values x
         (..., m): one matrix-vector product per row, so a row of a batch is its
         one-row product bit for bit."""
         return np.matmul(self.kernel, (self.mass * x)[..., None])[..., 0]
 
+    def potential(self, src):
+        """(u on S, u(0)) of u = R4 I_{N-4} h for each row of the support values
+        h (..., m): `riesz_values` of h, zero off S, read at S and at r = 0,
+        bit for bit, as its sums add only exact zeros off S. u(0) is the
+        maximum of u on R^N when h >= 0: kappa_{N-4}(r, s) <= kappa_{N-4}(0, s)."""
+        r4, x = riesz_r4(self.dim), self.r ** (4.0 - self.dim) * (src * self.r_pow * self.w)
+        tail = np.cumsum(x[..., ::-1], axis=-1)[..., -1]  # `_potential`'s suffix sum at r = 0
+        return r4 * _potential(self, src), r4 * (self.sphere_area * tail)
+
 
 def support(g_field):
     """The `Support` of the sampled weight g_field, its kernel the closed form
     of `ring_kernel_pairs` on S x S. S never holds r = 0, where the pairs
     kernel is +inf: `sample_on_grid` gives g(0) = 0."""
-    grid, g = g_field.grid, g_field.values
-    nodes = np.flatnonzero(g)
-    r = grid.r[nodes]
+    grid, nodes = g_field.grid, np.flatnonzero(g_field.values)
+    r, w, r_pow, g = grid.r[nodes], grid.w[nodes], grid.r_pow[nodes], g_field.values[nodes]
     kernel = (riesz_r4(grid.dim) / grid.sphere_area
               * ring_kernel_pairs(grid.dim, r[:, None], r, grid.dim - 4))
-    mass = grid.sphere_area * grid.r_pow[nodes] * grid.w[nodes] * g[nodes]
-    return Support(grid=grid, g=g, nodes=nodes, mass=mass, kernel=kernel)
+    return Support(dim=grid.dim, sphere_area=grid.sphere_area, nodes=nodes, r=r, w=w,
+                   r_pow=r_pow, g=g, mass=grid.sphere_area * r_pow * w * g, kernel=kernel)
 
 
-def _potential(grid, src):
-    """kappa_{N-4} = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}) potentials of
-    the rows of src (..., n) in O(n) each, from prefix and suffix sums along
+def _potential(rule, src):
+    """kappa_{N-4} = omega_N (R^{-alpha} - c rho^2 R^{-alpha-2}) potentials at
+    the radii of rule (a `RadialGrid` or a `Support`) of the rows of src
+    (..., n) on those radii, in O(n) each, from prefix and suffix sums along
     the last axis. Both powers of r are 0 at r = 0, which gives K[0, 0] = 0
     (its volume weight vanishes) and leaves K[0, j] = omega_N s_j^{-alpha}."""
-    alpha = grid.dim - 4.0
-    c = alpha / grid.dim
-    r = grid.r
-    p0 = np.zeros(grid.n)
-    p2 = np.zeros(grid.n)
-    p0[1:] = r[1:] ** (-alpha)
-    p2[1:] = p0[1:] / (r[1:] * r[1:])
+    alpha = rule.dim - 4.0
+    c = alpha / rule.dim
+    r = rule.r
+    lo = int(r[0] == 0.0)  # r = 0 keeps both powers 0
+    p0, p2 = np.zeros((2, r.size))
+    p0[lo:] = r[lo:] ** (-alpha)
+    p2[lo:] = p0[lo:] / (r[lo:] * r[lo:])
     r2 = r * r
-    src = src * grid.r_pow * grid.w
+    src = src * rule.r_pow * rule.w
 
     def outer(x):
         # sum over j > i, accumulated from the far end
@@ -146,7 +156,7 @@ def _potential(grid, src):
 
     out = p0 * np.cumsum(src, axis=-1) + outer(p0 * src)
     out -= c * (p2 * np.cumsum(r2 * src, axis=-1) + r2 * outer(p2 * src))
-    return grid.sphere_area * out
+    return rule.sphere_area * out
 
 
 def apply_potential(alpha, h):

@@ -226,16 +226,16 @@ def _rows_from_solutions(sols, spec, sup):
     r^{4-N} (A + B r^{-2}) with A = R4 int Delta^2 u: decay_fit is that A,
     from the row's own source, and decay_pred is R4 int g f_a(u), both sums
     over S."""
-    grid, nodes = sup.grid, sup.nodes
+    grid = sols[0].u.grid
     u = np.array([sol.u.values for sol in sols])
     a = np.array([sol.a for sol in sols])
     ext_abs = np.abs(u[:, grid.r >= 1.0])  # no column when the grid ends inside B_1
     sup_ext = np.max(ext_abs, axis=1) if ext_abs.size else np.full(len(u), np.nan)
     min_value, neg_mass = np.min(u, axis=1), rc.integrate_values(grid, np.maximum(-u, 0.0))
     r4 = riesz_r4(grid.dim)
-    fit = r4 * rc.integrate_values(grid, sup.restrict([sol.u.source for sol in sols]), nodes)
+    fit = r4 * sup.integrate(sup.restrict([sol.u.source for sol in sols]))
     f_u = eval_fa(ShiftedNonlinearity(spec, a[:, None]), sup.restrict(u))
-    pred = r4 * rc.integrate_values(grid, sup.g[nodes] * f_u, nodes)
+    pred = r4 * sup.integrate(sup.g * f_u)
     return [SweepRow(a=sol.a, level=sol.level, norm_h2=sol.diagnostics["norm_h2"],
                      sup_ext=float(sup_ext[i]), min_value=float(min_value[i]),
                      neg_mass=float(neg_mass[i]), decay_fit=float(fit[i]),

@@ -1,5 +1,8 @@
 """Shared fixtures. The expensive objects (n=512 kernel, geometry constants,
 positone solve) are session-scoped so the whole suite pays for them once.
+`h2_norm` and `scale` are the grid-field norm and scaling the solver no
+longer takes, `full_grid`, `support_potential` and `bump_field` put support
+values, a source on S and the bump on the grid, and
 `random_trial_fields` and `rim_levels` are plain helpers, imported by the
 tests that probe with random directions; `zero_potential`,
 `zero_nonlinearity` and `zero_weight` are the degenerate inputs (the
@@ -32,6 +35,40 @@ import numpy as np
 import pytest
 
 import semipositone as sp
+
+
+def h2_norm(u):
+    """||Delta u||_2 of a grid field by `h2_inner`: int h u over the grid when
+    u has a source h, the stencil's on [0, r_max] otherwise."""
+    return float(np.sqrt(max(sp.h2_inner(u, u), 0.0)))
+
+
+def scale(u, t):
+    """t u, with the source t Delta^2 u when u has one."""
+    src = None if u.source is None else t * u.source
+    return sp.RadialField(u.grid, t * u.values, src)
+
+
+def full_grid(sup, grid, values):
+    """The support values (..., m) on grid, zero off S."""
+    out = np.zeros(np.shape(values)[:-1] + (grid.n,))
+    out[..., sup.nodes] = values
+    return out
+
+
+def support_potential(sup, grid, source):
+    """The potential on grid of the source (m,) on S, carrying that source."""
+    return sp.riesz_solve(sp.RadialField(grid, full_grid(sup, grid, source)))
+
+
+def bump_field(geometry, bump):
+    """The bump (values, source, u(0)) of `make_bump` as a field on
+    geometry.grid: the potential of its source, with the bump's own values
+    on S, where the two differ by rounding only, so `h2_inner` and `i_a`
+    read the numbers the solver reads."""
+    u = support_potential(geometry.support, geometry.grid, bump[1])
+    u.values[geometry.support.nodes] = bump[0]
+    return u
 
 
 def zero_potential(grid):
@@ -77,7 +114,7 @@ def rim_levels(shifted, geometry, grid, n_fields=100, seed=11):
     rng = np.random.default_rng(seed)
     levels = []
     for u in random_trial_fields(grid, n_fields, rng):
-        nh2 = sp.h2_norm(u)
+        nh2 = h2_norm(u)
         if nh2 == 0:
             continue
         scaled = sp.RadialField(grid, u.values * (geometry.rho / nh2))
@@ -440,11 +477,12 @@ def support_of(weight, grid):
 
 def fixed_point_map(u, shifted, sup):
     """T(u) = riesz_solve(g f_a(u)) on the whole grid, by its definition."""
-    return sp.riesz_solve(sp.RadialField(u.grid, sup.g * sp.eval_fa(shifted, u.values)))
+    g = full_grid(sup, u.grid, sup.g)
+    return sp.riesz_solve(sp.RadialField(u.grid, g * sp.eval_fa(shifted, u.values)))
 
 
 def energy_report(u, shifted, sup):
-    nh2 = sp.h2_norm(u)
+    nh2 = h2_norm(u)
     nl = float(sp.energy.n_values(u.values[sup.nodes], shifted, sup))
     res = sp.gradient_map(u, shifted, sup)
     return EnergyReport(value=0.5 * nh2 ** 2 - nl, norm_h2=nh2,

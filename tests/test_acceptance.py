@@ -15,8 +15,8 @@ from semipositone import sweep_cli
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import (check_prop33, newton_kernel, newton_potential, random_trial_fields,
-                      support_of, weak_lp_profile, weak_pairing)
+from conftest import (check_prop33, h2_norm, newton_kernel, newton_potential,
+                      random_trial_fields, support_of, weak_lp_profile, weak_pairing)
 
 # n = 512, r_max = 20: the level and norm on R^N, ||Delta u||^2 = int h u
 FROZEN_LEVEL = 930135288621.4
@@ -121,7 +121,7 @@ def test_criterion_6_positone_solve(example_spec, example_w, grid512, geometry51
     sol = sp.mp_solve(sh, geometry512)
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    nh2 = sp.h2_norm(sol.u)
+    nh2 = h2_norm(sol.u)
     assert sol.converged
     assert sol.residual / nh2 < 1e-4
     assert sol.level > 0.0
@@ -173,7 +173,7 @@ def test_criterion_8_directional_derivative(example_spec, example_w, grid256):
     worst = 0.0
     for k in range(50):
         u, v = fields[2 * k], fields[2 * k + 1]
-        scale = max(1.0, sp.h2_norm(u))
+        scale = max(1.0, h2_norm(u))
         # F_a''' jumps where u crosses 0; h = 1e-5 scale balances that kink
         # error against central-difference cancellation noise
         h = 1e-5 * scale

@@ -11,9 +11,10 @@ from semipositone.nonlinearity import eval_f0prime
 from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
-from conftest import (energy_report, fixed_point_map, full_grid_n_a, full_grid_ratio_sup,
-                      random_trial_fields, rim_levels, support_of, weak_pairing,
-                      zero_potential, zero_weight)
+from conftest import (energy_report, fixed_point_map, full_grid, full_grid_n_a,
+                      full_grid_ratio_sup, h2_norm, random_trial_fields, rim_levels, scale,
+                      support_of, support_potential, weak_pairing, zero_potential,
+                      zero_weight)
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -29,7 +30,8 @@ def smooth_field(grid, seed, n_lobes=3):
 def test_energy_report_internal_identity(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, 0.3)
     sup = support_of(example_w, grid128)
-    u = sp.riesz_solve(RadialField(grid128, sup.g * smooth_field(grid128, 1).values))
+    u = sp.riesz_solve(RadialField(grid128, full_grid(sup, grid128, sup.g)
+                                   * smooth_field(grid128, 1).values))
     rep = energy_report(u, sh, sup)
     assert rep.value == pytest.approx(0.5 * rep.norm_h2**2 - rep.nonlinear_term,
                                       rel=1e-12, abs=1e-12)
@@ -74,9 +76,9 @@ def test_ray_levels_match_i_a(dim, family, shift, signed, top, seed):
     vals = random_trial_fields(grid, 1, rng, r_span=2.0)[0].values
     if not signed:
         vals = np.abs(vals)
-    v = RadialField(grid, vals / sp.h2_norm(RadialField(grid, vals)))
+    v = RadialField(grid, vals / h2_norm(RadialField(grid, vals)))
     sup = support_of(weight, grid)
-    on_support = np.max(np.abs(v.values[sup.g > 0]))
+    on_support = np.max(np.abs(v.values[sup.nodes]))
     t = np.linspace(0.0, top / on_support, 9)
     levels = sp.ray_levels(v.values[sup.nodes], sp.h2_inner(v, v), sh, sup, t)
     assert levels.shape == t.shape
@@ -136,7 +138,7 @@ def test_gradient_map_rejects_divergent_source(example_spec, example_w, grid128)
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     sup = support_of(example_w, grid128)
     # a potential of ~2e306 on supp g, where f overflows to inf
-    huge = sp.scale(sp.riesz_solve(RadialField(grid128, sup.g)), 5e307)
+    huge = scale(support_potential(sup, grid128, sup.g), 5e307)
     with pytest.raises(ValueError, match="divergent"):
         sp.gradient_map(huge, sh, sup)
 
@@ -161,7 +163,7 @@ def test_directional_derivative_richardson(example_spec, example_w, grid128):
     for seed in range(5):
         u = smooth_field(grid128, 10 + seed)
         v = smooth_field(grid128, 100 + seed)
-        scale = max(1.0, sp.h2_norm(u))
+        scale = max(1.0, h2_norm(u))
         h = 1e-5 * scale  # below the F_a kink scale, above roundoff
 
         def diff(step):
@@ -321,24 +323,24 @@ def test_weight_supported_far_out(example_spec):
     assert lam == pytest.approx(eigh(s_mat, eigvals_only=True)[-1], rel=1e-10)
     geo = sp.estimate_a1(example_spec, w, g)
     assert geo.b_g == lam and geo.a1 > 0 and np.isfinite(geo.beta)
-    bump = sp.make_bump(geo.phi)
-    assert sp.h2_norm(bump) == pytest.approx(1.0, rel=1e-10)
-    assert np.min(bump.values) >= 0.0
+    x, h, _ = sp.make_bump(geo.phi, geo.support)
+    assert geo.support.integrate(h * x) == pytest.approx(1.0, rel=1e-10)
+    assert np.min(x) >= 0.0
 
 
-def test_estimate_a1_extends_one_maximiser(monkeypatch, example_spec, example_w, grid128):
-    # the p = 2 and p = gamma iterations both run on S; only the B_g
-    # maximiser, the path direction, becomes a grid field, by one riesz_solve
+def test_estimate_a1_takes_no_grid_potential(monkeypatch, example_spec, example_w, grid128):
+    # the p = 2 and p = gamma iterations both run on S, and the B_g
+    # maximiser, the path direction, comes back as its source on S: no
+    # potential is taken on the grid
     calls = []
-    solve = sp.energy.riesz_solve
-
-    def counting(h):
-        calls.append(h.grid.n)
-        return solve(h)
-    monkeypatch.setattr(sp.energy, "riesz_solve", counting)
+    for mod, name in ((sp.energy, "riesz_solve"), (sp.riesz_potential, "riesz_values"),
+                      (sp.riesz_potential, "apply_potential")):
+        monkeypatch.setattr(mod, name, lambda *args, _name=name: calls.append(_name))
     geo = sp.estimate_a1(example_spec, example_w, grid128)
-    assert calls == [grid128.n]
-    assert sp.h2_norm(geo.phi) > 0.0
+    assert calls == []
+    monkeypatch.undo()
+    assert geo.phi.shape == geo.support.nodes.shape and geo.grid is grid128
+    assert np.all(support_potential(geo.support, grid128, geo.phi).values > 0.0)
 
 
 def test_estimate_a1_degenerate_raises():

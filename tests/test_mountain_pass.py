@@ -14,8 +14,8 @@ from semipositone.nonlinearity import eval_f0prime
 from semipositone.radial_core import RadialField
 from semipositone.weight import sample_on_grid
 
-from conftest import (fixed_point_map, random_trial_fields, support_of, weak_pairing,
-                      zero_nonlinearity, zero_potential)
+from conftest import (bump_field, fixed_point_map, h2_norm, random_trial_fields, scale,
+                      support_of, support_potential, weak_pairing, zero_nonlinearity)
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +33,7 @@ def _polish(u0, sh, sup, max_iter):
                                            max_iter)
     if not ok[0]:
         return None
-    src = np.zeros(u0.grid.n)
-    src[sup.nodes] = sup.g[sup.nodes] * sp.eval_fa(sh, x[0])
-    return sp.riesz_solve(RadialField(u0.grid, src)), steps[0]
+    return support_potential(sup, u0.grid, sup.g * sp.eval_fa(sh, x[0])), steps[0]
 
 
 def _solve_batch(spec, a_values, geometry):
@@ -52,49 +50,56 @@ def _index(u, sh, sup):
     return index[0], top[0]
 
 
-def gaussian(grid, width=1.5):
-    return RadialField(grid, np.exp(-grid.r ** 2 / (2.0 * width * width)))
+def gaussian(sup, width=1.5):
+    """A Gaussian source on S, whose potential is positive."""
+    return np.exp(-sup.r ** 2 / (2.0 * width * width))
 
 
 def test_make_bump_scales_bg_maximiser(grid128, geometry128):
-    # the path direction is the B_g maximiser, nonnegative, at unit norm
-    phi = geometry128.phi
-    bump = sp.make_bump(phi)
-    assert np.min(bump.values) >= 0.0
-    assert sp.h2_norm(bump) == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose(bump.values * sp.h2_norm(phi), phi.values, rtol=1e-12)
+    # the path direction is the B_g maximiser, nonnegative, at unit norm, and
+    # its scale is its maximum on R^N, at r = 0, where the grid reads it too
+    sup = geometry128.support
+    phi = support_potential(sup, grid128, geometry128.phi)
+    x, h, top = sp.make_bump(geometry128.phi, sup)
+    assert np.min(x) >= 0.0
+    assert sup.integrate(h * x) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(x * h2_norm(phi), phi.values[sup.nodes], rtol=1e-12)
+    np.testing.assert_allclose(h * h2_norm(phi), geometry128.phi, rtol=1e-12)
+    assert top * h2_norm(phi) == pytest.approx(np.max(phi.values), rel=1e-12)
+    assert np.argmax(phi.values) == 0
     with pytest.raises(ValueError, match="nonnegative"):
-        sp.make_bump(RadialField(grid128, -phi.values))
+        sp.make_bump(-geometry128.phi, sup)
     with pytest.raises(ValueError, match="zero"):
-        sp.make_bump(zero_potential(grid128))
+        sp.make_bump(np.zeros_like(geometry128.phi), sup)
 
 
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
     ladder = sp.vtilde_ladder(geometry128, example_spec)
     t = sp.find_vtilde(1.0, ladder)
-    v = sp.scale(ladder[0], t)
+    v = scale(bump_field(geometry128, ladder[0]), t)
     assert sp.i_a(v, sh, geometry128.support) < 0.0
-    assert sp.h2_norm(v) > geometry128.rho
+    assert h2_norm(v) > geometry128.rho
 
 
 def test_find_vtilde_no_superlinearity(grid128, geometry128):
     # pure shift (f = 0): I_a(t phi) = t^2/2 + a t int g phi > 0 for t > 0,
     # so the doubling search must hit its cap and raise
-    ladder = sp.vtilde_ladder(dataclasses.replace(geometry128, phi=gaussian(grid128), rho=1.0),
-                              zero_nonlinearity())
+    geo = dataclasses.replace(geometry128, phi=gaussian(geometry128.support), rho=1.0)
+    ladder = sp.vtilde_ladder(geo, zero_nonlinearity())
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(1.0, ladder)
 
 
-def _find_vtilde_loop(shifted, sup, bump, rho):
-    # reference: one i_a per doubling, stopping at the first negative level;
-    # returns that scale and the level of its rung in a one-row ladder
-    t = 2.0 * rho
+def _find_vtilde_loop(shifted, geometry, ladder):
+    # reference: one i_a of the bump's grid field per doubling, stopping at
+    # the first negative level; returns that scale and the level of its rung
+    # in a one-row ladder
+    sup, bump = geometry.support, bump_field(geometry, ladder[0])
+    t = 2.0 * geometry.rho
     for _ in range(mp._T_CAP_DOUBLINGS + 1):
-        if sp.i_a(sp.scale(bump, t), shifted, sup) < 0.0:
-            return t, sp.ray_levels(bump.values[sup.nodes], sp.h2_inner(bump, bump), shifted,
-                                    sup, [t])[0]
+        if sp.i_a(scale(bump, t), shifted, sup) < 0.0:
+            return t, sp.ray_levels(ladder[0][0], ladder[1], shifted, sup, [t])[0]
         t *= 2.0
     return None
 
@@ -128,7 +133,7 @@ def test_ladder_reads_every_shift(dim, family, n, shift):
     a, sup = shift * geometry.a1, geometry.support
     ladder = sp.vtilde_ladder(geometry, spec)
     bump, nsq, t, level0, slope = ladder
-    ref = _find_vtilde_loop(sp.ShiftedNonlinearity(spec, a), sup, bump, geometry.rho)
+    ref = _find_vtilde_loop(sp.ShiftedNonlinearity(spec, a), geometry, ladder)
     if ref is None:
         with pytest.raises(RuntimeError, match="superlinearity"):
             sp.find_vtilde(a, ladder)
@@ -137,10 +142,9 @@ def test_ladder_reads_every_shift(dim, family, n, shift):
     levels = level0 + a * slope
     read = np.flatnonzero(levels < 0.0)
     read = slice(0, read[0] + 1 if read.size else t.size)
-    want = sp.ray_levels(bump.values[sup.nodes], nsq, sp.ShiftedNonlinearity(spec, a), sup,
-                         t[read])
+    want = sp.ray_levels(bump[0], nsq, sp.ShiftedNonlinearity(spec, a), sup, t[read])
     assert np.all(np.abs(levels[read] - want) <= 1e-12 * 0.5 * t[read] ** 2)
-    flat = sp.vtilde_ladder(dataclasses.replace(geometry, phi=gaussian(grid)),
+    flat = sp.vtilde_ladder(dataclasses.replace(geometry, phi=gaussian(sup)),
                             zero_nonlinearity(dim=dim))
     with pytest.raises(RuntimeError, match="superlinearity"):
         sp.find_vtilde(a, flat)
@@ -153,13 +157,13 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
     # path's last level is the one-row ladder's level of that scale bit for
     # bit, and i_a of the endpoint field to the crest's 1e-12
     ladder = sp.vtilde_ladder(geometry128, example_spec)
-    bump, sup = ladder[0], geometry128.support
+    bump, sup = bump_field(geometry128, ladder[0]), geometry128.support
     a_values = np.array(sp.sweep_cli._default_a_values(geometry128, 12, 2.0) + [0.0])
     scales, rungs = [], []
     for a in a_values:
         sh = sp.ShiftedNonlinearity(example_spec, a)
         scales.append(sp.find_vtilde(a, ladder))
-        ref, rung = _find_vtilde_loop(sh, sup, bump, geometry128.rho)
+        ref, rung = _find_vtilde_loop(sh, geometry128, ladder)
         assert scales[-1] == ref
         rungs.append(rung)
     crest_scale, crest_level, end = mp._crest(
@@ -167,7 +171,7 @@ def test_path_levels_match_one_i_a_per_node(example_spec, example_w, grid128, ge
     for i, (a, t) in enumerate(zip(a_values, scales)):
         sh = sp.ShiftedNonlinearity(example_spec, a)
         s = np.linspace(0.0, 1.0, 17)
-        levels = [sp.i_a(sp.scale(bump, s_j * t), sh, sup) for s_j in s]
+        levels = [sp.i_a(scale(bump, s_j * t), sh, sup) for s_j in s]
         k_star = int(np.argmax(levels))
         assert crest_scale[i] == s[k_star] * t
         assert crest_level[i] == pytest.approx(levels[k_star], rel=1e-12)
@@ -179,7 +183,7 @@ def test_positone_solution(positone128, example_spec, example_w, geometry128):
     sol = positone128
     assert sol.converged
     assert sol.a == 0.0
-    assert sol.residual <= 1e-4 * max(1.0, sp.h2_norm(sol.u))
+    assert sol.residual <= 1e-4 * max(1.0, h2_norm(sol.u))
     assert sol.level >= geometry128.beta - 1e-6
     assert np.all(sol.u.values >= 0.0)
     assert sol.diagnostics["rim_ok"]
@@ -195,10 +199,10 @@ def test_critical_point_certificate(positone128, example_spec, example_w, grid12
     sh = sp.ShiftedNonlinearity(example_spec, 0.0)
     t_u = fixed_point_map(positone128.u, sh, support_of(example_w, grid128))
     diff = sp.RadialField(grid128, positone128.u.values - t_u.values)
-    nu = sp.h2_norm(positone128.u)
+    nu = h2_norm(positone128.u)
     rng = np.random.default_rng(5)
     for f in random_trial_fields(grid128, 20, rng):
-        nv = sp.h2_norm(f)
+        nv = h2_norm(f)
         if nv == 0:
             continue
         assert abs(sp.h2_inner(diff, f)) <= 1e-10 * nv * max(1.0, nu)
@@ -357,7 +361,7 @@ def test_solve_shifts_rejects_negative_shift(example_spec, geometry128):
 
 def test_newton_polish_engages(positone128):
     assert positone128.diagnostics["newton_used"]
-    assert positone128.residual <= 1e-8 * max(1.0, sp.h2_norm(positone128.u))
+    assert positone128.residual <= 1e-8 * max(1.0, h2_norm(positone128.u))
 
 
 def test_morse_certificate_on_example(positone128, example_spec, example_w, grid128):
@@ -478,7 +482,7 @@ def test_newton_steps_no_empty_batch(monkeypatch):
     assert rows["f0prime"] and min(rows["f0prime"]) > 0
 
 
-def test_newton_diagnostics(example_spec, example_w, positone128):
+def test_newton_diagnostics(example_spec, example_w, geometry128, positone128):
     d = positone128.diagnostics
     res = d["newton_residual_history"]
     assert d["newton_iterations"] >= 1
@@ -489,9 +493,39 @@ def test_newton_diagnostics(example_spec, example_w, positone128):
     dg = sample_on_grid(example_w, u.grid).values * eval_f0prime(
         example_spec, u.values)
     assert d["support_nodes"] == np.count_nonzero(dg) >= 1
-    assert d["norm_h2"] == sp.h2_norm(u)
     assert res[-1] <= 1e-12 * res[0]
     assert d["warnings"] == []
+    # norm_h2 is the support rule's int h u of the row's source h = g f_a(x)
+    # and its values T(x) = K_S (mass f_a(x)) on S at the polished x, bit for
+    # bit; the returned u is the grid potential of h, whose int h u over the
+    # grid agrees to 4 ulps
+    sup, sh = geometry128.support, sp.ShiftedNonlinearity(example_spec, np.zeros((1, 1)))
+    ladder = sp.vtilde_ladder(geometry128, example_spec)
+    c = mp._crest(ladder, np.array([sp.find_vtilde(0.0, ladder)]), sh, sup)[0]
+    x = mp._newton_polish(c[:, None] * ladder[0][0], np.maximum(1.0, c * ladder[0][2]), sh,
+                          sup, mp._NEWTON_MAX_ITER)[0]
+    f_x = sp.eval_fa(sh, x)
+    assert np.array_equal(sup.g * f_x[0], sup.restrict(u.source))
+    assert d["norm_h2"] == np.sqrt(sup.integrate(sup.g * f_x * sup.apply(f_x)))[0]
+    assert abs(d["norm_h2"] - h2_norm(u)) <= 4 * np.finfo(float).eps * h2_norm(u)
+
+
+def test_newton_scale_is_the_crest_maximum(monkeypatch, example_spec, geometry128):
+    # Newton stops at max|Phi| below 1e-11 of the crest's maximum on R^N: u(0)
+    # of c bump, where the grid potential of the crest's source peaks too
+    scales, polish = [], mp._newton_polish
+
+    def keep(x0, scale, *args):
+        scales.append(scale)
+        return polish(x0, scale, *args)
+    monkeypatch.setattr(mp, "_newton_polish", keep)
+    sp.mp_solve(sp.ShiftedNonlinearity(example_spec, 0.0), geometry128)
+    sh = sp.ShiftedNonlinearity(example_spec, np.zeros((1, 1)))
+    ladder = sp.vtilde_ladder(geometry128, example_spec)
+    c = mp._crest(ladder, np.array([sp.find_vtilde(0.0, ladder)]), sh, geometry128.support)[0]
+    crest = support_potential(geometry128.support, geometry128.grid, c[0] * ladder[0][1])
+    assert np.argmax(crest.values) == 0 and np.max(crest.values) > 1.0
+    assert scales[0][0] == pytest.approx(np.max(crest.values), rel=1e-13)
 
 
 def test_warnings_recorded_as_data(monkeypatch, example_spec, geometry128):

@@ -568,32 +568,32 @@ def test_bg_iteration_runs_once(tmp_path, monkeypatch):
 
 def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     # the batch shares one bump ray and evaluates F_a on the m nodes of
-    # supp g: a sweep pays 2 norms of the bump whatever its row count
+    # supp g: a sweep takes no norm of a grid field (no h2_inner call) and
+    # 10 integrals on the support rule in all, the bump's two norms
     # (make_bump's, and the ladder's, which the crest path and solve_shifts
-    # read too), counted as calls of h2_inner, and 10 integrals in all,
-    # where the batch takes the norms of all rows at once as integrals of
-    # stacked values; the
-    # trailing axis of every F_a argument is the m nodes, never the grid,
-    # the 31 rungs of the vtilde ladder are one F_a call for the whole
-    # sweep, and no F_a argument holds more than the 31 rungs times m, or
-    # the 17 path nodes times m per row
+    # read too) among them, where the batch takes the norms of all rows at
+    # once as integrals of stacked values; the trailing axis of every F_a
+    # and integral argument is the m nodes, never the grid, the 31 rungs of
+    # the vtilde ladder are one F_a call for the whole sweep, and no F_a
+    # argument holds more than the 31 rungs times m, or the 17 path nodes
+    # times m per row
     h2_calls, integrals, fa_shapes = [], [], []
-    h2_inner, integrate_values = radial_core.h2_inner, radial_core.integrate_values
+    h2_inner, integrate = radial_core.h2_inner, riesz_potential.Support.integrate
     eval_fa_prim = energy.eval_Fa
 
     def counting_h2(u, v):
         h2_calls.append(u.grid.n)
         return h2_inner(u, v)
 
-    def counting_integrals(grid, values, *args):
+    def counting_integrals(sup, values):
         integrals.append(np.shape(values))
-        return integrate_values(grid, values, *args)
+        return integrate(sup, values)
 
     def sizing_fa(shifted, t):
         fa_shapes.append(np.shape(t))
         return eval_fa_prim(shifted, t)
     monkeypatch.setattr(radial_core, "h2_inner", counting_h2)
-    monkeypatch.setattr(radial_core, "integrate_values", counting_integrals)
+    monkeypatch.setattr(riesz_potential.Support, "integrate", counting_integrals)
     monkeypatch.setattr(energy, "eval_Fa", sizing_fa)
     cfg = parse_config(write(tmp_path, SMALL))
     report = sweep_cli.run_sweep(cfg)
@@ -601,8 +601,8 @@ def test_straight_path_stays_on_support(tmp_path, monkeypatch):
     m = np.count_nonzero(sp.sample_on_grid(weight, grid).values)
     rows = len(report.rows)
     assert all(r.converged for r in report.rows)
-    assert len(h2_calls) <= 2
-    assert len(integrals) <= 10
+    assert len(h2_calls) == 0
+    assert len(integrals) <= 10 and all(shape[-1] == m for shape in integrals)
     assert fa_shapes and all(shape[-1] == m < grid.n for shape in fa_shapes)
     assert fa_shapes.count((31, m)) == 1
     assert all(np.prod(shape) <= max(31, 17 * rows) * m for shape in fa_shapes)
@@ -614,7 +614,8 @@ def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     # applies a potential only where it ends, once for all rows after the
     # last search, to extend the polished points to the grid; the residuals
     # are sums over S
-    counts = {"apply_potential": 0, "support": 0, "sample_on_grid": 0, "riesz_values": 0}
+    counts = {"apply_potential": 0, "support": 0, "sample_on_grid": 0, "riesz_values": 0,
+              "riesz_solve": 0}
     shapes = []
     for name in counts:
         home = weight if name == "sample_on_grid" else riesz_potential
@@ -638,11 +639,33 @@ def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     assert len(starts) == len(report.rows) == 13
     assert all(r.converged for r in report.rows)
     assert counts["support"] == counts["sample_on_grid"] == 1
-    # one potential for the B_g maximiser before the first search, one
-    # batched potential for all rows after the last
-    assert counts["apply_potential"] == 0
-    assert all(begin["riesz_values"] == 1 for begin in starts)
-    assert shapes == [(128,), (13, 128)]
+    # the grid is only where profiles are written: no grid potential before
+    # the last search (the B_g maximiser stays a source on S), one batched
+    # riesz_values for all rows after it, and never riesz_solve
+    assert counts["apply_potential"] == counts["riesz_solve"] == 0
+    assert all(begin["riesz_values"] == 0 for begin in starts)
+    assert shapes == [(13, 128)]
+
+
+def test_mp_solve_takes_one_grid_potential(tmp_path, monkeypatch):
+    # one mp_solve, as one sweep does, takes exactly one potential on the
+    # grid, the riesz_values of its final source, and never riesz_solve
+    cfg = parse_config(write(tmp_path, "[grid]\nn = 128\n"))
+    spec, weight, grid = sweep_cli.build_problem(cfg)
+    geo = sp.estimate_a1(spec, weight, grid)
+    calls = []
+    for name in ("riesz_values", "riesz_solve", "apply_potential"):
+        orig = getattr(riesz_potential, name)
+
+        def counting(*args, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        for mod in (riesz_potential, energy, mountain_pass):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counting)
+    sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geo)
+    assert sol.converged and sol.u.grid is grid
+    assert calls == ["riesz_values"]
 
 
 def test_sweep_takes_no_stencil(tmp_path, monkeypatch):
