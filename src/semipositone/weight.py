@@ -5,7 +5,10 @@ norms, and verification of the Riesz growth bound
 
 for delta = 1 and delta = 2** at any probe radius. The norms of g are
 taken on the weight's one Gauss-Legendre rule (`WeightSpec.rule`), built
-from `WeightSpec.profile` alone.
+from `WeightSpec.profile` alone, and so is the (g2) left side at probes
+clear of the support, in closed form: two moments of g at delta = 1, where
+kappa_{N-4} is rank two, and a kernel rational in rho/R, with no float
+pow, at delta = 2**.
 """
 
 import warnings
@@ -84,11 +87,15 @@ def _radial_integral(spec, edges):
     return _panel_sums(w, spec.profile(x), x ** (spec.dim - 1), owner, edges.size - 1)
 
 
+def _moment(spec, delta, k=0):
+    """sum of jw g^delta r^{N-1} s^k over the rule, as `_panel_sums` adds it."""
+    s, w, g, r_pow = spec.rule
+    return _panel_sums(w, g ** delta * s ** float(k), r_pow, np.zeros(len(w), dtype=np.intp), 1)[0]
+
+
 def support_mass_delta(spec, delta):
     """int g^delta dy, the large-|x| limit of the (g2) left side."""
-    _, w, g, r_pow = spec.rule
-    mass = _panel_sums(w, g ** delta, r_pow, np.zeros(len(w), dtype=np.intp), 1)
-    return float(sphere_area(spec.dim) * mass[0])
+    return float(sphere_area(spec.dim) * _moment(spec, delta))
 
 
 def example_weight(d=1.0, r_in=0.5, r_out=1.0, dim=5):
@@ -184,20 +191,34 @@ def check_g1(spec):
 
 def g2_left_side(spec, delta, x):
     """|x|^alpha int g^delta |x-y|^{-alpha} dy at probe radii x (a scalar or
-    an array), alpha = (N-4) delta, by the closed-form ring kernel
-    (`ring_kernel_pairs`) in the radial variable at every probe. delta is 1
-    or 2** (alpha = N - 4 or 2N); any other delta raises ValueError.
+    an array), alpha = (N-4) delta, delta 1 or 2** (alpha = N - 4 or 2N);
+    any other delta raises ValueError.
 
-    Probes clear of the support take its knot-split rule (`WeightSpec.rule`).
-    Probes inside it or within 2% of its width of an edge take panels split
-    at the edges, the knots, the probe and x -+ dist 2^j, dist the probe's
-    distance to the support: graded toward the near-singularity at s = x,
-    Gauss-Legendre converges geometrically (Trefethen, Approximation Theory
-    and Approximation Practice, 2013, ch. 19). A probe that meets the
-    support is +inf when alpha >= N.
+    Probes clear of the support take closed forms on `WeightSpec.rule`:
+    nodes s, m = jw g^delta r^{N-1}, c = (N-4)/N, R and rho the larger and
+    smaller of x and s. At delta = 1 kappa_{N-4} is rank two, so with
+    M_k = sum m s^k the left side is omega (M_0 - c M_2 / x^2) beyond r_out
+    and omega (x^alpha M_{-alpha} - c x^{alpha+2} M_{-alpha-2}) inside r_in.
+    At 2** each node adds omega m (x/R)^{2N} (1 + z^2) / q^{N+1}, z = rho/R,
+    with no float pow and q = 1 - z^2 from the exact difference,
+    ((R - rho)/R)((R + rho)/R): from the rounded z it is 10-30 ulps off 2%
+    past an edge (dims 6-9). Each probe's row is summed alone, so an array
+    gives the bits of one call per probe.
+
+    Probes inside the support or within 2% of its width of an edge take
+    `ring_kernel_pairs` on panels split at the edges, the knots, the probe
+    and x -+ dist 2^j, dist the probe's distance to the support: graded
+    toward the near-singularity at s = x, Gauss-Legendre converges
+    geometrically (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, ch. 19). A probe that meets the support is +inf when
+    alpha >= N.
     """
     dim = spec.dim
     alpha = (dim - 4.0) * delta
+    riesz = abs(alpha - (dim - 4.0)) <= 1e-12 * alpha
+    if not (riesz or abs(alpha - 2.0 * dim) <= 1e-12 * alpha):
+        raise ValueError("alpha=%g: closed forms exist for N-4=%d and 2N=%d only"
+                         % (alpha, dim - 4, 2 * dim))
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
     if np.any(x <= 0):
@@ -207,11 +228,7 @@ def g2_left_side(spec, delta, x):
     meets = dist == 0.0
     near = meets | (dist < 0.02 * width)
     out = np.empty(x.size)
-    s, jw, g, r_pow = (a.ravel() for a in spec.rule)
-    far = x[~near]
-    kern = ring_kernel_pairs(dim, far[:, None], s, alpha)
-    integrand = g ** delta * r_pow * kern
-    out[~near] = far ** alpha * np.sum(jw * integrand, axis=1)
+    out[~near] = (_far_riesz if riesz else _far_rational)(spec, delta, x[~near])
     if alpha >= dim:  # the diagonal is not integrable
         out[meets], near = np.inf, near & ~meets
     edges, lo, hi, owner = np.array([spec.r_in, spec.r_out]), [], [], []
@@ -229,6 +246,43 @@ def g2_left_side(spec, delta, x):
         gp *= ring_kernel_pairs(dim, x[owner, None], s, alpha)
         out[near] = x[near] ** alpha * _panel_sums(jw, gp, s ** (dim - 1), owner, x.size)[near]
     return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _far_riesz(spec, delta, x):
+    """The delta = 1 left side at probes x clear of the support, from its
+    moments on the rule; see `g2_left_side`."""
+    alpha = (spec.dim - 4.0) * delta
+    c, om = (spec.dim - 4.0) / spec.dim, sphere_area(spec.dim)
+    out = om * (_moment(spec, delta) - c * _moment(spec, delta, 2) / (x * x))
+    inside = x < spec.r_in
+    if inside.any():
+        x = x[inside]
+        out[inside] = om * (x ** alpha * _moment(spec, delta, -alpha)
+                            - c * x ** (alpha + 2) * _moment(spec, delta, -alpha - 2))
+    return out
+
+
+def _far_rational(spec, delta, x):
+    """The delta = 2** left side at probes x clear of the support, one row
+    of nodes per probe; see `g2_left_side`."""
+    s, jw, g, r_pow = (a.ravel() for a in spec.rule)
+    big = np.maximum(x[:, None], s)
+    q = np.abs(x[:, None] - s) / big
+    q *= (x[:, None] + s) / big
+    term = (2.0 - q) / _power(q, spec.dim + 1)  # 2 - q = 1 + z^2
+    inside = x < spec.r_in  # x / R = z
+    if inside.any():
+        term[inside] *= _power(np.square(x[inside, None] / s), spec.dim)
+    term *= jw * g ** delta * r_pow
+    return sphere_area(spec.dim) * np.sum(term, axis=-1)
+
+
+def _power(a, k):
+    """a^k for an integer k >= 1 by squaring and multiplying, no float pow."""
+    if k == 1:
+        return a
+    half = _power(a * a, k // 2)
+    return half * a if k % 2 else half
 
 
 # (g2) probe radii: exterior points |x| >= 1, clear of the support

@@ -10,10 +10,15 @@ import semipositone as sp
 from semipositone.radial_core import RadialField
 from semipositone.weight import g2_left_side, support_mass_delta
 
-from conftest import annulus_lp, bits, g2_left_side_direct, oracle_check_g1, zero_weight
+from conftest import (annulus_lp, bits, g2_left_side_direct, oracle_check_g1, oracle_g2_left_side,
+                      zero_weight)
 
 # a 3-piece table weight: g = 1, 1.4, 1.4, 0.3 at r = 0.5, 0.7, 0.85, 1.3
 TABLE_R, TABLE_G = [0.5, 0.7, 0.85, 1.3], [1.0, 1.4, 1.4, 0.3]
+# the same table ending at r = 1, and a table on [2, 3], which the (g2)
+# probes 1.05, 1.415 and 1.908 see from inside r_in, clear of its near band
+UNIT_TABLE = ([0.5, 0.7, 0.85, 1.0], TABLE_G)
+INNER_TABLE = ([2.0, 2.3, 2.7, 3.0], [0.6, 1.5, 1.1, 0.4])
 
 
 def test_example_norms_closed_forms(example_w):
@@ -291,18 +296,109 @@ def test_g2_interior_probe_divergent(example_w):
 
 def test_g2_left_side_array_matches_scalar_calls(example_w):
     # one call over an array of probes (any shape) gives what one call per
-    # probe gives, near-support probes and the +inf rule included
-    x = np.array([[1.05, 3.0, 1e3], [0.75, 1.005, 1.5]])
-    for delta in (1.0, sp.critical_exponent(5)):
-        got = g2_left_side(example_w, delta, x)
-        want = np.array([[g2_left_side(example_w, delta, v) for v in row] for row in x])
-        assert got.shape == x.shape
-        np.testing.assert_array_equal(got, want)
-        assert all(isinstance(v, float) for v in want.ravel().tolist())
+    # probe gives, near-support probes, far probes inside r_in (the annulus's
+    # last row, the [2, 3] table's first) and the +inf rule included
+    inner = sp.table_weight(*INNER_TABLE)
+    for w, x in ((example_w, np.array([[1.05, 3.0, 1e3], [0.75, 1.005, 1.5], [0.1, 0.3, 0.45]])),
+                 (inner, np.array([[1.05, 1.415, 1.908], [1.995, 2.5, 3.5]]))):
+        for delta in (1.0, sp.critical_exponent(5)):
+            got = g2_left_side(w, delta, x)
+            want = np.array([[g2_left_side(w, delta, v) for v in row] for row in x])
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, want)
+            assert all(isinstance(v, float) for v in want.ravel().tolist())
     # alpha = 10 >= N: +inf exactly where the probe meets the support
     got = g2_left_side(example_w, sp.critical_exponent(5), np.array([0.5, 0.75, 1.0, 1.005]))
     assert np.array_equal(np.isinf(got), [True, True, True, False])
     assert np.isfinite(g2_left_side(example_w, 1.0, np.array([0.5, 0.75, 1.0]))).all()
+
+
+@pytest.mark.parametrize("dim", range(5, 10))
+def test_g2_far_probes_match_the_dense_sum(dim, monkeypatch):
+    # far probes take closed forms on the rule (two moments of g at delta = 1,
+    # the rational kernel at 2**) and no `ring_kernel_pairs`; they give the
+    # dense ring-kernel sum over the same rule within 8 ulps (measured 2.6)
+    # on the annulus at the `check_g2` probes, the unit table from just past
+    # its near band (which ends at 1.01) and the [2, 3] table from inside r_in
+    eps = np.finfo(float).eps
+    calls = []
+    monkeypatch.setattr(sp.weight, "ring_kernel_pairs", lambda *a: calls.append(a))
+    inner = np.array([1.05, 1.415, 1.908, 3.5, 40.0])
+    for w, x in ((sp.example_weight(dim=dim), sp.weight._G2_PROBES),
+                 (sp.table_weight(*UNIT_TABLE, dim=dim), np.geomspace(1.0101, 1e3, 24)),
+                 (sp.table_weight(*INNER_TABLE, dim=dim), inner)):
+        for delta in (1.0, sp.critical_exponent(dim)):
+            got = g2_left_side(w, delta, x)
+            want = oracle_g2_left_side(w, delta, x)
+            assert np.all(np.abs(got - want) <= 8 * eps * want), (w.r_in, delta, got / want - 1)
+    assert calls == []
+
+
+def _mp_left_side(w, delta, x):
+    """The (g2) left side at far probes x, summed over w's rule (its nodes,
+    weights and g taken exact, omega the float `sphere_area`) in 40-digit
+    mpmath with the kernel x^alpha kappa_alpha(x, s) in closed form."""
+    import mpmath
+
+    dim = w.dim
+    s, jw, g, _ = (a.ravel() for a in w.rule)
+    with mpmath.workdps(40):
+        mf = mpmath.mpf
+        nodes = [(mf(si), mf(ji) * mf(gi) ** mf(delta) * mf(si) ** (dim - 1))
+                 for si, ji, gi in zip(s, jw, g)]
+        out = []
+        for v in map(mf, x):
+            total = 0
+            for si, mi in nodes:
+                if delta == 1.0:
+                    big, rho = max(v, si), min(v, si)
+                    kern = (v / big) ** (dim - 4) * (1 - mf(dim - 4) / dim * (rho / big) ** 2)
+                else:
+                    kern = v ** (2 * dim) * (v * v + si * si) / abs(v * v - si * si) ** (dim + 1)
+                total += mi * kern
+            out.append(float(mf(sp.sphere_area(dim)) * total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", range(5, 10))
+def test_g2_far_forms_against_mpmath(dim):
+    # against a 40-digit sum over the same rule the far closed forms lie
+    # within 4 ulps (measured 2), and so does the dense sum they replace
+    # (2), at a probe 2.01% of the width past the unit table's r_out, where
+    # q = 1 - z^2 formed from the rounded z is 10-30 ulps off at dims 6-9,
+    # and at the [2, 3] table's probes inside r_in
+    unit, inner = sp.table_weight(*UNIT_TABLE, dim=dim), sp.table_weight(*INNER_TABLE, dim=dim)
+    cases = ((unit, np.array([1.0 + 0.0201 * 0.5, 1.05, 3.0, 1e3])),
+             (inner, np.array([1.05, 1.415, 1.908, 3.5])),
+             (sp.example_weight(dim=dim), np.array([1.05, 1e3])))
+    for w, x in cases:
+        for delta in (1.0, sp.critical_exponent(dim)):
+            want = _mp_left_side(w, delta, x)
+            for got in (g2_left_side(w, delta, x), oracle_g2_left_side(w, delta, x)):
+                ulps = np.abs(got - want) / np.spacing(want)
+                assert np.all(ulps <= 4), (w.r_in, delta, ulps)
+
+
+@given(dim=st.integers(5, 9), r0=st.floats(0.0, 0.5),
+       table=st.lists(st.tuples(st.floats(1e-3, 1.0 / 16.0),
+                                st.one_of(st.just(0.0), st.floats(1e-3, 10.0))),
+                      min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_g2_exterior_left_side_rises_to_the_mass(dim, r0, table):
+    # at delta = 1 the left side beyond the support is omega (M_0 - c M_2 / x^2)
+    # with c M_2 > 0: it rises with x towards int g, so `check_g2`'s C_g is
+    # its last probe's value and the far-field ratio is at most 1 (and within
+    # c (r_out / 1e3)^2 of it). Tables inside the unit ball keep every probe
+    # clear of the support
+    steps, g = np.array(table).T
+    assume(np.any(g > 0))
+    w = sp.table_weight(r0 + np.cumsum(steps), g, dim=dim)
+    rep = sp.check_g2(w, 1.0)
+    values = rep.details["values"]
+    assert rep.passed and np.all(values > 0)
+    assert np.all(np.diff(values) >= 0)
+    assert rep.details["c_g"] == values[-1] <= rep.details["limit_mass"]
+    assert 1.0 - 1e-6 <= rep.details["far_field_ratio"] <= 1.0
 
 
 def _table_moment(r, g, k):
