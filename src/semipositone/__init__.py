@@ -6,10 +6,9 @@ from .radial_core import (RadialField, RadialGrid, h2_inner, integrate, laplacia
                           make_grid, sphere_area)
 from .nonlinearity import (NonlinearitySpec, ShiftedNonlinearity, CheckReport,
                            check_f1, check_f2, check_f3, check_f4,
-                           critical_exponent, eval_F, eval_Fa,
-                           eval_f, eval_f0, eval_fa, example_nonlinearity,
-                           growth_envelope, linear_nonlinearity,
-                           power_nonlinearity)
+                           critical_exponent, eval_Fa, eval_f0, eval_fa,
+                           example_nonlinearity, growth_envelope,
+                           linear_nonlinearity, power_nonlinearity)
 from .weight import (WeightSpec, check_g1, check_g2, example_weight,
                      g2_left_side, sample_on_grid, table_weight)
 from .riesz_potential import (apply_potential, riesz_r4, riesz_solve, ring_kernel,

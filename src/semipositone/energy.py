@@ -144,14 +144,15 @@ def estimate_bg(weight, grid):
     return _ratio_sup(support(sample_on_grid(weight, grid)), 2.0)[0]
 
 
-def estimate_a1(spec, weight, grid, eps=None):
+def estimate_a1(spec, weight, grid):
     """Mountain-pass geometry constants for the shifted family built on spec.
 
     Both embedding constants are variational problems solved exactly on
     the support: c_lin = sup int g|u| / ||Delta u|| = (int g T(g))^{1/2} by
     the representation (T(g) > 0 is the maximiser), and
     c_gamma = c_env / gamma * sup int g|u|^gamma / ||Delta u||^gamma by the
-    power iteration of `_ratio_sup`. With q = 1/2 - (eps/2) B_g,
+    power iteration of `_ratio_sup`. With eps = cap / 2, half the cap
+    1/(B_g ||g||_{N/4}), and q = 1/2 - (eps/2) B_g,
 
         I_a(u) >= A(rho) - a c_lin rho on ||Delta u|| = rho,
         A(rho) = q rho^2 - c_gamma rho^gamma,
@@ -166,21 +167,19 @@ def estimate_a1(spec, weight, grid, eps=None):
     phi on S, the direction of the straight path (`mountain_pass.make_bump`),
     and so does the support the constants were computed on, which every
     later stage reads, and the grid g was sampled on, only where the solve
-    writes its profiles. Raises GeometryError when eps, q or A(rho*) leave no
-    positive rim, and when the growth envelope sits at its floor
-    (f(t) <= eps t on every sample), however finite the constants built on
-    that floor come out.
+    writes its profiles. Raises GeometryError when g has no mass on the grid
+    (no cap), when q or A(rho*) leave no positive rim, and when the growth
+    envelope sits at its floor (f(t) <= eps t on every sample), however
+    finite the constants built on that floor come out.
     """
     gamma = spec.gamma
     sup = support(sample_on_grid(weight, grid))
     b_g, phi = _ratio_sup(sup, 2.0)
     gn4 = weight.norm(sup.dim / 4.0)
-    cap = 1.0 / (b_g * gn4) if b_g * gn4 > 0 else np.inf
-    if eps is None:
-        eps = 0.5 * cap
-    if not eps < cap:
-        raise GeometryError("eps=%g must stay below 1/(B_g ||g||_{N/4}) = %g"
-                            % (eps, cap))
+    if not b_g * gn4 > 0:
+        raise GeometryError("g has no mass on the grid: B_g=%g, ||g||_{N/4}=%g leave no "
+                            "eps below 1/(B_g ||g||_{N/4})" % (b_g, gn4))
+    eps = 0.5 / (b_g * gn4)
     q = 0.5 - 0.5 * eps * b_g
     if q <= 0:
         raise GeometryError("geometry collapsed: quadratic coefficient q=%g <= 0" % q)

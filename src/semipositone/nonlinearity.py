@@ -1,12 +1,14 @@
-"""Nonlinearity families f, the shift f_a, the positone limit f_0, primitives,
-and samplable growth/monotonicity checks.
+"""Nonlinearity families f, the shift f_a, the positone limit f_0, and
+samplable growth/monotonicity checks.
 
+A nonlinearity is its three closed forms: f, its primitive F = F_closed and
+its derivative f' = fprime, the three things the energy
+I_a(u) = ||Delta u||^2 / 2 - int g F_a(u) and its Newton steps read.
 Conventions, with t+ = max(t, 0):
     f_0(t) = f(t+),   f_a(t) = f(t+) - a,
     F(t) = int_0^t f,  F_a(t) = F(t+) - a t,
 so f_a = -a and F_a = -a t on t <= 0. These hold because `NonlinearitySpec`
-rejects an f with f(0) != 0 and a registered F_closed with F_closed(0) != 0
-(the quadrature primitive is 0 at 0 by construction).
+rejects an f with f(0) != 0 and an F_closed with F_closed(0) != 0.
 
 The growth hypotheses are limits and monotonicity statements; the checkers
 here sample dense logarithmic grids and report falsifiable evidence, they do
@@ -15,11 +17,9 @@ not prove anything.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from .radial_core import gauss_legendre, sorted_union
 
 T_BIG = 1e6          # top of the default sampling range
 ENVELOPE_FLOOR = 1e-300  # growth_envelope where f(t) <= eps t on every sample
@@ -36,19 +36,24 @@ def critical_exponent(dim):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """f with its growth constants (gamma, c_f, r_mono) and optional closed
-    forms of F and f'. check_sample, f on the checkers' log grid, is filled
-    on first use and kept on the instance, so one pass of (f1)-(f4) samples
-    f there once; a `dataclasses.replace`d spec starts without it."""
+    """f with its growth constants (gamma, c_f, r_mono) and the closed forms
+    F_closed of F and fprime of f', all three callables on t >= 0 (a spec
+    without one is refused when built, not halfway through a solve).
+    check_sample, f on the checkers' log grid, is filled on first use and
+    kept on the instance, so one pass of (f1)-(f4) samples f there once; a
+    `dataclasses.replace`d spec starts without it."""
     f: Callable
     gamma: float
     c_f: float
     r_mono: float
+    F_closed: Callable
+    fprime: Callable
     dim: int = 5
-    F_closed: Optional[Callable] = None
-    fprime: Optional[Callable] = None
 
     def __post_init__(self):
+        for name in ("f", "F_closed", "fprime"):
+            if not callable(getattr(self, name)):
+                raise ValueError("%s=%r must be callable" % (name, getattr(self, name)))
         two_ss = critical_exponent(self.dim)
         if not 2.0 < self.gamma < two_ss:
             raise ValueError(
@@ -58,7 +63,7 @@ class NonlinearitySpec:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("%s=%r must be finite" % (name, getattr(self, name)))
         for name, fn in (("f", self.f), ("F_closed", self.F_closed)):
-            at0 = float(fn(0.0)) if fn is not None else 0.0
+            at0 = float(fn(0.0))
             if at0 != 0.0:
                 raise ValueError("%s(0)=%g but the hypotheses need %s(0)=0 exactly"
                                  % (name, at0, name))
@@ -66,7 +71,7 @@ class NonlinearitySpec:
     @cached_property
     def check_sample(self):
         """f on _CHECK_T (read-only), the sample (f1)-(f4) share."""
-        ft = np.array(eval_f(self, _CHECK_T), dtype=float)
+        ft = np.array(self.f(_CHECK_T), dtype=float)
         ft.flags.writeable = False
         return ft
 
@@ -154,36 +159,6 @@ def linear_nonlinearity(dim=5, gamma=2.5):
                             fprime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
 
-def eval_f(spec, t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("eval_f takes t >= 0; use eval_f0 for signed arguments")
-    return spec.f(t)
-
-
-def eval_F(spec, t):
-    """Primitive F(t) = int_0^t f; closed form if registered, else one
-    cumulative Gauss-Legendre sum over panels between the sorted samples and
-    the octaves 2^k t_min, k >= -40 (t_min the least positive sample): f is
-    smooth on (0, inf), so each panel is at machine precision, and whatever
-    f does at 0 stays in the first panel, of relative size 2^-40."""
-    if spec.F_closed is not None:
-        return spec.F_closed(np.asarray(t, dtype=float))
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise ValueError("eval_F takes t >= 0")
-    samples = sorted_union(tt)
-    out = np.zeros(tt.shape)
-    if samples.size and samples[-1] > 0:
-        t_min = samples[samples > 0][0]
-        octaves = t_min * 2.0 ** np.arange(-40, np.log2(samples[-1] / t_min))
-        ends = sorted_union([0.0], octaves, samples)
-        x, w = gauss_legendre(ends[:-1], ends[1:])
-        cumulative = np.concatenate(([0.0], np.cumsum(np.sum(w * spec.f(x), axis=1))))
-        out = cumulative[np.searchsorted(ends, tt)]
-    return float(out) if out.ndim == 0 else out
-
-
 def eval_f0(spec, t):
     out = np.asarray(spec.f(np.maximum(np.asarray(t, dtype=float), 0.0)), dtype=float)
     return out if out.ndim else float(out)
@@ -196,14 +171,12 @@ def eval_fa(shifted, t):
 
 def eval_Fa(shifted, t):
     t = np.asarray(t, dtype=float)
-    out = np.asarray(eval_F(shifted.base, np.maximum(t, 0.0))) - shifted.a * t
+    out = np.asarray(shifted.base.F_closed(np.maximum(t, 0.0))) - shifted.a * t
     return out if out.ndim else float(out)
 
 
 def eval_f0prime(spec, t):
-    """Derivative of f_0 where it exists (0 on t < 0); needs a registered fprime."""
-    if spec.fprime is None:
-        raise ValueError("spec has no registered derivative")
+    """Derivative of f_0 where it exists (0 on t < 0)."""
     t = np.asarray(t, dtype=float)
     pos = t > 0
     out = np.zeros_like(t)
@@ -228,7 +201,7 @@ def growth_envelope(spec, eps):
     sample has f(t) > eps t.
     """
     def ratio(tt):
-        return (np.asarray(eval_f(spec, tt)) - eps * tt) / tt ** (spec.gamma - 1.0)
+        return (np.asarray(spec.f(tt)) - eps * tt) / tt ** (spec.gamma - 1.0)
 
     t = _ENVELOPE_T
     rho = ratio(t)
@@ -296,7 +269,7 @@ def check_f3(spec):
 def check_f4(spec):
     """Difference quotients on [0, 100] must stay bounded as the step
     shrinks (growth between scales reads as a Lipschitz failure)."""
-    ahead = np.split(np.asarray(eval_f(spec, _F4_AHEAD)), np.cumsum(_F4_SIZES)[:-1])
+    ahead = np.split(np.asarray(spec.f(_F4_AHEAD)), np.cumsum(_F4_SIZES)[:-1])
     maxq = [float(np.max(np.abs(fa - spec.check_sample[:fa.size]) / h))
             for fa, h in zip(ahead, _F4_STEPS)]
     growth = max(maxq[i + 1] / maxq[i] for i in range(len(maxq) - 1)) if maxq[0] > 0 else 1.0

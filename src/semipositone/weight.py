@@ -152,9 +152,11 @@ def sample_on_grid(spec, grid):
     Plain nodal sampling of a characteristic-function weight loses O(h) mass
     wherever r_in or r_out falls between nodes; here each node instead gets
     the mass of g over its trapezoid cell divided by the node's quadrature
-    measure, so integrate(g_grid) reproduces ||g||_1 to roundoff and
-    weighted quadratures keep their O(h^2) accuracy. The masses come from
-    one Gauss-Legendre sum over the touched cells, split at the knots.
+    measure, and weighted quadratures keep their O(h^2) accuracy. Node 0's
+    measure r^{N-1} w is 0, so its half cell [0, h/2] goes to node 1, whose
+    cell is [0, 3h/2]: the cells cover [0, r_max], and integrate(g_grid)
+    reproduces ||g||_1 to roundoff at every n and r_max. The masses come
+    from one Gauss-Legendre sum over the touched cells, split at the knots.
     """
     if grid.dim != spec.dim:
         raise ValueError("grid dim %d != weight dim %d" % (grid.dim, spec.dim))
@@ -164,14 +166,14 @@ def sample_on_grid(spec, grid):
     h = grid.h
     lo = np.clip(grid.r - 0.5 * h, 0.0, None)
     hi = np.minimum(grid.r + 0.5 * h, grid.r_max)
+    lo[1] = hi[0] = 0.0  # node 0 has no measure: its half cell is node 1's
     vals = np.zeros(grid.n)
     # the touched cells are contiguous; neighbours share the edge lo[i + 1]
     touched = np.nonzero(np.minimum(hi, spec.r_out) > np.maximum(lo, spec.r_in))[0]
     if touched.size:
         edges = np.clip(np.append(lo[touched], hi[touched[-1]]), spec.r_in, spec.r_out)
         mass = _radial_integral(spec, edges)
-        measure = grid.r_pow[touched] * grid.w[touched]
-        vals[touched] = np.divide(mass, measure, out=np.zeros_like(mass), where=measure > 0)
+        vals[touched] = mass / (grid.r_pow[touched] * grid.w[touched])
     return RadialField(grid=grid, values=vals)
 
 

@@ -14,7 +14,9 @@ functions read, and `weak_lp_profile`, `c_r_constant`, `check_prop33` and
 bound, which no solve reads; `envelope_refine` and `emit_texts` are the
 per-sample envelope fit and the per-cell file formatter the package's faster
 versions must reproduce, `masked_f0` and `masked_Fa` the f_0 and F_a of
-element masks the positive-part forms must reproduce, and `oracle_check_f1` .. `oracle_check_g2` with
+element masks the positive-part forms must reproduce, `quadrature_primitive`
+the cumulative Gauss-Legendre F the closed-form primitives must match and
+`quadrature_spec` a spec that takes its F from it, and `oracle_check_f1` .. `oracle_check_g2` with
 `oracle_checks` the hypothesis checkers that sample f and g afresh in every
 call, which the per-spec samples must reproduce bit for bit (`bits` puts a
 report's details in a form compared exactly), and `annulus_lp` the closed-form
@@ -186,7 +188,7 @@ def envelope_refine(spec, eps):
     """`growth_envelope` by a 20001-point linear refine of the bracket
     around the argmax of the 4001-point log grid on [1e-8, T_BIG]."""
     def ratio(tt):
-        return (np.asarray(sp.eval_f(spec, tt)) - eps * tt) / tt ** (spec.gamma - 1.0)
+        return (np.asarray(spec.f(tt)) - eps * tt) / tt ** (spec.gamma - 1.0)
 
     t = np.geomspace(1e-8, sp.nonlinearity.T_BIG, 4001)
     rho = ratio(t)
@@ -212,9 +214,36 @@ def masked_Fa(shifted, t):
     pos = t > 0
     out = -shifted.a * t
     if np.any(pos):
-        out = np.where(pos, np.asarray(sp.eval_F(shifted.base, np.where(pos, t, 0.0)))
+        out = np.where(pos, np.asarray(shifted.base.F_closed(np.where(pos, t, 0.0)))
                        - shifted.a * t, out)
     return out
+
+
+def quadrature_primitive(f, t):
+    """F(t) = int_0^t f at t >= 0 by one cumulative Gauss-Legendre sum over
+    panels between the sorted samples and the octaves 2^k t_min, k >= -40
+    (t_min the least positive sample): f is smooth on (0, inf), so each panel
+    is at machine precision, and whatever f does at 0 stays in the first
+    panel, of relative size 2^-40. The oracle for the closed-form primitives."""
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt < 0):
+        raise ValueError("quadrature_primitive takes t >= 0")
+    sorted_union, gauss_legendre = sp.radial_core.sorted_union, sp.radial_core.gauss_legendre
+    samples = sorted_union(tt)
+    out = np.zeros(tt.shape)
+    if samples.size and samples[-1] > 0:
+        t_min = samples[samples > 0][0]
+        octaves = t_min * 2.0 ** np.arange(-40, np.log2(samples[-1] / t_min))
+        ends = sorted_union([0.0], octaves, samples)
+        x, w = gauss_legendre(ends[:-1], ends[1:])
+        cumulative = np.concatenate(([0.0], np.cumsum(np.sum(w * f(x), axis=1))))
+        out = cumulative[np.searchsorted(ends, tt)]
+    return float(out) if out.ndim == 0 else out
+
+
+def quadrature_spec(spec):
+    """spec with F_closed replaced by `quadrature_primitive` of its f."""
+    return replace(spec, F_closed=lambda t: quadrature_primitive(spec.f, t))
 
 
 def emit_texts(report):
@@ -262,7 +291,7 @@ _CHECK_T = np.geomspace(1e-6, 1e6, 2000)
 
 
 def oracle_check_f1(spec):
-    ft = np.asarray(sp.eval_f(spec, _CHECK_T))
+    ft = np.asarray(spec.f(_CHECK_T))
     small = _CHECK_T <= 10.0 * _CHECK_T[0]
     origin_ratio = float(np.max(np.abs(ft[small] / _CHECK_T[small])))
     big = _CHECK_T >= _CHECK_T[-1] / 10.0
@@ -274,7 +303,7 @@ def oracle_check_f1(spec):
 
 
 def oracle_check_f2(spec):
-    ratio = np.asarray(sp.eval_f(spec, _CHECK_T)) / _CHECK_T
+    ratio = np.asarray(spec.f(_CHECK_T)) / _CHECK_T
     exceeded = {m: bool(np.any(ratio > m)) for m in (1.0, 10.0)}
     return sp.CheckReport("f2", all(exceeded.values()), {
         "max_ratio": float(np.max(ratio)), "probes": exceeded})
@@ -282,7 +311,7 @@ def oracle_check_f2(spec):
 
 def oracle_check_f3(spec):
     t = _CHECK_T[_CHECK_T > spec.r_mono]
-    ratio = np.asarray(sp.eval_f(spec, t)) / t
+    ratio = np.asarray(spec.f(t)) / t
     drops = np.diff(ratio)
     worst = float(np.min(drops)) if drops.size else 0.0
     ok = worst >= -1e-12 * max(1.0, float(np.max(np.abs(ratio))))
@@ -294,8 +323,8 @@ def oracle_check_f4(spec):
     t = _CHECK_T[_CHECK_T <= 100.0]
     for hstep in (1e-2, 1e-4, 1e-6):
         pts = t[t + hstep <= 100.0]
-        q = np.abs(np.asarray(sp.eval_f(spec, pts + hstep))
-                   - np.asarray(sp.eval_f(spec, pts))) / hstep
+        q = np.abs(np.asarray(spec.f(pts + hstep))
+                   - np.asarray(spec.f(pts))) / hstep
         maxq.append(float(np.max(q)))
     growth = max(maxq[i + 1] / maxq[i] for i in range(2)) if maxq[0] > 0 else 1.0
     return sp.CheckReport("f4", growth <= 2.0, {"max_quotients": maxq, "scale_growth": growth})
@@ -572,12 +601,12 @@ def manufactured(dim, spec, S=1e3):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = (r > r_in) & (r < r_out)
-        out[inside] = h(r[inside]) / sp.eval_f(spec, u_star(r[inside]))
+        out[inside] = h(r[inside]) / spec.f(u_star(r[inside]))
         return out if out.ndim else float(out)
 
     s, w = gauss_legendre(r_in, r_out)
     u = u_star(s)
-    level = om * np.sum(w * s ** (dim - 1) * (0.5 * h(s) * u - profile(s) * sp.eval_F(spec, u)))
+    level = om * np.sum(w * s ** (dim - 1) * (0.5 * h(s) * u - profile(s) * spec.F_closed(u)))
     weight = sp.WeightSpec(profile=profile, dim=dim, r_in=r_in, r_out=r_out)
     return weight, u_star, float(level)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +10,9 @@ from semipositone.radial_core import RadialField
 from semipositone.riesz_potential import ring_kernel
 
 from conftest import (energy_report, fixed_point_map, full_grid, full_grid_n_a,
-                      full_grid_ratio_sup, h2_norm, random_trial_fields, rim_levels, scale,
-                      support_of, support_potential, weak_pairing, zero_potential,
-                      zero_weight)
+                      full_grid_ratio_sup, h2_norm, quadrature_spec, random_trial_fields,
+                      rim_levels, scale, support_of, support_potential, weak_pairing,
+                      zero_potential, zero_weight)
 
 
 def smooth_field(grid, seed, n_lobes=3):
@@ -45,7 +43,7 @@ def test_nonlinear_term_split_oracle(example_spec, example_w, grid128):
     sh = sp.ShiftedNonlinearity(example_spec, a)
     u = RadialField(grid128, np.exp(-((grid128.r - 0.75) ** 2)))
     gv = sp.sample_on_grid(example_w, grid128).values
-    f_part = sp.integrate(RadialField(grid128, gv * sp.eval_F(example_spec, u.values)))
+    f_part = sp.integrate(RadialField(grid128, gv * example_spec.F_closed(u.values)))
     lin_part = sp.integrate(RadialField(grid128, gv * u.values))
     sup = support_of(example_w, grid128)
     assert sp.energy.n_values(u.values[sup.nodes], sh, sup) == pytest.approx(
@@ -57,8 +55,8 @@ def _family(name, dim):
         return sp.example_nonlinearity(dim=dim)
     if name == "power":
         return sp.power_nonlinearity(3.0, dim=dim, gamma=2.5)
-    # the example f with no registered primitive: F by the eval_F fallback
-    return dataclasses.replace(sp.example_nonlinearity(dim=dim), F_closed=None)
+    # the example f with F from the tests' quadrature primitive, no closed form
+    return quadrature_spec(sp.example_nonlinearity(dim=dim))
 
 
 @given(dim=st.integers(5, 9), family=st.sampled_from(["example", "power", "fallback"]),
@@ -379,23 +377,26 @@ def test_estimate_a1_names_a_linear_f(gamma):
         sp.estimate_a1(spec, w, sp.make_grid(5, 128, 20.0))
 
 
-def test_estimate_a1_eps_cap(example_spec, example_w, grid128):
-    with pytest.raises(ValueError, match="eps"):
-        sp.estimate_a1(example_spec, example_w, grid128, eps=1e9)
-
-
 def test_estimate_a1_collapse(example_spec, grid128):
-    # a tiny-amplitude weight leaves room for eps beyond 1/B_g, where the
-    # quadratic coefficient goes nonpositive
+    # eps = cap / 2 = 1/(2 B_g ||g||_{N/4}) gives q = 1/2 - 1/(4 ||g||_{N/4}),
+    # so a tiny-amplitude weight, ||g||_{N/4} <= 1/2, leaves a quadratic
+    # coefficient q <= 0
     tiny = sp.WeightSpec(profile=lambda r: 1e-6 * np.where((np.asarray(r) >= 0.5)
                                                            & (np.asarray(r) <= 1.0),
                                                            1.0 / np.maximum(np.asarray(r), 1e-12), 0.0),
                          dim=5, r_in=0.5, r_out=1.0)
-    b = sp.estimate_bg(tiny, grid128)
-    n4 = tiny.norm(grid128.dim / 4.0)
-    cap = 1.0 / (b * n4)
-    with pytest.raises(ValueError, match="collapsed"):
-        sp.estimate_a1(example_spec, tiny, grid128, eps=0.9 * cap)
+    assert tiny.norm(grid128.dim / 4.0) <= 0.5
+    with pytest.raises(sp.GeometryError, match="collapsed"):
+        sp.estimate_a1(example_spec, tiny, grid128)
+
+
+@pytest.mark.parametrize("weight", [
+    zero_weight(), sp.table_weight([0.5, 0.75, 1.0], [0.0, 0.0, 0.0])], ids=["zero", "zero_table"])
+def test_estimate_a1_names_a_weight_without_mass(example_spec, grid128, weight):
+    # B_g = ||g||_{N/4} = 0 leaves no cap 1/(B_g ||g||_{N/4}) to put eps below:
+    # the message says g has no mass, not eps=inf
+    with pytest.raises(sp.GeometryError, match=r"^g has no mass on the grid: B_g=0, "):
+        sp.estimate_a1(example_spec, weight, grid128)
 
 
 @pytest.mark.xfail(strict=True, raises=sp.GeometryError, reason=(

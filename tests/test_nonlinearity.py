@@ -10,7 +10,14 @@ from semipositone.nonlinearity import T_BIG, growth_envelope
 
 from conftest import (bits, c_r_constant, check_prop33, envelope_refine, masked_f0, masked_Fa,
                       oracle_check_f1, oracle_check_f2, oracle_check_f3, oracle_check_f4,
-                      prop33_negative_excess, zero_nonlinearity)
+                      prop33_negative_excess, quadrature_primitive, quadrature_spec,
+                      zero_nonlinearity)
+
+
+def _square_forms():
+    """F and f' of f(t) = t^2, for specs built by hand."""
+    return dict(F_closed=lambda t: np.asarray(t, dtype=float) ** 3 / 3.0,
+                fprime=lambda t: 2.0 * np.asarray(t, dtype=float))
 
 
 def test_critical_exponent_values():
@@ -23,9 +30,20 @@ def test_critical_exponent_values():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        sp.NonlinearitySpec(f=lambda t: t**2, gamma=12.0, c_f=1.0, r_mono=1.0, dim=5)
+        sp.NonlinearitySpec(f=lambda t: t**2, gamma=12.0, c_f=1.0, r_mono=1.0, dim=5,
+                            **_square_forms())
     with pytest.raises(ValueError):
-        sp.NonlinearitySpec(f=lambda t: t + 1.0, gamma=2.5, c_f=1.0, r_mono=1.0, dim=5)
+        sp.NonlinearitySpec(f=lambda t: t + 1.0, gamma=2.5, c_f=1.0, r_mono=1.0, dim=5,
+                            **_square_forms())
+
+
+@pytest.mark.parametrize("name", ["f", "F_closed", "fprime"])
+@pytest.mark.parametrize("value", [None, 1.0])
+def test_spec_rejects_a_missing_closed_form(example_spec, name, value):
+    # f, F and f' are the three things the solver reads: a spec without one
+    # is refused when built, with the field named, not halfway through a solve
+    with pytest.raises(ValueError, match="^%s=%r must be callable$" % (name, value)):
+        dataclasses.replace(example_spec, **{name: value})
 
 
 @pytest.mark.parametrize("name", ["c_f", "r_mono"])
@@ -33,7 +51,7 @@ def test_spec_validation():
 def test_spec_rejects_nonfinite_constants(name, value):
     # a nan r_mono used to surface in check_f3 as an empty-array reduction,
     # and a nan c_f made check_f1 fail without saying why
-    kw = dict(f=lambda t: t**2, gamma=2.5, c_f=1.0, r_mono=1.0, dim=5)
+    kw = dict(f=lambda t: t**2, gamma=2.5, c_f=1.0, r_mono=1.0, dim=5, **_square_forms())
     kw[name] = value
     with pytest.raises(ValueError, match="^%s=.* must be finite" % name):
         sp.NonlinearitySpec(**kw)
@@ -99,7 +117,7 @@ SIGNED = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
 
 @pytest.mark.parametrize("spec", [
     sp.example_nonlinearity(), sp.power_nonlinearity(1.5, gamma=2.5), sp.linear_nonlinearity(),
-    dataclasses.replace(sp.example_nonlinearity(), F_closed=None)],
+    quadrature_spec(sp.example_nonlinearity())],
     ids=["example", "power", "linear", "quadrature"])
 @settings(max_examples=60, deadline=None)
 @given(t=hnp.arrays(np.float64, st.integers(0, 24), elements=SIGNED),
@@ -107,8 +125,9 @@ SIGNED = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
 def test_positive_part_forms_match_masks(spec, t, a):
     # f_0 = f(t+), f_a = f(t+) - a and F_a = F(t+) - a t give the values of
     # the element masks, on signed samples with +-0 and +-inf (+-0 compare
-    # equal, as do nans in the same place); "quadrature" has no F_closed,
-    # and there +inf stops both forms of F with the same ValueError
+    # equal, as do nans in the same place); "quadrature" takes F from the
+    # tests' quadrature primitive, a primitive that is no closed form, and
+    # there +inf stops both forms of F with the same ValueError
     sh = sp.ShiftedNonlinearity(spec, a)
     with np.errstate(all="ignore"):
         f0, want_f0 = sp.eval_f0(spec, t), masked_f0(spec, t)
@@ -132,22 +151,18 @@ def test_positive_part_passes_nan(example_spec):
 
 
 def test_example_closed_antiderivative(example_spec):
-    # F_closed against the quadrature fallback
-    bare = sp.NonlinearitySpec(f=example_spec.f, gamma=example_spec.gamma,
-                               c_f=example_spec.c_f, r_mono=example_spec.r_mono, dim=5)
+    # F_closed against the quadrature primitive
     for t in (0.3, 1.0, 7.5, 40.0):
-        closed = sp.eval_F(example_spec, t)
-        quadded = sp.eval_F(bare, t)
+        closed = example_spec.F_closed(t)
+        quadded = quadrature_primitive(example_spec.f, t)
         assert abs(closed - quadded) < 1e-8 * max(1.0, abs(closed))
 
 
-def test_eval_F_fallback_cumulative(example_spec):
+def test_quadrature_primitive_cumulative(example_spec):
     # one cumulative sum serves unsorted samples with repeats and t = 0
-    bare = sp.NonlinearitySpec(f=example_spec.f, gamma=example_spec.gamma,
-                               c_f=example_spec.c_f, r_mono=example_spec.r_mono, dim=5)
     t = np.array([7.5, 0.0, T_BIG, 1e-3, 0.3, 40.0, 1.0, 1e-3])
-    got = sp.eval_F(bare, t)
-    closed = sp.eval_F(example_spec, t)
+    got = quadrature_primitive(example_spec.f, t)
+    closed = example_spec.F_closed(t)
     assert got.shape == t.shape and got[1] == 0.0
     # F_closed cancels terms of size t near 0 (1.2e-10 relative at 1e-3),
     # so its own rounding sets the scale there
@@ -155,14 +170,14 @@ def test_eval_F_fallback_cumulative(example_spec):
     # the Taylor series F = sum_k (-1)^k 2 t^{k+3} / ((k+1)(k+3)) at 1e-3
     series = sum((-1) ** k * 2.0 * 1e-3 ** (k + 3) / ((k + 1) * (k + 3)) for k in range(8))
     assert got[3] == pytest.approx(series, rel=1e-14)
-    scalar = sp.eval_F(bare, 7.5)
+    scalar = quadrature_primitive(example_spec.f, 7.5)
     assert isinstance(scalar, float) and scalar == pytest.approx(closed[0], rel=1e-12)
+    bare = quadrature_spec(example_spec)
     assert isinstance(sp.eval_Fa(sp.ShiftedNonlinearity(bare, 0.5), 2.0), float)
     # f = t^1.5 is not smooth at 0; the octaves below 1e-3 grade it out
     power = sp.power_nonlinearity(1.5)
-    bare = sp.NonlinearitySpec(f=power.f, gamma=power.gamma, c_f=1.0, r_mono=1.0, dim=5)
     t = np.array([1e-3, T_BIG])
-    assert np.all(np.abs(sp.eval_F(bare, t) / power.F_closed(t) - 1.0) <= 1e-13)
+    assert np.all(np.abs(quadrature_primitive(power.f, t) / power.F_closed(t) - 1.0) <= 1e-13)
 
 
 def test_example_primitive_matches_series(example_spec):
@@ -193,6 +208,35 @@ def test_example_registered_derivative(example_spec):
     for t in (0.5, 2.0, 25.0):
         fd = (example_spec.f(t + h) - example_spec.f(t - h)) / (2.0 * h)
         assert abs(example_spec.fprime(t) - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def _family(name, power):
+    if name == "example":
+        return sp.example_nonlinearity()
+    if name == "linear":
+        return sp.linear_nonlinearity()
+    return sp.power_nonlinearity(power)
+
+
+@pytest.mark.parametrize("family", ["example", "linear", "power"])
+@settings(max_examples=100, deadline=None)
+@given(log_a=st.floats(-6.0, 6.0 - np.log10(2.0)), span=st.floats(0.0, 1.0),
+       power=st.floats(1.1, 8.0))
+def test_closed_forms_integrate_to_each_other(family, log_a, span, power):
+    # F(b) - F(a) = int_a^b f and f(b) - f(a) = int_a^b f' on 1e-6 <= a < b <= 1e6,
+    # each integral a Gauss-Legendre sum over the octave panels a 2^k of
+    # [a, b], within 1e-13 of int |.|: F_closed and fprime are the only F and
+    # f' the solver reads. b >= 2a keeps the rounding of F(a) and F(b),
+    # which cancels when b is near a, out of what is measured
+    spec = _family(family, power)
+    a = 10.0 ** log_a
+    b = min(2.0 * a * (1e6 / (2.0 * a)) ** span, 1e6)
+    pts = np.append(a * 2.0 ** np.arange(np.ceil(np.log2(b / a))), b)
+    x, w = sp.radial_core.gauss_legendre(pts[:-1], pts[1:])
+    for prim, der in ((spec.F_closed, spec.f), (spec.f, spec.fprime)):
+        d = np.asarray(der(x), dtype=float)
+        residual = float(prim(b)) - float(prim(a)) - np.sum(w * d)
+        assert abs(residual) <= 1e-13 * np.sum(w * np.abs(d))
 
 
 @given(t=st.floats(min_value=-50.0, max_value=-1e-3))
@@ -338,13 +382,17 @@ def test_prop33_negative_excess_algebra(example_spec, s, gap):
 def root_spec():
     """sqrt is non-Lipschitz at 0: quotients blow up between scales."""
     return sp.NonlinearitySpec(f=lambda t: np.sqrt(np.maximum(t, 0.0)), gamma=2.5,
-                               c_f=10.0, r_mono=1.0, dim=5)
+                               c_f=10.0, r_mono=1.0, dim=5,
+                               F_closed=lambda t: 2.0 / 3.0 * np.asarray(t, dtype=float) ** 1.5,
+                               fprime=lambda t: 0.5 / np.sqrt(t))
 
 
 def hump_spec():
     """A ratio f/t that decays beyond r_mono fails f3."""
     return sp.NonlinearitySpec(f=lambda t: t * np.exp(-t), gamma=2.5, c_f=10.0,
-                               r_mono=1.0, dim=5)
+                               r_mono=1.0, dim=5,
+                               F_closed=lambda t: 1.0 - (1.0 + t) * np.exp(-t),
+                               fprime=lambda t: (1.0 - t) * np.exp(-t))
 
 
 def test_checker_counterexamples():
@@ -368,7 +416,3 @@ def test_checkers_match_per_call_sampling(make):
             assert (got.name, got.passed) == (want.name, want.passed)
             assert bits(got.details) == bits(want.details)
 
-
-def test_eval_f_rejects_negative(example_spec):
-    with pytest.raises(ValueError):
-        sp.eval_f(example_spec, -1.0)

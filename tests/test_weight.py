@@ -146,6 +146,26 @@ def test_sample_on_grid_mass_identity(example_w):
         assert sp.integrate(gf) == pytest.approx(example_w.norm(1.0), rel=1e-13)
 
 
+_ZERO_TO_19 = np.linspace(0.0, 19.0, 40)
+
+
+@pytest.mark.parametrize("weight, n, r_max", [
+    (sp.example_weight(), 16, 20.0), (sp.example_weight(), 16, 1000.0),
+    (sp.example_weight(), 512, 1e4), (sp.example_weight(dim=7), 16, 1000.0),
+    (sp.table_weight(_ZERO_TO_19, 1.0 / (1.0 + _ZERO_TO_19 ** 2)), 64, 20.0),
+    (sp.table_weight([0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), 16, 20.0)],
+    ids=["example-n16", "example-n16-rmax1e3", "example-n512-rmax1e4", "dim7-n16-rmax1e3",
+         "table-0-19-n64", "table-from-0-n16"])
+def test_sample_on_grid_keeps_node_0_half_cell(weight, n, r_max):
+    # node 0 has measure r^{N-1} w = 0, so the mass of g on its half cell
+    # [0, h/2] goes to node 1: coarse grids and large r_max put part or all
+    # of the support there, and the sampled g keeps ||g||_1 within 4 eps
+    grid = sp.make_grid(weight.dim, n, r_max)
+    assert weight.r_in < 0.5 * grid.h
+    got = sp.integrate(sp.sample_on_grid(weight, grid))
+    assert abs(got - weight.norm(1.0)) <= 4 * np.finfo(float).eps * weight.norm(1.0)
+
+
 def test_weighted_moment_accuracy(example_w, grid512):
     # second moment against the closed annulus integral; cell-average
     # sampling is O(h^2) here
