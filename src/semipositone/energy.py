@@ -35,7 +35,7 @@ from .weight import sample_on_grid
 from .riesz_potential import Support, riesz_solve, support  # riesz_solve: bound for perfbench
 
 _BG_TOL = 1e-12
-_BG_MAX_ITER = 500
+_BG_MAX_ITER = 2000  # the iterate takes up to 1363 steps near the critical exponent
 
 
 def n_values(x, shifted, sup):
@@ -117,9 +117,10 @@ def _ratio_sup(sup, p):
     h = g|v|^{p-2} v (Boyd, Linear Algebra Appl. 9, 1974; Hein & Buhler,
     NIPS 2010), on the values at S, where T(g x) = sup.apply(x). By the
     representation ||Delta T(h)||^2 = int h T(h), so no step differentiates
-    anything, and convexity of int g|u|^p makes the ratio rise
-    monotonically. The start is the constant field, which has mass wherever
-    g lives.
+    anything, and convexity of int g|u|^p makes the ratio rise monotonically.
+    Its error is quadratic in that of v, which settles only linearly, so the
+    iteration stops once both have settled to _BG_TOL. It starts at the
+    constant field, which has mass wherever g lives.
     """
     mass = sup.mass
     v = np.ones(mass.size)
@@ -127,12 +128,13 @@ def _ratio_sup(sup, p):
     for _ in range(_BG_MAX_ITER):
         dual = np.abs(v) ** (p - 2.0) * v  # h = g * dual
         t = sup.apply(dual)  # T(h) on S
-        norm_d = np.sqrt(np.sum(mass * dual * t))  # (int h T(h))^{1/2}
+        norm_d = np.sqrt((mass * dual * t).sum())  # (int h T(h))^{1/2}
         if norm_d == 0.0:
             return 0.0, np.zeros(mass.size)
-        v = t / norm_d
-        lam = float(np.sum(mass * np.abs(v) ** p))
-        if abs(lam - lam_prev) <= _BG_TOL * lam:
+        v, v_prev = t / norm_d, v
+        lam = float((mass * np.abs(v) ** p).sum())
+        if (abs(lam - lam_prev) <= _BG_TOL * lam
+                and abs(v - v_prev).max() <= _BG_TOL * abs(v).max()):
             return lam, sup.g * dual / norm_d
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge in %d steps"
@@ -167,12 +169,17 @@ def estimate_a1(spec, weight, grid):
     phi on S, the direction of the straight path (`mountain_pass.make_bump`),
     and so does the support the constants were computed on, which every
     later stage reads, and the grid g was sampled on, only where the solve
-    writes its profiles. Raises GeometryError when g has no mass on the grid
-    (no cap), when q or A(rho*) leave no positive rim, and when the growth
-    envelope sits at its floor (f(t) <= eps t on every sample), however
-    finite the constants built on that floor come out.
+    writes its profiles. Raises GeometryError when the grid spacing is not
+    below the width of supp g, when g has no mass on the grid (no cap), when
+    q or A(rho*) leave no positive rim, and when the growth envelope sits at
+    its floor (f(t) <= eps t on every sample), however finite the constants
+    built on that floor come out.
     """
     gamma = spec.gamma
+    if grid.h >= weight.r_out - weight.r_in:
+        raise GeometryError("grid spacing h=%g is not below the width %g of supp g, so [grid] "
+                            "n=%d, r_max=%g cannot resolve g; raise n or lower r_max"
+                            % (grid.h, weight.r_out - weight.r_in, grid.n, grid.r_max))
     sup = support(sample_on_grid(weight, grid))
     b_g, phi = _ratio_sup(sup, 2.0)
     gn4 = weight.norm(sup.dim / 4.0)

@@ -46,7 +46,7 @@ import numpy as np
 from . import radial_core as rc
 from .energy import n_values, ray_levels, residuals
 from .nonlinearity import ShiftedNonlinearity, eval_f0, eval_f0prime, eval_fa
-from .riesz_potential import riesz_values
+from .riesz_potential import riesz_r4, riesz_values
 
 
 @dataclass
@@ -67,9 +67,11 @@ class MPSolution:
 
 def make_bump(phi, sup):
     """T(phi), phi a source on S, clipped at 0 and scaled to ||Delta u||_2 = 1:
-    the straight path's direction, as (values on S, source on S, u(0), its
-    maximum on R^N). T(phi) >= 0 on S up to rounding; the clip keeps phi."""
-    vals, top = sup.potential(phi)
+    the straight path's direction, as (values on S, source on S, u(0)): K_S
+    (mass phi / g) on S, and R4 int |y|^{4-N} phi, the maximum on R^N when
+    phi >= 0. T(phi) >= 0 on S up to rounding; the clip keeps phi."""
+    vals = sup.apply(phi / sup.g)  # g > 0 on S
+    top = riesz_r4(sup.dim) * sup.integrate(sup.r ** (4.0 - sup.dim) * phi)  # K_S's row at r = 0
     if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ValueError("bump must be nonnegative")
     vals = np.maximum(vals, 0.0)
@@ -128,9 +130,9 @@ def _chunks(k, m):
 
 
 def _morse_index(x, spec, sup):
-    """Morse index of I_a at each row of the support values x (k, m), and the
-    top two eigenvalues it is read from; f_a' = f_0' on t > 0 whatever a
-    is, so the index needs only the spec.
+    """Morse index of I_a at each row of the support values x (k, m), and its
+    top two eigenvalues; f_a' = f_0' on t > 0 whatever a is, so the index
+    needs only the spec.
 
     The second variation of I_a in the D^{2,2} metric is I - R4 K diag(g f_a'(u)),
     so each eigenvalue of R4 K diag(g f_a'(u)) above 1 is one descent
@@ -139,8 +141,8 @@ def _morse_index(x, spec, sup):
     similar where f_a' >= 0 to diag(s) K_S diag(s), s = sqrt(mass f_a'):
     one `eigvalsh` of the (k, m, m) stack K_S s_i s_j, chunk by chunk. A row
     where g f_a'(u) < 0 somewhere on S raises ValueError.
-    Returns (indices (k,), eigenvalues (k, 2) in decreasing order); an index
-    counts only the two eigenvalues returned, so 2 means "at least 2".
+    Returns (indices (k,), each the count of all m eigenvalues above 1, and
+    the top two eigenvalues (k, 2) in decreasing order, zero-padded when m < 2).
     """
     k, m = x.shape
     d = sup.mass * eval_f0prime(spec, x)
@@ -148,13 +150,12 @@ def _morse_index(x, spec, sup):
         raise ValueError("g f_a'(u) < 0 on supp g: the symmetric Morse certificate "
                          "needs g f_a'(u) >= 0")
     s = np.sqrt(d)
-    spectrum = np.zeros((k, m + 2))  # and two of the zeros
+    spectrum = np.zeros((k, max(m, 2)))
     for c in _chunks(k, m):
         stack = sup.kernel * s[c, :, None]
         stack *= s[c, None, :]
         spectrum[c, :m] = np.linalg.eigvalsh(stack)
-    top = -np.sort(-spectrum, axis=1)[:, :2]
-    return np.sum(top > 1.0, axis=1), top
+    return np.sum(spectrum > 1.0, axis=1), -np.sort(-spectrum, axis=1)[:, :2]
 
 
 def _newton_steps(fp, phi, sup):

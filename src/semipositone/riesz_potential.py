@@ -18,9 +18,9 @@ which closes at the orders used here:
 the last by Euler's transformation (DLMF 15.8.1). `ring_kernel_pairs`
 evaluates both on pairs of radii: for the (g2) check, and N - 4 for
 `support`, the rule on supp g that the solver runs on, as the symmetric
-m x m kernel of T on its nodes S. kappa_{N-4} is a sum of two products
-f(rho) g(R), so a potential takes O(n) from prefix and suffix sums, on S
-(`Support.potential`) as on the output grid (`riesz_values`,
+m x m kernel K_S of T on its nodes S, the one operator of the solve.
+kappa_{N-4} is a sum of two products f(rho) g(R), so a potential on the
+output grid takes O(n) from prefix and suffix sums (`riesz_values`,
 `apply_potential`; `riesz_solve` attaches the source h, which is all the
 D^{2,2} products of `radial_core.h2_inner` need). `ring_kernel` is the
 dense grid x grid kernel, a test oracle.
@@ -83,10 +83,10 @@ class Support:
     """supp g as a rule, built once per problem by `support`: the nodes S of
     the grid g was sampled on where g != 0, and on S only their radii r,
     trapezoid weights w, r^{N-1}, g and mass = omega_N r^{N-1} w g. Every
-    integral against g is a sum over S, and T(g x) = K_S (mass x) on S,
-    K_S = R4 K[S, S] / omega_N symmetric, K the order N-4 kernel, so
-    (I - T) x = y reduces to (I - K_S diag(mass)) x_S = y_S (Atkinson, The
-    Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4)."""
+    integral against g is a sum over S, and T(g x) = K_S (mass x) on S, the
+    one T of the solve, K_S = R4 K[S, S] / omega_N symmetric, K the order N-4
+    kernel, so (I - T) x = y reduces to (I - K_S diag(mass)) x_S = y_S (Atkinson,
+    The Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4)."""
     dim: int
     sphere_area: float
     nodes: np.ndarray  # S as indices of the sampling grid, where outputs are written
@@ -109,15 +109,6 @@ class Support:
         (..., m): one matrix-vector product per row, so a row of a batch is its
         one-row product bit for bit."""
         return np.matmul(self.kernel, (self.mass * x)[..., None])[..., 0]
-
-    def potential(self, src):
-        """(u on S, u(0)) of u = R4 I_{N-4} h for each row of the support values
-        h (..., m): `riesz_values` of h, zero off S, read at S and at r = 0,
-        bit for bit, as its sums add only exact zeros off S. u(0) is the
-        maximum of u on R^N when h >= 0: kappa_{N-4}(r, s) <= kappa_{N-4}(0, s)."""
-        r4, x = riesz_r4(self.dim), self.r ** (4.0 - self.dim) * (src * self.r_pow * self.w)
-        tail = np.cumsum(x[..., ::-1], axis=-1)[..., -1]  # `_potential`'s suffix sum at r = 0
-        return r4 * _potential(self, src), r4 * (self.sphere_area * tail)
 
 
 def support(g_field):

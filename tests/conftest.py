@@ -66,9 +66,9 @@ def support_potential(sup, grid, source):
 
 def bump_field(geometry, bump):
     """The bump (values, source, u(0)) of `make_bump` as a field on
-    geometry.grid: the potential of its source, with the bump's own values
-    on S, where the two differ by rounding only, so `h2_inner` and `i_a`
-    read the numbers the solver reads."""
+    geometry.grid: the grid potential of its source, with the bump's own
+    values on S, K_S applied to it, where the two differ by rounding only,
+    so `h2_inner` and `i_a` read the numbers the solver reads."""
     u = support_potential(geometry.support, geometry.grid, bump[1])
     u.values[geometry.support.nodes] = bump[0]
     return u
@@ -131,11 +131,14 @@ def full_grid_n_a(u, shifted, weight):
     return sp.integrate(sp.RadialField(u.grid, g * sp.eval_Fa(shifted, u.values)))
 
 
-def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
+def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=2000):
     """sup int g|u|^p / ||Delta u||^p and its maximiser by the power iteration
     v <- T(h) / (int h T(h))^{1/2}, h = g|v|^{p-2} v, with T = riesz_solve
-    applied on the whole grid at every step."""
+    applied on the whole grid at every step, until both the ratio and the
+    iterate on supp g, the only values the next step reads, have settled to
+    tol."""
     g = sp.sample_on_grid(weight, grid).values
+    on = g != 0
     mass = g * grid.r_pow * grid.w * grid.sphere_area
     v = np.ones(grid.n)
     lam_prev = np.inf
@@ -145,9 +148,10 @@ def full_grid_ratio_sup(weight, grid, p, tol=1e-12, max_iter=500):
         norm_d = np.sqrt(np.sum(mass * dual * t))
         if norm_d == 0.0:
             return 0.0, zero_potential(grid)
-        v = t / norm_d
+        v, v_prev = t / norm_d, v
         lam = float(np.sum(mass * np.abs(v) ** p))
-        if abs(lam - lam_prev) <= tol * lam:
+        step = np.abs(v - v_prev)[on]
+        if abs(lam - lam_prev) <= tol * lam and np.max(step) <= tol * np.max(np.abs(v[on])):
             return lam, sp.RadialField(grid, v)
         lam_prev = lam
     raise RuntimeError("power iteration for p=%g did not converge" % p)

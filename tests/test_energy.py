@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh
 
 import semipositone as sp
@@ -273,6 +273,7 @@ def test_ratio_sup_dominates_random_sources(dim, n, frac, low, seed):
 
 @given(dim=st.integers(5, 9), n=st.integers(48, 400), frac=st.floats(0.0, 0.98),
        support=st.sampled_from(["annulus", "table"]))
+@example(dim=8, n=369, frac=0.5632459018647915, support="table")  # the iterate lags the ratio
 @settings(max_examples=25, deadline=None)
 def test_ratio_sup_block_matches_full_grid(dim, n, frac, support):
     # the iteration on the m values of supp g is the full-grid one: the

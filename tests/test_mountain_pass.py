@@ -73,6 +73,26 @@ def test_make_bump_scales_bg_maximiser(grid128, geometry128):
         sp.make_bump(np.zeros_like(geometry128.phi), sup)
 
 
+@given(dim=st.integers(5, 9), n=st.integers(16, 1024), density=st.floats(0.01, 1.0),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_make_bump_is_the_grid_potential(dim, n, density, seed):
+    # on random supports (r = 0 never in S) and nonnegative sources, the
+    # bump's values are the grid potential of its source read on S, and
+    # u(0), from K_S's row at r = 0, is its value at r = 0 and its maximum
+    rng = np.random.default_rng(seed)
+    grid = sp.make_grid(dim, n, 20.0)
+    g = np.where(rng.uniform(size=n) < density, rng.uniform(0.0, 3.0, n), 0.0)
+    g[0] = 0.0
+    g[1 + rng.integers(n - 1)] = rng.uniform(0.1, 3.0)
+    sup = sp.riesz_potential.support(RadialField(grid, g))
+    phi = sup.g * rng.uniform(0.0, 1.0, sup.nodes.size) ** rng.uniform(0.5, 8.0)
+    x, h, top = sp.make_bump(phi, sup)
+    want = support_potential(sup, grid, h).values
+    assert np.max(np.abs(x - want[sup.nodes])) <= 1e-13 * np.max(want)
+    assert top == pytest.approx(want[0], rel=1e-13) and want[0] == np.max(want)
+
+
 def test_find_vtilde_negative_level(example_spec, example_w, grid128, geometry128):
     sh = sp.ShiftedNonlinearity(example_spec, 1.0)
     ladder = sp.vtilde_ladder(geometry128, example_spec)
@@ -572,11 +592,14 @@ def test_newton_step_matches_dense_lu(dim, n, support, top, seed):
 
 
 @given(dim=st.integers(5, 9), n=st.integers(32, 300),
-       support=st.sampled_from(["annulus", "table"]), seed=st.integers(0, 2**32 - 1))
+       support=st.sampled_from(["annulus", "table"]), seed=st.integers(0, 2**32 - 1),
+       top=st.floats(0.5, 200.0))
 @settings(max_examples=25, deadline=None)
-def test_morse_eigenvalues_match_dense(dim, n, support, seed):
-    # the top two eigenvalues read from the support kernel against the dense
-    # eigenvalues of the full r4 K diag(m d), d = g f'(u), f(t) = t^2
+def test_morse_eigenvalues_match_dense(dim, n, support, seed, top):
+    # the top two eigenvalues read from the support kernel, and the index,
+    # against the dense eigenvalues of the full r4 K diag(m d), d = g f'(u),
+    # f(t) = t^2: the index is the count of all of them above 1, with u
+    # scaled so that the top one is `top`
     grid = sp.make_grid(dim, n, 20.0)
     if support == "annulus":
         weight = sp.example_weight(dim=dim)
@@ -584,14 +607,36 @@ def test_morse_eigenvalues_match_dense(dim, n, support, seed):
         r_tab = np.linspace(0.0, 19.0, 40)
         weight = sp.table_weight(r_tab, 1.0 / (1.0 + r_tab**2), dim=dim)
     sh = sp.ShiftedNonlinearity(sp.power_nonlinearity(2.0, dim=dim), 0.0)
-    u = RadialField(grid, np.random.default_rng(seed).uniform(0.5, 1.5, n))
-    d = sample_on_grid(weight, grid).values * 2.0 * u.values
     m = grid.r ** (dim - 1) * grid.w
     kern = sp.riesz_r4(dim) * sp.ring_kernel(grid, dim - 4)
-    dense = np.sort(np.linalg.eigvals(kern * (m * d)[None, :]).real)[::-1][:2]
-    index, top = _index(u, sh, support_of(weight, grid))
-    np.testing.assert_allclose(top, dense, rtol=1e-10, atol=0)
+    u = np.random.default_rng(seed).uniform(0.5, 1.5, n)
+
+    def spectrum(u):
+        d = sample_on_grid(weight, grid).values * 2.0 * u
+        return np.sort(np.linalg.eigvals(kern * (m * d)[None, :]).real)[::-1]
+    u *= top / spectrum(u)[0]
+    dense = spectrum(u)
+    assume(np.min(np.abs(dense - 1.0)) > 1e-6)
+    index, got = _index(RadialField(grid, u), sh, support_of(weight, grid))
+    np.testing.assert_allclose(got, dense[:2], rtol=1e-10, atol=0)
     assert index == np.sum(dense > 1.0)
+
+
+def test_morse_index_counts_past_two(grid512):
+    # f = t^8: the a = 0 solution x* has index 1, and the index at 2 x* and
+    # 3 x* counts every eigenvalue above 1 (3 and 6 of them), where the top
+    # two alone would stop at 2
+    spec = sp.power_nonlinearity(8.0, gamma=9.0)
+    geo = sp.estimate_a1(spec, sp.example_weight(), grid512)
+    sol = sp.mp_solve(sp.ShiftedNonlinearity(spec, 0.0), geo)
+    sup = geo.support
+    x = sup.restrict(sol.u.values) * np.array([1.0, 2.0, 3.0])[:, None]
+    index, top = mp._morse_index(x, spec, sup)
+    fp = sp.nonlinearity.eval_f0prime(spec, x)
+    dense = np.linalg.eigvals(sup.kernel * (sup.mass * fp)[:, None, :]).real
+    assert sol.converged and sol.diagnostics["morse_index"] == 1
+    assert index.tolist() == np.sum(dense > 1.0, axis=1).tolist() == [1, 3, 6]
+    np.testing.assert_allclose(top, -np.sort(-dense, axis=1)[:, :2], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n,table", [(128, False), (512, False), (1024, False), (384, True)])

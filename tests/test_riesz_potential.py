@@ -351,30 +351,3 @@ def test_support_kernel_is_t_on_s(dim, n, family, start, seed):
     got = sup.apply(x)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(got, np.array([sup.apply(row) for row in x]))
-
-
-@given(dim=st.integers(5, 9), n=st.integers(16, 1024), rows=st.integers(1, 13),
-       density=st.floats(0.01, 1.0), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_support_potential_is_the_grid_potential_on_s(dim, n, rows, density, seed):
-    # the prefix and suffix sums over S alone are those over the grid, whose
-    # terms off S are exact zeros: on random supports (r = 0 never in S),
-    # the potential of nonnegative sources on S is riesz_values of the
-    # scattered sources read on S bit for bit, and u(0) is its value at
-    # r = 0 and its maximum over the grid
-    rng = np.random.default_rng(seed)
-    grid = sp.make_grid(dim, n, 20.0)
-    g = np.where(rng.uniform(size=n) < density, rng.uniform(0.0, 3.0, n), 0.0)
-    g[0] = 0.0
-    g[1 + rng.integers(n - 1)] = rng.uniform(0.1, 3.0)
-    sup = sp.riesz_potential.support(RadialField(grid, g))
-    h = rng.uniform(0.0, 1.0, (rows, sup.nodes.size)) ** rng.uniform(0.5, 8.0)
-    h[rng.uniform(size=h.shape) < 0.2] = 0.0
-    src = np.zeros((rows, n))
-    src[:, sup.nodes] = h
-    want = riesz_values(grid, src)
-    vals, top = sup.potential(h)
-    assert np.array_equal(vals, want[:, sup.nodes])
-    assert np.array_equal(top, want[:, 0]) and np.array_equal(top, np.max(want, axis=1))
-    one_vals, one_top = sup.potential(h[0])
-    assert np.array_equal(one_vals, vals[0]) and one_top == top[0]

@@ -551,6 +551,22 @@ def test_main_degenerate_geometry_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,h", [("n = 16\n", 4.0 / 3.0),
+                                    ("n = 16\nr_max = 1000\n", 1000.0 / 15.0)])
+def test_main_grid_coarser_than_support_exits_2(tmp_path, capsys, text, h):
+    # a spacing wider than [1/2, 1] puts all of g on one node outside its
+    # support: the geometry refuses the grid instead of solving on it (a
+    # level 1e19 at n = 16) or blaming T_BIG (at r_max = 1000)
+    out = tmp_path / "out"
+    rc = main(["--config", write(tmp_path, "[grid]\n" + text), "--single-a", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error: grid spacing h=%g is not below the width 0.5 "
+                          "of supp g" % h)
+    assert "[grid] n=16" in err and not out.exists()
+
+
 def test_bg_iteration_runs_once(tmp_path, monkeypatch):
     # the B_g maximiser that estimate_a1 computes is the path direction:
     # the p = 2 power iteration runs once per sweep, not again for the bump
@@ -645,6 +661,21 @@ def test_solver_runs_on_one_support_block(tmp_path, monkeypatch):
     assert counts["apply_potential"] == counts["riesz_solve"] == 0
     assert all(begin["riesz_values"] == 0 for begin in starts)
     assert shapes == [(13, 128)]
+
+
+def test_sweep_takes_one_prefix_sum_potential(monkeypatch):
+    # T on S is K_S alone, the bump's included: the O(n) prefix-sum
+    # potential runs once per sweep, for the final extension to the grid
+    calls, orig = [], riesz_potential._potential
+
+    def counting(rule, src):
+        calls.append(np.shape(src))
+        return orig(rule, src)
+    monkeypatch.setattr(riesz_potential, "_potential", counting)
+    report = sweep_cli.run_sweep(parse_config(os.path.join(ROOT, "scripts", "configs",
+                                                           "example.ini")))
+    assert all(r.converged for r in report.rows)
+    assert calls == [(13, 512)]
 
 
 def test_mp_solve_takes_one_grid_potential(tmp_path, monkeypatch):
